@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 from .backends import BACKEND
 from .errors import (
     GhzSelfTestError,
+    InequalityViolated,
     InvalidBloch,
     InvalidInput,
     NotHermitian,

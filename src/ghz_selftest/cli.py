@@ -17,8 +17,8 @@ reports and CSV exports list the sign bit ``s_1`` first.
 
 Randomness is counter-based (Philox keyed by ``--seed``), so results are
 reproducible across runs and platforms. ``GHZ_SELFTEST_THREADS`` caps worker
-parallelism for see-saw restarts and grid sweeps (0 = one per CPU); results
-do not depend on it.
+parallelism for see-saw restarts (0 = one per CPU); results do not depend on
+it.
 """
 
 import argparse
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import GhzSelfTestError, InvalidInput
+from .errors import GhzSelfTestError, InequalityViolated, InvalidInput
 from .fixtures import (
     computational_strategy,
     depolarized_partial_bell,
@@ -487,13 +487,16 @@ def _make_params(config: RunConfig) -> FidelityBoundParams | None:
 
 def _cmd_robustness_grid(config: RunConfig) -> tuple:
     params = _make_params(config) or analytic_params(config.n)
-    grid = margin_grid(
-        config.n,
-        params,
-        step=config.options["step"],
-        csv_path=config.options.get("csv"),
-        refine=not config.options["no_refine"],
-    )
+    try:
+        grid = margin_grid(
+            config.n,
+            params,
+            step=config.options["step"],
+            csv_path=config.options.get("csv"),
+            refine=not config.options["no_refine"],
+        )
+    except InequalityViolated as exc:
+        grid = exc.result
     results = {
         "r": params.r,
         "mu": params.mu,

@@ -21,6 +21,15 @@ class PreconditionViolated(InvalidInput):
     """Numerical precondition (e.g. antipodal messages) does not hold."""
 
 
+class InequalityViolated(InvalidInput):
+    """Operator inequality fails on a margin sweep; ``result`` is the sweep's
+    ``GridResult``."""
+
+    def __init__(self, message: str, result):
+        super().__init__(message)
+        self.result = result
+
+
 class NotSelfTestable(GhzSelfTestError):
     """Operators too far from the self-testing regime to align."""
 

@@ -1,4 +1,4 @@
-"""Worker-count policy shared by the grid sweep and the see-saw restarts.
+"""Worker-count policy for the see-saw restarts.
 
 ``GHZ_SELFTEST_THREADS`` caps parallelism: unset or ``1`` means serial,
 ``0`` means one worker per CPU. Results never depend on the schedule; all

@@ -8,17 +8,22 @@ an observed score deficit ``eps = 1 - S`` into a lower bound on the average
 GHZ fidelity of the measurement. Analytic ``(r, mu)`` are built in for two
 senders; for more senders the caller supplies a pair and certifies it by
 grid sweep.
+
+Angle points are evaluated as stacks: a ``(P, n)`` array of points gives
+``(P, 2**n, 2**n)`` channel images, witnesses and shifted operators, worked
+through in chunks so that no stacked array holds more than
+``CHUNK_ELEMENTS`` complex entries. The one-point functions
+(``apply_channel``, ``k_operator``, ``inequality_margin``) call the same
+stacked code with a single point.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, Unsupported
-from .linalg import I2, SIGMA_A, SIGMA_B, SIGMA_X, SIGMA_Z, herm_eigvals, projector, tensor
-from .parallel import ordered_map
+from .errors import InequalityViolated, InvalidInput, Unsupported
+from .linalg import I2, SIGMA_A, SIGMA_B, SIGMA_X, SIGMA_Z, projector, tensor
 from .scenario import witness_operator
 from .states import ghz_basis_state, outcome_bits, outcome_label
 
@@ -31,6 +36,9 @@ GRID_STEP = np.pi / 80
 GRID_PASS_FLOOR = -1e-8
 GRID_FAIL_FLOOR = -1e-6
 
+# entries of one stacked (points, 2**n, 2**n) complex array in a sweep
+CHUNK_ELEMENTS = 2**14
+
 
 @dataclass(frozen=True)
 class FidelityBoundParams:
@@ -41,6 +49,8 @@ class FidelityBoundParams:
     n: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.r) and math.isfinite(self.mu)):
+            raise InvalidInput("params r and mu must be finite")
         if abs(self.r * (self.n - 1) * 2 * SQRT2 + self.mu - 1) > 1e-12:
             raise InvalidInput("params must satisfy r*(n-1)*2*sqrt(2) + mu = 1")
 
@@ -56,34 +66,65 @@ def analytic_params(n: int = 2) -> FidelityBoundParams:
     return FidelityBoundParams(r=ANALYTIC_R_2, mu=ANALYTIC_MU_2, n=2)
 
 
-def _check_angle(x: float) -> float:
-    x = float(x)
-    if not 0 <= x <= np.pi / 2 + 1e-12:
-        raise InvalidInput(f"angle {x} outside [0, pi/2]")
-    return min(x, np.pi / 2)
+def _check_angles(angles, n: int | None = None, stacked: bool = False) -> np.ndarray:
+    """Angles as a float array: one point ``(n,)``, or a stack ``(P, n)``.
 
-
-def _check_angles(angles, n: int | None = None) -> np.ndarray:
-    arr = np.array([_check_angle(a) for a in angles], dtype=float)
-    if n is not None and arr.shape != (n,):
-        raise InvalidInput(f"expected {n} angles, got {arr.shape[0]}")
-    if arr.size == 0:
+    Every entry must lie in ``[0, pi/2]``; values up to 1e-12 above are
+    clipped back to ``pi/2``.
+    """
+    try:
+        arr = np.array(angles, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"angles must be real numbers: {exc}") from None
+    bad = ~((arr >= 0) & (arr <= np.pi / 2 + 1e-12))
+    if bad.any():
+        raise InvalidInput(f"angle {float(arr[bad][0])} outside [0, pi/2]")
+    ndim = 2 if stacked else 1
+    if arr.ndim != ndim:
+        raise InvalidInput(f"expected a {ndim}-D array of angles, got shape {arr.shape}")
+    if n is not None and arr.shape[-1] != n:
+        raise InvalidInput(f"expected {n} angles, got {arr.shape[-1]}")
+    if arr.shape[-1] == 0:
         raise InvalidInput("need at least one angle")
-    return arr
+    return np.minimum(arr, np.pi / 2)
+
+
+def _check_angle(x) -> float:
+    return float(_check_angles([x])[0])
+
+
+def _strengths(angles: np.ndarray) -> np.ndarray:
+    """Channel strengths ``g`` of checked angles, elementwise."""
+    return (1 + SQRT2) * (np.sin(angles) + np.cos(angles) - 1)
+
+
+def _frame(n: int) -> tuple:
+    """Per-slot Pauli pairs, each of shape (n, 2, 2): ``(X, Z)`` for sender 1
+    and ``(A, B)`` for the others."""
+    return (
+        np.stack([SIGMA_X] + [SIGMA_A] * (n - 1)),
+        np.stack([SIGMA_Z] + [SIGMA_B] * (n - 1)),
+    )
+
+
+def _axes(angles: np.ndarray) -> np.ndarray:
+    """Channel axes ``(..., n, 2, 2)``: the frame's first operator up to pi/4,
+    its second above."""
+    first, second = _frame(angles.shape[-1])
+    return np.where((angles <= np.pi / 4)[..., None, None], first, second)
 
 
 def channel_g(x: float) -> float:
     """Channel strength ``(1 + sqrt2)(sin x + cos x - 1)``; 1 at pi/4, 0 at the ends."""
-    x = _check_angle(x)
-    return float((1 + SQRT2) * (math.sin(x) + math.cos(x) - 1))
+    return float(_strengths(_check_angle(x)))
 
 
 def gamma_operator(j: int, x: float) -> np.ndarray:
     """Conjugation axis of sender ``j``'s channel; branch switches at pi/4."""
     x = _check_angle(x)
-    if j == 1:
-        return SIGMA_X if x <= np.pi / 4 else SIGMA_Z
-    return SIGMA_A if x <= np.pi / 4 else SIGMA_B
+    # sender 1 has a frame of its own; every other sender shares slot 2's
+    slots = 1 if j == 1 else 2
+    return _axes(np.full(slots, x))[-1]
 
 
 def local_channel(j: int, x: float, rho) -> np.ndarray:
@@ -100,6 +141,39 @@ def local_channel(j: int, x: float, rho) -> np.ndarray:
     return (1 + g) / 2 * rho + (1 - g) / 2 * (gam @ rho @ gam)
 
 
+def _channel_stack(ops: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Tensor product of the local channels applied to a stack of operators.
+
+    ``ops`` has shape (P, d, d) with ``d = 2**n`` and ``angles`` shape
+    (P, n); a leading axis of length 1 broadcasts. Qubit j's axis (real
+    symmetric) multiplies the rows of the operator reshaped to
+    (P, 2**j, 2, 2**(n-j-1) d) and its columns reshaped to
+    (P, d 2**j, 2, 2**(n-j-1)), so no 2**n x 2**n operator is built.
+    """
+    n = angles.shape[-1]
+    d = 2**n
+    g = _strengths(angles)[..., None, None]
+    # column b of qubit j's axis is gam[:, j, :, :, b], shaped (P, 1, 2, 1) to
+    # broadcast against the reshaped operator (P, lo, 2, rest)
+    gam = _axes(angles)[:, :, None, :, :, None]
+    out = ops
+    for j in range(n):
+        lo, hi = 2**j, 2 ** (n - j - 1)
+        col0, col1 = gam[:, j, :, :, 0], gam[:, j, :, :, 1]
+        t = out.reshape(-1, lo, 2, hi * d)
+        t = (col0 * t[:, :, :1] + col1 * t[:, :, 1:]).reshape(-1, d * lo, 2, hi)
+        t = col0 * t[:, :, :1] + col1 * t[:, :, 1:]
+        out = (1 + g[:, j]) / 2 * out + (1 - g[:, j]) / 2 * t.reshape(-1, d, d)
+    return out
+
+
+def _chunks(count: int, d: int) -> list:
+    """Slices over ``count`` points, each stacked (points, d, d) array holding
+    at most ``CHUNK_ELEMENTS`` entries (and at least one point)."""
+    size = max(1, CHUNK_ELEMENTS // d**2)
+    return [slice(i, i + size) for i in range(0, count, size)]
+
+
 def apply_channel(angles, m) -> np.ndarray:
     """Tensor product of the local channels applied to an n-qubit operator."""
     angles = _check_angles(angles)
@@ -107,19 +181,22 @@ def apply_channel(angles, m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != (2**n, 2**n):
         raise InvalidInput(f"operator shape {m.shape} does not match {n} qubits")
-    out = m
-    for j in range(1, n + 1):
-        g = channel_g(angles[j - 1])
-        gam_full = tensor([np.eye(2 ** (j - 1)), gamma_operator(j, angles[j - 1]), np.eye(2 ** (n - j))])
-        out = (1 + g) / 2 * out + (1 - g) / 2 * (gam_full @ out @ gam_full)
-    return out
+    return _channel_stack(m[None], angles[None])[0]
 
 
 def k_operator(n: int, s, angles) -> np.ndarray:
     """The channel image of the GHZ projector for outcome ``s``."""
     angles = _check_angles(angles, n)
-    xi = ghz_basis_state(s, n)
-    return apply_channel(angles, projector(xi))
+    return _channel_stack(projector(ghz_basis_state(s, n))[None], angles[None])[0]
+
+
+def _message_stack(angles: np.ndarray) -> np.ndarray:
+    """Antipodal message operators at checked angles ``(..., n)``, shape
+    ``(..., n, 2, 2, 2)`` indexed ``[..., j, x]``."""
+    first, second = _frame(angles.shape[-1])
+    c = np.cos(angles)[..., None, None] * first
+    s = np.sin(angles)[..., None, None] * second
+    return np.stack([c + s, c - s], axis=-3)
 
 
 def parametrized_a_operators(angles) -> np.ndarray:
@@ -129,24 +206,53 @@ def parametrized_a_operators(angles) -> np.ndarray:
     ``cos(a) A +/- sin(a) B`` with ``A, B = (X +/- Z)/sqrt2``. At all angles
     equal to pi/4 this is the canonical frame of the reference strategy.
     """
-    angles = _check_angles(angles)
-    n = angles.shape[0]
-    ops = np.zeros((n, 2, 2, 2), dtype=complex)
-    ops[0, 0] = math.cos(angles[0]) * SIGMA_X + math.sin(angles[0]) * SIGMA_Z
-    ops[0, 1] = math.cos(angles[0]) * SIGMA_X - math.sin(angles[0]) * SIGMA_Z
+    return _message_stack(_check_angles(angles))
+
+
+def _kron_stack(factors) -> np.ndarray:
+    """Kronecker products of stacked square factors ``(P, k, k)``, leftmost
+    most significant; a leading axis of length 1 broadcasts."""
+    out = factors[0]
+    for f in factors[1:]:
+        d = out.shape[-1] * f.shape[-1]
+        out = (out[:, :, None, :, None] * f[:, None, :, None, :]).reshape(-1, d, d)
+    return out
+
+
+def _witness_stack(n: int, s, ops: np.ndarray) -> np.ndarray:
+    """``scenario.witness_operator`` for outcome ``s`` at each point of the
+    stacked message operators ``(P, n, 2, 2, 2)``."""
+    bits = outcome_bits(s, n)
+    w = (n - 1) * (-1) ** bits[0] * _kron_stack(
+        [ops[:, 0, 0] + ops[:, 0, 1]] + [ops[:, j, 0] for j in range(1, n)]
+    )
+    diff = ops[:, 0, 0] - ops[:, 0, 1]
     for j in range(1, n):
-        ops[j, 0] = math.cos(angles[j]) * SIGMA_A + math.sin(angles[j]) * SIGMA_B
-        ops[j, 1] = math.cos(angles[j]) * SIGMA_A - math.sin(angles[j]) * SIGMA_B
-    return ops
+        factors = [diff] + [I2[None]] * (n - 1)
+        factors[j] = ops[:, j, 1]
+        w = w + (-1) ** bits[j] * _kron_stack(factors)
+    return w
+
+
+def _margins(n: int, s, angles: np.ndarray, params: FidelityBoundParams) -> np.ndarray:
+    """Minimum eigenvalue of ``K_s - r W_s - mu I`` at each row of the checked
+    (P, n) angles, one stacked eigensolve per chunk."""
+    d = 2**n
+    xi = projector(ghz_basis_state(s, n))[None]
+    shift = params.mu * np.eye(d)
+    out = np.empty(len(angles))
+    for part in _chunks(len(angles), d):
+        a = angles[part]
+        shifted = (
+            _channel_stack(xi, a) - params.r * _witness_stack(n, s, _message_stack(a)) - shift
+        )
+        out[part] = np.linalg.eigvalsh(shifted)[:, 0]
+    return out
 
 
 def inequality_margin(n: int, s, angles, params: FidelityBoundParams) -> float:
     """Minimum eigenvalue of ``K_s - r W_s - mu I`` at one angle point."""
-    angles = _check_angles(angles, n)
-    k = k_operator(n, s, angles)
-    w = witness_operator(n, s, parametrized_a_operators(angles))
-    shifted = k - params.r * w - params.mu * np.eye(2**n)
-    return float(herm_eigvals(shifted)[0])
+    return float(_margins(n, s, _check_angles(angles, n)[None], params)[0])
 
 
 def relabel_unitary(s, s_prime, n: int | None = None) -> np.ndarray:
@@ -207,6 +313,11 @@ class GridResult:
     passed: bool
 
 
+def _product(axes) -> np.ndarray:
+    """Cartesian product of the axes as (P, n) rows, in ``itertools.product`` order."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
 def margin_grid(
     n: int,
     params: FidelityBoundParams | None = None,
@@ -214,15 +325,15 @@ def margin_grid(
     outcomes="all",
     csv_path=None,
     refine: bool = True,
-    workers: int | None = None,
 ) -> GridResult:
     """Sweep ``inequality_margin`` over an angle grid on ``[0, pi/2]**n``.
 
     A nonnegative minimum (above ``-1e-8``) certifies the supplied
-    inequality coefficients on the grid; any value below ``-1e-6`` raises.
-    With ``refine`` the neighborhood of the minimum is re-swept at one
-    quarter of the step. Optionally writes rows ``(s, alpha_1..alpha_n,
-    margin)`` to ``csv_path`` (outcome words listed sign-bit first).
+    inequality coefficients on the grid; any value below ``-1e-6`` raises
+    ``InequalityViolated`` carrying the sweep's result. With ``refine`` the
+    neighborhood of the minimum is re-swept at one quarter of the step.
+    Optionally writes rows ``(s, alpha_1..alpha_n, margin)`` to
+    ``csv_path`` (outcome words listed sign-bit first), outcome-major.
     """
     if params is None:
         params = analytic_params(n)
@@ -230,6 +341,8 @@ def margin_grid(
         raise InvalidInput(f"params are for n={params.n}, grid is for n={n}")
     if n > 7:
         raise Unsupported("operator-inequality certification supported for n <= 7 only")
+    if not (math.isfinite(step) and step > 0):
+        raise InvalidInput(f"step must be a positive finite number, got {step}")
     if outcomes == "all":
         outcome_list = list(range(2**n))
     else:
@@ -237,54 +350,51 @@ def margin_grid(
     if not outcome_list:
         raise InvalidInput("no outcomes to sweep")
     axis = np.linspace(0, np.pi / 2, int(round((np.pi / 2) / step)) + 1)
+    grid = _check_angles(_product([axis] * n), n, stacked=True)
 
-    rows = []
-
-    def eval_point(args):
-        m, point = args
-        return inequality_margin(n, m, point, params)
-
-    tasks = [(m, pt) for m in outcome_list for pt in itertools.product(axis, repeat=n)]
-    margins = ordered_map(eval_point, tasks, workers=workers)
-    best = None
-    for (m, pt), val in zip(tasks, margins):
-        rows.append((m, pt, val))
-        if best is None or val < best[2]:
-            best = (m, pt, val)
-    assert best is not None
-    min_m, min_pt, min_val = best
+    # margins[i, k]: outcome outcome_list[i] at grid point k
+    margins = np.stack([_margins(n, m, grid, params) for m in outcome_list])
+    first = int(np.argmin(margins))
+    min_m = outcome_list[first // len(grid)]
+    min_pt = grid[first % len(grid)]
+    min_val = float(margins.flat[first])
 
     if refine and min_val < 0:
         fine = step / 4
-        local_axes = [
-            np.clip(np.arange(c - step, c + step + fine / 2, fine), 0, np.pi / 2)
-            for c in min_pt
-        ]
-        for pt in itertools.product(*local_axes):
-            val = inequality_margin(n, min_m, pt, params)
-            if val < min_val:
-                min_val, min_pt = val, tuple(pt)
+        local = _check_angles(
+            _product([np.clip(np.arange(c - step, c + step + fine / 2, fine), 0, np.pi / 2)
+                      for c in min_pt]),
+            n,
+            stacked=True,
+        )
+        vals = _margins(n, min_m, local, params)
+        k = int(np.argmin(vals))
+        if vals[k] < min_val:
+            min_val, min_pt = float(vals[k]), local[k]
 
     if csv_path is not None:
         with open(csv_path, "w", encoding="utf-8") as fh:
             cols = ",".join(f"alpha_{j}" for j in range(1, n + 1))
             fh.write(f"s,{cols},margin\n")
-            for m, pt, val in rows:
-                pts = ",".join(f"{p:.12g}" for p in pt)
-                fh.write(f"{outcome_label(m, n)},{pts},{val:.17g}\n")
+            coords = [",".join(f"{p:.12g}" for p in pt) for pt in grid]
+            for m, row in zip(outcome_list, margins):
+                label = outcome_label(m, n)
+                fh.writelines(f"{label},{pts},{val:.17g}\n" for pts, val in zip(coords, row))
 
-    if min_val < GRID_FAIL_FLOOR:
-        raise InvalidInput(
-            f"inequality violated: margin {min_val:.3e} at outcome "
-            f"{outcome_label(min_m, n)}, angles {tuple(float(p) for p in min_pt)}"
-        )
-    return GridResult(
-        min_margin=float(min_val),
+    result = GridResult(
+        min_margin=min_val,
         argmin_outcome=int(min_m),
         argmin_angles=tuple(float(p) for p in min_pt),
-        points=len(rows),
+        points=margins.size,
         passed=min_val >= GRID_PASS_FLOOR,
     )
+    if min_val < GRID_FAIL_FLOOR:
+        raise InequalityViolated(
+            f"inequality violated: margin {min_val:.3e} at outcome "
+            f"{outcome_label(min_m, n)}, angles {result.argmin_angles}",
+            result,
+        )
+    return result
 
 
 def fidelity_lower_bound(n: int, eps: float, params: FidelityBoundParams | None = None) -> float:
@@ -293,6 +403,8 @@ def fidelity_lower_bound(n: int, eps: float, params: FidelityBoundParams | None 
     Uses the analytic coefficients for ``n = 2``; for ``3 <= n <= 7``
     caller-certified coefficients are required.
     """
+    if not math.isfinite(eps):
+        raise InvalidInput(f"eps must be finite, got {eps}")
     if eps < 0:
         raise InvalidInput("eps must be nonnegative")
     if params is None:
@@ -324,16 +436,17 @@ def avg_fidelity(povm, angles) -> float:
     """
     angles = _check_angles(angles)
     n = angles.shape[0]
-    if len(povm) != 2**n or povm.dim != 2**n:
+    d = 2**n
+    if len(povm) != d or povm.dim != d:
         raise InvalidInput(
             f"POVM has {len(povm)} elements on dim {povm.dim}, expected 2**{n}"
         )
+    xi = np.stack([ghz_basis_state(m, n) for m in range(d)])
     total = 0.0
-    for m in range(2**n):
-        xi = ghz_basis_state(m, n)
-        processed = apply_channel(angles, povm.elements[m])
-        total += float((xi.conj() @ (processed @ xi)).real)
-    return total / 2**n
+    for part in _chunks(d, d):
+        processed = _channel_stack(povm.elements[part], angles[None])
+        total += float(np.einsum("pi,pij,pj->", xi[part].conj(), processed, xi[part]).real)
+    return total / d
 
 
 RAC_OPTIMUM = (1 + 1 / SQRT2) / 2
@@ -347,6 +460,8 @@ def partial_fidelity_bound(eps: float, rac_value: float) -> float:
     analytic two-sender coefficients. ``rac_value`` may not exceed the
     quantum optimum (the arccos argument must stay in [-1, 1]).
     """
+    if not (math.isfinite(eps) and math.isfinite(rac_value)):
+        raise InvalidInput(f"eps and rac_value must be finite, got {eps} and {rac_value}")
     if eps < 0:
         raise InvalidInput("eps must be nonnegative")
     if rac_value > RAC_OPTIMUM + 1e-12:

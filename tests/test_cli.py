@@ -181,6 +181,35 @@ class TestRun:
         assert lines[0] == "s,alpha_1,alpha_2,margin"
         assert len(lines) == 1 + 4 * 5 * 5
 
+    @pytest.mark.parametrize("step", ["0", "-0.1", "nan"])
+    def test_robustness_grid_bad_step_is_an_input_error(self, tmp_path, capsys, step):
+        out = tmp_path / "r.json"
+        code = run(parse_args(["robustness-grid", "--step", step, "-o", str(out)]))
+        assert code == 2
+        assert "step must be a positive finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fidelity_bound_nan_eps_is_an_input_error(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        code = run(parse_args(["fidelity-bound", "--n", "2", "--eps", "nan", "-o", str(out)]))
+        assert code == 2
+        assert "eps must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_robustness_grid_violation_fails_with_report(self, tmp_path):
+        out = tmp_path / "r.json"
+        csv = tmp_path / "grid.csv"
+        code = run(parse_args([
+            "robustness-grid", "--step", "0.3926990816987241", "--r", "0.3535533905932738",
+            "--mu", "0.0", "--csv", str(csv), "-o", str(out),
+        ]))
+        assert code == 1
+        report = json.loads(out.read_text())
+        assert report["passed"] is False
+        assert report["results"]["min_margin"] < -1e-6
+        assert report["results"]["points"] == 4 * 5 * 5
+        assert len(csv.read_text().strip().splitlines()) == 1 + 4 * 5 * 5
+
     def test_counterexample_report(self, tmp_path):
         out = tmp_path / "r.json"
         code = run(parse_args(["counterexample", "-o", str(out)]))

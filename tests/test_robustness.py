@@ -1,9 +1,13 @@
+import csv as csvlib
+import itertools
+from functools import reduce
+
 import numpy as np
 import pytest
 
-from ghz_selftest.errors import InvalidInput, Unsupported
+from ghz_selftest.errors import InequalityViolated, InvalidInput, Unsupported
 from ghz_selftest.fixtures import depolarized_strategy, ideal_strategy, partial_bell_strategy
-from ghz_selftest.linalg import SIGMA_A, SIGMA_X, SIGMA_Z, herm_eigvals, projector
+from ghz_selftest.linalg import SIGMA_A, SIGMA_B, SIGMA_X, SIGMA_Z, herm_eigvals, projector
 from ghz_selftest.rng import make_rng
 from ghz_selftest.robustness import (
     FidelityBoundParams,
@@ -26,9 +30,80 @@ from ghz_selftest.robustness import (
     relabel_unitary,
 )
 from ghz_selftest.scenario import a_operators, comm_metric, partial_witnesses, success_metric
-from ghz_selftest.states import ghz_basis_state
+from ghz_selftest.states import ghz_basis_state, outcome_index
 
 SQRT2 = np.sqrt(2)
+
+
+# ---------------------------------------------------------------------------
+# per-point reference: explicit Kronecker-product operators, one point a time
+# ---------------------------------------------------------------------------
+
+
+def kron_all(factors):
+    return reduce(np.kron, factors)
+
+
+def ref_strength(a):
+    return (1 + SQRT2) * (np.sin(a) + np.cos(a) - 1)
+
+
+def ref_axis(slot, a):
+    """Channel axis of 0-based sender slot ``slot``."""
+    if slot == 0:
+        return SIGMA_X if a <= np.pi / 4 else SIGMA_Z
+    return SIGMA_A if a <= np.pi / 4 else SIGMA_B
+
+
+def ref_channel(angles, m):
+    """The product channel as an explicit sum over Kronecker products of axes."""
+    out = np.zeros_like(m, dtype=complex)
+    for flips in itertools.product((0, 1), repeat=len(angles)):
+        weight = 1.0
+        factors = []
+        for slot, (flip, a) in enumerate(zip(flips, angles)):
+            g = ref_strength(a)
+            weight *= (1 - g) / 2 if flip else (1 + g) / 2
+            factors.append(ref_axis(slot, a) if flip else np.eye(2))
+        gam = kron_all(factors)
+        out = out + weight * gam @ m @ gam
+    return out
+
+
+def ref_margin(n, s, angles, r, mu):
+    """Minimum eigenvalue of ``K_s - r W_s - mu I`` from full-size operators."""
+    xi = ghz_basis_state(s, n)
+    k = np.outer(xi, xi.conj())
+    for slot, a in enumerate(angles):
+        g = ref_strength(a)
+        gam = kron_all([np.eye(2**slot), ref_axis(slot, a), np.eye(2 ** (n - slot - 1))])
+        k = (1 + g) / 2 * k + (1 - g) / 2 * gam @ k @ gam
+    ops = []
+    for slot, a in enumerate(angles):
+        p, q = (SIGMA_X, SIGMA_Z) if slot == 0 else (SIGMA_A, SIGMA_B)
+        ops.append((np.cos(a) * p + np.sin(a) * q, np.cos(a) * p - np.sin(a) * q))
+    bits = [(s >> j) & 1 for j in range(n)]
+    w = (n - 1) * (-1) ** bits[0] * kron_all(
+        [ops[0][0] + ops[0][1]] + [ops[j][0] for j in range(1, n)]
+    )
+    for j in range(1, n):
+        factors = [ops[0][0] - ops[0][1]] + [np.eye(2)] * (n - 1)
+        factors[j] = ops[j][1]
+        w = w + (-1) ** bits[j] * kron_all(factors)
+    return float(np.linalg.eigvalsh(k - r * w - mu * np.eye(2**n))[0])
+
+
+def read_grid_csv(path, n):
+    """``(outcome, angle strings, margin)`` rows of a ``margin_grid`` CSV."""
+    with open(path, encoding="utf-8") as fh:
+        rows = list(csvlib.reader(fh))
+    assert rows[0] == ["s"] + [f"alpha_{j}" for j in range(1, n + 1)] + ["margin"]
+    return [(outcome_index(r[0], n), r[1:-1], float(r[-1])) for r in rows[1:]]
+
+
+def grid_points(n, step):
+    axis = np.linspace(0, np.pi / 2, int(round((np.pi / 2) / step)) + 1)
+    return list(itertools.product(axis, repeat=n))
 
 
 def random_density(rng):
@@ -173,6 +248,111 @@ class TestInequality:
             margin_grid(3, bad, step=np.pi / 12, outcomes=[0])
 
 
+class TestStackedSweep:
+    """The stacked sweep against the per-point Kronecker reference."""
+
+    def check_grid(self, tmp_path, n, params, step, outcomes, sample=None):
+        path = tmp_path / "grid.csv"
+        res = margin_grid(n, params, step=step, outcomes=outcomes, csv_path=str(path))
+        rows = read_grid_csv(path, n)
+        points = grid_points(n, step)
+        want = [(m, pt) for m in outcomes for pt in points]
+        assert res.points == len(rows) == len(want)
+        assert [m for m, _, _ in rows] == [m for m, _ in want]
+        assert all(
+            strs == [f"{a:.12g}" for a in pt] for (_, strs, _), (_, pt) in zip(rows, want)
+        )
+        picks = range(len(rows))
+        if sample is not None:
+            picks = make_rng(sample[0]).choice(len(rows), size=sample[1], replace=False)
+        for i in picks:
+            m, pt = want[i]
+            assert abs(rows[i][2] - ref_margin(n, m, pt, params.r, params.mu)) <= 1e-12
+        # first minimum in outcome-major order, then the refined point if lower
+        margins = [val for _, _, val in rows]
+        grid_min = min(margins)
+        assert res.min_margin <= grid_min
+        at_argmin = ref_margin(n, res.argmin_outcome, res.argmin_angles, params.r, params.mu)
+        assert abs(res.min_margin - at_argmin) <= 1e-12
+        if res.min_margin == grid_min:
+            first = margins.index(grid_min)
+            assert (res.argmin_outcome, res.argmin_angles) == (
+                want[first][0], tuple(float(a) for a in want[first][1]))
+        return res
+
+    def test_two_senders_all_outcomes(self, tmp_path):
+        res = self.check_grid(tmp_path, 2, analytic_params(2), np.pi / 16, [0, 1, 2, 3])
+        assert res.passed
+        assert (res.min_margin, res.argmin_outcome, res.argmin_angles) == (0.0, 0, (0.0, 0.0))
+
+    def test_three_senders_two_outcomes(self, tmp_path):
+        params = FidelityBoundParams(r=4 / (4 * SQRT2), mu=-3.0, n=3)
+        res = self.check_grid(tmp_path, 3, params, np.pi / 8, [0, 5])
+        assert res.passed
+
+    def test_four_senders_across_chunks(self, tmp_path):
+        # 9**4 points of dimension 16: many chunks of the stacked sweep
+        params = FidelityBoundParams(r=6 / (3 * 2 * SQRT2), mu=-5.0, n=4)
+        res = self.check_grid(tmp_path, 4, params, np.pi / 16, [0], sample=(11, 150))
+        assert res.points == 6561
+        assert res.passed
+
+    def test_violation_carries_refined_result(self, tmp_path):
+        bad = FidelityBoundParams(r=1 / (2 * SQRT2), mu=0.0, n=2)
+        path = tmp_path / "grid.csv"
+        with pytest.raises(InequalityViolated) as exc:
+            margin_grid(2, bad, step=np.pi / 8, csv_path=str(path))
+        assert isinstance(exc.value, InvalidInput)
+        res = exc.value.result
+        assert not res.passed
+        assert res.points == 4 * 5 * 5
+        grid_min = min(val for _, _, val in read_grid_csv(path, 2))
+        assert res.min_margin < grid_min < -1e-6
+        at_argmin = ref_margin(2, res.argmin_outcome, res.argmin_angles, bad.r, bad.mu)
+        assert abs(res.min_margin - at_argmin) <= 1e-12
+
+    def test_inequality_margin_is_the_one_point_sweep(self):
+        params = FidelityBoundParams(r=4 / (4 * SQRT2), mu=-3.0, n=3)
+        rng = make_rng(12)
+        for _ in range(20):
+            angles = rng.uniform(0, np.pi / 2, size=3)
+            m = int(rng.integers(0, 8))
+            want = ref_margin(3, m, angles, params.r, params.mu)
+            assert abs(inequality_margin(3, m, angles, params) - want) <= 1e-12
+
+    def test_apply_channel_matches_kronecker_sum(self):
+        rng = make_rng(13)
+        draws = [rng.uniform(0, np.pi / 2, size=3) for _ in range(10)]
+        draws += [np.array([0.0, np.pi / 4, np.pi / 2]), np.array([np.pi / 4] * 3)]
+        for angles in draws:
+            m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+            assert np.abs(apply_channel(angles, m) - ref_channel(angles, m)).max() <= 1e-12
+
+    def test_avg_fidelity_across_chunks(self):
+        # 32 POVM elements of dimension 32 span two chunks
+        povm = depolarized_strategy(5, 0.1).povm
+        angles = make_rng(14).uniform(0, np.pi / 2, size=5)
+        want = np.mean([
+            (ghz_basis_state(m, 5).conj() @ ref_channel(angles, povm.elements[m])
+             @ ghz_basis_state(m, 5)).real
+            for m in range(32)
+        ])
+        assert abs(avg_fidelity(povm, angles) - want) <= 1e-12
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, float("nan"), float("inf")])
+    def test_step_must_be_positive_and_finite(self, step):
+        with pytest.raises(InvalidInput, match="step"):
+            margin_grid(2, step=step)
+
+    def test_angle_stack_validation(self):
+        with pytest.raises(InvalidInput, match="outside"):
+            inequality_margin(2, 0, [0.1, float("nan")], analytic_params(2))
+        with pytest.raises(InvalidInput, match="expected 2 angles"):
+            inequality_margin(2, 0, [0.1, 0.2, 0.3], analytic_params(2))
+        with pytest.raises(InvalidInput):
+            apply_channel([[0.1, 0.2]], np.eye(4))
+
+
 class TestRelabelUnitary:
     def test_identity_case(self):
         assert np.abs(relabel_unitary(0, 0, 2) - np.eye(4)).max() == 0
@@ -241,6 +421,15 @@ class TestFidelityBounds:
         with pytest.raises(InvalidInput):
             fidelity_lower_bound(2, -0.01)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(InvalidInput):
+            fidelity_lower_bound(2, eps)
+
+    def test_non_finite_params_rejected(self):
+        with pytest.raises(InvalidInput):
+            FidelityBoundParams(r=float("nan"), mu=float("nan"), n=2)
+
 
 class TestAvgFidelity:
     def test_ideal(self):
@@ -282,6 +471,12 @@ class TestPartialBounds:
     def test_rac_range_gate(self):
         with pytest.raises(InvalidInput):
             partial_fidelity_bound(0.0, 0.9)
+
+    def test_non_finite_inputs_rejected(self):
+        opt = (1 + 1 / SQRT2) / 2
+        for eps, rac in ((float("nan"), opt), (float("inf"), opt), (0.0, float("nan"))):
+            with pytest.raises(InvalidInput):
+                partial_fidelity_bound(eps, rac)
 
     def test_trace_floors_for_perturbed_povms(self):
         # deficits of near-optimal three-outcome measurements floor the traces
