@@ -9,7 +9,6 @@ space by alternating optimization. See README.md for the CLI.
 
 __version__ = "0.1.0"
 
-from .backends import BACKEND
 from .errors import (
     GhzSelfTestError,
     InequalityViolated,
@@ -32,7 +31,6 @@ from .linalg import EigenSystem, herm_eig, op_norm, partial_transpose, tensor
 from .optimize import (
     SeesawConfig,
     SeesawResult,
-    classify_outcome_measurement,
     optimal_povm_for_states,
     optimal_states_for_povm,
     seesaw,
@@ -71,6 +69,7 @@ from .selftest import (
     align_locals,
     antipodality_gap,
     certify_strategy,
+    classify_outcome_measurement,
     ppt_min_eig,
     sos_residual,
     spectrum_closed_form,

@@ -1,15 +1,12 @@
-"""Pure-NumPy fallback kernels, same contract as the compiled core."""
+"""NumPy/LAPACK kernels behind :mod:`ghz_selftest.linalg`.
+
+The hot inner loops of this package are Kronecker products and Hermitian
+eigendecompositions of small (dim <= 128) complex matrices.
+"""
 
 from functools import reduce
 
 import numpy as np
-
-NAME = "python"
-
-
-def kron(a, b):
-    """Kronecker product of two square complex matrices."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def kron_chain(mats):
@@ -21,8 +18,7 @@ def kron_chain(mats):
 
 def eigh(m):
     """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix."""
-    w, v = np.linalg.eigh(np.asarray(m, dtype=complex))
-    return w, v
+    return np.linalg.eigh(np.asarray(m, dtype=complex))
 
 
 def eigvalsh(m):

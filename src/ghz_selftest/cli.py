@@ -41,7 +41,7 @@ from .fixtures import (
     partial_bell_strategy,
     separable_fixture,
 )
-from .optimize import SeesawConfig, classify_outcome_measurement, seesaw
+from .optimize import SeesawConfig, seesaw
 from .robustness import (
     FidelityBoundParams,
     analytic_params,
@@ -60,7 +60,12 @@ from .scenario import (
     rac_bound,
     rac_metric,
 )
-from .selftest import DEFAULT_TOLERANCES, certify_strategy, spectrum_closed_form
+from .selftest import (
+    DEFAULT_TOLERANCES,
+    certify_strategy,
+    classify_outcome_measurement,
+    spectrum_closed_form,
+)
 from .states import (
     Povm,
     SenderStates,
@@ -314,7 +319,7 @@ def parse_args(argv) -> RunConfig:
     ns = parser.parse_args(rest)
     if ns.n < 2:
         parser.error("--n must be at least 2")
-    if ns.command in ("spectrum", "robustness-grid") and ns.n > 7:
+    if ns.n > 7:
         parser.error(f"--n {ns.n} unsupported for {ns.command} (n <= 7)")
     if ns.command in ("counterexample", "partial-bell", "rac") and ns.n != 2:
         parser.error(f"{ns.command} is a two-sender scenario")

@@ -1,8 +1,8 @@
 """Dense complex linear algebra substrate.
 
 Plain ``numpy.ndarray`` (complex128) carries all operators. Matrices here
-are small (dimension at most 2**7 = 128), so the kernels go through the
-backend module which picks the compiled core when available.
+are small (dimension at most 2**7 = 128); Kronecker products and Hermitian
+eigensolves run through NumPy/LAPACK in :mod:`ghz_selftest.backends`.
 """
 
 from dataclasses import dataclass
@@ -13,6 +13,7 @@ from . import backends
 from .errors import InvalidInput, NotHermitian
 
 HERMITIAN_ATOL = 1e-10
+SQRT2 = np.sqrt(2)
 
 I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -20,8 +21,8 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 # rotated Pauli pair used by the robustness channels
-SIGMA_A = (SIGMA_X + SIGMA_Z) / np.sqrt(2)
-SIGMA_B = (SIGMA_X - SIGMA_Z) / np.sqrt(2)
+SIGMA_A = (SIGMA_X + SIGMA_Z) / SQRT2
+SIGMA_B = (SIGMA_X - SIGMA_Z) / SQRT2
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,14 @@ def partial_transpose(m, subsystem_dims, target: int) -> np.ndarray:
     t = m.reshape(dims + dims)
     t = np.swapaxes(t, target, k + target)
     return t.reshape(m.shape)
+
+
+def fix_phase(v: np.ndarray) -> np.ndarray:
+    """Rescale ``v`` so its first non-negligible entry is real and positive."""
+    for c in v:
+        if abs(c) > 1e-12:
+            return v * (c.conjugate() / abs(c))
+    return v
 
 
 def dagger(m) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import I2, herm_eig, projector, tensor
+from .linalg import I2, fix_phase, herm_eig, projector, tensor
 from .parallel import ordered_map
 from .rng import make_rng
 from .scenario import (
@@ -27,11 +27,9 @@ from .scenario import (
     partial_witnesses,
     success_metric,
     witness_operators,
+    witness_signs,
 )
-from .selftest import ppt_min_eig
-from .states import Povm, SenderStates, Strategy, outcome_bits
-
-SQRT2 = np.sqrt(2)
+from .states import Povm, SenderStates, Strategy
 
 METRICS = ("ghz", "counterexample", "partial_bell")
 
@@ -66,13 +64,6 @@ class SeesawResult:
     history: list = field(default_factory=list)
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    for c in v:
-        if abs(c) > 1e-12:
-            return v * (c.conjugate() / abs(c))
-    return v
-
-
 def _polar_orthonormal(columns: np.ndarray) -> np.ndarray:
     """Closest orthonormal frame to the stacked columns (symmetric polar factor)."""
     u, _, vh = np.linalg.svd(columns)
@@ -96,21 +87,17 @@ def optimal_povm_for_states(n: int, ops: np.ndarray) -> Povm:
     cols = np.empty((d, d), dtype=complex)
     for m in range(d):
         es = herm_eig(ws[m])
-        cols[:, m] = _fix_phase(es.vectors[:, -1].copy())
+        cols[:, m] = fix_phase(es.vectors[:, -1].copy())
     q = _polar_orthonormal(cols)
     return Povm(np.stack([np.outer(q[:, m], q[:, m].conj()) for m in range(d)]))
 
 
 def _ghz_f_operators(povm: Povm, n: int) -> list:
     """Signed element sums ``f_j = sum_s (-1)^{s_j} M_s``."""
-    d = 2**n
-    fs = []
-    for j in range(1, n + 1):
-        f = np.zeros((d, d), dtype=complex)
-        for m in range(d):
-            f += (-1) ** outcome_bits(m, n)[j - 1] * povm.elements[m]
-        fs.append(f)
-    return fs
+    return [
+        sum(c * el for c, el in zip(col, povm.elements))
+        for col in np.sign(witness_signs(n)).T.tolist()
+    ]
 
 
 def _effective_qubit_operator(f: np.ndarray, spectators: list, slot: int) -> np.ndarray:
@@ -203,10 +190,10 @@ def _partial_bell_povm_step(strategy: Strategy) -> Povm:
     cols = np.empty((4, 4), dtype=complex)
     for i in (0, 1):
         es = herm_eig(ws[i])
-        cols[:, i] = _fix_phase(es.vectors[:, -1].copy())
+        cols[:, i] = fix_phase(es.vectors[:, -1].copy())
     es3 = herm_eig(ws[2])
-    cols[:, 2] = _fix_phase(es3.vectors[:, -1].copy())
-    cols[:, 3] = _fix_phase(es3.vectors[:, -2].copy())
+    cols[:, 2] = fix_phase(es3.vectors[:, -1].copy())
+    cols[:, 3] = fix_phase(es3.vectors[:, -2].copy())
     q = _polar_orthonormal(cols)
     m1 = np.outer(q[:, 0], q[:, 0].conj())
     m2 = np.outer(q[:, 1], q[:, 1].conj())
@@ -348,15 +335,13 @@ def _restart(config: SeesawConfig, index: int):
     return current, strategy, iters, history
 
 
-def seesaw(config: SeesawConfig, workers: int | None = None) -> SeesawResult:
+def seesaw(config: SeesawConfig) -> SeesawResult:
     """Run the alternating search from ``config.restarts`` random starts.
 
     Deterministic for a given seed: restart ``i`` draws from stream ``i`` of
     the master seed, and ties between restarts break by restart order.
     """
-    outcomes = ordered_map(
-        lambda i: _restart(config, i), range(config.restarts), workers=workers
-    )
+    outcomes = ordered_map(lambda i: _restart(config, i), range(config.restarts))
     best_idx = 0
     for i in range(1, config.restarts):
         if outcomes[i][0] > outcomes[best_idx][0]:
@@ -372,23 +357,3 @@ def seesaw(config: SeesawConfig, workers: int | None = None) -> SeesawResult:
         iters_used=int(iters),
         history=[out[3] for out in outcomes],
     )
-
-
-def classify_outcome_measurement(povm) -> list:
-    """Partial-transpose classification of each element of a two-qubit POVM.
-
-    Each element is normalized by its trace and tested with the
-    partial-transpose criterion, decisive on two qubits; entries with
-    negligible trace are reported as separable.
-    """
-    if povm.dim != 4:
-        raise InvalidInput("classification is defined for two-qubit measurements")
-    out = []
-    for m in povm.elements:
-        t = float(np.trace(m).real)
-        if t <= 1e-12:
-            out.append({"trace": t, "ppt_min_eig": 0.0, "entangled": False})
-            continue
-        v = ppt_min_eig(m / t)
-        out.append({"trace": t, "ppt_min_eig": v, "entangled": bool(v < -1e-8)})
-    return out

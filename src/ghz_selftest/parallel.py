@@ -8,6 +8,8 @@ reductions are deterministic.
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+from .errors import InvalidInput
+
 
 def worker_count(requested: int | None = None) -> int:
     if requested is None:
@@ -15,7 +17,7 @@ def worker_count(requested: int | None = None) -> int:
         try:
             requested = int(raw)
         except ValueError:
-            raise ValueError(f"GHZ_SELFTEST_THREADS must be an integer, got {raw!r}")
+            raise InvalidInput(f"GHZ_SELFTEST_THREADS must be an integer, got {raw!r}")
     if requested == 0:
         return os.cpu_count() or 1
     return max(1, requested)

@@ -23,11 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InequalityViolated, InvalidInput, Unsupported
-from .linalg import I2, SIGMA_A, SIGMA_B, SIGMA_X, SIGMA_Z, projector, tensor
-from .scenario import witness_operator
-from .states import ghz_basis_state, outcome_bits, outcome_label
-
-SQRT2 = np.sqrt(2)
+from .linalg import I2, SIGMA_A, SIGMA_B, SIGMA_X, SIGMA_Z, SQRT2, projector, tensor
+from .scenario import signed_sum, witness_operator, witness_signs
+from .states import ghz_basis_state, outcome_bits, outcome_index, outcome_label
 
 ANALYTIC_R_2 = (4 + 5 * SQRT2) / 16
 ANALYTIC_MU_2 = -(1 + 2 * SQRT2) / 4
@@ -222,16 +220,13 @@ def _kron_stack(factors) -> np.ndarray:
 def _witness_stack(n: int, s, ops: np.ndarray) -> np.ndarray:
     """``scenario.witness_operator`` for outcome ``s`` at each point of the
     stacked message operators ``(P, n, 2, 2, 2)``."""
-    bits = outcome_bits(s, n)
-    w = (n - 1) * (-1) ** bits[0] * _kron_stack(
-        [ops[:, 0, 0] + ops[:, 0, 1]] + [ops[:, j, 0] for j in range(1, n)]
-    )
+    terms = [_kron_stack([ops[:, 0, 0] + ops[:, 0, 1]] + [ops[:, j, 0] for j in range(1, n)])]
     diff = ops[:, 0, 0] - ops[:, 0, 1]
     for j in range(1, n):
         factors = [diff] + [I2[None]] * (n - 1)
         factors[j] = ops[:, j, 1]
-        w = w + (-1) ** bits[j] * _kron_stack(factors)
-    return w
+        terms.append(_kron_stack(factors))
+    return signed_sum(witness_signs(n)[outcome_index(s, n)].tolist(), terms)
 
 
 def _margins(n: int, s, angles: np.ndarray, params: FidelityBoundParams) -> np.ndarray:

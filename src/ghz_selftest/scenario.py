@@ -12,14 +12,13 @@ Three games live here:
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .errors import InvalidBloch, InvalidInput
-from .linalg import I2, PAULIS, herm_eigvals, tensor
-from .states import SenderStates, Strategy, bloch_vector, outcome_bits
-
-SQRT2 = np.sqrt(2)
+from .linalg import I2, PAULIS, SQRT2, herm_eigvals, tensor
+from .states import SenderStates, Strategy, bloch_vector, outcome_bits, outcome_index
 
 # coefficients of the three-input game score on p(0 | y1, y2)
 COUNTEREXAMPLE_COEFFS = {
@@ -58,17 +57,35 @@ def witness_terms(ops: np.ndarray) -> list:
     return terms
 
 
+@cache
+def witness_signs(n: int) -> np.ndarray:
+    """Read-only ``(2**n, n)`` table of the witness coefficients per outcome.
+
+    Row ``m`` holds the coefficients of the :func:`witness_terms` in
+    ``W_m``: ``(n-1) (-1)^{s_1}`` for term 0 and ``(-1)^{s_j}`` for term
+    j-1, where ``s_j = (m >> (j-1)) & 1``.
+    """
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    signs = 1 - 2 * bits
+    signs[:, 0] *= n - 1
+    signs.flags.writeable = False
+    return signs
+
+
+def signed_sum(coeffs, terms):
+    """``sum_k coeffs[k] * terms[k]``, accumulated left to right."""
+    w = coeffs[0] * terms[0]
+    for c, t in zip(coeffs[1:], terms[1:]):
+        w = w + c * t
+    return w
+
+
 def witness_operator(n: int, s, ops: np.ndarray) -> np.ndarray:
     """Witness for outcome ``s``: the receiver-side operator whose trace
     against POVM element ``M_s`` is that outcome's score contribution."""
     if ops.shape != (n, 2, 2, 2):
         raise InvalidInput(f"operators have shape {ops.shape}, expected ({n},2,2,2)")
-    bits = outcome_bits(s, n)
-    terms = witness_terms(ops)
-    w = (n - 1) * (-1) ** bits[0] * terms[0]
-    for j in range(2, n + 1):
-        w = w + (-1) ** bits[j - 1] * terms[j - 1]
-    return w
+    return signed_sum(witness_signs(n)[outcome_index(s, n)].tolist(), witness_terms(ops))
 
 
 def witness_operators(ops: np.ndarray) -> np.ndarray:
@@ -76,12 +93,8 @@ def witness_operators(ops: np.ndarray) -> np.ndarray:
     n = ops.shape[0]
     terms = witness_terms(ops)
     out = np.empty((2**n, 2**n, 2**n), dtype=complex)
-    for m in range(2**n):
-        bits = outcome_bits(m, n)
-        w = (n - 1) * (-1) ** bits[0] * terms[0]
-        for j in range(2, n + 1):
-            w = w + (-1) ** bits[j - 1] * terms[j - 1]
-        out[m] = w
+    for m, row in enumerate(witness_signs(n).tolist()):
+        out[m] = signed_sum(row, terms)
     return out
 
 
@@ -99,12 +112,8 @@ def success_metric(strategy: Strategy) -> float:
     # t[k, m] = Tr(M_m terms[k])
     t = np.einsum("kij,mji->km", np.stack(terms), strategy.povm.elements).real
     total = 0.0
-    for m in range(2**n):
-        bits = outcome_bits(m, n)
-        w = (n - 1) * (-1) ** bits[0] * t[0, m]
-        for j in range(2, n + 1):
-            w += (-1) ** bits[j - 1] * t[j - 1, m]
-        total += w
+    for m, row in enumerate(witness_signs(n).tolist()):
+        total += signed_sum(row, t[:, m])
     return total / metric_normalization(n)
 
 
@@ -165,19 +174,18 @@ def success_from_table(table: ProbabilityTable) -> float:
     n = table.n
     d = 2**n
     total = 0.0
-    for m in range(d):
-        bits = outcome_bits(m, n)
+    for m, signs in enumerate(witness_signs(n).tolist()):
         w = 0.0
         for a in range(d):
             abits = outcome_bits(a, n)
             parity = (-1) ** (sum(abits) % 2)
-            w += (n - 1) * (-1) ** bits[0] * parity * (table.base[0, a, m] + table.base[1, a, m])
+            w += signs[0] * parity * (table.base[0, a, m] + table.base[1, a, m])
         for j in range(2, n + 1):
             for a1 in range(2):
                 for aj in range(2):
                     parity = (-1) ** ((a1 + aj) % 2)
                     w += (
-                        (-1) ** bits[j - 1]
+                        signs[j - 1]
                         * 2 ** (n - 2)
                         * parity
                         * (table.pair[j - 2, 0, a1, aj, m] - table.pair[j - 2, 1, a1, aj, m])

@@ -18,15 +18,22 @@ from .linalg import (
     I2,
     SIGMA_X,
     SIGMA_Z,
+    SQRT2,
+    fix_phase,
     herm_eig,
     herm_eigvals,
     partial_transpose,
     tensor,
 )
-from .scenario import a_operators, success_metric, witness_operator, witness_operators
-from .states import Strategy, ghz_basis_state, outcome_bits
-
-SQRT2 = np.sqrt(2)
+from .scenario import (
+    a_operators,
+    signed_sum,
+    success_metric,
+    witness_operators,
+    witness_signs,
+    witness_terms,
+)
+from .states import Strategy, ghz_basis_state, outcome_index
 
 ANTIPODAL_GATE = 1e-6
 ANTICOMMUTATOR_GATE = 1e-6
@@ -58,19 +65,6 @@ def _unit_square_defect(ops: np.ndarray) -> float:
     return worst
 
 
-def _sos_projector_terms(n: int, s, ops: np.ndarray) -> list:
-    bits = outcome_bits(s, n)
-    p1 = (-1) ** bits[0] / SQRT2 * tensor(
-        [ops[0, 0] + ops[0, 1]] + [ops[j, 0] for j in range(1, n)]
-    )
-    terms = [p1]
-    for j in range(2, n + 1):
-        factors = [(ops[0, 0] - ops[0, 1]) / SQRT2] + [I2] * (n - 1)
-        factors[j - 1] = ops[j - 1, 1]
-        terms.append((-1) ** bits[j - 1] * tensor(factors))
-    return terms
-
-
 def sos_residual(n: int, s, ops: np.ndarray) -> float:
     """Defect of the sum-of-squares form of the shifted witness.
 
@@ -83,14 +77,16 @@ def sos_residual(n: int, s, ops: np.ndarray) -> float:
         raise InvalidInput(f"operators have shape {ops.shape}, expected ({n},2,2,2)")
     if _unit_square_defect(ops) > ANTIPODAL_GATE:
         raise PreconditionViolated("messages are not antipodal pure states")
-    p = _sos_projector_terms(n, s, ops)
+    signs = witness_signs(n)[outcome_index(s, n)]
+    terms = witness_terms(ops)
+    p = [c / SQRT2 * t for c, t in zip(np.sign(signs).tolist(), terms)]
     d = 2**n
     eye = np.eye(d)
     t_a = (n - 1) / SQRT2 * ((eye - p[0]) @ (eye - p[0]))
     t_b = sum((eye - pj) @ (eye - pj) for pj in p[1:]) / SQRT2
     psum = (n - 1) * (p[0] @ p[0]) + sum(pj @ pj for pj in p[1:])
     t_c = SQRT2 * (n - 1) * (eye - psum / (2 * (n - 1)))
-    shifted = 2 * SQRT2 * (n - 1) * eye - witness_operator(n, s, ops)
+    shifted = 2 * SQRT2 * (n - 1) * eye - signed_sum(signs.tolist(), terms)
     return _abs_norm(shifted - (t_a + t_b + t_c))
 
 
@@ -101,28 +97,16 @@ def spectrum_closed_form(n: int, s) -> np.ndarray:
     + sqrt(2)*(n-1)*(-1)^{s'_1 xor s_1}``; the maximum ``2*sqrt(2)*(n-1)`` is
     attained only at ``s' = s``.
     """
-    bits = outcome_bits(s, n)
-    out = np.empty(2**n)
-    for m in range(2**n):
-        mb = outcome_bits(m, n)
-        val = SQRT2 * sum((-1) ** (mb[j] ^ bits[j]) for j in range(1, n))
-        val += SQRT2 * (n - 1) * (-1) ** (mb[0] ^ bits[0])
-        out[m] = val
-    return out
-
-
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    for c in v:
-        if abs(c) > 1e-12:
-            return v * (c.conjugate() / abs(c))
-    return v
+    signs = witness_signs(n)
+    prod = signs * signs[outcome_index(s, n)]  # column 0 carries (n-1)**2
+    return SQRT2 * prod[:, 1:].sum(axis=1) + SQRT2 * (prod[:, 0] // (n - 1))
 
 
 def _frame_unitary(x_op: np.ndarray, z_op: np.ndarray) -> np.ndarray:
     """Unitary mapping the (x_op, z_op) frame onto (sigma_X, sigma_Z)."""
     es = herm_eig(z_op)
-    v_minus = _fix_phase(es.vectors[:, 0].copy())
-    v_plus = _fix_phase(es.vectors[:, 1].copy())
+    v_minus = fix_phase(es.vectors[:, 0].copy())
+    v_plus = fix_phase(es.vectors[:, 1].copy())
     x01 = complex(v_plus.conj() @ (x_op @ v_minus))
     if abs(x01) < 1e-9:
         raise NotSelfTestable("frame operators are too degenerate to align")
@@ -195,6 +179,26 @@ def ppt_min_eig(m) -> float:
     if m.shape != (4, 4):
         raise InvalidInput(f"expected a 4x4 two-qubit operator, got shape {m.shape}")
     return float(herm_eigvals(partial_transpose(m, [2, 2], 1))[0])
+
+
+def classify_outcome_measurement(povm) -> list:
+    """Partial-transpose classification of each element of a two-qubit POVM.
+
+    Each element is normalized by its trace and tested with the
+    partial-transpose criterion, decisive on two qubits; entries with
+    negligible trace are reported as separable.
+    """
+    if povm.dim != 4:
+        raise InvalidInput("classification is defined for two-qubit measurements")
+    out = []
+    for m in povm.elements:
+        t = float(np.trace(m).real)
+        if t <= 1e-12:
+            out.append({"trace": t, "ppt_min_eig": 0.0, "entangled": False})
+            continue
+        v = ppt_min_eig(m / t)
+        out.append({"trace": t, "ppt_min_eig": v, "entangled": bool(v < -1e-8)})
+    return out
 
 
 def antipodality_gap(strategy: Strategy) -> float:
@@ -277,8 +281,7 @@ def certify_strategy(strategy: Strategy, tolerances: dict | None = None) -> Cert
 
     if n == 2:
         report.ppt_min_eigs = [
-            ppt_min_eig(m / np.trace(m).real) if np.trace(m).real > 1e-12 else 0.0
-            for m in strategy.povm.elements
+            c["ppt_min_eig"] for c in classify_outcome_measurement(strategy.povm)
         ]
         # a genuine GHZ-basis measurement has all outcomes entangled,
         # decided by the partial transpose on two qubits

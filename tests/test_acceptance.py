@@ -20,7 +20,7 @@ from ghz_selftest.fixtures import (
     separable_fixture,
 )
 from ghz_selftest.linalg import herm_eig, herm_eigvals, op_norm, tensor
-from ghz_selftest.optimize import SeesawConfig, classify_outcome_measurement, seesaw
+from ghz_selftest.optimize import SeesawConfig, seesaw
 from ghz_selftest.rng import make_rng
 from ghz_selftest.robustness import (
     analytic_params,
@@ -45,6 +45,7 @@ from ghz_selftest.scenario import (
 from ghz_selftest.selftest import (
     align_locals,
     antipodality_gap,
+    classify_outcome_measurement,
     sos_residual,
     spectrum_closed_form,
     verify_ghz_measurement,

@@ -24,10 +24,14 @@ class TestParsing:
         assert cfg.options["restarts"] == 50
         assert cfg.seed == 0
 
-    def test_spectrum_rejects_large_n(self):
+    @pytest.mark.parametrize("command, n", [("spectrum", "9"), ("certify", "8"),
+                                            ("sos", "8"), ("seesaw", "8")],
+                             ids=["spectrum", "certify", "sos", "seesaw"])
+    def test_spectrum_rejects_large_n(self, capsys, command, n):
         with pytest.raises(SystemExit) as exc:
-            parse_args(["spectrum", "--n", "9"])
+            parse_args([command, "--n", n])
         assert exc.value.code == 2
+        assert "(n <= 7)" in capsys.readouterr().err
 
     def test_certify_input_path(self):
         cfg = parse_args(["certify", "--input", "strategy.json"])
@@ -194,6 +198,14 @@ class TestRun:
         code = run(parse_args(["fidelity-bound", "--n", "2", "--eps", "nan", "-o", str(out)]))
         assert code == 2
         assert "eps must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_thread_count_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("GHZ_SELFTEST_THREADS", "abc")
+        out = tmp_path / "r.json"
+        code = run(parse_args(["seesaw", "--n", "2", "--restarts", "1", "-o", str(out)]))
+        assert code == 2
+        assert "GHZ_SELFTEST_THREADS must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
     def test_robustness_grid_violation_fails_with_report(self, tmp_path):

@@ -7,6 +7,7 @@ from ghz_selftest.linalg import (
     SIGMA_X,
     SIGMA_Z,
     herm_eig,
+    herm_eigvals,
     op_norm,
     partial_transpose,
     projector,
@@ -70,7 +71,7 @@ class TestHermEig:
         with pytest.raises(NotHermitian):
             herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16, 64, 128])
     def test_reconstruction_and_orthonormality(self, d):
         rng = np.random.default_rng(d)
         m = random_hermitian(rng, d)
@@ -82,6 +83,16 @@ class TestHermEig:
         for k in range(d):
             resid = m @ es.vectors[:, k] - es.values[k] * es.vectors[:, k]
             assert np.linalg.norm(resid) <= 1e-10 * scale
+
+    def test_eigvals_match_and_repeat_bitwise(self):
+        rng = np.random.default_rng(7)
+        for d in (2, 4, 8, 32):
+            m = random_hermitian(rng, d)
+            es = herm_eig(m)
+            assert np.abs(herm_eigvals(m) - es.values).max() <= 1e-12 * max(1.0, op_norm(m))
+            again = herm_eig(m)
+            assert np.array_equal(again.values, es.values)
+            assert np.array_equal(again.vectors, es.vectors)
 
     def test_eigenvalue_sum_is_trace(self):
         rng = np.random.default_rng(5)

@@ -6,7 +6,6 @@ from ghz_selftest.fixtures import ideal_strategy, partial_bell_strategy
 from ghz_selftest.linalg import projector, tensor
 from ghz_selftest.optimize import (
     SeesawConfig,
-    classify_outcome_measurement,
     optimal_povm_for_states,
     optimal_states_for_povm,
     seesaw,
@@ -18,7 +17,7 @@ from ghz_selftest.scenario import (
     counterexample_value,
     success_metric,
 )
-from ghz_selftest.selftest import antipodality_gap
+from ghz_selftest.selftest import antipodality_gap, classify_outcome_measurement
 from ghz_selftest.states import (
     Povm,
     SenderStates,

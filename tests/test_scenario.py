@@ -26,12 +26,15 @@ from ghz_selftest.scenario import (
     success_from_table,
     success_metric,
     witness_operator,
+    witness_operators,
+    witness_signs,
 )
 from ghz_selftest.states import (
     Povm,
     SenderStates,
     Strategy,
     ideal_sender_states,
+    outcome_bits,
     random_mixed_strategy,
     random_strategy,
 )
@@ -66,6 +69,23 @@ class TestAOperators:
         ops = a_operators(ideal_strategy(2))
         ev = np.linalg.eigvalsh(ops[0, 0])
         assert np.abs(np.sort(ev) - np.array([-1.0, 1.0])).max() < 1e-12
+
+
+class TestWitnessSigns:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_table_matches_outcome_bits(self, n):
+        want = np.array([[(-1) ** b for b in outcome_bits(m, n)] for m in range(2**n)])
+        want[:, 0] *= n - 1
+        signs = witness_signs(n)
+        assert np.array_equal(signs, want)
+        assert not signs.flags.writeable
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_stacked_witnesses_equal_single(self, n):
+        ops = a_operators(random_strategy(n, 40 + n))
+        ws = witness_operators(ops)
+        for m in range(2**n):
+            assert np.array_equal(ws[m], witness_operator(n, m, ops))
 
 
 class TestWitness:
