@@ -346,6 +346,8 @@ def parse_args(argv) -> RunConfig:
 def _cmd_certify(config: RunConfig) -> tuple:
     if config.input_path:
         strategy = load_strategy(config.input_path)
+        # the report's config records the file's n, not the --n default
+        config.n = strategy.n
     else:
         maker = GHZ_FIXTURES[config.options["fixture"]]
         strategy = maker(config.n, config.options["noise"])
@@ -624,3 +626,7 @@ def run(config: RunConfig) -> int:
 def main(argv=None) -> None:
     config = parse_args(sys.argv[1:] if argv is None else argv)
     sys.exit(run(config))
+
+
+if __name__ == "__main__":
+    main()

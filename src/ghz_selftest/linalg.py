@@ -51,11 +51,12 @@ def require_hermitian(m, atol: float = HERMITIAN_ATOL) -> np.ndarray:
 
 
 def tensor(factors) -> np.ndarray:
-    """Kronecker product of the factors, leftmost = most significant index."""
+    """Kronecker product of the factors, leftmost = most significant index;
+    stacked factors ``(..., k, k)`` give the stack of per-point products."""
     factors = list(factors)
     if not factors:
         raise InvalidInput("tensor needs at least one factor")
-    return backends.kron_chain([np.asarray(f, dtype=complex) for f in factors])
+    return backends.kron_chain(factors)
 
 
 def herm_eig(m) -> EigenSystem:

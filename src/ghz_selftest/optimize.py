@@ -18,6 +18,7 @@ from .linalg import I2, fix_phase, herm_eig, projector, tensor
 from .parallel import ordered_map
 from .rng import make_rng
 from .scenario import (
+    COUNTEREXAMPLE_COEFFS,
     CounterexampleStrategy,
     a_operators,
     comm_metric,
@@ -101,15 +102,14 @@ def _ghz_f_operators(povm: Povm, n: int) -> list:
 
 
 def _effective_qubit_operator(f: np.ndarray, spectators: list, slot: int) -> np.ndarray:
-    """2x2 operator G with Tr(A G) = Tr(f * tensor(spectators with A at slot))."""
-    g = np.zeros((2, 2), dtype=complex)
-    for p in range(2):
-        for q in range(2):
-            basis = np.zeros((2, 2), dtype=complex)
-            basis[p, q] = 1
-            factors = list(spectators)
-            factors[slot] = basis
-            g[q, p] = np.trace(f @ tensor(factors))
+    """2x2 operator G with Tr(A G) = Tr(f * tensor(spectators with A at slot)),
+    the entry at slot ignored: the partial trace of f times the spectators
+    with I at slot, over every other slot."""
+    factors = list(spectators)
+    factors[slot] = I2
+    lo = 2**slot
+    fs = (f @ tensor(factors)).reshape(2 * [lo, 2, f.shape[0] // (2 * lo)])
+    g = np.einsum("aibajb->ij", fs)
     return (g + g.conj().T) / 2
 
 
@@ -123,24 +123,20 @@ def _ghz_states_sweep(strategy: Strategy) -> Strategy:
     n = strategy.n
     fs = _ghz_f_operators(strategy.povm, n)
     senders = list(strategy.senders)
-    ops = a_operators(Strategy(n=n, senders=tuple(senders), povm=strategy.povm))
+    ops = a_operators(strategy)
     for j0 in range(1, n + 1):
         if j0 == 1:
             spect = [None] + [ops[j, 0] for j in range(1, n)]
-            g_shared = (n - 1) * _effective_qubit_operator(fs[0], spect, 0)
-            g0, g1 = g_shared.copy(), g_shared.copy()
+            g0 = g1 = (n - 1) * _effective_qubit_operator(fs[0], spect, 0)
             for j in range(2, n + 1):
                 spect_j = [None] + [I2] * (n - 1)
                 spect_j[j - 1] = ops[j - 1, 1]
                 gj = _effective_qubit_operator(fs[j - 1], spect_j, 0)
-                g0 += gj
-                g1 -= gj
+                g0, g1 = g0 + gj, g1 - gj
         else:
             spect = [ops[0, 0] + ops[0, 1]] + [ops[j, 0] for j in range(1, n)]
-            spect[j0 - 1] = None
             g0 = (n - 1) * _effective_qubit_operator(fs[0], spect, j0 - 1)
             spect1 = [ops[0, 0] - ops[0, 1]] + [I2] * (n - 1)
-            spect1[j0 - 1] = None
             g1 = _effective_qubit_operator(fs[j0 - 1], spect1, j0 - 1)
         rho = np.zeros((2, 2, 2, 2), dtype=complex)
         for x, g in ((0, g0), (1, g1)):
@@ -164,16 +160,13 @@ def _counterexample_meas_step(strategy: CounterexampleStrategy) -> Counterexampl
 
 
 def _counterexample_states_sweep(strategy: CounterexampleStrategy) -> CounterexampleStrategy:
-    from .scenario import COUNTEREXAMPLE_COEFFS
-
     states = strategy.states.copy()
     for sender in range(2):
         for y in range(1, 4):
             g = np.zeros((2, 2), dtype=complex)
             for (y1, y2), c in COUNTEREXAMPLE_COEFFS.items():
-                if (sender == 0 and y1 == y) or (sender == 1 and y2 == y):
-                    other = states[1, y2 - 1] if sender == 0 else states[0, y1 - 1]
-                    spect = [None, other] if sender == 0 else [other, None]
+                if (y1, y2)[sender] == y:
+                    spect = [states[0, y1 - 1], states[1, y2 - 1]]
                     g += c * _effective_qubit_operator(strategy.m0, spect, sender)
             es = herm_eig(g)
             states[sender, y - 1] = projector(es.vectors[:, -1])

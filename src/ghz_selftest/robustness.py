@@ -11,10 +11,10 @@ grid sweep.
 
 Angle points are evaluated as stacks: a ``(P, n)`` array of points gives
 ``(P, 2**n, 2**n)`` channel images, witnesses and shifted operators, worked
-through in chunks so that no stacked array holds more than
-``CHUNK_ELEMENTS`` complex entries. The one-point functions
-(``apply_channel``, ``k_operator``, ``inequality_margin``) call the same
-stacked code with a single point.
+through in chunks of at most ``CHUNK_ELEMENTS`` complex entries; witnesses are
+``scenario.witness_operator`` of the stacked message operators. The one-point
+functions (``apply_channel``, ``k_operator``, ``inequality_margin``) call the
+same stacked code with a single point.
 """
 
 import math
@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import InequalityViolated, InvalidInput, Unsupported
 from .linalg import I2, SIGMA_A, SIGMA_B, SIGMA_X, SIGMA_Z, SQRT2, projector, tensor
-from .scenario import signed_sum, witness_operator, witness_signs
-from .states import ghz_basis_state, outcome_bits, outcome_index, outcome_label
+from .scenario import witness_operator
+from .states import ghz_basis_state, outcome_bits, outcome_label
 
 ANALYTIC_R_2 = (4 + 5 * SQRT2) / 16
 ANALYTIC_MU_2 = -(1 + 2 * SQRT2) / 4
@@ -207,28 +207,6 @@ def parametrized_a_operators(angles) -> np.ndarray:
     return _message_stack(_check_angles(angles))
 
 
-def _kron_stack(factors) -> np.ndarray:
-    """Kronecker products of stacked square factors ``(P, k, k)``, leftmost
-    most significant; a leading axis of length 1 broadcasts."""
-    out = factors[0]
-    for f in factors[1:]:
-        d = out.shape[-1] * f.shape[-1]
-        out = (out[:, :, None, :, None] * f[:, None, :, None, :]).reshape(-1, d, d)
-    return out
-
-
-def _witness_stack(n: int, s, ops: np.ndarray) -> np.ndarray:
-    """``scenario.witness_operator`` for outcome ``s`` at each point of the
-    stacked message operators ``(P, n, 2, 2, 2)``."""
-    terms = [_kron_stack([ops[:, 0, 0] + ops[:, 0, 1]] + [ops[:, j, 0] for j in range(1, n)])]
-    diff = ops[:, 0, 0] - ops[:, 0, 1]
-    for j in range(1, n):
-        factors = [diff] + [I2[None]] * (n - 1)
-        factors[j] = ops[:, j, 1]
-        terms.append(_kron_stack(factors))
-    return signed_sum(witness_signs(n)[outcome_index(s, n)].tolist(), terms)
-
-
 def _margins(n: int, s, angles: np.ndarray, params: FidelityBoundParams) -> np.ndarray:
     """Minimum eigenvalue of ``K_s - r W_s - mu I`` at each row of the checked
     (P, n) angles, one stacked eigensolve per chunk."""
@@ -239,7 +217,7 @@ def _margins(n: int, s, angles: np.ndarray, params: FidelityBoundParams) -> np.n
     for part in _chunks(len(angles), d):
         a = angles[part]
         shifted = (
-            _channel_stack(xi, a) - params.r * _witness_stack(n, s, _message_stack(a)) - shift
+            _channel_stack(xi, a) - params.r * witness_operator(n, s, _message_stack(a)) - shift
         )
         out[part] = np.linalg.eigvalsh(shifted)[:, 0]
     return out

@@ -46,13 +46,14 @@ def witness_terms(ops: np.ndarray) -> list:
 
     Term 0 is ``(a[0,0]+a[0,1]) (x) a[1,0] (x) ... (x) a[n-1,0]``; term j-1
     (j >= 2) puts ``a[j-1,1]`` in slot j, ``a[0,0]-a[0,1]`` in slot 1 and the
-    identity elsewhere.
+    identity elsewhere. Stacked ``ops`` ``(..., n, 2, 2, 2)`` give stacked terms.
     """
-    n = ops.shape[0]
-    terms = [tensor([ops[0, 0] + ops[0, 1]] + [ops[j, 0] for j in range(1, n)])]
+    n = ops.shape[-4]
+    a = np.moveaxis(ops, (-4, -3), (0, 1))  # a[j, x] has shape (..., 2, 2)
+    terms = [tensor([a[0, 0] + a[0, 1]] + [a[j, 0] for j in range(1, n)])]
     for j in range(2, n + 1):
-        factors = [ops[0, 0] - ops[0, 1]] + [I2] * (n - 1)
-        factors[j - 1] = ops[j - 1, 1]
+        factors = [a[0, 0] - a[0, 1]] + [I2] * (n - 1)
+        factors[j - 1] = a[j - 1, 1]
         terms.append(tensor(factors))
     return terms
 
@@ -82,9 +83,10 @@ def signed_sum(coeffs, terms):
 
 def witness_operator(n: int, s, ops: np.ndarray) -> np.ndarray:
     """Witness for outcome ``s``: the receiver-side operator whose trace
-    against POVM element ``M_s`` is that outcome's score contribution."""
-    if ops.shape != (n, 2, 2, 2):
-        raise InvalidInput(f"operators have shape {ops.shape}, expected ({n},2,2,2)")
+    against POVM element ``M_s`` is that outcome's score contribution;
+    stacked ``ops`` ``(..., n, 2, 2, 2)`` give the stack of witnesses."""
+    if ops.shape[-4:] != (n, 2, 2, 2):
+        raise InvalidInput(f"operators have shape {ops.shape}, expected (...,{n},2,2,2)")
     return signed_sum(witness_signs(n)[outcome_index(s, n)].tolist(), witness_terms(ops))
 
 

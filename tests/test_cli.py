@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ghz_selftest
 from ghz_selftest.cli import (
     canonical_json,
     load_strategy,
@@ -104,6 +109,28 @@ class TestRun:
         save_strategy(ideal_strategy(2), str(strat))
         code = run(parse_args(["certify", "--input", str(strat), "-o", str(out)]))
         assert code == 0
+
+    def test_certify_strategy_file_reports_its_n(self, tmp_path):
+        strat = tmp_path / "s.json"
+        out = tmp_path / "r.json"
+        save_strategy(ideal_strategy(3), str(strat))
+        assert run(parse_args(["certify", "--input", str(strat), "-o", str(out)])) == 0
+        report = json.loads(out.read_text())
+        assert report["config"]["n"] == 3
+        assert len(report["results"]["povm_traces"]) == 8
+
+    def test_module_entry_point_runs_the_command(self, tmp_path):
+        src = str(Path(ghz_selftest.__file__).parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ghz_selftest.cli",
+             "certify", "--fixture", "computational", "--n", "3"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 1, proc.stderr
+        report = json.loads((tmp_path / "report-certify.json").read_text())
+        assert report["passed"] is False and report["config"]["n"] == 3
 
     def test_missing_input_is_io_error(self, tmp_path):
         code = run(parse_args(["certify", "--input", str(tmp_path / "absent.json"),

@@ -1,6 +1,9 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
+from ghz_selftest import backends
 from ghz_selftest.errors import InvalidInput, NotHermitian
 from ghz_selftest.linalg import (
     I2,
@@ -51,6 +54,41 @@ class TestTensor:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInput):
             tensor([])
+
+
+def random_complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestKronChain:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matrices_match_np_kron_bytewise(self, n):
+        rng = np.random.default_rng(n)
+        mats = [random_complex(rng, (2, 2)) for _ in range(n)]
+        assert backends.kron_chain(mats).tobytes() == reduce(np.kron, mats).tobytes()
+
+    def test_stacks_match_per_point_kron_bytewise(self):
+        rng = np.random.default_rng(11)
+        stacks = [random_complex(rng, (5, k, k)) for k in (2, 3, 2)]
+        out = backends.kron_chain(stacks)
+        assert out.shape == (5, 12, 12)
+        for p in range(5):
+            want = reduce(np.kron, [s[p] for s in stacks])
+            assert out[p].tobytes() == want.tobytes()
+
+    def test_matrix_broadcasts_against_stack(self):
+        rng = np.random.default_rng(12)
+        a = random_complex(rng, (2, 2))
+        b = random_complex(rng, (4, 3, 3))
+        left, right = backends.kron_chain([a, b]), backends.kron_chain([b, a])
+        assert left.shape == right.shape == (4, 6, 6)
+        for p in range(4):
+            assert left[p].tobytes() == np.kron(a, b[p]).tobytes()
+            assert right[p].tobytes() == np.kron(b[p], a).tobytes()
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            backends.kron_chain([])
 
 
 class TestHermEig:

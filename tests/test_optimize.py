@@ -6,6 +6,7 @@ from ghz_selftest.fixtures import ideal_strategy, partial_bell_strategy
 from ghz_selftest.linalg import projector, tensor
 from ghz_selftest.optimize import (
     SeesawConfig,
+    _effective_qubit_operator,
     optimal_povm_for_states,
     optimal_states_for_povm,
     seesaw,
@@ -35,6 +36,33 @@ def haar_unitary(rng, d=2):
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def four_kron_effective_operator(f, spectators, slot):
+    """G[q, p] = Tr(f tensor(spectators with |p><q| at slot)), one product per entry."""
+    g = np.zeros((2, 2), dtype=complex)
+    for p in range(2):
+        for q in range(2):
+            basis = np.zeros((2, 2), dtype=complex)
+            basis[p, q] = 1
+            factors = list(spectators)
+            factors[slot] = basis
+            g[q, p] = np.trace(f @ tensor(factors))
+    return (g + g.conj().T) / 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_effective_qubit_operator_is_the_partial_trace(n):
+    rng = np.random.default_rng(70 + n)
+    d = 2**n
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    f = z + z.conj().T
+    for slot in range(n):
+        spect = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(n)]
+        spect[slot] = None
+        got = _effective_qubit_operator(f, spect, slot)
+        want = four_kron_effective_operator(f, spect, slot)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestPovmStep:

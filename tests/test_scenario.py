@@ -86,6 +86,13 @@ class TestWitnessSigns:
         ws = witness_operators(ops)
         for m in range(2**n):
             assert np.array_equal(ws[m], witness_operator(n, m, ops))
+        # a (P, n, 2, 2, 2) stack gives the per-point witnesses, bit for bit
+        stack = np.stack([a_operators(random_strategy(n, 50 + 3 * n + p)) for p in range(3)])
+        for m in range(2**n):
+            got = witness_operator(n, m, stack)
+            assert got.shape == (3, 2**n, 2**n)
+            for p in range(3):
+                assert got[p].tobytes() == witness_operator(n, m, stack[p]).tobytes()
 
 
 class TestWitness:
