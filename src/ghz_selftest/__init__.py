@@ -1,7 +1,7 @@
 """Certification of n-qubit GHZ-basis measurements from communication data.
 
 Builds the witness operators of an n-sender communication game, evaluates
-its success metrics, certifies optimal strategies (sum-of-squares residuals,
+its success metrics, certifies optimal strategies (sum-of-squares remainder,
 closed-form spectra, local-unitary alignment, GHZ fidelities, PPT checks),
 bounds the fidelity of near-optimal measurements, and searches strategy
 space by alternating optimization. See README.md for the CLI.
@@ -74,6 +74,7 @@ from .selftest import (
     sos_residual,
     spectrum_closed_form,
     verify_ghz_measurement,
+    witness_spectra,
 )
 from .states import (
     Povm,

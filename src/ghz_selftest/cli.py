@@ -64,7 +64,11 @@ from .selftest import (
     DEFAULT_TOLERANCES,
     certify_strategy,
     classify_outcome_measurement,
+    min_shifted_eigenvalue,
+    sos_passes,
+    sos_residual,
     spectrum_closed_form,
+    witness_spectra,
 )
 from .states import (
     Povm,
@@ -157,8 +161,11 @@ def matrix_to_json(m) -> list:
     return [[[float(c.real), float(c.imag)] for c in row] for row in m]
 
 
-def matrix_from_json(rows) -> np.ndarray:
-    return np.array([[complex(c[0], c[1]) for c in row] for row in rows])
+def matrix_from_json(rows, field_name: str) -> np.ndarray:
+    m = np.array([[complex(c[0], c[1]) for c in row] for row in rows])
+    if not np.isfinite(m).all():
+        raise InvalidInput(f"non-finite matrix entry in {field_name}")
+    return m
 
 
 def strategy_to_dict(strategy: Strategy) -> dict:
@@ -182,16 +189,18 @@ def strategy_from_dict(data: dict) -> Strategy:
         n = int(data["n"])
         task = data.get("task", "ghz")
         senders = []
-        for entry in data["senders"]:
+        for j, entry in enumerate(data["senders"]):
             rho = np.zeros((2, 2, 2, 2), dtype=complex)
             for a in range(2):
                 for x in range(2):
-                    rho[a, x] = matrix_from_json(entry["rho"][a][x])
+                    rho[a, x] = matrix_from_json(entry["rho"][a][x], f"senders[{j}].rho[{a}][{x}]")
             senders.append(SenderStates(rho))
-        povm = Povm(np.stack([matrix_from_json(m) for m in data["povm"]]))
+        povm = Povm(np.stack([matrix_from_json(m, f"povm[{k}]")
+                              for k, m in enumerate(data["povm"])]))
         observables = None
         if "observables" in data:
-            observables = np.stack([matrix_from_json(o) for o in data["observables"]])
+            observables = np.stack([matrix_from_json(o, f"observables[{i}]")
+                                    for i, o in enumerate(data["observables"])])
     except (KeyError, IndexError, TypeError) as exc:
         raise InvalidInput(f"malformed strategy file: {exc}") from exc
     strategy = Strategy(n=n, senders=tuple(senders), povm=povm, task=task,
@@ -392,26 +401,15 @@ def _cmd_spectrum(config: RunConfig) -> tuple:
 
 
 def _cmd_sos(config: RunConfig) -> tuple:
-    from .selftest import sos_residual
-    from .linalg import herm_eigvals
-    from .scenario import witness_operators
-
     n = config.n
     samples = config.options["samples"]
     worst = 0.0
     worst_shift = 0.0
     for k in range(samples):
-        strategy = random_antipodal_strategy(n, config.seed + k)
-        ops = a_operators(strategy)
-        ws = witness_operators(ops)
-        for m in range(2**n):
-            worst = max(worst, sos_residual(n, m, ops))
-            shifted_min = herm_eigvals(
-                2 * np.sqrt(2) * (n - 1) * np.eye(2**n) - ws[m]
-            )[0]
-            worst_shift = min(worst_shift, float(shifted_min))
-    tol = config.tolerances.get("sos_residual", DEFAULT_TOLERANCES["sos_residual"])
-    passed = worst <= tol and worst_shift >= -1e-9
+        ops = a_operators(random_antipodal_strategy(n, config.seed + k))
+        worst = max(worst, sos_residual(n, 0, ops))
+        worst_shift = min(worst_shift, min_shifted_eigenvalue(n, witness_spectra(ops)))
+    passed = sos_passes(worst, worst_shift, {**DEFAULT_TOLERANCES, **config.tolerances})
     results = {
         "samples": samples,
         "max_residual": worst,

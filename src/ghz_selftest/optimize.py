@@ -27,6 +27,7 @@ from .scenario import (
     best_rac_observables,
     partial_witnesses,
     success_metric,
+    witness_factors,
     witness_operators,
     witness_signs,
 )
@@ -125,19 +126,16 @@ def _ghz_states_sweep(strategy: Strategy) -> Strategy:
     senders = list(strategy.senders)
     ops = a_operators(strategy)
     for j0 in range(1, n + 1):
+        # the spectators of each witness term; the entry at the updated slot is ignored
+        spect = witness_factors(ops)
         if j0 == 1:
-            spect = [None] + [ops[j, 0] for j in range(1, n)]
-            g0 = g1 = (n - 1) * _effective_qubit_operator(fs[0], spect, 0)
+            g0 = g1 = (n - 1) * _effective_qubit_operator(fs[0], spect[0], 0)
             for j in range(2, n + 1):
-                spect_j = [None] + [I2] * (n - 1)
-                spect_j[j - 1] = ops[j - 1, 1]
-                gj = _effective_qubit_operator(fs[j - 1], spect_j, 0)
+                gj = _effective_qubit_operator(fs[j - 1], spect[j - 1], 0)
                 g0, g1 = g0 + gj, g1 - gj
         else:
-            spect = [ops[0, 0] + ops[0, 1]] + [ops[j, 0] for j in range(1, n)]
-            g0 = (n - 1) * _effective_qubit_operator(fs[0], spect, j0 - 1)
-            spect1 = [ops[0, 0] - ops[0, 1]] + [I2] * (n - 1)
-            g1 = _effective_qubit_operator(fs[j0 - 1], spect1, j0 - 1)
+            g0 = (n - 1) * _effective_qubit_operator(fs[0], spect[0], j0 - 1)
+            g1 = _effective_qubit_operator(fs[j0 - 1], spect[j0 - 1], j0 - 1)
         rho = np.zeros((2, 2, 2, 2), dtype=complex)
         for x, g in ((0, g0), (1, g1)):
             rho[0, x], rho[1, x] = _antipodal_pair_from(g)
@@ -206,9 +204,9 @@ def _partial_bell_states_sweep(strategy: Strategy) -> Strategy:
     f1 = m[0] - m[1]
     f2 = m[0] + m[1] - 2 * m[2]
     senders = list(strategy.senders)
-    ops1 = senders[0].rho[0] - senders[0].rho[1]
-    g0 = _effective_qubit_operator(f1, [ops1[0] + ops1[1], None], 1)
-    g1 = _effective_qubit_operator(f2, [ops1[0] - ops1[1], None], 1)
+    spect = witness_factors(a_operators(strategy))
+    g0 = _effective_qubit_operator(f1, spect[0], 1)
+    g1 = _effective_qubit_operator(f2, spect[1], 1)
     rho = np.zeros((2, 2, 2, 2), dtype=complex)
     for x, g in ((0, g0), (1, g1)):
         rho[0, x], rho[1, x] = _antipodal_pair_from(g)

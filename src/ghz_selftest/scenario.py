@@ -41,21 +41,26 @@ def a_operators(strategy: Strategy) -> np.ndarray:
     return ops
 
 
-def witness_terms(ops: np.ndarray) -> list:
-    """The n sign-free tensor terms the witnesses are combined from.
+def witness_factors(ops: np.ndarray) -> list:
+    """Per-term factor lists of the n sign-free tensor terms of the witnesses.
 
     Term 0 is ``(a[0,0]+a[0,1]) (x) a[1,0] (x) ... (x) a[n-1,0]``; term j-1
     (j >= 2) puts ``a[j-1,1]`` in slot j, ``a[0,0]-a[0,1]`` in slot 1 and the
-    identity elsewhere. Stacked ``ops`` ``(..., n, 2, 2, 2)`` give stacked terms.
+    identity elsewhere. Stacked ``ops`` ``(..., n, 2, 2, 2)`` give stacked factors.
     """
     n = ops.shape[-4]
     a = np.moveaxis(ops, (-4, -3), (0, 1))  # a[j, x] has shape (..., 2, 2)
-    terms = [tensor([a[0, 0] + a[0, 1]] + [a[j, 0] for j in range(1, n)])]
+    factors = [[a[0, 0] + a[0, 1]] + [a[j, 0] for j in range(1, n)]]
     for j in range(2, n + 1):
-        factors = [a[0, 0] - a[0, 1]] + [I2] * (n - 1)
-        factors[j - 1] = a[j - 1, 1]
-        terms.append(tensor(factors))
-    return terms
+        term = [a[0, 0] - a[0, 1]] + [I2] * (n - 1)
+        term[j - 1] = a[j - 1, 1]
+        factors.append(term)
+    return factors
+
+
+def witness_terms(ops: np.ndarray) -> list:
+    """The n sign-free tensor terms of the witnesses, one per factor list."""
+    return [tensor(f) for f in witness_factors(ops)]
 
 
 @cache
@@ -276,9 +281,8 @@ def partial_witnesses(ops: np.ndarray) -> tuple:
     """The three receiver-side operators of the three-outcome game."""
     if ops.shape != (2, 2, 2, 2):
         raise InvalidInput("partial witnesses need exactly two senders")
-    plus = np.kron(ops[0, 0] + ops[0, 1], ops[1, 0])
-    minus = np.kron(ops[0, 0] - ops[0, 1], ops[1, 1])
-    return (plus + minus, -plus + minus, -2 * minus)
+    plus, minus = witness_terms(ops)
+    return (plus + minus, minus - plus, -2 * minus)
 
 
 def comm_metric(strategy: Strategy) -> float:

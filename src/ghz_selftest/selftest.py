@@ -2,11 +2,11 @@
 
 Given a strategy achieving (close to) the optimal score, the checks here
 verify every piece of the self-testing argument at machine precision: the
-sum-of-squares identity for the shifted witnesses, the closed-form witness
-spectrum, extraction of the aligning local unitaries, the GHZ fidelities of
-the aligned measurement, partial-transpose entanglement of the outcomes, and
-antipodality of the messages. ``certify_strategy`` bundles them into a
-:class:`CertReport`.
+sum-of-squares remainder and the positivity of the shifted witnesses, the
+closed-form witness spectrum, extraction of the aligning local unitaries,
+the GHZ fidelities of the aligned measurement, partial-transpose
+entanglement of the outcomes, and antipodality of the messages.
+``certify_strategy`` bundles them into a :class:`CertReport`.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +27,6 @@ from .linalg import (
 )
 from .scenario import (
     a_operators,
-    signed_sum,
     success_metric,
     witness_operators,
     witness_signs,
@@ -58,36 +57,45 @@ def _abs_norm(m) -> float:
 
 def _unit_square_defect(ops: np.ndarray) -> float:
     """How far each difference operator is from squaring to the identity."""
-    worst = 0.0
-    for j in range(ops.shape[0]):
-        for x in range(2):
-            worst = max(worst, float(np.abs(ops[j, x] @ ops[j, x] - I2).max()))
-    return worst
+    return float(np.abs(ops @ ops - I2).max())
 
 
 def sos_residual(n: int, s, ops: np.ndarray) -> float:
-    """Defect of the sum-of-squares form of the shifted witness.
+    """Remainder of the sum-of-squares form of the shifted witness.
 
-    For antipodal pure messages, ``2*sqrt(2)*(n-1)*I - W_s`` equals the sum
-    of three manifestly positive terms built from the message operators; the
-    returned value is the largest |eigenvalue| of the difference. Messages
-    must be antipodal (each difference operator squares to the identity).
+    For any operators, ``2*sqrt(2)*(n-1)*I - W_s`` is ``(n-1)/sqrt(2) (I -
+    p_0)^2 + sum_{k>=1} (I - p_k)^2 / sqrt(2) + t_c`` with ``p_k = c_k T_k /
+    sqrt(2)`` from the signed :func:`witness_terms`, and ``t_c = (2(n-1) I -
+    psum) / sqrt(2)``, ``psum = ((n-1) T_0^2 + sum_{k>=1} T_k^2) / 2``.
+    Antipodal messages give ``t_c = 0``; the returned value is the largest
+    |eigenvalue| of ``t_c``. The signs enter ``t_c`` squared, so the value is
+    the same for every (still validated) outcome ``s``.
     """
     if ops.shape != (n, 2, 2, 2):
         raise InvalidInput(f"operators have shape {ops.shape}, expected ({n},2,2,2)")
     if _unit_square_defect(ops) > ANTIPODAL_GATE:
         raise PreconditionViolated("messages are not antipodal pure states")
-    signs = witness_signs(n)[outcome_index(s, n)]
-    terms = witness_terms(ops)
-    p = [c / SQRT2 * t for c, t in zip(np.sign(signs).tolist(), terms)]
-    d = 2**n
-    eye = np.eye(d)
-    t_a = (n - 1) / SQRT2 * ((eye - p[0]) @ (eye - p[0]))
-    t_b = sum((eye - pj) @ (eye - pj) for pj in p[1:]) / SQRT2
-    psum = (n - 1) * (p[0] @ p[0]) + sum(pj @ pj for pj in p[1:])
-    t_c = SQRT2 * (n - 1) * (eye - psum / (2 * (n - 1)))
-    shifted = 2 * SQRT2 * (n - 1) * eye - signed_sum(signs.tolist(), terms)
-    return _abs_norm(shifted - (t_a + t_b + t_c))
+    outcome_index(s, n)
+    t0, *rest = witness_terms(ops)
+    psum = ((n - 1) * (t0 @ t0) + sum(t @ t for t in rest)) / 2
+    return _abs_norm((2 * (n - 1) * np.eye(2**n) - psum) / SQRT2)
+
+
+def witness_spectra(ops: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of every witness, shape ``(2**n, 2**n)``; the
+    local unitaries of :func:`align_locals` leave them unchanged. One solve
+    per outcome keeps one symmetrized copy alive instead of a second stack."""
+    return np.stack([herm_eigvals(w) for w in witness_operators(ops)])
+
+
+def sos_passes(residual: float, min_shifted: float, tol: dict) -> bool:
+    """Whether ``t_c`` vanishes and every shifted witness is PSD, within ``tol``."""
+    return residual <= tol["sos_residual"] and min_shifted >= -tol["spectrum"]
+
+
+def min_shifted_eigenvalue(n: int, spectra: np.ndarray) -> float:
+    """Least eigenvalue of ``2*sqrt(2)*(n-1)*I - W_s`` over all outcomes."""
+    return float(2 * SQRT2 * (n - 1) - spectra[:, -1].max())
 
 
 def spectrum_closed_form(n: int, s) -> np.ndarray:
@@ -229,7 +237,8 @@ class CertReport:
     povm_traces: list
     alignment_err: float | None = None
     ghz_fidelities: list | None = None
-    sos_residuals: list | None = None
+    sos_residual: float | None = None
+    min_shifted_eigenvalue: float | None = None
     spectrum_diff: float | None = None
     ppt_min_eigs: list = field(default_factory=list)
     checks: dict = field(default_factory=dict)
@@ -245,7 +254,8 @@ class CertReport:
             "povm_traces": self.povm_traces,
             "alignment_error": self.alignment_err,
             "ghz_fidelities": self.ghz_fidelities,
-            "sos_residuals": self.sos_residuals,
+            "sos_residual": self.sos_residual,
+            "min_shifted_eigenvalue": self.min_shifted_eigenvalue,
             "spectrum_diff": self.spectrum_diff,
             "ppt_min_eigs": self.ppt_min_eigs,
             "checks": dict(sorted(self.checks.items())),
@@ -287,7 +297,6 @@ def certify_strategy(strategy: Strategy, tolerances: dict | None = None) -> Cert
         # decided by the partial transpose on two qubits
         report.checks["outcome_entanglement"] = max(report.ppt_min_eigs) < -tol["ppt"]
 
-    aligned = None
     try:
         unitaries = align_locals(ops)
         report.alignment_err = alignment_error(ops, unitaries)
@@ -295,31 +304,19 @@ def certify_strategy(strategy: Strategy, tolerances: dict | None = None) -> Cert
         fids = verify_ghz_measurement(strategy.povm, unitaries)
         report.ghz_fidelities = [float(f) for f in fids]
         report.checks["ghz_fidelity"] = min(fids) >= 1 - tol["ghz_fidelity"]
-        aligned = np.stack(
-            [
-                np.stack([u @ ops[j, x] @ u.conj().T for x in range(2)])
-                for j, u in enumerate(unitaries)
-            ]
-        )
     except NotSelfTestable:
         report.checks["alignment"] = False
         report.checks["ghz_fidelity"] = False
 
+    spectra = witness_spectra(ops)
+    closed = np.sort([spectrum_closed_form(n, m) for m in range(2**n)], axis=1)
+    report.spectrum_diff = float(np.abs(spectra - closed).max())
+    report.checks["spectrum"] = report.spectrum_diff <= tol["spectrum"]
+    report.min_shifted_eigenvalue = min_shifted_eigenvalue(n, spectra)
     try:
-        report.sos_residuals = [float(sos_residual(n, m, ops)) for m in range(2**n)]
-        report.checks["sos"] = max(report.sos_residuals) <= tol["sos_residual"]
+        report.sos_residual = sos_residual(n, 0, ops)
+        report.checks["sos"] = sos_passes(report.sos_residual, report.min_shifted_eigenvalue, tol)
     except PreconditionViolated:
         report.checks["sos"] = False
-
-    if aligned is not None:
-        ws = witness_operators(aligned)
-        diff = 0.0
-        for m in range(2**n):
-            numeric = herm_eigvals(ws[m])
-            diff = max(diff, float(np.abs(numeric - np.sort(spectrum_closed_form(n, m))).max()))
-        report.spectrum_diff = diff
-        report.checks["spectrum"] = diff <= tol["spectrum"]
-    else:
-        report.checks["spectrum"] = False
 
     return report

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ghz_selftest
 from ghz_selftest.cli import (
@@ -19,6 +21,16 @@ from ghz_selftest.cli import (
 )
 from ghz_selftest.fixtures import ideal_strategy, partial_bell_strategy
 from ghz_selftest.scenario import success_metric
+from ghz_selftest.states import random_mixed_strategy, random_strategy
+
+PROPERTY_SETTINGS = settings(max_examples=20, deadline=None, database=None)
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
 
 
 class TestParsing:
@@ -77,6 +89,22 @@ class TestCanonicalJson:
         assert back.task == "partial_bell"
         assert np.abs(back.povm.elements - s.povm.elements).max() == 0
         assert np.abs(back.observables - s.observables).max() == 0
+
+    @PROPERTY_SETTINGS
+    @given(n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), mixed=st.booleans())
+    def test_strategy_dict_roundtrip_keeps_every_array(self, n, seed, mixed):
+        s = (random_mixed_strategy if mixed else random_strategy)(n, seed)
+        back = strategy_from_dict(strategy_to_dict(s))
+        assert (back.n, back.task) == (n, "ghz")
+        assert np.array_equal(back.povm.elements, s.povm.elements)
+        for got, want in zip(back.senders, s.senders, strict=True):
+            assert np.array_equal(got.rho, want.rho)
+
+    @PROPERTY_SETTINGS
+    @given(JSON_VALUES)
+    def test_canonical_json_is_byte_stable(self, value):
+        first = canonical_json(value)
+        assert canonical_json(json.loads(first)) == first
 
     def test_loaded_strategy_evaluates_identically(self, tmp_path):
         path = tmp_path / "s.json"
@@ -142,6 +170,23 @@ class TestRun:
         bad.write_text("{not json")
         code = run(parse_args(["certify", "--input", str(bad), "-o", str(tmp_path / "r.json")]))
         assert code == 2
+
+    @pytest.mark.parametrize("field, value, path", [
+        ("rho", float("nan"), "senders[1].rho[0][1]"),
+        ("povm", float("inf"), "povm[2]"),
+    ])
+    def test_non_finite_strategy_entry_is_an_input_error(self, tmp_path, capsys,
+                                                          field, value, path):
+        data = strategy_to_dict(ideal_strategy(2))
+        matrix = data["senders"][1]["rho"][0][1] if field == "rho" else data["povm"][2]
+        matrix[0][0][0] = value
+        strat = tmp_path / "s.json"
+        strat.write_text(json.dumps(data))
+        code = run(parse_args(["certify", "--input", str(strat), "-o", str(tmp_path / "r.json")]))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "non-finite" in err and path in err
+        assert not (tmp_path / "r.json").exists()
 
     def test_tolerance_override_applies(self, tmp_path):
         out = tmp_path / "r.json"

@@ -21,14 +21,18 @@ from ghz_selftest.linalg import (
 from ghz_selftest.robustness import parametrized_a_operators
 from ghz_selftest.scenario import a_operators, witness_operator, witness_operators
 from ghz_selftest.selftest import (
+    DEFAULT_TOLERANCES,
     align_locals,
     alignment_error,
     antipodality_gap,
     certify_strategy,
+    min_shifted_eigenvalue,
     ppt_min_eig,
+    sos_passes,
     sos_residual,
     spectrum_closed_form,
     verify_ghz_measurement,
+    witness_spectra,
 )
 from ghz_selftest.states import (
     Povm,
@@ -38,6 +42,7 @@ from ghz_selftest.states import (
     ghz_povm,
     outcome_bits,
     random_antipodal_strategy,
+    random_mixed_strategy,
 )
 from ghz_selftest.rng import make_rng
 
@@ -75,6 +80,65 @@ class TestSosResidual:
         ops[0, 0] *= 0.5
         with pytest.raises(PreconditionViolated):
             sos_residual(2, 0, ops)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_unit_square_defect_below_the_gate_is_measured(self, n):
+        # |a|^2 - 1 is about 1e-7, below the 1e-6 gate; only t_c = (n-1)(2e+e^2)/sqrt(2) I is left
+        eps = 5e-8
+        ops = a_operators(ideal_strategy(n)).copy()
+        ops[1, 0] *= 1 + eps
+        value = sos_residual(n, 0, ops)
+        assert value > 1e-8
+        assert value == pytest.approx((n - 1) * (2 * eps + eps**2) / SQRT2, rel=1e-6)
+
+    def test_overshoot_inside_the_remainder_tolerance_fails_the_shifted_bound(self):
+        # |t_c| = 5e-9 passes its tolerance, but the top witness eigenvalue
+        # exceeds 2*sqrt(2)*(n-1) by sqrt(2)*3.5e-9
+        ops = a_operators(ideal_strategy(2)).copy()
+        ops[1, 0] *= 1 + 3.5e-9
+        residual = sos_residual(2, 0, ops)
+        shift = min_shifted_eigenvalue(2, witness_spectra(ops))
+        assert residual <= DEFAULT_TOLERANCES["sos_residual"]
+        assert shift < -DEFAULT_TOLERANCES["spectrum"]
+        assert not sos_passes(residual, shift, DEFAULT_TOLERANCES)
+        assert sos_passes(residual, 0.0, DEFAULT_TOLERANCES)
+
+    def test_same_for_every_outcome(self):
+        rng = make_rng(5)
+        ops = a_operators(random_antipodal_strategy(3, 21)).copy()
+        ops *= 1 + 5e-8 * rng.uniform(-1, 1, size=(3, 2, 1, 1))
+        values = [sos_residual(3, m, ops) for m in range(8)]
+        assert values[0] > 1e-8
+        assert max(values) - min(values) <= 1e-14
+
+
+class TestWitnessSpectra:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_per_outcome_solves(self, n):
+        ops = a_operators(random_antipodal_strategy(n, 3))
+        ws = witness_operators(ops)
+        spectra = witness_spectra(ops)
+        assert spectra.shape == (2**n, 2**n)
+        for m in range(2**n):
+            assert np.array_equal(spectra[m], herm_eigvals(ws[m]))
+
+    def test_min_shifted_eigenvalue_matches_shifted_solves(self):
+        # mixed messages at even n: the top eigenvalue differs between outcomes
+        n = 4
+        ops = a_operators(random_mixed_strategy(n, 7))
+        tops = witness_spectra(ops)[:, -1]
+        assert tops.max() - tops.min() > 0.01
+        want = min(herm_eigvals(2 * SQRT2 * (n - 1) * np.eye(2**n) - w)[0]
+                   for w in witness_operators(ops))
+        assert min_shifted_eigenvalue(n, witness_spectra(ops)) == pytest.approx(want, abs=1e-12)
+
+    def test_invariant_under_local_unitaries(self):
+        rng = make_rng(8)
+        base = canonical_ops(3)
+        vs = [haar_unitary(rng) for _ in range(3)]
+        conj = np.stack([[v @ base[j, x] @ v.conj().T for x in range(2)]
+                         for j, v in enumerate(vs)])
+        assert np.abs(witness_spectra(conj) - witness_spectra(base)).max() <= 1e-12
 
 
 class TestSpectrum:
@@ -286,7 +350,8 @@ class TestCertify:
         assert report.passed
         assert abs(report.metric_value - 1) < 1e-10
         assert min(report.ghz_fidelities) >= 1 - 1e-10
-        assert max(report.sos_residuals) <= 1e-9
+        assert report.sos_residual <= 1e-9
+        assert report.min_shifted_eigenvalue >= -1e-9
         assert report.spectrum_diff <= 1e-9
         # GHZ-basis outcomes are all entangled
         assert max(report.ppt_min_eigs) < -0.4
@@ -299,7 +364,8 @@ class TestCertify:
         report = certify_strategy(ideal_strategy(n))
         assert report.passed
         assert len(report.ghz_fidelities) == 2**n
-        assert len(report.sos_residuals) == 2**n
+        assert report.sos_residual <= 1e-9
+        assert report.min_shifted_eigenvalue >= -1e-9
         assert report.ppt_min_eigs == []  # decisive only on two qubits
 
     def test_computational_measurement_fails(self):
@@ -312,3 +378,46 @@ class TestCertify:
     def test_unknown_tolerance_rejected(self):
         with pytest.raises(InvalidInput):
             certify_strategy(ideal_strategy(2), {"bogus": 1.0})
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_sub_gate_message_defect_fails_sos(self, n):
+        # sender 2's x=0 messages mixed by 5e-8: antipodal within its tolerance
+        base = ideal_strategy(n)
+        eps = 5e-8
+        sender = base.senders[1]
+        a = sender.rho[0, 0] - sender.rho[1, 0]
+        rho = sender.rho.copy()
+        for bit in range(2):
+            rho[bit, 0] = (np.eye(2) + (-1) ** bit * (1 - eps) * a) / 2
+        senders = list(base.senders)
+        senders[1] = SenderStates(rho)
+        strategy = Strategy(n=n, senders=tuple(senders), povm=base.povm)
+        report = certify_strategy(strategy)
+        assert report.checks["antipodality"]
+        assert report.sos_residual > 1e-8
+        assert not report.checks["sos"]
+
+    def test_one_remainder_and_one_spectra_call(self, monkeypatch):
+        import ghz_selftest.selftest as selftest
+
+        calls = {"sos_residual": 0, "witness_spectra": 0}
+        for name in calls:
+            original = getattr(selftest, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(selftest, name, counted)
+        assert selftest.certify_strategy(ideal_strategy(4)).passed
+        assert calls == {"sos_residual": 1, "witness_spectra": 1}
+
+    def test_spectrum_reported_when_alignment_fails(self):
+        report = certify_strategy(random_antipodal_strategy(3, 4))
+        assert not report.checks["alignment"]
+        assert report.spectrum_diff > 1e-9
+        assert not report.checks["spectrum"]
+        # antipodal messages: t_c vanishes and the shifted witnesses are sums of squares
+        assert report.sos_residual <= 1e-9
+        assert report.min_shifted_eigenvalue >= -1e-9
+        assert report.checks["sos"]
