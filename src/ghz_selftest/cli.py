@@ -403,8 +403,10 @@ def _cmd_spectrum(config: RunConfig) -> tuple:
 def _cmd_sos(config: RunConfig) -> tuple:
     n = config.n
     samples = config.options["samples"]
+    if samples < 1:
+        raise InvalidInput(f"--samples must be at least 1, got {samples}")
     worst = 0.0
-    worst_shift = 0.0
+    worst_shift = float("inf")
     for k in range(samples):
         ops = a_operators(random_antipodal_strategy(n, config.seed + k))
         worst = max(worst, sos_residual(n, 0, ops))
@@ -525,7 +527,8 @@ def _cmd_partial_bell(config: RunConfig) -> tuple:
         strategy = load_strategy(config.input_path)
         if strategy.task != "partial_bell":
             raise InvalidInput("strategy file does not carry a partial_bell task")
-    elif config.options["noise"] > 0:
+    elif config.options["noise"] != 0:
+        # the fixture rejects noise outside [0, 1], NaN included
         strategy = depolarized_partial_bell(config.options["noise"])
     else:
         strategy = partial_bell_strategy()

@@ -24,6 +24,9 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 SIGMA_A = (SIGMA_X + SIGMA_Z) / SQRT2
 SIGMA_B = (SIGMA_X - SIGMA_Z) / SQRT2
 
+# entries of one stacked (points, d, d) complex array worked on at a time
+CHUNK_ELEMENTS = 2**14
+
 
 @dataclass(frozen=True)
 class EigenSystem:
@@ -48,6 +51,13 @@ def require_hermitian(m, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     if hermitian_defect(m) > atol * scale:
         raise NotHermitian(f"matrix is not Hermitian within {atol:g}")
     return m
+
+
+def chunks(count: int, d: int) -> list:
+    """Slices over ``count`` points, each stacked (points, d, d) array holding
+    at most ``CHUNK_ELEMENTS`` entries (and at least one point)."""
+    size = max(1, CHUNK_ELEMENTS // d**2)
+    return [slice(i, i + size) for i in range(0, count, size)]
 
 
 def tensor(factors) -> np.ndarray:

@@ -9,6 +9,7 @@ measurement is only accepted when it does not lower the score, so the score
 history is nondecreasing within a restart.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,8 +51,8 @@ class SeesawConfig:
     def __post_init__(self):
         if self.metric not in METRICS:
             raise InvalidInput(f"metric must be one of {METRICS}, got {self.metric!r}")
-        if self.restarts < 1 or self.max_iters < 1 or self.conv_tol <= 0:
-            raise InvalidInput("restarts and max_iters must be >= 1, conv_tol > 0")
+        if self.restarts < 1 or self.max_iters < 1 or not 0 < self.conv_tol < math.inf:
+            raise InvalidInput("restarts and max_iters must be >= 1, conv_tol finite and > 0")
         if self.metric in ("counterexample", "partial_bell") and self.n != 2:
             raise InvalidInput(f"metric {self.metric!r} is a two-sender game")
         if self.n < 2:

@@ -11,7 +11,7 @@ grid sweep.
 
 Angle points are evaluated as stacks: a ``(P, n)`` array of points gives
 ``(P, 2**n, 2**n)`` channel images, witnesses and shifted operators, worked
-through in chunks of at most ``CHUNK_ELEMENTS`` complex entries; witnesses are
+through in the chunks of ``linalg.chunks``; witnesses are
 ``scenario.witness_operator`` of the stacked message operators. The one-point
 functions (``apply_channel``, ``k_operator``, ``inequality_margin``) call the
 same stacked code with a single point.
@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InequalityViolated, InvalidInput, Unsupported
-from .linalg import I2, SIGMA_A, SIGMA_B, SIGMA_X, SIGMA_Z, SQRT2, projector, tensor
+from .linalg import I2, SIGMA_A, SIGMA_B, SIGMA_X, SIGMA_Z, SQRT2, chunks, projector, tensor
 from .scenario import witness_operator
-from .states import ghz_basis_state, outcome_bits, outcome_label
+from .states import ghz_basis, ghz_basis_state, outcome_bits, outcome_label
 
 ANALYTIC_R_2 = (4 + 5 * SQRT2) / 16
 ANALYTIC_MU_2 = -(1 + 2 * SQRT2) / 4
@@ -33,9 +33,6 @@ ANALYTIC_MU_2 = -(1 + 2 * SQRT2) / 4
 GRID_STEP = np.pi / 80
 GRID_PASS_FLOOR = -1e-8
 GRID_FAIL_FLOOR = -1e-6
-
-# entries of one stacked (points, 2**n, 2**n) complex array in a sweep
-CHUNK_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -165,13 +162,6 @@ def _channel_stack(ops: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chunks(count: int, d: int) -> list:
-    """Slices over ``count`` points, each stacked (points, d, d) array holding
-    at most ``CHUNK_ELEMENTS`` entries (and at least one point)."""
-    size = max(1, CHUNK_ELEMENTS // d**2)
-    return [slice(i, i + size) for i in range(0, count, size)]
-
-
 def apply_channel(angles, m) -> np.ndarray:
     """Tensor product of the local channels applied to an n-qubit operator."""
     angles = _check_angles(angles)
@@ -214,7 +204,7 @@ def _margins(n: int, s, angles: np.ndarray, params: FidelityBoundParams) -> np.n
     xi = projector(ghz_basis_state(s, n))[None]
     shift = params.mu * np.eye(d)
     out = np.empty(len(angles))
-    for part in _chunks(len(angles), d):
+    for part in chunks(len(angles), d):
         a = angles[part]
         shifted = (
             _channel_stack(xi, a) - params.r * witness_operator(n, s, _message_stack(a)) - shift
@@ -414,11 +404,12 @@ def avg_fidelity(povm, angles) -> float:
         raise InvalidInput(
             f"POVM has {len(povm)} elements on dim {povm.dim}, expected 2**{n}"
         )
-    xi = np.stack([ghz_basis_state(m, n) for m in range(d)])
+    xi = ghz_basis(n)
     total = 0.0
-    for part in _chunks(d, d):
+    for part in chunks(d, d):
         processed = _channel_stack(povm.elements[part], angles[None])
-        total += float(np.einsum("pi,pij,pj->", xi[part].conj(), processed, xi[part]).real)
+        v = xi[:, part]
+        total += float(np.einsum("ip,pij,jp->", v.conj(), processed, v).real)
     return total / d
 
 

@@ -17,8 +17,8 @@ from functools import cache
 import numpy as np
 
 from .errors import InvalidBloch, InvalidInput
-from .linalg import I2, PAULIS, SQRT2, herm_eigvals, tensor
-from .states import SenderStates, Strategy, bloch_vector, outcome_bits, outcome_index
+from .linalg import I2, PAULIS, SQRT2, chunks, herm_eigvals, tensor
+from .states import SenderStates, Strategy, bloch_vector, outcome_index
 
 # coefficients of the three-input game score on p(0 | y1, y2)
 COUNTEREXAMPLE_COEFFS = {
@@ -34,11 +34,7 @@ COUNTEREXAMPLE_COEFFS = {
 
 def a_operators(strategy: Strategy) -> np.ndarray:
     """Difference operators ``a[j-1, x] = rho[0|x] - rho[1|x]`` per sender."""
-    n = strategy.n
-    ops = np.zeros((n, 2, 2, 2), dtype=complex)
-    for j, st in enumerate(strategy.senders):
-        ops[j] = st.rho[0] - st.rho[1]
-    return ops
+    return np.stack([st.rho[0] - st.rho[1] for st in strategy.senders])
 
 
 def witness_factors(ops: np.ndarray) -> list:
@@ -109,19 +105,20 @@ def metric_normalization(n: int) -> float:
     return 2**n * (n - 1) * 2 * SQRT2
 
 
+def _signed_score(n: int, t: np.ndarray) -> float:
+    """Normalized score from ``t[k, m]``, term k's contribution to outcome m:
+    per-outcome signed sums, then summed over outcomes in order."""
+    return sum(signed_sum(witness_signs(n).T, t).tolist()) / metric_normalization(n)
+
+
 def success_metric(strategy: Strategy) -> float:
     """Normalized GHZ-game score; the quantum maximum is 1."""
-    n = strategy.n
-    if strategy.task != "ghz" or len(strategy.povm) != 2**n:
+    if strategy.task != "ghz" or len(strategy.povm) != 2**strategy.n:
         raise InvalidInput("success_metric needs a GHZ-task strategy with 2**n POVM elements")
-    ops = a_operators(strategy)
-    terms = witness_terms(ops)
+    terms = witness_terms(a_operators(strategy))
     # t[k, m] = Tr(M_m terms[k])
     t = np.einsum("kij,mji->km", np.stack(terms), strategy.povm.elements).real
-    total = 0.0
-    for m, row in enumerate(witness_signs(n).tolist()):
-        total += signed_sum(row, t[:, m])
-    return total / metric_normalization(n)
+    return _signed_score(strategy.n, t)
 
 
 @dataclass(frozen=True)
@@ -149,6 +146,28 @@ class ProbabilityTable:
             raise InvalidInput("negative probability entry")
 
 
+def product_traces(elements: np.ndarray, stacks) -> np.ndarray:
+    """``p[m, k_1, ..., k_n] = Re Tr(M_m (x)_j S_j[k_j])`` for operators
+    ``(count, 2**n, 2**n)`` and per-qubit state stacks ``S_j`` ``(k_j, 2, 2)``.
+
+    The product states are never formed: the operators are contracted with
+    one qubit's stack at a time, last qubit first, so one-state stacks shrink
+    them early. Operators are taken in the chunks of ``linalg.chunks``.
+    """
+    count, d = elements.shape[:2]
+    sizes = [len(st) for st in stacks]
+    out = np.empty((count, int(np.prod(sizes))))
+    for part in chunks(count, d):
+        t = elements[part][..., None]  # (chunk, rows, cols, states so far)
+        for st in reversed(stacks):
+            c, r, _, k = t.shape
+            t = t.reshape(c, r // 2, 2, r // 2, 2, k)
+            # sum_{u,v} t[., a, u, b, v, .] st[l, v, u]: the qubit's trace
+            t = np.einsum("caubvk,lvu->cablk", t, st).reshape(c, r // 2, r // 2, -1)
+        out[part] = t.real.reshape(c, -1)
+    return out.reshape(count, *sizes)
+
+
 def probability_table(strategy: Strategy) -> ProbabilityTable:
     """Evaluate ``p(s | inputs) = Tr((x)_j rho_j  M_s)`` over the score's contexts."""
     n = strategy.n
@@ -156,49 +175,32 @@ def probability_table(strategy: Strategy) -> ProbabilityTable:
         raise InvalidInput("probability_table needs a GHZ-task strategy")
     els = strategy.povm.elements
     d = 2**n
-    base = np.zeros((2, d, d))
-    for x1 in range(2):
-        for a in range(d):
-            abits = outcome_bits(a, n)
-            factors = [strategy.senders[0].rho[abits[0], x1]]
-            factors += [strategy.senders[j].rho[abits[j], 0] for j in range(1, n)]
-            joint = tensor(factors)
-            base[x1, a] = np.einsum("mji,ij->m", els, joint).real
-    pair = np.zeros((n - 1, 2, 2, 2, d))
+    rho = [st.rho for st in strategy.senders]
+    first = rho[0].swapaxes(0, 1).reshape(4, 2, 2)  # indexed by (x1, a1)
+    p = product_traces(els, [first] + [r[:, 0] for r in rho[1:]])
+    # axes (s, x1, a1, ..., an) -> (x1, an, ..., a1, s): a1 is bit 0 of a
+    p = p.reshape((d, 2) + (2,) * n).transpose([1, *range(n + 1, 1, -1), 0])
+    base = p.reshape(2, d, d)
+    pair = np.empty((n - 1, 2, 2, 2, d))
     for j in range(2, n + 1):
-        for x1 in range(2):
-            for a1 in range(2):
-                for aj in range(2):
-                    factors = [strategy.senders[0].rho[a1, x1]] + [I2 / 2] * (n - 1)
-                    factors[j - 1] = strategy.senders[j - 1].rho[aj, 1]
-                    joint = tensor(factors)
-                    pair[j - 2, x1, a1, aj] = np.einsum("mji,ij->m", els, joint).real
+        stacks = [first] + [I2[None] / 2] * (n - 1)
+        stacks[j - 1] = rho[j - 1][:, 1]
+        pair[j - 2] = np.moveaxis(product_traces(els, stacks).reshape(d, 2, 2, 2), 0, -1)
     return ProbabilityTable(n=n, base=base, pair=pair)
 
 
 def success_from_table(table: ProbabilityTable) -> float:
     """GHZ-game score recomputed purely from conditional probabilities."""
     n = table.n
-    d = 2**n
-    total = 0.0
-    for m, signs in enumerate(witness_signs(n).tolist()):
-        w = 0.0
-        for a in range(d):
-            abits = outcome_bits(a, n)
-            parity = (-1) ** (sum(abits) % 2)
-            w += signs[0] * parity * (table.base[0, a, m] + table.base[1, a, m])
-        for j in range(2, n + 1):
-            for a1 in range(2):
-                for aj in range(2):
-                    parity = (-1) ** ((a1 + aj) % 2)
-                    w += (
-                        signs[j - 1]
-                        * 2 ** (n - 2)
-                        * parity
-                        * (table.pair[j - 2, 0, a1, aj, m] - table.pair[j - 2, 1, a1, aj, m])
-                    )
-        total += w
-    return total / metric_normalization(n)
+    # (-1)^{a_1 + ... + a_n} for every input word a
+    parity = np.sign(witness_signs(n)).prod(axis=1)
+    pair_parity = np.array([[1, -1], [-1, 1]])  # (-1)^{a1 + aj}
+    t = np.empty((n, 2**n))
+    t[0] = parity @ (table.base[0] + table.base[1])
+    t[1:] = 2 ** (n - 2) * np.einsum(
+        "kabm,ab->km", table.pair[:, 0] - table.pair[:, 1], pair_parity
+    )
+    return _signed_score(n, t)
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +303,7 @@ def comm_metric(strategy: Strategy) -> float:
 
 def relabeled_first_sender(sender: SenderStates) -> np.ndarray:
     """Sender-1 states reindexed by ``(a', x') = (a, x xor a)``: shape (2,2,2,2)."""
-    out = np.zeros((2, 2, 2, 2), dtype=complex)
-    for a in range(2):
-        for xp in range(2):
-            out[a, xp] = sender.rho[a, xp ^ a]
-    return out
+    return np.stack([sender.rho[0], sender.rho[1, ::-1]])
 
 
 def rac_metric(sender: SenderStates, mx, mz) -> float:

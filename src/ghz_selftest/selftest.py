@@ -32,7 +32,7 @@ from .scenario import (
     witness_signs,
     witness_terms,
 )
-from .states import Strategy, ghz_basis_state, outcome_index
+from .states import Strategy, ghz_basis, outcome_index
 
 ANTIPODAL_GATE = 1e-6
 ANTICOMMUTATOR_GATE = 1e-6
@@ -169,13 +169,9 @@ def verify_ghz_measurement(povm, unitaries) -> np.ndarray:
         raise InvalidInput(
             f"POVM has {len(povm)} elements on dim {povm.dim}, expected 2**{n} on 2**{n}"
         )
-    u = tensor(list(unitaries))
-    out = np.empty(2**n)
-    for m in range(2**n):
-        xi = ghz_basis_state(m, n)
-        rotated = u @ povm.elements[m] @ u.conj().T
-        out[m] = float((xi.conj() @ (rotated @ xi)).real)
-    return out
+    # column m of v is U^dag xi_m, so f[m] = v[:, m]^dag M_m v[:, m]
+    v = tensor(list(unitaries)).conj().T @ ghz_basis(n)
+    return np.einsum("im,mij,jm->m", v.conj(), povm.elements, v).real
 
 
 def ppt_min_eig(m) -> float:

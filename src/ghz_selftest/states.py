@@ -222,6 +222,11 @@ def ghz_basis_state(s, n: int) -> np.ndarray:
     return v
 
 
+def ghz_basis(n: int) -> np.ndarray:
+    """Unitary whose column ``m`` is :func:`ghz_basis_state` ``(m, n)``."""
+    return np.stack([ghz_basis_state(m, n) for m in range(2**n)], axis=1)
+
+
 def ghz_povm(n: int) -> Povm:
     """Rank-1 projective measurement onto the 2**n GHZ basis vectors."""
     els = np.stack([projector(ghz_basis_state(m, n)) for m in range(2**n)])

@@ -20,8 +20,9 @@ from ghz_selftest.cli import (
     strategy_to_dict,
 )
 from ghz_selftest.fixtures import ideal_strategy, partial_bell_strategy
-from ghz_selftest.scenario import success_metric
-from ghz_selftest.states import random_mixed_strategy, random_strategy
+from ghz_selftest.scenario import a_operators, success_metric
+from ghz_selftest.selftest import min_shifted_eigenvalue, witness_spectra
+from ghz_selftest.states import random_antipodal_strategy, random_mixed_strategy, random_strategy
 
 PROPERTY_SETTINGS = settings(max_examples=20, deadline=None, database=None)
 
@@ -223,6 +224,29 @@ class TestRun:
         assert run(parse_args(argv + ["-o", str(out1)])) == 0
         assert run(parse_args(argv + ["-o", str(out2)])) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_sos_reports_the_least_shifted_eigenvalue_over_the_samples(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(parse_args(["sos", "--n", "5", "--samples", "4", "--seed", "9",
+                               "-o", str(out)])) == 0
+        samples = [a_operators(random_antipodal_strategy(5, 9 + k)) for k in range(4)]
+        want = min(min_shifted_eigenvalue(5, witness_spectra(ops)) for ops in samples)
+        assert want > 1
+        assert json.loads(out.read_text())["results"]["min_shifted_eigenvalue"] == want
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sos", "--samples", "0"], "--samples must be at least 1"),
+        (["sos", "--samples", "-3"], "--samples must be at least 1"),
+        (["partial-bell", "--noise", "nan"], "noise must lie in [0, 1]"),
+        (["partial-bell", "--noise", "-0.5"], "noise must lie in [0, 1]"),
+        (["seesaw", "--restarts", "1", "--conv-tol", "nan"], "conv_tol finite and > 0"),
+    ], ids=["sos-zero", "sos-negative", "noise-nan", "noise-negative", "conv-tol-nan"])
+    def test_vacuous_or_non_finite_option_is_an_input_error(self, tmp_path, capsys,
+                                                            argv, message):
+        out = tmp_path / "r.json"
+        assert run(parse_args(argv + ["-o", str(out)])) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seesaw_history_and_strategy_export(self, tmp_path):
         out = tmp_path / "r.json"

@@ -10,7 +10,8 @@ from ghz_selftest.fixtures import (
     partial_bell_strategy,
     separable_fixture,
 )
-from ghz_selftest.linalg import I2, SIGMA_X, SIGMA_Z, op_norm, tensor
+from ghz_selftest import linalg
+from ghz_selftest.linalg import CHUNK_ELEMENTS, I2, SIGMA_X, SIGMA_Z, op_norm, tensor
 from ghz_selftest.scenario import (
     a_operators,
     best_rac_observables,
@@ -21,6 +22,7 @@ from ghz_selftest.scenario import (
     counterexample_value,
     partial_witnesses,
     probability_table,
+    product_traces,
     rac_bound,
     rac_metric,
     success_from_table,
@@ -163,11 +165,67 @@ class TestProbabilityTable:
         s = ideal_strategy(2)
         assert abs(success_from_table(probability_table(s)) - success_metric(s)) < 1e-10
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_operator_form_random(self, n):
         for seed in range(12):
-            s = random_strategy(n, seed)
-            assert abs(success_from_table(probability_table(s)) - success_metric(s)) < 1e-10
+            for s in (random_strategy(n, seed), random_mixed_strategy(n, seed)):
+                assert abs(success_from_table(probability_table(s)) - success_metric(s)) < 1e-12
+
+    @staticmethod
+    def reference_table(s):
+        """Every context's explicit product state, one ``np.kron`` chain each."""
+        n, d = s.n, 2**s.n
+        rho = [st.rho for st in s.senders]
+
+        def probs(factors):
+            joint = factors[0]
+            for f in factors[1:]:
+                joint = np.kron(joint, f)
+            return np.array([np.trace(m @ joint).real for m in s.povm.elements])
+
+        base = np.zeros((2, d, d))
+        for x1 in range(2):
+            for a in range(d):
+                bits = [(a >> j) & 1 for j in range(n)]
+                base[x1, a] = probs([rho[0][bits[0], x1]]
+                                    + [rho[j][bits[j], 0] for j in range(1, n)])
+        pair = np.zeros((n - 1, 2, 2, 2, d))
+        for j in range(1, n):
+            for x1, a1, aj in np.ndindex(2, 2, 2):
+                factors = [rho[0][a1, x1]] + [I2 / 2] * (n - 1)
+                factors[j] = rho[j][aj, 1]
+                pair[j - 1, x1, a1, aj] = probs(factors)
+        return base, pair
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_explicit_product_states(self, n):
+        for seed in range(3):
+            s = random_mixed_strategy(n, seed)
+            table = probability_table(s)
+            base, pair = self.reference_table(s)
+            assert table.base.shape == base.shape and table.pair.shape == pair.shape
+            assert np.abs(table.base - base).max() < 1e-14
+            assert np.abs(table.pair - pair).max() < 1e-14
+
+    def test_identical_across_chunk_boundaries(self, monkeypatch):
+        s = random_mixed_strategy(6, 5)
+        assert CHUNK_ELEMENTS // 4**6 < 2**6  # several chunks per call
+        chunked = probability_table(s)
+        monkeypatch.setattr(linalg, "CHUNK_ELEMENTS", 2**6 * 4**6)
+        whole = probability_table(s)
+        assert np.array_equal(chunked.base, whole.base)
+        assert np.array_equal(chunked.pair, whole.pair)
+
+    def test_product_traces_of_unequal_stacks(self):
+        rng = np.random.default_rng(2)
+        els = rng.normal(size=(3, 8, 8)) + 1j * rng.normal(size=(3, 8, 8))
+        stacks = [rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
+                  for k in (3, 1, 2)]
+        p = product_traces(els, stacks)
+        assert p.shape == (3, 3, 1, 2)
+        for m, i, j, k in np.ndindex(p.shape):
+            joint = tensor([stacks[0][i], stacks[1][j], stacks[2][k]])
+            assert abs(p[m, i, j, k] - np.trace(els[m] @ joint).real) < 1e-13
 
     def test_pair_contexts_marginalize_for_antipodal_messages(self):
         # when each input's two messages are orthogonal, the maximally mixed

@@ -241,6 +241,19 @@ class TestVerifyGhz:
             fids = verify_ghz_measurement(povm, us)
             assert fids.min() >= 1 - 1e-8
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_per_outcome_reference(self, n):
+        rng = make_rng(n)
+        povm = random_mixed_strategy(n, n).povm
+        us = [haar_unitary(rng) for _ in range(n)]
+        big = tensor(us)
+        want = [
+            (ghz_basis_state(m, n).conj() @ big @ povm.elements[m] @ big.conj().T
+             @ ghz_basis_state(m, n)).real
+            for m in range(2**n)
+        ]
+        assert np.abs(verify_ghz_measurement(povm, us) - want).max() < 1e-14
+
     def test_computational_measurement_has_half_fidelity(self):
         s = computational_strategy(3)
         fids = verify_ghz_measurement(s.povm, [I2] * 3)

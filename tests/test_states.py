@@ -8,6 +8,7 @@ from ghz_selftest.selftest import antipodality_gap
 from ghz_selftest.states import (
     aligned_sender_states,
     bloch_to_state,
+    ghz_basis,
     ghz_basis_state,
     ghz_povm,
     ideal_sender_states,
@@ -109,9 +110,10 @@ class TestGhzBasis:
         assert np.abs(v - want).max() < 1e-15
 
     def test_orthonormal_basis_n3(self):
-        vecs = np.stack([ghz_basis_state(m, 3) for m in range(8)])
-        gram = vecs.conj() @ vecs.T
-        assert np.abs(gram - np.eye(8)).max() < 1e-12
+        vecs = ghz_basis(3)
+        for m in range(8):
+            assert np.array_equal(vecs[:, m], ghz_basis_state(m, 3))
+        assert np.abs(vecs.conj().T @ vecs - np.eye(8)).max() < 1e-12
 
     def test_wrong_length(self):
         with pytest.raises(InvalidInput):
