@@ -22,8 +22,30 @@ def kron_chain(mats):
 
 
 def eigh(m):
-    """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix."""
-    return np.linalg.eigh(np.asarray(m, dtype=complex))
+    """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix,
+    or of every matrix in a ``(..., d, d)`` stack."""
+    m = np.asarray(m, dtype=complex)
+    try:
+        return np.linalg.eigh(m)
+    except np.linalg.LinAlgError:
+        return _eigh_retry(m)
+
+
+def _eigh_retry(m):
+    """Matrix-by-matrix ``eigh``, solving each matrix that LAPACK's
+    divide-and-conquer ``zheevd`` fails on (it can, for witnesses with highly
+    degenerate spectra) in the basis of the unitary DFT matrix instead."""
+    w = np.empty(m.shape[:-1])
+    v = np.empty_like(m)
+    d = m.shape[-1]
+    q = np.fft.fft(np.eye(d)) / np.sqrt(d)
+    for i in np.ndindex(m.shape[:-2]):
+        try:
+            w[i], v[i] = np.linalg.eigh(m[i])
+        except np.linalg.LinAlgError:
+            w[i], rotated = np.linalg.eigh(q.conj().T @ m[i] @ q)
+            v[i] = q @ rotated
+    return w, v
 
 
 def eigvalsh(m):

@@ -17,8 +17,8 @@ reports and CSV exports list the sign bit ``s_1`` first.
 
 Randomness is counter-based (Philox keyed by ``--seed``), so results are
 reproducible across runs and platforms. ``GHZ_SELFTEST_THREADS`` caps worker
-parallelism for see-saw restarts (0 = one per CPU); results do not depend on
-it.
+parallelism over the see-saw's blocks of restarts (0 = one per CPU); results
+do not depend on it.
 """
 
 import argparse
@@ -26,6 +26,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -134,6 +135,9 @@ def _emit(obj, parts: list) -> None:
         if x == 0:
             x = 0.0  # normalize -0.0 so parse/serialize round-trips
         parts.append(format(x, ".17g") if math.isfinite(x) else "null")
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and np.isfinite(obj).all():
+        # + 0.0 normalizes -0.0 like the element path below
+        parts.append(_float_template(obj.shape) % tuple((obj.ravel() + 0.0).tolist()))
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
     elif isinstance(obj, dict):
@@ -156,9 +160,12 @@ def _emit(obj, parts: list) -> None:
         raise InvalidInput(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def matrix_to_json(m) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[[float(c.real), float(c.imag)] for c in row] for row in m]
+@lru_cache(maxsize=32)
+def _float_template(shape: tuple) -> str:
+    """``%``-format template writing a float array of ``shape`` as nested lists."""
+    if not shape:
+        return "%.17g"
+    return "[" + ",".join([_float_template(shape[1:])] * shape[0]) + "]"
 
 
 def matrix_from_json(rows, field_name: str) -> np.ndarray:
@@ -168,19 +175,24 @@ def matrix_from_json(rows, field_name: str) -> np.ndarray:
     return m
 
 
-def strategy_to_dict(strategy: Strategy) -> dict:
+def strategy_to_dict(strategy: Strategy, arrays: bool = False) -> dict:
+    """The strategy-file form: every matrix a row-major list of ``[re, im]``
+    pairs. With ``arrays`` each stack of matrices stays a float ndarray of
+    those pairs, which :func:`canonical_json` writes in bulk."""
+
+    def pairs(m):
+        out = np.stack([m.real, m.imag], axis=-1)
+        return out if arrays else out.tolist()
+
     out = {
         "format": "ghz-selftest/strategy",
         "n": strategy.n,
         "task": strategy.task,
-        "senders": [
-            {"rho": [[matrix_to_json(st.rho[a, x]) for x in range(2)] for a in range(2)]}
-            for st in strategy.senders
-        ],
-        "povm": [matrix_to_json(m) for m in strategy.povm.elements],
+        "senders": [{"rho": pairs(st.rho)} for st in strategy.senders],
+        "povm": pairs(strategy.povm.elements),
     }
     if strategy.observables is not None:
-        out["observables"] = [matrix_to_json(o) for o in strategy.observables]
+        out["observables"] = pairs(strategy.observables)
     return out
 
 
@@ -211,7 +223,7 @@ def strategy_from_dict(data: dict) -> Strategy:
 
 def save_strategy(strategy: Strategy, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(strategy_to_dict(strategy)))
+        fh.write(canonical_json(strategy_to_dict(strategy, arrays=True)))
 
 
 def load_strategy(path: str) -> Strategy:
@@ -334,6 +346,8 @@ def parse_args(argv) -> RunConfig:
         parser.error(f"{ns.command} is a two-sender scenario")
     if ns.command == "seesaw" and ns.metric in ("counterexample", "partial-bell") and ns.n != 2:
         parser.error(f"--metric {ns.metric} requires --n 2")
+    if ns.command == "seesaw" and ns.metric == "counterexample" and ns.save_strategy:
+        parser.error("--save-strategy: three-input strategies have no strategy-file form")
     options = {k: v for k, v in vars(ns).items()
                if k not in ("command", "n", "seed", "output")}
     return RunConfig(
@@ -440,10 +454,7 @@ def _cmd_seesaw(config: RunConfig) -> tuple:
                 for it, val in enumerate(hist):
                     fh.write(f"{ri},{it},{val:.17g}\n")
     if config.options.get("save_strategy"):
-        best = result.best_strategy
-        if isinstance(best, CounterexampleStrategy):
-            raise InvalidInput("three-input strategies have no strategy-file form")
-        save_strategy(best, config.options["save_strategy"])
+        save_strategy(result.best_strategy, config.options["save_strategy"])
     results = {
         "metric": metric,
         "best_value": result.best_value,

@@ -36,27 +36,27 @@ class EigenSystem:
     vectors: np.ndarray
 
 
-def hermitian_defect(m) -> float:
-    """Max entrywise deviation of ``m`` from its own adjoint."""
-    m = np.asarray(m)
-    return float(np.abs(m - m.conj().T).max())
+def dagger(m) -> np.ndarray:
+    """Adjoint of a matrix, or of every matrix in a ``(..., d, d)`` stack."""
+    return np.asarray(m).conj().swapaxes(-1, -2)
 
 
 def require_hermitian(m, atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """Return ``m`` as a complex array, raising NotHermitian if it is not."""
+    """Return ``m`` as a complex array, raising NotHermitian if it is not;
+    a ``(..., d, d)`` stack passes only if every matrix in it does."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise InvalidInput(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max()))
-    if hermitian_defect(m) > atol * scale:
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    if (np.abs(m - dagger(m)).max(axis=(-2, -1)) > atol * scale).any():
         raise NotHermitian(f"matrix is not Hermitian within {atol:g}")
     return m
 
 
-def chunks(count: int, d: int) -> list:
-    """Slices over ``count`` points, each stacked (points, d, d) array holding
-    at most ``CHUNK_ELEMENTS`` entries (and at least one point)."""
-    size = max(1, CHUNK_ELEMENTS // d**2)
+def chunks(count: int, entries: int) -> list:
+    """Slices over ``count`` points of ``entries`` array entries each, every
+    slice holding at most ``CHUNK_ELEMENTS`` entries (and at least one point)."""
+    size = max(1, CHUNK_ELEMENTS // entries)
     return [slice(i, i + size) for i in range(0, count, size)]
 
 
@@ -70,21 +70,22 @@ def tensor(factors) -> np.ndarray:
 
 
 def herm_eig(m) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending; a
+    ``(..., d, d)`` stack gives stacked values and vector columns.
 
     The input is symmetrized before the solve so that accumulated
     floating-point asymmetry (within the Hermiticity gate) cannot leak
     into the spectrum.
     """
     m = require_hermitian(m)
-    w, v = backends.eigh((m + m.conj().T) / 2)
+    w, v = backends.eigh((m + dagger(m)) / 2)
     return EigenSystem(values=w, vectors=v)
 
 
 def herm_eigvals(m) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix."""
+    """Ascending eigenvalues of a Hermitian matrix (or of a stack of them)."""
     m = require_hermitian(m)
-    return backends.eigvalsh((m + m.conj().T) / 2)
+    return backends.eigvalsh((m + dagger(m)) / 2)
 
 
 def op_norm(m) -> float:
@@ -114,22 +115,23 @@ def partial_transpose(m, subsystem_dims, target: int) -> np.ndarray:
 
 
 def fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rescale ``v`` so its first non-negligible entry is real and positive."""
-    for c in v:
-        if abs(c) > 1e-12:
-            return v * (c.conjugate() / abs(c))
-    return v
-
-
-def dagger(m) -> np.ndarray:
-    return np.asarray(m).conj().T
+    """Rescale ``v`` so its first non-negligible entry is real and positive;
+    stacked vectors ``(..., d)`` are rescaled one by one."""
+    big = np.abs(v) > 1e-12
+    c = np.take_along_axis(v, big.argmax(axis=-1)[..., None], axis=-1)
+    c = np.where(big.any(axis=-1, keepdims=True), c, 1)
+    # hypot rounds like the scalar abs() of a single entry
+    return v * (c.conj() / np.hypot(c.real, c.imag))
 
 
 def projector(vec) -> np.ndarray:
-    """Rank-1 projector onto a (normalized copy of a) state vector."""
-    v = np.asarray(vec, dtype=complex).reshape(-1)
-    n = np.linalg.norm(v)
-    if n == 0:
+    """Rank-1 projector onto a (normalized copy of a) state vector; stacked
+    vectors ``(..., d)`` give stacked projectors."""
+    v = np.asarray(vec, dtype=complex)
+    # row times column: the dot products np.linalg.norm takes of one vector
+    re, im = v.real[..., None, :], v.imag[..., None, :]
+    norm = np.sqrt(re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0]
+    if (norm == 0).any():
         raise InvalidInput("cannot project onto the zero vector")
-    v = v / n
-    return np.outer(v, v.conj())
+    v = v / norm
+    return v[..., :, None] * v[..., None, :].conj()

@@ -7,32 +7,47 @@ operators; the measurement half-step assigns each outcome the top eigenspace
 of its witness, orthonormalized when the top vectors collide. A candidate
 measurement is only accepted when it does not lower the score, so the score
 history is nondecreasing within a restart.
+
+The restarts advance in lockstep: every half-step works on arrays with a
+leading restart axis, and a restart leaves the active set once it has
+converged, keeping its own iteration count and history. The half-step
+kernels take any leading axes; the public single-strategy steps are the same
+kernels called without one.
 """
 
 import math
+import threading
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import I2, fix_phase, herm_eig, projector, tensor
+from .linalg import I2, chunks, dagger, fix_phase, herm_eig, projector, tensor
 from .parallel import ordered_map
 from .rng import make_rng
 from .scenario import (
-    COUNTEREXAMPLE_COEFFS,
+    COUNTEREXAMPLE_MATRIX,
     CounterexampleStrategy,
-    a_operators,
-    comm_metric,
-    counterexample_cost_operator,
-    counterexample_value,
     best_rac_observables,
+    comm_scores,
+    counterexample_costs,
+    counterexample_scores,
+    message_operators,
     partial_witnesses,
-    success_metric,
+    success_scores,
     witness_factors,
     witness_operators,
     witness_signs,
 )
-from .states import Povm, SenderStates, Strategy
+from .states import (
+    Povm,
+    SenderStates,
+    Strategy,
+    aligned_sender_states,
+    random_messages,
+    random_projectors,
+)
 
 METRICS = ("ghz", "counterexample", "partial_bell")
 
@@ -73,6 +88,49 @@ def _polar_orthonormal(columns: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
+def _outer(v: np.ndarray) -> np.ndarray:
+    """``v v^dagger`` for every vector of a ``(..., d)`` stack."""
+    return v[..., :, None] * v[..., None, :].conj()
+
+
+def _antipodal_pairs(g: np.ndarray) -> np.ndarray:
+    """States ``rho[..., a, x]`` from the 2x2 operators ``g[..., x]``: the
+    projector onto the top eigenvector for a=0, onto the bottom one for a=1."""
+    vectors = herm_eig(g).vectors
+    return np.stack([projector(vectors[..., -1]), projector(vectors[..., 0])], axis=-4)
+
+
+def _effective_qubit_operator(f: np.ndarray, spectators: list, slot: int) -> np.ndarray:
+    """2x2 operator G with Tr(A G) = Tr(f * tensor(spectators with A at slot)),
+    the entry at slot ignored: the partial trace of f times the spectators
+    with I at slot, over every other slot. Stacked ``f`` ``(..., d, d)`` and
+    spectators ``(..., 2, 2)`` give stacked operators."""
+    factors = list(spectators)
+    factors[slot] = I2
+    lo = 2**slot
+    fs = f @ tensor(factors)
+    fs = fs.reshape(fs.shape[:-2] + 2 * (lo, 2, f.shape[-1] // (2 * lo)))
+    g = np.einsum("...aibajb->...ij", fs)
+    return (g + dagger(g)) / 2
+
+
+# ---------------------------------------------------------------------------
+# GHZ game half-steps
+# ---------------------------------------------------------------------------
+
+
+def _ghz_povm(ops: np.ndarray) -> np.ndarray:
+    """Best receiver measurement for message operators ``(..., n, 2, 2, 2)``,
+    as stacked POVM elements ``(..., 2**n, 2**n, 2**n)``."""
+    d = 2 ** ops.shape[-4]
+    ws = witness_operators(ops)
+    top = fix_phase(herm_eig(ws).vectors[..., -1])  # row m: outcome m's top vector
+    q = _polar_orthonormal(np.swapaxes(top, -1, -2))
+    elements = _outer(np.swapaxes(q, -1, -2))
+    zero = np.abs(ws).max(axis=(-3, -2, -1)) <= 1e-12
+    return np.where(zero[..., None, None, None], np.eye(d) / d, elements)
+
+
 def optimal_povm_for_states(n: int, ops: np.ndarray) -> Povm:
     """Best receiver measurement for fixed message operators (GHZ game).
 
@@ -83,66 +141,33 @@ def optimal_povm_for_states(n: int, ops: np.ndarray) -> Povm:
     """
     if ops.shape != (n, 2, 2, 2):
         raise InvalidInput(f"operators have shape {ops.shape}, expected ({n},2,2,2)")
-    d = 2**n
-    ws = witness_operators(ops)
-    if np.abs(ws).max() <= 1e-12:
-        return Povm(np.stack([np.eye(d, dtype=complex) / d] * d))
-    cols = np.empty((d, d), dtype=complex)
-    for m in range(d):
-        es = herm_eig(ws[m])
-        cols[:, m] = fix_phase(es.vectors[:, -1].copy())
-    q = _polar_orthonormal(cols)
-    return Povm(np.stack([np.outer(q[:, m], q[:, m].conj()) for m in range(d)]))
+    return Povm(_ghz_povm(ops))
 
 
-def _ghz_f_operators(povm: Povm, n: int) -> list:
-    """Signed element sums ``f_j = sum_s (-1)^{s_j} M_s``."""
-    return [
-        sum(c * el for c, el in zip(col, povm.elements))
-        for col in np.sign(witness_signs(n)).T.tolist()
-    ]
-
-
-def _effective_qubit_operator(f: np.ndarray, spectators: list, slot: int) -> np.ndarray:
-    """2x2 operator G with Tr(A G) = Tr(f * tensor(spectators with A at slot)),
-    the entry at slot ignored: the partial trace of f times the spectators
-    with I at slot, over every other slot."""
-    factors = list(spectators)
-    factors[slot] = I2
-    lo = 2**slot
-    fs = (f @ tensor(factors)).reshape(2 * [lo, 2, f.shape[0] // (2 * lo)])
-    g = np.einsum("aibajb->ij", fs)
-    return (g + g.conj().T) / 2
-
-
-def _antipodal_pair_from(g: np.ndarray) -> tuple:
-    es = herm_eig(g)
-    return projector(es.vectors[:, -1]), projector(es.vectors[:, 0])
-
-
-def _ghz_states_sweep(strategy: Strategy) -> Strategy:
-    """One cyclic pass of exact single-sender maximizations (GHZ game)."""
-    n = strategy.n
-    fs = _ghz_f_operators(strategy.povm, n)
-    senders = list(strategy.senders)
-    ops = a_operators(strategy)
-    for j0 in range(1, n + 1):
+def _ghz_sweep(rho: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """One cyclic pass of exact single-sender maximizations (GHZ game) over
+    sender states ``(..., n, 2, 2, 2, 2)`` for POVM elements ``(..., 2**n, d, d)``."""
+    n = rho.shape[-5]
+    rho = rho.copy()
+    ops = message_operators(rho)
+    # signed element sums f_j = sum_s (-1)^{s_j} M_s
+    els = np.moveaxis(elements, -3, 0)
+    fs = [sum(c * el for c, el in zip(col, els))
+          for col in np.sign(witness_signs(n)).T.tolist()]
+    for j in range(n):
         # the spectators of each witness term; the entry at the updated slot is ignored
         spect = witness_factors(ops)
-        if j0 == 1:
+        if j == 0:
             g0 = g1 = (n - 1) * _effective_qubit_operator(fs[0], spect[0], 0)
-            for j in range(2, n + 1):
-                gj = _effective_qubit_operator(fs[j - 1], spect[j - 1], 0)
-                g0, g1 = g0 + gj, g1 - gj
+            for k in range(1, n):
+                gk = _effective_qubit_operator(fs[k], spect[k], 0)
+                g0, g1 = g0 + gk, g1 - gk
         else:
-            g0 = (n - 1) * _effective_qubit_operator(fs[0], spect[0], j0 - 1)
-            g1 = _effective_qubit_operator(fs[j0 - 1], spect[j0 - 1], j0 - 1)
-        rho = np.zeros((2, 2, 2, 2), dtype=complex)
-        for x, g in ((0, g0), (1, g1)):
-            rho[0, x], rho[1, x] = _antipodal_pair_from(g)
-        senders[j0 - 1] = SenderStates(rho)
-        ops[j0 - 1] = rho[0] - rho[1]
-    return Strategy(n=n, senders=tuple(senders), povm=strategy.povm)
+            g0 = (n - 1) * _effective_qubit_operator(fs[0], spect[0], j)
+            g1 = _effective_qubit_operator(fs[j], spect[j], j)
+        rho[..., j, :, :, :, :] = _antipodal_pairs(np.stack([g0, g1], axis=-3))
+        ops[..., j, :, :, :] = rho[..., j, 0, :, :, :] - rho[..., j, 1, :, :, :]
+    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -150,26 +175,33 @@ def _ghz_states_sweep(strategy: Strategy) -> Strategy:
 # ---------------------------------------------------------------------------
 
 
-def _counterexample_meas_step(strategy: CounterexampleStrategy) -> CounterexampleStrategy:
-    cost = counterexample_cost_operator(strategy)
-    es = herm_eig(cost)
-    pos = es.vectors[:, es.values > 0]
-    m0 = pos @ pos.conj().T if pos.size else np.zeros((4, 4), dtype=complex)
-    return CounterexampleStrategy(states=strategy.states, m0=m0)
+def _counterexample_povm(states: np.ndarray) -> np.ndarray:
+    """Best outcome-0 effect (the positive eigenspace of the cost operator)."""
+    es = herm_eig(counterexample_costs(states))
+    pos = es.vectors * (es.values > 0)[..., None, :]
+    return pos @ dagger(pos)
 
 
-def _counterexample_states_sweep(strategy: CounterexampleStrategy) -> CounterexampleStrategy:
-    states = strategy.states.copy()
-    for sender in range(2):
-        for y in range(1, 4):
-            g = np.zeros((2, 2), dtype=complex)
-            for (y1, y2), c in COUNTEREXAMPLE_COEFFS.items():
-                if (y1, y2)[sender] == y:
-                    spect = [states[0, y1 - 1], states[1, y2 - 1]]
-                    g += c * _effective_qubit_operator(strategy.m0, spect, sender)
-            es = herm_eig(g)
-            states[sender, y - 1] = projector(es.vectors[:, -1])
-    return CounterexampleStrategy(states=states, m0=strategy.m0)
+def _top_projectors(g: np.ndarray) -> np.ndarray:
+    return projector(herm_eig((g + dagger(g)) / 2).vectors[..., -1])
+
+
+def _counterexample_sweep(states: np.ndarray, m0: np.ndarray) -> np.ndarray:
+    """Exact state update of both senders, first sender first, for stacked
+    states ``(..., 2, 3, 2, 2)`` and effects ``(..., 4, 4)``. A sender's three
+    effective operators see only the other sender's states, so each sender
+    is one contraction against the coefficient matrix."""
+    m = m0.reshape(m0.shape[:-2] + (2, 2, 2, 2))  # m[..., a, b, c, d] = m0[2a+b, 2c+d]
+    states = states.copy()
+    # G[y] = sum_z C[y, z] Tr_2(m0 (I (x) s_2[z]))
+    g = np.einsum("yz,...zdb,...ibjd->...yij", COUNTEREXAMPLE_MATRIX,
+                  states[..., 1, :, :, :], m)
+    states[..., 0, :, :, :] = _top_projectors(g)
+    # G[z] = sum_y C[y, z] Tr_1(m0 (s_1[y] (x) I))
+    g = np.einsum("yz,...yca,...akcl->...zkl", COUNTEREXAMPLE_MATRIX,
+                  states[..., 0, :, :, :], m)
+    states[..., 1, :, :, :] = _top_projectors(g)
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -177,23 +209,18 @@ def _counterexample_states_sweep(strategy: CounterexampleStrategy) -> Counterexa
 # ---------------------------------------------------------------------------
 
 
-def _partial_bell_povm_step(strategy: Strategy) -> Povm:
-    ws = partial_witnesses(a_operators(strategy))
-    cols = np.empty((4, 4), dtype=complex)
-    for i in (0, 1):
-        es = herm_eig(ws[i])
-        cols[:, i] = fix_phase(es.vectors[:, -1].copy())
-    es3 = herm_eig(ws[2])
-    cols[:, 2] = fix_phase(es3.vectors[:, -1].copy())
-    cols[:, 3] = fix_phase(es3.vectors[:, -2].copy())
-    q = _polar_orthonormal(cols)
-    m1 = np.outer(q[:, 0], q[:, 0].conj())
-    m2 = np.outer(q[:, 1], q[:, 1].conj())
-    m3 = np.outer(q[:, 2], q[:, 2].conj()) + np.outer(q[:, 3], q[:, 3].conj())
-    return Povm(np.stack([m1, m2, m3]))
+def _partial_bell_povm(ops: np.ndarray) -> np.ndarray:
+    """Best three-outcome measurement: the top vectors of the first two
+    witnesses and the top two of the third, orthonormalized together."""
+    vectors = herm_eig(np.stack(partial_witnesses(ops), axis=-3)).vectors
+    rows = fix_phase(np.stack([vectors[..., 0, :, -1], vectors[..., 1, :, -1],
+                               vectors[..., 2, :, -1], vectors[..., 2, :, -2]], axis=-2))
+    p = _outer(np.swapaxes(_polar_orthonormal(np.swapaxes(rows, -1, -2)), -1, -2))
+    return np.stack([p[..., 0, :, :], p[..., 1, :, :], p[..., 2, :, :] + p[..., 3, :, :]],
+                    axis=-3)
 
 
-def _partial_bell_states_sweep(strategy: Strategy) -> Strategy:
+def _partial_bell_sweep(rho: np.ndarray, elements: np.ndarray) -> np.ndarray:
     """Exact state update for the three-outcome game, second sender only.
 
     The three-outcome score certifies the partial Bell basis only on top of
@@ -201,24 +228,15 @@ def _partial_bell_states_sweep(strategy: Strategy) -> Strategy:
     states; left free they push the score beyond 1 (the third witness's norm
     grows to 4). Sender 1 therefore stays fixed here.
     """
-    m = strategy.povm.elements
+    m = np.moveaxis(elements, -3, 0)
     f1 = m[0] - m[1]
     f2 = m[0] + m[1] - 2 * m[2]
-    senders = list(strategy.senders)
-    spect = witness_factors(a_operators(strategy))
-    g0 = _effective_qubit_operator(f1, spect[0], 1)
-    g1 = _effective_qubit_operator(f2, spect[1], 1)
-    rho = np.zeros((2, 2, 2, 2), dtype=complex)
-    for x, g in ((0, g0), (1, g1)):
-        rho[0, x], rho[1, x] = _antipodal_pair_from(g)
-    senders[1] = SenderStates(rho)
-    return Strategy(
-        n=2,
-        senders=tuple(senders),
-        povm=strategy.povm,
-        task="partial_bell",
-        observables=strategy.observables,
-    )
+    spect = witness_factors(message_operators(rho))
+    g = np.stack([_effective_qubit_operator(f1, spect[0], 1),
+                  _effective_qubit_operator(f2, spect[1], 1)], axis=-3)
+    rho = rho.copy()
+    rho[..., 1, :, :, :, :] = _antipodal_pairs(g)
+    return rho
 
 
 def optimal_states_for_povm(strategy, metric: str | None = None):
@@ -230,14 +248,17 @@ def optimal_states_for_povm(strategy, metric: str | None = None):
     if isinstance(strategy, CounterexampleStrategy):
         if metric not in (None, "counterexample"):
             raise InvalidInput("three-input strategies only support the counterexample metric")
-        return _counterexample_states_sweep(strategy)
+        return CounterexampleStrategy(
+            states=_counterexample_sweep(strategy.states, strategy.m0), m0=strategy.m0
+        )
     if metric is None:
         metric = "ghz" if strategy.task == "ghz" else "partial_bell"
-    if metric == "ghz":
-        return _ghz_states_sweep(strategy)
-    if metric == "partial_bell":
-        return _partial_bell_states_sweep(strategy)
-    raise InvalidInput(f"unknown metric {metric!r}")
+    if metric not in ("ghz", "partial_bell"):
+        raise InvalidInput(f"unknown metric {metric!r}")
+    sweep = _ghz_sweep if metric == "ghz" else _partial_bell_sweep
+    rho = sweep(np.stack([st.rho for st in strategy.senders]), strategy.povm.elements)
+    return Strategy(n=strategy.n, senders=tuple(SenderStates(r) for r in rho),
+                    povm=strategy.povm, task=strategy.task, observables=strategy.observables)
 
 
 # ---------------------------------------------------------------------------
@@ -245,107 +266,153 @@ def optimal_states_for_povm(strategy, metric: str | None = None):
 # ---------------------------------------------------------------------------
 
 
-def _random_counterexample(rng) -> CounterexampleStrategy:
-    states = np.zeros((2, 3, 2, 2), dtype=complex)
-    for k in range(2):
-        for y in range(3):
-            v = rng.normal(size=2) + 1j * rng.normal(size=2)
-            states[k, y] = projector(v)
-    # measurement half-step immediately replaces this placeholder
-    return CounterexampleStrategy(states=states, m0=np.zeros((4, 4), dtype=complex))
+def _ghz_start(config: SeesawConfig, rng) -> np.ndarray:
+    # independent per-restart draw under the master seed
+    return random_messages(config.n, int(rng.integers(0, 2**63 - 1)))
 
 
-def _random_partial_bell(rng) -> Strategy:
-    from .states import aligned_sender_states
-
+def _partial_bell_start(config: SeesawConfig, rng) -> np.ndarray:
     # sender 1 pinned at the RAC optimum; sender 2 random
-    rho = np.zeros((2, 2, 2, 2), dtype=complex)
-    for a in range(2):
-        for x in range(2):
-            v = rng.normal(size=2) + 1j * rng.normal(size=2)
-            rho[a, x] = projector(v)
-    senders = (aligned_sender_states(1, 2), SenderStates(rho))
-    povm = Povm(np.stack([np.eye(4, dtype=complex) / 2, np.eye(4) / 4, np.eye(4) / 4]))
-    return Strategy(n=2, senders=senders, povm=povm, task="partial_bell",
-                    observables=np.stack([np.array([[0, 1], [1, 0]]), np.array([[1, 0], [0, -1]])]).astype(complex))
+    second = random_projectors(rng, 4).reshape(2, 2, 2, 2)
+    return np.stack([aligned_sender_states(1, 2).rho, second])
 
 
-def _restart(config: SeesawConfig, index: int):
-    rng = make_rng(config.seed, stream=index)
-    metric = config.metric
-    if metric == "ghz":
-        from .states import random_strategy
+def _counterexample_start(config: SeesawConfig, rng) -> np.ndarray:
+    return random_projectors(rng, 6).reshape(2, 3, 2, 2)
 
-        # independent per-restart draw under the master seed
-        strategy = random_strategy(config.n, int(rng.integers(0, 2**63 - 1)))
-        value_of = success_metric
 
-        def povm_step(s):
-            return optimal_povm_for_states(config.n, a_operators(s))
+def _ghz_build(rho, elements) -> Strategy:
+    return Strategy(n=len(rho), senders=tuple(SenderStates(r) for r in rho),
+                    povm=Povm(elements))
 
-        def with_povm(s, p):
-            return Strategy(n=s.n, senders=s.senders, povm=p)
 
-    elif metric == "counterexample":
-        strategy = _random_counterexample(rng)
-        value_of = counterexample_value
+def _partial_bell_build(rho, elements) -> Strategy:
+    senders = tuple(SenderStates(r) for r in rho)
+    return Strategy(n=2, senders=senders, povm=Povm(elements), task="partial_bell",
+                    observables=np.stack(best_rac_observables(senders[0])))
 
-        def povm_step(s):
-            return _counterexample_meas_step(s).m0
 
-        def with_povm(s, p):
-            return CounterexampleStrategy(states=s.states, m0=p)
+@dataclass(frozen=True)
+class _Game:
+    """One game's see-saw. Messages are a restart's sender states, the
+    measurement its receiver side; every function but ``start`` and
+    ``build`` takes stacked arrays with leading restart axes."""
 
-    else:
-        strategy = _random_partial_bell(rng)
-        value_of = comm_metric
-        povm_step = _partial_bell_povm_step
+    start: Callable  # (config, rng) -> messages of one restart
+    measure: Callable  # messages -> best measurement for them
+    sweep: Callable  # (messages, measurement) -> best messages for it
+    score: Callable  # (messages, measurement) -> scores
+    build: Callable  # (messages, measurement) of one restart -> strategy
+    entries: Callable  # n -> entries of the largest per-restart stack
 
-        def with_povm(s, p):
-            return Strategy(n=2, senders=s.senders, povm=p, task="partial_bell",
-                            observables=s.observables)
 
-    strategy = with_povm(strategy, povm_step(strategy))
-    current = value_of(strategy)
-    history = [current]
-    iters = 0
-    for iters in range(1, config.max_iters + 1):
-        candidate = optimal_states_for_povm(strategy)
-        after_states = value_of(candidate)
-        with_new = with_povm(candidate, povm_step(candidate))
-        after_povm = value_of(with_new)
-        if after_povm >= after_states:
-            candidate, new_value = with_new, after_povm
-        else:
-            new_value = after_states
-        strategy = candidate
-        history.append(new_value)
-        if abs(new_value - current) < config.conv_tol:
-            current = new_value
-            break
-        current = new_value
-    return current, strategy, iters, history
+GAMES = {
+    "ghz": _Game(
+        _ghz_start,
+        lambda rho: _ghz_povm(message_operators(rho)),
+        _ghz_sweep,
+        lambda rho, els: success_scores(message_operators(rho), els),
+        _ghz_build,
+        lambda n: 8**n,  # 2**n witnesses or POVM elements of 2**n x 2**n
+    ),
+    "counterexample": _Game(
+        _counterexample_start,
+        _counterexample_povm,
+        _counterexample_sweep,
+        counterexample_scores,
+        lambda states, m0: CounterexampleStrategy(states=states, m0=m0),
+        lambda n: 2 * 3 * 2 * 2,  # the six qubit states
+    ),
+    "partial_bell": _Game(
+        _partial_bell_start,
+        lambda rho: _partial_bell_povm(message_operators(rho)),
+        _partial_bell_sweep,
+        lambda rho, els: comm_scores(message_operators(rho), els),
+        _partial_bell_build,
+        lambda n: 3 * 4 * 4,  # three witnesses or POVM elements of 4 x 4
+    ),
+}
+
+
+def _lockstep(config: SeesawConfig, game: _Game, block: range) -> tuple:
+    """Run the restarts of ``block`` side by side.
+
+    The working arrays hold the active restarts only; a restart leaves them
+    once its score moved by less than ``conv_tol``. Returns, per restart,
+    ``(score, iterations, messages, measurement)`` at its stop, and the
+    score histories.
+    """
+    msgs = np.stack([game.start(config, make_rng(config.seed, stream=i)) for i in block])
+    meas = game.measure(msgs)
+    value = game.score(msgs, meas)
+    history = [[v] for v in value.tolist()]
+    final = [None] * len(block)
+    active = np.arange(len(block))
+    for it in range(1, config.max_iters + 1):
+        new_msgs = game.sweep(msgs, meas)
+        after_states = game.score(new_msgs, meas)
+        new_meas = game.measure(new_msgs)
+        after_povm = game.score(new_msgs, new_meas)
+        accept = after_povm >= after_states
+        msgs = new_msgs
+        meas = np.where(accept.reshape(accept.shape + (1,) * (meas.ndim - 1)), new_meas, meas)
+        new_value = np.where(accept, after_povm, after_states)
+        for i, v in zip(active.tolist(), new_value.tolist()):
+            history[i].append(v)
+        stop = (np.abs(new_value - value) < config.conv_tol) | (it == config.max_iters)
+        value = new_value
+        if stop.any():
+            for k in np.flatnonzero(stop).tolist():
+                final[active[k]] = (value[k], it, msgs[k].copy(), meas[k].copy())
+            keep = ~stop
+            active, msgs, meas, value = active[keep], msgs[keep], meas[keep], value[keep]
+            if not active.size:
+                break
+    return final, history
+
+
+class _Leader:
+    """The best restart of the blocks finished so far: the first maximum in
+    restart order, whatever order the blocks finish in. Only its messages
+    and measurement are kept, so finished blocks hold no POVM stacks."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.index = None
+
+    def offer(self, index: int, value, iters: int, msgs, meas) -> None:
+        with self._lock:
+            if self.index is None or value > self.value or (
+                value == self.value and index < self.index
+            ):
+                self.index, self.value, self.iters, self.msgs, self.meas = (
+                    index, value, iters, msgs, meas)
 
 
 def seesaw(config: SeesawConfig) -> SeesawResult:
     """Run the alternating search from ``config.restarts`` random starts.
 
     Deterministic for a given seed: restart ``i`` draws from stream ``i`` of
-    the master seed, and ties between restarts break by restart order.
+    the master seed, and ties between restarts break by restart order. The
+    restarts run in contiguous blocks of at most ``linalg.CHUNK_ELEMENTS``
+    entries of their largest per-restart stack, mapped over the worker pool;
+    a restart's history does not depend on the block it shares.
     """
-    outcomes = ordered_map(lambda i: _restart(config, i), range(config.restarts))
-    best_idx = 0
-    for i in range(1, config.restarts):
-        if outcomes[i][0] > outcomes[best_idx][0]:
-            best_idx = i
-    value, strategy, iters, _ = outcomes[best_idx]
-    if isinstance(strategy, Strategy) and strategy.task == "partial_bell":
-        mx, mz = best_rac_observables(strategy.senders[0])
-        strategy = Strategy(n=2, senders=strategy.senders, povm=strategy.povm,
-                            task="partial_bell", observables=np.stack([mx, mz]))
+    game = GAMES[config.metric]
+    restarts = range(config.restarts)
+    blocks = [restarts[part] for part in chunks(config.restarts, game.entries(config.n))]
+    leader = _Leader()
+
+    def run(block: range) -> list:
+        final, history = _lockstep(config, game, block)
+        first = int(np.argmax([f[0] for f in final]))  # the block's first maximum
+        leader.offer(block[first], *final[first])
+        return history
+
+    history = [h for hs in ordered_map(run, blocks) for h in hs]
     return SeesawResult(
-        best_value=float(value),
-        best_strategy=strategy,
-        iters_used=int(iters),
-        history=[out[3] for out in outcomes],
+        best_value=float(leader.value),
+        best_strategy=game.build(leader.msgs, leader.meas),
+        iters_used=leader.iters,
+        history=history,
     )

@@ -1,8 +1,9 @@
-"""Worker-count policy for the see-saw restarts.
+"""Worker-count policy for the see-saw's blocks of restarts.
 
-``GHZ_SELFTEST_THREADS`` caps parallelism: unset or ``1`` means serial,
-``0`` means one worker per CPU. Results never depend on the schedule; all
-reductions are deterministic.
+The see-saw advances the restarts of a block in lockstep as stacked arrays
+and maps the blocks over the workers. ``GHZ_SELFTEST_THREADS`` caps
+parallelism: unset or ``1`` means serial, ``0`` means one worker per CPU.
+Results never depend on the schedule; all reductions are deterministic.
 """
 
 import os

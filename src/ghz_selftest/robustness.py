@@ -204,7 +204,7 @@ def _margins(n: int, s, angles: np.ndarray, params: FidelityBoundParams) -> np.n
     xi = projector(ghz_basis_state(s, n))[None]
     shift = params.mu * np.eye(d)
     out = np.empty(len(angles))
-    for part in chunks(len(angles), d):
+    for part in chunks(len(angles), d * d):
         a = angles[part]
         shifted = (
             _channel_stack(xi, a) - params.r * witness_operator(n, s, _message_stack(a)) - shift
@@ -406,7 +406,7 @@ def avg_fidelity(povm, angles) -> float:
         )
     xi = ghz_basis(n)
     total = 0.0
-    for part in chunks(d, d):
+    for part in chunks(d, d * d):
         processed = _channel_stack(povm.elements[part], angles[None])
         v = xi[:, part]
         total += float(np.einsum("ip,pij,jp->", v.conj(), processed, v).real)

@@ -17,7 +17,7 @@ from functools import cache
 import numpy as np
 
 from .errors import InvalidBloch, InvalidInput
-from .linalg import I2, PAULIS, SQRT2, chunks, herm_eigvals, tensor
+from .linalg import I2, PAULIS, SQRT2, chunks, dagger, herm_eigvals, tensor
 from .states import SenderStates, Strategy, bloch_vector, outcome_index
 
 # coefficients of the three-input game score on p(0 | y1, y2)
@@ -30,11 +30,22 @@ COUNTEREXAMPLE_COEFFS = {
     (3, 2): +1.0,
     (3, 3): -1.0,
 }
+# the same coefficients as a matrix indexed [y1-1, y2-1]
+COUNTEREXAMPLE_MATRIX = np.array(
+    [[COUNTEREXAMPLE_COEFFS.get((y1, y2), 0.0) for y2 in (1, 2, 3)] for y1 in (1, 2, 3)]
+)
+COUNTEREXAMPLE_MATRIX.flags.writeable = False
 
 
 def a_operators(strategy: Strategy) -> np.ndarray:
     """Difference operators ``a[j-1, x] = rho[0|x] - rho[1|x]`` per sender."""
-    return np.stack([st.rho[0] - st.rho[1] for st in strategy.senders])
+    return message_operators(np.stack([st.rho for st in strategy.senders]))
+
+
+def message_operators(rho: np.ndarray) -> np.ndarray:
+    """Difference operators of stacked sender states ``(..., n, 2, 2, 2, 2)``
+    indexed ``[..., j, a, x]``: shape ``(..., n, 2, 2, 2)``."""
+    return rho[..., 0, :, :, :] - rho[..., 1, :, :, :]
 
 
 def witness_factors(ops: np.ndarray) -> list:
@@ -92,12 +103,15 @@ def witness_operator(n: int, s, ops: np.ndarray) -> np.ndarray:
 
 
 def witness_operators(ops: np.ndarray) -> np.ndarray:
-    """All ``2**n`` witnesses stacked, indexed by outcome."""
-    n = ops.shape[0]
-    terms = witness_terms(ops)
-    out = np.empty((2**n, 2**n, 2**n), dtype=complex)
-    for m, row in enumerate(witness_signs(n).tolist()):
-        out[m] = signed_sum(row, terms)
+    """All ``2**n`` witnesses stacked, indexed by outcome; stacked ``ops``
+    ``(..., n, 2, 2, 2)`` give ``(..., 2**n, 2**n, 2**n)``."""
+    n = ops.shape[-4]
+    d = 2**n
+    terms = [t[..., None, :, :] for t in witness_terms(ops)]
+    out = np.empty(ops.shape[:-4] + (d, d, d), dtype=complex)
+    # outcomes in chunks of at most CHUNK_ELEMENTS entries per leading index
+    for part in chunks(d, d * d):
+        out[..., part, :, :] = signed_sum(witness_signs(n)[part].T[..., None, None], terms)
     return out
 
 
@@ -105,20 +119,26 @@ def metric_normalization(n: int) -> float:
     return 2**n * (n - 1) * 2 * SQRT2
 
 
-def _signed_score(n: int, t: np.ndarray) -> float:
-    """Normalized score from ``t[k, m]``, term k's contribution to outcome m:
-    per-outcome signed sums, then summed over outcomes in order."""
-    return sum(signed_sum(witness_signs(n).T, t).tolist()) / metric_normalization(n)
+def _signed_score(n: int, t: np.ndarray):
+    """Normalized score from ``t[k, ..., m]``, term k's contribution to
+    outcome m: per-outcome signed sums, then summed over outcomes in order."""
+    per_outcome = signed_sum(witness_signs(n).T, t)
+    return sum(np.moveaxis(per_outcome, -1, 0)) / metric_normalization(n)
+
+
+def success_scores(ops: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """GHZ-game scores of stacked operators ``(..., n, 2, 2, 2)`` and POVM
+    elements ``(..., 2**n, 2**n, 2**n)``."""
+    # t[k, ..., m] = Tr(M_m terms[k])
+    t = np.einsum("...kij,...mji->k...m", np.stack(witness_terms(ops), axis=-3), elements)
+    return _signed_score(ops.shape[-4], t.real)
 
 
 def success_metric(strategy: Strategy) -> float:
     """Normalized GHZ-game score; the quantum maximum is 1."""
     if strategy.task != "ghz" or len(strategy.povm) != 2**strategy.n:
         raise InvalidInput("success_metric needs a GHZ-task strategy with 2**n POVM elements")
-    terms = witness_terms(a_operators(strategy))
-    # t[k, m] = Tr(M_m terms[k])
-    t = np.einsum("kij,mji->km", np.stack(terms), strategy.povm.elements).real
-    return _signed_score(strategy.n, t)
+    return float(success_scores(a_operators(strategy), strategy.povm.elements))
 
 
 @dataclass(frozen=True)
@@ -157,7 +177,7 @@ def product_traces(elements: np.ndarray, stacks) -> np.ndarray:
     count, d = elements.shape[:2]
     sizes = [len(st) for st in stacks]
     out = np.empty((count, int(np.prod(sizes))))
-    for part in chunks(count, d):
+    for part in chunks(count, d * d):
         t = elements[part][..., None]  # (chunk, rows, cols, states so far)
         for st in reversed(stacks):
             c, r, _, k = t.shape
@@ -200,7 +220,7 @@ def success_from_table(table: ProbabilityTable) -> float:
     t[1:] = 2 ** (n - 2) * np.einsum(
         "kabm,ab->km", table.pair[:, 0] - table.pair[:, 1], pair_parity
     )
-    return _signed_score(n, t)
+    return float(_signed_score(n, t))
 
 
 # ---------------------------------------------------------------------------
@@ -240,16 +260,29 @@ class CounterexampleStrategy:
             raise InvalidInput("m0 is not an effect (0 <= m0 <= I)")
 
 
+def counterexample_p0(states: np.ndarray, m0: np.ndarray) -> np.ndarray:
+    """``p(0 | y1, y2) = Re Tr((s_1[y1] (x) s_2[y2]) m0)`` indexed ``[..., y1-1,
+    y2-1]``, for stacked states ``(..., 2, 3, 2, 2)`` and effects ``(..., 4, 4)``."""
+    m = m0.reshape(m0.shape[:-2] + (2, 2, 2, 2))
+    p0 = np.einsum("...yac,...zbd,...cdab->...yz",
+                   states[..., 0, :, :, :], states[..., 1, :, :, :], m)
+    # contiguous, so that the score's sum runs the same way as on a table
+    return np.ascontiguousarray(p0.real)
+
+
+def _counterexample_score(p0: np.ndarray) -> np.ndarray:
+    return np.einsum("yz,...yz->...", COUNTEREXAMPLE_MATRIX, p0)
+
+
+def counterexample_scores(states: np.ndarray, m0: np.ndarray) -> np.ndarray:
+    """Three-input game scores of stacked states and effects."""
+    return _counterexample_score(counterexample_p0(states, m0))
+
+
 def counterexample_table(strategy: CounterexampleStrategy) -> np.ndarray:
     """Full table ``p[s, y1-1, y2-1]`` of the three-input game."""
-    p = np.zeros((2, 3, 3))
-    for y1 in range(3):
-        for y2 in range(3):
-            joint = np.kron(strategy.states[0, y1], strategy.states[1, y2])
-            p0 = float(np.trace(joint @ strategy.m0).real)
-            p[0, y1, y2] = p0
-            p[1, y1, y2] = 1 - p0
-    return p
+    p0 = counterexample_p0(strategy.states, strategy.m0)
+    return np.stack([p0, 1 - p0])
 
 
 def counterexample_metric(table: np.ndarray) -> float:
@@ -257,21 +290,24 @@ def counterexample_metric(table: np.ndarray) -> float:
     table = np.asarray(table, dtype=float)
     if table.shape != (2, 3, 3):
         raise InvalidInput(f"table must have shape (2,3,3), got {table.shape}")
-    return float(
-        sum(c * table[0, y1 - 1, y2 - 1] for (y1, y2), c in COUNTEREXAMPLE_COEFFS.items())
-    )
+    return float(_counterexample_score(table[0]))
 
 
 def counterexample_value(strategy: CounterexampleStrategy) -> float:
-    return counterexample_metric(counterexample_table(strategy))
+    return float(counterexample_scores(strategy.states, strategy.m0))
+
+
+def counterexample_costs(states: np.ndarray) -> np.ndarray:
+    """Operators C with score ``Tr(m0 C)`` for stacked states ``(..., 2, 3, 2, 2)``."""
+    c = np.einsum("yz,...yac,...zbd->...abcd", COUNTEREXAMPLE_MATRIX,
+                  states[..., 0, :, :, :], states[..., 1, :, :, :])
+    c = c.reshape(c.shape[:-4] + (4, 4))
+    return (c + dagger(c)) / 2
 
 
 def counterexample_cost_operator(strategy: CounterexampleStrategy) -> np.ndarray:
     """Operator C with score = Tr(m0 C); used by the measurement half-step."""
-    c = np.zeros((4, 4), dtype=complex)
-    for (y1, y2), coeff in COUNTEREXAMPLE_COEFFS.items():
-        c += coeff * np.kron(strategy.states[0, y1 - 1], strategy.states[1, y2 - 1])
-    return (c + c.conj().T) / 2
+    return counterexample_costs(strategy.states)
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +316,20 @@ def counterexample_cost_operator(strategy: CounterexampleStrategy) -> np.ndarray
 
 
 def partial_witnesses(ops: np.ndarray) -> tuple:
-    """The three receiver-side operators of the three-outcome game."""
-    if ops.shape != (2, 2, 2, 2):
+    """The three receiver-side operators of the three-outcome game; stacked
+    ``ops`` ``(..., 2, 2, 2, 2)`` give stacked operators."""
+    if ops.shape[-4:] != (2, 2, 2, 2):
         raise InvalidInput("partial witnesses need exactly two senders")
     plus, minus = witness_terms(ops)
     return (plus + minus, minus - plus, -2 * minus)
+
+
+def comm_scores(ops: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """Three-outcome scores of stacked operators ``(..., 2, 2, 2, 2)`` and
+    POVM elements ``(..., 3, 4, 4)``."""
+    ws = np.stack(partial_witnesses(ops), axis=-3)
+    traces = np.trace(elements @ ws, axis1=-2, axis2=-1).real
+    return sum(np.moveaxis(traces, -1, 0)) / (8 * SQRT2)
 
 
 def comm_metric(strategy: Strategy) -> float:
@@ -293,12 +338,7 @@ def comm_metric(strategy: Strategy) -> float:
         raise InvalidInput("comm_metric needs a partial Bell strategy")
     if len(strategy.povm) != 3:
         raise InvalidInput("comm_metric needs a 3-element POVM")
-    ops = a_operators(strategy)
-    ws = partial_witnesses(ops)
-    total = sum(
-        float(np.trace(strategy.povm.elements[i] @ ws[i]).real) for i in range(3)
-    )
-    return total / (8 * SQRT2)
+    return float(comm_scores(a_operators(strategy), strategy.povm.elements))
 
 
 def relabeled_first_sender(sender: SenderStates) -> np.ndarray:

@@ -233,9 +233,16 @@ def ghz_povm(n: int) -> Povm:
     return Povm(els)
 
 
-def _haar_qubit(rng) -> np.ndarray:
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    return projector(v)
+def random_projectors(rng, count: int) -> np.ndarray:
+    """``count`` Haar-random pure qubit states, drawn one after another."""
+    return np.stack([projector(rng.normal(size=2) + 1j * rng.normal(size=2))
+                     for _ in range(count)])
+
+
+def random_messages(n: int, seed: int) -> np.ndarray:
+    """The messages of :func:`random_strategy`, ``rho[j, a, x]`` of shape
+    ``(n, 2, 2, 2, 2)``, without drawing its POVM."""
+    return random_projectors(make_rng(seed), 4 * n).reshape(n, 2, 2, 2, 2)
 
 
 def random_strategy(n: int, seed: int) -> Strategy:
@@ -243,13 +250,7 @@ def random_strategy(n: int, seed: int) -> Strategy:
     if n < 2:
         raise InvalidInput(f"need at least two senders, got n={n}")
     rng = make_rng(seed)
-    senders = []
-    for _ in range(n):
-        rho = np.zeros((2, 2, 2, 2), dtype=complex)
-        for a in range(2):
-            for x in range(2):
-                rho[a, x] = _haar_qubit(rng)
-        senders.append(SenderStates(rho))
+    senders = [SenderStates(r) for r in random_projectors(rng, 4 * n).reshape(n, 2, 2, 2, 2)]
     d = 2**n
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     _, vecs = np.linalg.eigh((g + g.conj().T) / 2)

@@ -13,16 +13,24 @@ import ghz_selftest
 from ghz_selftest.cli import (
     canonical_json,
     load_strategy,
+    main,
     parse_args,
     run,
     save_strategy,
     strategy_from_dict,
     strategy_to_dict,
 )
-from ghz_selftest.fixtures import ideal_strategy, partial_bell_strategy
+from ghz_selftest.fixtures import depolarized_partial_bell, ideal_strategy, partial_bell_strategy
 from ghz_selftest.scenario import a_operators, success_metric
 from ghz_selftest.selftest import min_shifted_eigenvalue, witness_spectra
-from ghz_selftest.states import random_antipodal_strategy, random_mixed_strategy, random_strategy
+from ghz_selftest.states import (
+    Povm,
+    SenderStates,
+    Strategy,
+    random_antipodal_strategy,
+    random_mixed_strategy,
+    random_strategy,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=20, deadline=None, database=None)
 
@@ -106,6 +114,29 @@ class TestCanonicalJson:
     def test_canonical_json_is_byte_stable(self, value):
         first = canonical_json(value)
         assert canonical_json(json.loads(first)) == first
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_bulk_strategy_file_matches_element_serialization(self, tmp_path, n):
+        path = tmp_path / "s.json"
+        strategies = [random_strategy(n, 5), random_mixed_strategy(n, 6)]
+        if n == 2:
+            strategies += [partial_bell_strategy(), depolarized_partial_bell(0.1)]
+        for s in strategies:
+            save_strategy(s, str(path))
+            assert path.read_text(encoding="utf-8") == canonical_json(strategy_to_dict(s))
+
+    def test_bulk_strategy_file_normalizes_negative_zero(self, tmp_path):
+        s = ideal_strategy(2)
+        rho = s.senders[0].rho.copy()
+        rho.imag[...] = -0.0
+        els = s.povm.elements.copy()
+        els[1, 2, 3] = complex(-0.0, -0.0)
+        s = Strategy(n=2, senders=(SenderStates(rho), s.senders[1]), povm=Povm(els))
+        path = tmp_path / "s.json"
+        save_strategy(s, str(path))
+        text = path.read_text(encoding="utf-8")
+        assert text == canonical_json(strategy_to_dict(s))
+        assert "-0," not in text and "-0]" not in text
 
     def test_loaded_strategy_evaluates_identically(self, tmp_path):
         path = tmp_path / "s.json"
@@ -268,6 +299,18 @@ class TestRun:
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
         best = load_strategy(str(strat))
         assert success_metric(best) >= 1 - 1e-6
+
+    def test_counterexample_strategy_export_rejected_before_the_search(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        hist = tmp_path / "h.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["seesaw", "--metric", "counterexample", "--restarts", "3",
+                  "--history-csv", str(hist), "--save-strategy", str(tmp_path / "s.json"),
+                  "-o", str(out)])
+        assert exc.value.code == 2
+        assert "three-input strategies have no strategy-file form" in capsys.readouterr().err
+        assert not out.exists() and not hist.exists()
+        assert not (tmp_path / "s.json").exists()
 
     def test_robustness_grid_csv(self, tmp_path):
         out = tmp_path / "r.json"

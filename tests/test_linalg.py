@@ -9,6 +9,7 @@ from ghz_selftest.linalg import (
     I2,
     SIGMA_X,
     SIGMA_Z,
+    fix_phase,
     herm_eig,
     herm_eigvals,
     op_norm,
@@ -132,6 +133,50 @@ class TestHermEig:
             assert np.array_equal(again.values, es.values)
             assert np.array_equal(again.vectors, es.vectors)
 
+    def test_stack_matches_single_solves_bitwise(self):
+        rng = np.random.default_rng(8)
+        for d in (2, 4, 32):
+            stack = np.stack([random_hermitian(rng, d) for _ in range(6)]).reshape(2, 3, d, d)
+            es = herm_eig(stack)
+            for idx in np.ndindex(2, 3):
+                one = herm_eig(stack[idx])
+                assert es.values[idx].tobytes() == one.values.tobytes()
+                assert es.vectors[idx].tobytes() == one.vectors.tobytes()
+
+    def test_stack_with_one_non_hermitian_matrix_rejected(self):
+        rng = np.random.default_rng(9)
+        stack = np.stack([random_hermitian(rng, 4) for _ in range(5)])
+        stack[3, 0, 1] += 1e-6
+        with pytest.raises(NotHermitian):
+            herm_eig(stack)
+        with pytest.raises(NotHermitian):
+            herm_eigvals(stack)
+        stack[3, 0, 1] -= 1e-6
+        herm_eig(stack)
+
+    def test_solver_failure_is_retried_in_a_rotated_basis(self, monkeypatch):
+        # LAPACK's divide-and-conquer eigh can fail on highly degenerate
+        # spectra; a stand-in failure exercises the per-matrix retry
+        rng = np.random.default_rng(10)
+        stack = np.stack([random_hermitian(rng, 8) for _ in range(3)])
+        real_eigh = np.linalg.eigh
+        bad = stack[1]
+
+        def flaky_eigh(m, *args, **kwargs):
+            if m.ndim > 2 or np.array_equal(m, bad):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real_eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(backends.np.linalg, "eigh", flaky_eigh)
+        w, v = backends.eigh(stack)
+        monkeypatch.undo()
+        for k in (0, 2):
+            want = np.linalg.eigh(stack[k])
+            assert w[k].tobytes() == want[0].tobytes() and v[k].tobytes() == want[1].tobytes()
+        assert np.abs(w[1] - np.linalg.eigvalsh(bad)).max() <= 1e-12 * np.abs(w[1]).max()
+        assert np.abs(bad @ v[1] - v[1] * w[1]).max() <= 1e-12 * np.abs(w[1]).max()
+        assert np.abs(v[1].conj().T @ v[1] - np.eye(8)).max() <= 1e-13
+
     def test_eigenvalue_sum_is_trace(self):
         rng = np.random.default_rng(5)
         for d in (2, 4, 8):
@@ -139,6 +184,26 @@ class TestHermEig:
             es = herm_eig(m)
             tr = float(np.trace(m).real)
             assert abs(es.values.sum() - tr) <= 1e-9 * max(1.0, abs(tr))
+
+
+class TestFixPhase:
+    def test_first_large_entry_made_real_positive(self):
+        v = np.array([1e-13, -2j, 1 + 1j])
+        out = fix_phase(v)
+        assert out[1] == 2 and abs(np.abs(out) - np.abs(v)).max() == 0
+
+    def test_negligible_vector_unchanged(self):
+        v = np.array([1e-13, -1e-14j])
+        assert np.array_equal(fix_phase(v), v)
+
+    def test_stack_matches_single_vectors_bitwise(self):
+        rng = np.random.default_rng(11)
+        vs = rng.normal(size=(4, 5, 3)) + 1j * rng.normal(size=(4, 5, 3))
+        vs[0, :, 0] = 0
+        vs[1, 2] = 1e-13
+        out = fix_phase(vs)
+        for idx in np.ndindex(4, 5):
+            assert out[idx].tobytes() == fix_phase(vs[idx]).tobytes()
 
 
 class TestPartialTranspose:

@@ -1,20 +1,28 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ghz_selftest.errors import InvalidInput
 from ghz_selftest.fixtures import ideal_strategy, partial_bell_strategy
-from ghz_selftest.linalg import projector, tensor
+from ghz_selftest.linalg import I2, projector, tensor
 from ghz_selftest.optimize import (
+    GAMES,
     SeesawConfig,
+    _Game,
     _effective_qubit_operator,
+    _lockstep,
     optimal_povm_for_states,
     optimal_states_for_povm,
     seesaw,
 )
 from ghz_selftest.rng import make_rng
 from ghz_selftest.scenario import (
+    COUNTEREXAMPLE_COEFFS,
     CounterexampleStrategy,
     a_operators,
+    comm_metric,
     counterexample_value,
     success_metric,
 )
@@ -63,6 +71,46 @@ def test_effective_qubit_operator_is_the_partial_trace(n):
         got = _effective_qubit_operator(f, spect, slot)
         want = four_kron_effective_operator(f, spect, slot)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_stacked_effective_operator_matches_each_restart_bitwise():
+    rng = np.random.default_rng(80)
+    restarts, n = 4, 3
+    z = rng.normal(size=(restarts, 8, 8)) + 1j * rng.normal(size=(restarts, 8, 8))
+    f = z + z.conj().swapaxes(-1, -2)
+    spect = [rng.normal(size=(restarts, 2, 2)) + 1j * rng.normal(size=(restarts, 2, 2)), I2,
+             rng.normal(size=(restarts, 2, 2))]
+    for slot in range(n):
+        got = _effective_qubit_operator(f, spect, slot)
+        for r in range(restarts):
+            one = [s[r] if s.ndim == 3 else s for s in spect]
+            assert got[r].tobytes() == _effective_qubit_operator(f[r], one, slot).tobytes()
+
+
+def reference_counterexample_sweep(states, m0):
+    """Sender by sender, input by input: one effective operator per score term."""
+    states = states.copy()
+    for sender in range(2):
+        for y in range(1, 4):
+            g = np.zeros((2, 2), dtype=complex)
+            for (y1, y2), c in COUNTEREXAMPLE_COEFFS.items():
+                if (y1, y2)[sender] == y:
+                    spect = [states[0, y1 - 1], states[1, y2 - 1]]
+                    g += c * _effective_qubit_operator(m0, spect, sender)
+            states[sender, y - 1] = projector(np.linalg.eigh(g)[1][:, -1])
+    return states
+
+
+def test_counterexample_sweep_matches_per_term_effective_operators():
+    rng = np.random.default_rng(81)
+    for _ in range(10):
+        states = np.stack([projector(rng.normal(size=2) + 1j * rng.normal(size=2))
+                           for _ in range(6)]).reshape(2, 3, 2, 2)
+        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        m0 = z @ z.conj().T
+        m0 /= np.linalg.eigvalsh(m0)[-1]
+        got = optimal_states_for_povm(CounterexampleStrategy(states=states, m0=m0)).states
+        assert np.abs(got - reference_counterexample_sweep(states, m0)).max() <= 1e-12
 
 
 class TestPovmStep:
@@ -222,6 +270,132 @@ class TestSeesaw:
             SeesawConfig(metric="counterexample", n=3)
         with pytest.raises(InvalidInput):
             SeesawConfig(restarts=0)
+
+
+# per-restart iteration counts of these runs, recorded from the one-restart-
+# at-a-time search that the lockstep replaced
+RECORDED_ITERATIONS = {
+    ("counterexample", 2, 50, 1): [
+        8, 10, 15, 9, 10, 9, 8, 9, 9, 9, 10, 9, 9, 9, 10, 8, 9, 8, 9, 10, 8, 9, 13, 11, 9,
+        9, 9, 8, 9, 8, 8, 10, 10, 9, 9, 8, 9, 10, 9, 9, 8, 9, 8, 10, 10, 7, 8, 9, 9, 9,
+    ],
+    ("partial_bell", 2, 6, 0): [2] * 6,
+    ("ghz", 2, 20, 0): [3] * 20,
+    ("ghz", 3, 10, 0): [3] * 9 + [4],
+}
+
+
+def best_arrays(strategy):
+    if isinstance(strategy, CounterexampleStrategy):
+        return [strategy.states, strategy.m0]
+    return [np.stack([st.rho for st in strategy.senders]), strategy.povm.elements]
+
+
+def assert_same_strategy(a, b):
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(best_arrays(a), best_arrays(b)))
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("metric, n, restarts, seed", list(RECORDED_ITERATIONS))
+    def test_iteration_counts_per_restart(self, metric, n, restarts, seed):
+        res = seesaw(SeesawConfig(n=n, metric=metric, restarts=restarts, seed=seed))
+        assert [len(h) - 1 for h in res.history] == RECORDED_ITERATIONS[metric, n, restarts, seed]
+
+    @pytest.mark.parametrize("metric, n, restarts", [
+        ("counterexample", 2, 12), ("partial_bell", 2, 6), ("ghz", 2, 8), ("ghz", 4, 5),
+    ])
+    def test_restart_does_not_depend_on_its_block(self, metric, n, restarts):
+        cfg = SeesawConfig(n=n, metric=metric, restarts=restarts, seed=3)
+        final, history = _lockstep(cfg, GAMES[metric], range(restarts))
+        for i in range(restarts):
+            one_final, one_history = _lockstep(cfg, GAMES[metric], range(i, i + 1))
+            assert one_history[0] == history[i]
+            (value, iters, msgs, meas), (v1, i1, m1, p1) = final[i], one_final[0]
+            assert (value, iters) == (v1, i1)
+            assert msgs.tobytes() == m1.tobytes() and meas.tobytes() == p1.tobytes()
+
+    def test_worse_measurement_is_rejected(self):
+        # a toy game: the measurement copies the messages, the sweep halves
+        # them, and the score is -|measurement - 1|; from 2 the second
+        # proposed measurement (0.5) is worse than the kept one (1)
+        toy = _Game(
+            start=lambda config, rng: np.array([2.0]),
+            measure=lambda msgs: msgs.copy(),
+            sweep=lambda msgs, meas: msgs / 2,
+            score=lambda msgs, meas: -np.abs(meas[:, 0] - 1),
+            build=None,
+            entries=None,
+        )
+        final, history = _lockstep(SeesawConfig(restarts=2), toy, range(2))
+        assert history == [[-1.0, 0.0, 0.0]] * 2
+        assert all((f[0], f[1], f[2][0], f[3][0]) == (0.0, 2, 0.5, 1.0) for f in final)
+
+    def test_thread_count_does_not_change_results(self, monkeypatch):
+        # n=4 runs blocks of four restarts, so nine restarts make three blocks
+        runs = []
+        for threads in ("1", "3"):
+            monkeypatch.setenv("GHZ_SELFTEST_THREADS", threads)
+            runs.append(seesaw(SeesawConfig(n=4, restarts=9, seed=1)))
+        a, b = runs
+        assert a.history == b.history
+        assert (a.best_value, a.iters_used) == (b.best_value, b.iters_used)
+        assert_same_strategy(a.best_strategy, b.best_strategy)
+
+    def test_leader_under_thread_contention(self, monkeypatch):
+        # a toy game whose restarts stop at once on a score in {0, 1, 2, 3},
+        # one restart per block, so many threads race to offer their best;
+        # the message's second entry tags the restart
+        toy = _Game(
+            start=lambda config, rng: np.array([float(rng.integers(0, 4)), rng.uniform()]),
+            measure=lambda msgs: msgs.copy(),
+            sweep=lambda msgs, meas: msgs,
+            score=lambda msgs, meas: meas[:, 0],
+            build=lambda msgs, meas: msgs,
+            entries=lambda n: 2**20,
+        )
+        monkeypatch.setitem(GAMES, "ghz", toy)
+        monkeypatch.setenv("GHZ_SELFTEST_THREADS", "8")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(5):
+                res = seesaw(SeesawConfig(restarts=64, seed=seed))
+                draws = [make_rng(seed, stream=i) for i in range(64)]
+                starts = [(float(r.integers(0, 4)), r.uniform()) for r in draws]
+                scores = [v for v, _ in starts]
+                first = scores.index(max(scores))
+                assert res.best_value == scores[first]
+                assert res.best_strategy[1] == starts[first][1]
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("n, restarts", [(2, 20), (5, 3)], ids=["one-block", "blocks-of-one"])
+    def test_best_restart_is_the_first_maximum(self, n, restarts):
+        # at these seeds several restarts end on the same value bit for bit
+        res = seesaw(SeesawConfig(n=n, restarts=restarts, seed=0))
+        finals = [h[-1] for h in res.history]
+        first = finals.index(max(finals))
+        assert res.best_value == finals[first]
+        assert res.iters_used == len(res.history[first]) - 1
+        upto = seesaw(SeesawConfig(n=n, restarts=first + 1, seed=0))
+        assert_same_strategy(res.best_strategy, upto.best_strategy)
+
+    @pytest.mark.parametrize("metric, n, score", [
+        ("ghz", 3, success_metric), ("counterexample", 2, counterexample_value),
+        ("partial_bell", 2, comm_metric),
+    ])
+    def test_best_value_is_the_score_of_the_best_strategy(self, metric, n, score):
+        res = seesaw(SeesawConfig(n=n, metric=metric, restarts=6, seed=4))
+        assert score(res.best_strategy) == res.best_value
+
+    def test_memory_does_not_grow_with_restarts(self):
+        peaks = []
+        for restarts in (1, 8):
+            tracemalloc.start()
+            seesaw(SeesawConfig(n=6, restarts=restarts, max_iters=1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 class TestClassification:

@@ -13,11 +13,16 @@ from ghz_selftest.fixtures import (
 from ghz_selftest import linalg
 from ghz_selftest.linalg import CHUNK_ELEMENTS, I2, SIGMA_X, SIGMA_Z, op_norm, tensor
 from ghz_selftest.scenario import (
+    COUNTEREXAMPLE_COEFFS,
+    CounterexampleStrategy,
     a_operators,
     best_rac_observables,
     bloch_from_relabeled,
     comm_metric,
+    comm_scores,
+    counterexample_cost_operator,
     counterexample_metric,
+    counterexample_scores,
     counterexample_table,
     counterexample_value,
     partial_witnesses,
@@ -27,6 +32,7 @@ from ghz_selftest.scenario import (
     rac_metric,
     success_from_table,
     success_metric,
+    success_scores,
     witness_operator,
     witness_operators,
     witness_signs,
@@ -280,6 +286,38 @@ class TestCounterexample:
         t = counterexample_table(separable_fixture())
         assert np.abs(t.sum(axis=0) - 1).max() < 1e-12
 
+    def test_table_and_cost_operator_against_kronecker_products(self):
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            s = random_counterexample_strategy(rng)
+            table = counterexample_table(s)
+            cost = np.zeros((4, 4), dtype=complex)
+            for y1 in range(3):
+                for y2 in range(3):
+                    joint = np.kron(s.states[0, y1], s.states[1, y2])
+                    assert abs(table[0, y1, y2] - np.trace(joint @ s.m0).real) <= 1e-14
+                    cost += COUNTEREXAMPLE_COEFFS.get((y1 + 1, y2 + 1), 0.0) * joint
+            assert np.array_equal(table[1], 1 - table[0])
+            assert np.abs(counterexample_cost_operator(s) - cost).max() <= 1e-14
+            assert counterexample_metric(table) == counterexample_value(s)
+
+    def test_stacked_scores_match_single_strategies_bitwise(self):
+        rng = np.random.default_rng(32)
+        strategies = [random_counterexample_strategy(rng) for _ in range(4)]
+        scores = counterexample_scores(np.stack([s.states for s in strategies]),
+                                       np.stack([s.m0 for s in strategies]))
+        assert scores.tolist() == [counterexample_value(s) for s in strategies]
+
+
+def random_counterexample_strategy(rng) -> CounterexampleStrategy:
+    """Mixed qubit states and a random effect 0 <= m0 <= I."""
+    z = rng.normal(size=(2, 3, 2, 2)) + 1j * rng.normal(size=(2, 3, 2, 2))
+    states = z @ z.conj().swapaxes(-1, -2)
+    states /= np.trace(states, axis1=-2, axis2=-1)[..., None, None]
+    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    m0 = z @ z.conj().T
+    return CounterexampleStrategy(states=states, m0=m0 / np.linalg.eigvalsh(m0)[-1])
+
 
 class TestPartialBell:
     def test_first_witness_norm(self):
@@ -298,6 +336,12 @@ class TestPartialBell:
     def test_zero_ops(self):
         ws = partial_witnesses(np.zeros((2, 2, 2, 2), dtype=complex))
         assert all(np.abs(w).max() == 0 for w in ws)
+
+    def test_stacked_scores_match_single_strategies_bitwise(self):
+        noisy = [depolarized_partial_bell(p) for p in (0.0, 0.1, 0.3)]
+        ops = np.stack([a_operators(s) for s in noisy])
+        scores = comm_scores(ops, np.stack([s.povm.elements for s in noisy]))
+        assert scores.tolist() == [comm_metric(s) for s in noisy]
 
     def test_wrong_sender_count(self):
         with pytest.raises(InvalidInput):
@@ -326,6 +370,14 @@ class TestPartialBell:
         base = partial_bell_strategy()
         with pytest.raises(InvalidInput):
             comm_metric(Strategy(n=2, senders=base.senders, povm=ideal_strategy(2).povm))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_stacked_success_scores_match_success_metric_bitwise(n):
+    strategies = [random_mixed_strategy(n, seed) for seed in range(3)]
+    ops = np.stack([a_operators(s) for s in strategies])
+    scores = success_scores(ops, np.stack([s.povm.elements for s in strategies]))
+    assert scores.tolist() == [success_metric(s) for s in strategies]
 
 
 class TestRac:
