@@ -2,7 +2,9 @@
 
 The hot inner loops of this package are Kronecker products, of single
 matrices or of stacks of them, and Hermitian eigendecompositions of small
-(dim <= 128) complex matrices.
+(dim <= 128) complex matrices. Eigenvalue-only solves of a stack with no
+imaginary part run as real symmetric problems (LAPACK ``dsyevd`` in place of
+``zheevd``); full decompositions stay complex.
 """
 
 import numpy as np
@@ -48,6 +50,17 @@ def _eigh_retry(m):
     return w, v
 
 
+def real_if_real(m):
+    """``m`` as a complex array, or as a real one when no entry of the whole
+    stack has an imaginary part: the one test behind every real solve."""
+    m = np.asarray(m)
+    if np.iscomplexobj(m) and m.imag.any():
+        return m
+    return np.ascontiguousarray(m.real, dtype=float)
+
+
 def eigvalsh(m):
-    """Eigenvalues (ascending) of a Hermitian matrix."""
-    return np.linalg.eigvalsh(np.asarray(m, dtype=complex))
+    """Eigenvalues (ascending) of a Hermitian matrix, or of every matrix in a
+    ``(..., d, d)`` stack; a stack with no imaginary part solves as real
+    symmetric."""
+    return np.linalg.eigvalsh(real_if_real(m))

@@ -168,11 +168,18 @@ def _float_template(shape: tuple) -> str:
     return "[" + ",".join([_float_template(shape[1:])] * shape[0]) + "]"
 
 
-def matrix_from_json(rows, field_name: str) -> np.ndarray:
-    m = np.array([[complex(c[0], c[1]) for c in row] for row in rows])
-    if not np.isfinite(m).all():
+def matrix_from_json(rows, field_name: str, d: int) -> np.ndarray:
+    """The ``d x d`` complex matrix of a row-major list of ``[re, im]`` pairs;
+    anything else is an InvalidInput naming ``field_name``."""
+    try:
+        pairs = np.asarray(rows)
+    except ValueError as exc:  # ragged rows
+        raise InvalidInput(f"malformed matrix in {field_name}: {exc}") from exc
+    if pairs.dtype.kind not in "biuf" or pairs.shape != (d, d, 2):
+        raise InvalidInput(f"{field_name} is not a {d}x{d} matrix of [re, im] number pairs")
+    if not np.isfinite(pairs).all():
         raise InvalidInput(f"non-finite matrix entry in {field_name}")
-    return m
+    return pairs.astype(float).view(complex)[..., 0]
 
 
 def strategy_to_dict(strategy: Strategy, arrays: bool = False) -> dict:
@@ -198,22 +205,30 @@ def strategy_to_dict(strategy: Strategy, arrays: bool = False) -> dict:
 
 def strategy_from_dict(data: dict) -> Strategy:
     try:
-        n = int(data["n"])
+        try:
+            n = int(data["n"])
+        except (ValueError, OverflowError) as exc:
+            raise InvalidInput(f"strategy file field n is not an integer: {exc}") from exc
+        if n < 2:
+            raise InvalidInput(f"need at least two senders, got n={n}")
         task = data.get("task", "ghz")
         senders = []
         for j, entry in enumerate(data["senders"]):
             rho = np.zeros((2, 2, 2, 2), dtype=complex)
             for a in range(2):
                 for x in range(2):
-                    rho[a, x] = matrix_from_json(entry["rho"][a][x], f"senders[{j}].rho[{a}][{x}]")
+                    rho[a, x] = matrix_from_json(entry["rho"][a][x],
+                                                 f"senders[{j}].rho[{a}][{x}]", 2)
             senders.append(SenderStates(rho))
-        povm = Povm(np.stack([matrix_from_json(m, f"povm[{k}]")
+        povm = Povm(np.stack([matrix_from_json(m, f"povm[{k}]", 2**n)
                               for k, m in enumerate(data["povm"])]))
         observables = None
         if "observables" in data:
-            observables = np.stack([matrix_from_json(o, f"observables[{i}]")
+            observables = np.stack([matrix_from_json(o, f"observables[{i}]", 2)
                                     for i, o in enumerate(data["observables"])])
-    except (KeyError, IndexError, TypeError) as exc:
+    except InvalidInput:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed strategy file: {exc}") from exc
     strategy = Strategy(n=n, senders=tuple(senders), povm=povm, task=task,
                         observables=observables)
@@ -388,21 +403,24 @@ def _cmd_spectrum(config: RunConfig) -> tuple:
     n = config.n
     ops = parametrized_a_operators([np.pi / 4] * n)
     from .linalg import herm_eigvals
-    from .scenario import witness_operators
+    from .scenario import witness_chunks, witness_operator
 
-    ws = witness_operators(ops)
     want = config.options["s"]
-    outcomes = range(2**n) if want == "all" else [outcome_index(want, n)]
+    if want == "all":
+        stream = witness_chunks(ops)
+    else:
+        m = outcome_index(want, n)
+        stream = [(slice(m, m + 1), witness_operator(n, m, ops)[None])]
     eigenvalues = {}
     max_dev = 0.0
     min_gap = float("inf")
-    for m in outcomes:
-        closed = spectrum_closed_form(n, m)
-        numeric = herm_eigvals(ws[m])
-        sorted_closed = np.sort(closed)
-        max_dev = max(max_dev, float(np.abs(numeric - sorted_closed).max()))
-        min_gap = min(min_gap, float(sorted_closed[-1] - sorted_closed[-2]))
-        eigenvalues[outcome_label(m, n)] = [float(v) for v in closed]
+    for part, ws in stream:
+        for m, numeric in zip(range(2**n)[part], herm_eigvals(ws)):
+            closed = spectrum_closed_form(n, m)
+            sorted_closed = np.sort(closed)
+            max_dev = max(max_dev, float(np.abs(numeric - sorted_closed).max()))
+            min_gap = min(min_gap, float(sorted_closed[-1] - sorted_closed[-2]))
+            eigenvalues[outcome_label(m, n)] = closed
     tol = config.tolerances.get("spectrum", DEFAULT_TOLERANCES["spectrum"])
     passed = max_dev <= tol
     results = {

@@ -3,6 +3,9 @@
 Plain ``numpy.ndarray`` (complex128) carries all operators. Matrices here
 are small (dimension at most 2**7 = 128); Kronecker products and Hermitian
 eigensolves run through NumPy/LAPACK in :mod:`ghz_selftest.backends`.
+:func:`herm_eigvals` gates, symmetrizes and solves a stack with no imaginary
+part in real arithmetic (for a real ``m``, ``|m - m^dag|`` is ``|m - m^T|``,
+so the gate's verdict is the same); :func:`herm_eig` always solves complex.
 """
 
 from dataclasses import dataclass
@@ -42,9 +45,12 @@ def dagger(m) -> np.ndarray:
 
 
 def require_hermitian(m, atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """Return ``m`` as a complex array, raising NotHermitian if it is not;
-    a ``(..., d, d)`` stack passes only if every matrix in it does."""
-    m = np.asarray(m, dtype=complex)
+    """Return ``m`` as a complex array (a float array stays real), raising
+    NotHermitian if it is not; a ``(..., d, d)`` stack passes only if every
+    matrix in it does."""
+    m = np.asarray(m)
+    if m.dtype != float:
+        m = m.astype(complex, copy=False)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise InvalidInput(f"expected a square matrix, got shape {m.shape}")
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
@@ -77,14 +83,15 @@ def herm_eig(m) -> EigenSystem:
     floating-point asymmetry (within the Hermiticity gate) cannot leak
     into the spectrum.
     """
-    m = require_hermitian(m)
+    m = require_hermitian(np.asarray(m, dtype=complex))
     w, v = backends.eigh((m + dagger(m)) / 2)
     return EigenSystem(values=w, vectors=v)
 
 
 def herm_eigvals(m) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix (or of a stack of them)."""
-    m = require_hermitian(m)
+    """Ascending eigenvalues of a Hermitian matrix (or of a stack of them);
+    a stack with no imaginary part is gated and solved as real symmetric."""
+    m = require_hermitian(backends.real_if_real(m))
     return backends.eigvalsh((m + dagger(m)) / 2)
 
 

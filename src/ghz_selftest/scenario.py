@@ -102,16 +102,24 @@ def witness_operator(n: int, s, ops: np.ndarray) -> np.ndarray:
     return signed_sum(witness_signs(n)[outcome_index(s, n)].tolist(), witness_terms(ops))
 
 
-def witness_operators(ops: np.ndarray) -> np.ndarray:
-    """All ``2**n`` witnesses stacked, indexed by outcome; stacked ``ops``
-    ``(..., n, 2, 2, 2)`` give ``(..., 2**n, 2**n, 2**n)``."""
+def witness_chunks(ops: np.ndarray):
+    """Yield ``(outcomes, witnesses)``: a slice of outcomes holding at most
+    ``CHUNK_ELEMENTS`` entries per leading index, and their witnesses
+    ``(..., len, 2**n, 2**n)``, so no caller needs all ``2**n`` at once."""
     n = ops.shape[-4]
     d = 2**n
     terms = [t[..., None, :, :] for t in witness_terms(ops)]
-    out = np.empty(ops.shape[:-4] + (d, d, d), dtype=complex)
-    # outcomes in chunks of at most CHUNK_ELEMENTS entries per leading index
     for part in chunks(d, d * d):
-        out[..., part, :, :] = signed_sum(witness_signs(n)[part].T[..., None, None], terms)
+        yield part, signed_sum(witness_signs(n)[part].T[..., None, None], terms)
+
+
+def witness_operators(ops: np.ndarray) -> np.ndarray:
+    """All ``2**n`` witnesses stacked, indexed by outcome; stacked ``ops``
+    ``(..., n, 2, 2, 2)`` give ``(..., 2**n, 2**n, 2**n)``."""
+    d = 2 ** ops.shape[-4]
+    out = np.empty(ops.shape[:-4] + (d, d, d), dtype=complex)
+    for part, ws in witness_chunks(ops):
+        out[..., part, :, :] = ws
     return out
 
 

@@ -28,7 +28,7 @@ from .linalg import (
 from .scenario import (
     a_operators,
     success_metric,
-    witness_operators,
+    witness_chunks,
     witness_signs,
     witness_terms,
 )
@@ -83,9 +83,10 @@ def sos_residual(n: int, s, ops: np.ndarray) -> float:
 
 def witness_spectra(ops: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of every witness, shape ``(2**n, 2**n)``; the
-    local unitaries of :func:`align_locals` leave them unchanged. One solve
-    per outcome keeps one symmetrized copy alive instead of a second stack."""
-    return np.stack([herm_eigvals(w) for w in witness_operators(ops)])
+    local unitaries of :func:`align_locals` leave them unchanged. The
+    witnesses stream in the chunks of :func:`witness_chunks`, one stacked
+    solve each, so the ``(2**n, 2**n, 2**n)`` stack is never held."""
+    return np.concatenate([herm_eigvals(ws) for _, ws in witness_chunks(ops)])
 
 
 def sos_passes(residual: float, min_shifted: float, tol: dict) -> bool:

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import backends
 from .errors import InvalidBloch, InvalidInput
-from .linalg import I2, PAULIS, projector, tensor
+from .linalg import I2, PAULIS, chunks, dagger, projector
 from .rng import make_rng
 
 COS8 = np.cos(np.pi / 8)
@@ -71,6 +72,17 @@ def bloch_vector(rho) -> np.ndarray:
     return np.array([float(np.trace(rho @ p).real) for p in PAULIS])
 
 
+def _first_failure(*failed):
+    """``(element, check)`` for the first element that fails any of the
+    per-element masks ``failed`` (one per check, in the order the checks
+    apply), with the first check it fails; None when every element passes."""
+    failed = np.array(failed)
+    if not failed.any():
+        return None
+    k = int(failed.any(axis=0).argmax())
+    return k, int(failed[:, k].argmax())
+
+
 @dataclass(frozen=True)
 class SenderStates:
     """One sender's four message states, ``rho[a, x]`` of shape (2, 2, 2, 2)."""
@@ -84,15 +96,18 @@ class SenderStates:
         object.__setattr__(self, "rho", rho)
 
     def validate(self, atol: float = 1e-10) -> None:
-        for a in range(2):
-            for x in range(2):
-                m = self.rho[a, x]
-                if np.abs(m - m.conj().T).max() > atol:
-                    raise InvalidInput(f"state ({a}|{x}) is not Hermitian")
-                if abs(np.trace(m).real - 1) > atol:
-                    raise InvalidInput(f"state ({a}|{x}) has trace {np.trace(m).real}")
-                if np.linalg.eigvalsh(m).min() < -atol:
-                    raise InvalidInput(f"state ({a}|{x}) is not positive semidefinite")
+        m = backends.real_if_real(self.rho.reshape(4, 2, 2))  # row 2a + x
+        traces = np.trace(m, axis1=1, axis2=2).real
+        failed = _first_failure(
+            np.abs(m - dagger(m)).max(axis=(1, 2)) > atol,
+            abs(traces - 1) > atol,
+            backends.eigvalsh(m)[:, 0] < -atol,
+        )
+        if failed is not None:
+            k, check = failed
+            reason = ("is not Hermitian", f"has trace {traces[k]}",
+                      "is not positive semidefinite")[check]
+            raise InvalidInput(f"state ({k // 2}|{k % 2}) {reason}")
 
 
 @dataclass(frozen=True)
@@ -115,11 +130,16 @@ class Povm:
         return self.elements.shape[0]
 
     def validate(self, atol: float = 1e-9, psd_atol: float = 1e-10) -> None:
-        for k, m in enumerate(self.elements):
-            if np.abs(m - m.conj().T).max() > atol:
-                raise InvalidInput(f"POVM element {k} is not Hermitian")
-            if np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -psd_atol:
-                raise InvalidInput(f"POVM element {k} is not positive semidefinite")
+        for part in chunks(len(self), self.dim**2):
+            m = backends.real_if_real(self.elements[part])
+            failed = _first_failure(
+                np.abs(m - dagger(m)).max(axis=(1, 2)) > atol,
+                backends.eigvalsh((m + dagger(m)) / 2)[:, 0] < -psd_atol,
+            )
+            if failed is not None:
+                k, check = failed
+                reason = ("Hermitian", "positive semidefinite")[check]
+                raise InvalidInput(f"POVM element {part.start + k} is not {reason}")
         if np.abs(self.elements.sum(axis=0) - np.eye(self.dim)).max() > atol:
             raise InvalidInput("POVM elements do not sum to the identity")
 
@@ -229,8 +249,7 @@ def ghz_basis(n: int) -> np.ndarray:
 
 def ghz_povm(n: int) -> Povm:
     """Rank-1 projective measurement onto the 2**n GHZ basis vectors."""
-    els = np.stack([projector(ghz_basis_state(m, n)) for m in range(2**n)])
-    return Povm(els)
+    return Povm(projector(ghz_basis(n).T))
 
 
 def random_projectors(rng, count: int) -> np.ndarray:

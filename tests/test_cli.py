@@ -220,6 +220,30 @@ class TestRun:
         assert "non-finite" in err and path in err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("defect, field", [
+        ("third number in a pair", "povm[0]"),
+        ("three of four entries in a row", "povm[1]"),
+        ("2x3 matrix", "senders[0].rho[0][0]"),
+        ("n not a number", "n is not an integer"),
+    ])
+    def test_malformed_strategy_file_is_an_input_error(self, tmp_path, capsys, defect, field):
+        data = strategy_to_dict(ideal_strategy(2))
+        if defect == "third number in a pair":
+            data["povm"][0][0][0].append(5.0)
+        elif defect == "three of four entries in a row":
+            del data["povm"][1][2][3]
+        elif defect == "2x3 matrix":
+            data["senders"][0]["rho"][0][0] = [row + [[0.0, 0.0]] for row in
+                                               data["senders"][0]["rho"][0][0]]
+        else:
+            data["n"] = "two"
+        strat = tmp_path / "s.json"
+        strat.write_text(json.dumps(data))
+        code = run(parse_args(["certify", "--input", str(strat), "-o", str(tmp_path / "r.json")]))
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_tolerance_override_applies(self, tmp_path):
         out = tmp_path / "r.json"
         code = run(parse_args(["spectrum", "--n", "3", "--tol.spectrum=1e-30", "-o", str(out)]))
@@ -402,3 +426,12 @@ class TestRun:
         assert res["max_numeric_deviation"] <= 1e-9
         assert abs(res["top_value"] - 4 * np.sqrt(2)) < 1e-12
         assert len(res["eigenvalues_by_outcome"]) == 8
+
+    def test_spectrum_of_one_outcome_matches_its_entry_in_all(self, tmp_path):
+        one, every = tmp_path / "one.json", tmp_path / "all.json"
+        assert run(parse_args(["spectrum", "--n", "4", "--s", "0110", "-o", str(one)])) == 0
+        assert run(parse_args(["spectrum", "--n", "4", "-o", str(every)])) == 0
+        one, every = (json.loads(p.read_text())["results"] for p in (one, every))
+        assert one["eigenvalues_by_outcome"] == {
+            "0110": every["eigenvalues_by_outcome"]["0110"]}
+        assert one["max_numeric_deviation"] <= every["max_numeric_deviation"] <= 1e-9

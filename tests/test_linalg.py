@@ -5,10 +5,17 @@ import pytest
 
 from ghz_selftest import backends
 from ghz_selftest.errors import InvalidInput, NotHermitian
+from ghz_selftest.fixtures import (
+    computational_strategy,
+    depolarized_strategy,
+    ideal_strategy,
+    literal_ideal_strategy,
+)
 from ghz_selftest.linalg import (
     I2,
     SIGMA_X,
     SIGMA_Z,
+    dagger,
     fix_phase,
     herm_eig,
     herm_eigvals,
@@ -17,8 +24,15 @@ from ghz_selftest.linalg import (
     projector,
     tensor,
 )
+from ghz_selftest.scenario import a_operators, witness_operators
 
 SQRT2 = np.sqrt(2)
+REAL_FIXTURES = {
+    "ideal": ideal_strategy,
+    "literal": literal_ideal_strategy,
+    "computational": computational_strategy,
+    "depolarized": lambda n: depolarized_strategy(n, 0.05),
+}
 
 
 def random_hermitian(rng, d):
@@ -184,6 +198,69 @@ class TestHermEig:
             es = herm_eig(m)
             tr = float(np.trace(m).real)
             assert abs(es.values.sum() - tr) <= 1e-9 * max(1.0, abs(tr))
+
+
+def complex_eigvalsh(m):
+    """The complex solve of the symmetrized stack, as herm_eigvals runs it
+    on a stack with an imaginary part."""
+    m = np.asarray(m, dtype=complex)
+    return np.linalg.eigvalsh((m + dagger(m)) / 2)
+
+
+class TestRealSolve:
+    @staticmethod
+    def assert_agree(m, got):
+        scale = max(1.0, float(np.abs(m).max()))
+        assert np.abs(got - complex_eigvalsh(m)).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 16, 32, 64, 128])
+    def test_real_valued_complex_stack_matches_the_complex_solve(self, d):
+        rng = np.random.default_rng(d)
+        g = rng.normal(size=(5, d, d))
+        m = (g + g.swapaxes(1, 2)).astype(complex)
+        self.assert_agree(m, herm_eigvals(m))
+        self.assert_agree(m, backends.eigvalsh(m))
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("fixture", sorted(REAL_FIXTURES))
+    def test_witnesses_of_real_fixtures_match_the_complex_solve(self, fixture, n):
+        ws = witness_operators(a_operators(REAL_FIXTURES[fixture](n)))
+        assert ws.dtype == complex and not ws.imag.any()
+        self.assert_agree(ws, herm_eigvals(ws))
+
+    def test_one_imaginary_entry_keeps_the_complex_solve_bitwise(self):
+        rng = np.random.default_rng(12)
+        g = rng.normal(size=(4, 8, 8))
+        m = (g + g.swapaxes(1, 2)).astype(complex)
+        m[2, 0, 1] += 1e-3j
+        m[2, 1, 0] -= 1e-3j
+        assert herm_eigvals(m).tobytes() == complex_eigvalsh(m).tobytes()
+        assert backends.eigvalsh(m).tobytes() == np.linalg.eigvalsh(m).tobytes()
+
+    def test_solver_sees_real_input_only_for_real_stacks(self, monkeypatch):
+        seen = []
+        real_eigvalsh = np.linalg.eigvalsh
+
+        def recording_eigvalsh(m):
+            seen.append(m.dtype)
+            return real_eigvalsh(m)
+
+        monkeypatch.setattr(backends.np.linalg, "eigvalsh", recording_eigvalsh)
+        m = np.stack([np.eye(4), np.diag([1.0, 2, 3, 4])]).astype(complex)
+        herm_eigvals(m)
+        m[1, 0, 1] += 1e-300j
+        m[1, 1, 0] -= 1e-300j
+        herm_eigvals(m)
+        assert seen == [np.dtype(float), np.dtype(complex)]
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_real_gate_rejects_what_the_complex_gate_rejects(self, dtype):
+        stack = np.stack([np.eye(3), np.diag([1.0, -2, 3]), np.full((3, 3), 3.0)]).astype(dtype)
+        stack[2, 0, 1] += 0.5e-10 * 3  # within atol times the matrix's scale
+        herm_eigvals(stack)
+        stack[2, 0, 1] += 1.5e-10 * 3
+        with pytest.raises(NotHermitian):
+            herm_eigvals(stack)
 
 
 class TestFixPhase:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -113,14 +115,26 @@ class TestSosResidual:
 
 
 class TestWitnessSpectra:
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_per_outcome_solves(self, n):
         ops = a_operators(random_antipodal_strategy(n, 3))
         ws = witness_operators(ops)
+        assert ws.imag.any(axis=(1, 2)).all()  # every solve is complex
         spectra = witness_spectra(ops)
         assert spectra.shape == (2**n, 2**n)
         for m in range(2**n):
             assert np.array_equal(spectra[m], herm_eigvals(ws[m]))
+
+    def test_never_holds_the_witness_stack(self):
+        ops = a_operators(ideal_strategy(7))
+        witness_spectra(ops)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            witness_spectra(ops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6  # the (128, 128, 128) complex stack alone is 33.5 MB
 
     def test_min_shifted_eigenvalue_matches_shifted_solves(self):
         # mixed messages at even n: the top eigenvalue differs between outcomes

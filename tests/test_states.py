@@ -1,3 +1,5 @@
+from functools import cache
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from ghz_selftest.linalg import I2, SIGMA_X, SIGMA_Z, projector
 from ghz_selftest.scenario import a_operators, witness_operator
 from ghz_selftest.selftest import antipodality_gap
 from ghz_selftest.states import (
+    Povm,
+    SenderStates,
     aligned_sender_states,
     bloch_to_state,
     ghz_basis,
@@ -161,9 +165,85 @@ class TestRandomStrategies:
     def test_ghz_povm_validates(self):
         ghz_povm(3).validate()
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_ghz_povm_is_the_per_outcome_projector_stack(self, n):
+        want = np.stack([projector(ghz_basis_state(m, n)) for m in range(2**n)])
+        assert ghz_povm(n).elements.tobytes() == want.tobytes()
+
     def test_a_operators_of_random_are_contractions(self):
         ops = a_operators(random_mixed_strategy(2, 3))
         for j in range(2):
             for x in range(2):
                 ev = np.linalg.eigvalsh(ops[j, x])
                 assert ev.min() >= -1 - 1e-12 and ev.max() <= 1 + 1e-12
+
+
+@cache
+def povm_elements(n: int, kind: str) -> np.ndarray:
+    """Rank-1 projective POVM elements: the GHZ basis (real) or a random
+    basis (complex)."""
+    if kind == "real":
+        return ghz_povm(n).elements
+    return random_strategy(n, 5).povm.elements
+
+
+class TestValidation:
+    """Stacked validation names the first failing element and its first
+    failing check, as a loop over the elements would."""
+
+    @pytest.mark.parametrize("n", [2, 7])  # one chunk; one element per chunk
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("defect", ["Hermitian", "positive semidefinite"])
+    def test_povm_names_the_failing_element(self, n, kind, where, defect):
+        el = povm_elements(n, kind).copy()
+        d = 2**n
+        k = {"first": 0, "middle": d // 2 + 1, "last": d - 1}[where]
+        if defect == "Hermitian":
+            el[k, 0, 1] += 1e-6
+        else:
+            el[k] -= 2e-10 * el[(k + 1) % d]
+        with pytest.raises(InvalidInput) as exc:
+            Povm(el).validate()
+        assert str(exc.value) == f"POVM element {k} is not {defect}"
+
+    @pytest.mark.parametrize("n", [2, 7])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_povm_psd_threshold(self, n, kind):
+        el = povm_elements(n, kind).copy()
+        el[1] -= 0.5e-10 * el[0]  # least eigenvalue -0.5e-10
+        Povm(el).validate()
+        el[1] -= 1.5e-10 * el[0]  # -2e-10
+        with pytest.raises(InvalidInput, match="POVM element 1 is not positive semidefinite"):
+            Povm(el).validate()
+
+    def test_povm_reports_the_earlier_element_and_its_first_check(self):
+        el = povm_elements(2, "complex").copy()
+        el[2] -= 2e-10 * el[0]
+        el[3, 0, 1] += 1e-6
+        with pytest.raises(InvalidInput, match="element 2 is not positive"):
+            Povm(el).validate()
+        el = povm_elements(2, "real").copy()
+        el[1, 0, 1] += 1.0  # neither Hermitian nor positive semidefinite
+        with pytest.raises(InvalidInput, match="element 1 is not Hermitian"):
+            Povm(el).validate()
+
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("defect", ["Hermitian", "trace", "positive semidefinite"])
+    def test_sender_states_name_the_failing_state(self, k, defect):
+        rho = ideal_sender_states(2, 2).rho.copy()
+        a, x = divmod(k, 2)
+        if defect == "Hermitian":
+            rho[a, x, 0, 1] += 1e-6j
+            want = f"state ({a}|{x}) is not Hermitian"
+        elif defect == "trace":
+            rho[a, x] = np.diag([1.0, 0.5])
+            want = f"state ({a}|{x}) has trace 1.5"
+        else:
+            rho[a, x] = np.diag([1.0 + 1e-9, -1e-9])
+            want = f"state ({a}|{x}) is not positive semidefinite"
+        if k < 3:
+            rho[1, 1, 1, 0] += 1e-6  # a later defect never masks an earlier one
+        with pytest.raises(InvalidInput) as exc:
+            SenderStates(rho).validate()
+        assert str(exc.value) == want
