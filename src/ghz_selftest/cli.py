@@ -204,6 +204,10 @@ def strategy_to_dict(strategy: Strategy, arrays: bool = False) -> dict:
 
 
 def strategy_from_dict(data: dict) -> Strategy:
+    """The strategy of a strategy-file dict. Only the file's form is checked
+    here (field shapes, finite entries); whether the states and the POVM are
+    valid is left to the command that uses the strategy, which validates it
+    once (:func:`certify_strategy` does so itself)."""
     try:
         try:
             n = int(data["n"])
@@ -230,10 +234,8 @@ def strategy_from_dict(data: dict) -> Strategy:
         raise
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed strategy file: {exc}") from exc
-    strategy = Strategy(n=n, senders=tuple(senders), povm=povm, task=task,
-                        observables=observables)
-    strategy.validate()
-    return strategy
+    return Strategy(n=n, senders=tuple(senders), povm=povm, task=task,
+                    observables=observables)
 
 
 def save_strategy(strategy: Strategy, path: str) -> None:
@@ -554,6 +556,7 @@ def _cmd_fidelity_bound(config: RunConfig) -> tuple:
 def _cmd_partial_bell(config: RunConfig) -> tuple:
     if config.input_path:
         strategy = load_strategy(config.input_path)
+        strategy.validate()
         if strategy.task != "partial_bell":
             raise InvalidInput("strategy file does not carry a partial_bell task")
     elif config.options["noise"] != 0:

@@ -4,7 +4,11 @@ Both half-steps are exact linear-objective maximizations where possible: a
 sender's states enter every score linearly through its difference operators,
 so the state half-step takes top/bottom eigenvectors of 2x2 effective
 operators; the measurement half-step assigns each outcome the top eigenspace
-of its witness, orthonormalized when the top vectors collide. A candidate
+of its witness, orthonormalized when the top vectors collide. In the GHZ game
+the message operators are traceless, so a local Pauli flip on one slot
+carries each witness onto another: the ``2**n`` witnesses form one orbit
+(odd n) or two (even n), and the measurement step solves one witness per
+orbit and flips its top vector onto every outcome. A candidate
 measurement is only accepted when it does not lower the score, so the score
 history is nondecreasing within a restart.
 
@@ -18,6 +22,7 @@ kernels called without one.
 import math
 import threading
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -35,10 +40,11 @@ from .scenario import (
     counterexample_scores,
     message_operators,
     partial_witnesses,
+    signed_sum,
     success_scores,
     witness_factors,
-    witness_operators,
     witness_signs,
+    witness_terms,
 )
 from .states import (
     Povm,
@@ -119,28 +125,96 @@ def _effective_qubit_operator(f: np.ndarray, spectators: list, slot: int) -> np.
 # ---------------------------------------------------------------------------
 
 
+@cache
+def _orbit_flips(n: int) -> tuple:
+    """Where each outcome's witness sits in its orbit under local flips.
+
+    Conjugating by sender 1's flip operator flips every sign bit of the
+    witness; by sender j's (j >= 2), bits ``s_1`` and ``s_j``. At odd n
+    these flips reach all ``2**n`` outcomes from outcome 0; at even n they
+    keep the parity of ``s``, leaving two orbits, of outcomes 0 and 1.
+    Returns read-only ``(reps, orbit, flips)``: the representative outcomes,
+    each outcome's index into ``reps`` and a ``(2**n, n)`` boolean table
+    whose row m marks the slots to flip to carry ``W_reps[orbit[m]]`` onto
+    ``W_m``. Sender j >= 2 flips where ``s_j`` differs from sender 1's flip.
+    """
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    parity = bits.sum(axis=1) & 1
+    if n % 2:  # one orbit; sender 1 flips the outcomes of odd parity
+        reps, orbit, first = np.array([0]), np.zeros_like(parity), parity
+    else:  # the parity names the orbit; sender 1 never flips
+        reps, orbit, first = np.array([0, 1]), parity, np.zeros_like(parity)
+    flips = (bits ^ first[:, None]).astype(bool)
+    flips[:, 0] = first
+    for table in (reps, orbit, flips):
+        table.flags.writeable = False
+    return reps, orbit, flips
+
+
+def _flip_operators(ops: np.ndarray) -> np.ndarray:
+    """Per-sender ``N_j = m_j . sigma`` for message operators ``(..., n, 2, 2, 2)``,
+    stacked ``(..., n, 2, 2)``: ``m_j`` is a unit normal to the Bloch vectors
+    of ``a[j, 0]`` and ``a[j, 1]`` (the last right singular vector of the
+    2x3 Bloch matrix, so collinear or zero vectors still give one), and
+    ``N_j`` anticommutes with every traceless operator in their plane."""
+    lower = ops[..., 1, 0]  # a = b . sigma has a[1, 0] = b_x + i b_y
+    bloch = np.stack([lower.real, lower.imag, (ops[..., 0, 0] - ops[..., 1, 1]).real / 2],
+                     axis=-1)
+    mx, my, mz = np.moveaxis(np.linalg.svd(bloch)[2][..., -1, :], -1, 0)
+    return np.stack([np.stack([mz, mx - 1j * my], axis=-1),
+                     np.stack([mx + 1j * my, -mz], axis=-1)], axis=-2)
+
+
 def _ghz_povm(ops: np.ndarray) -> np.ndarray:
-    """Best receiver measurement for message operators ``(..., n, 2, 2, 2)``,
-    as stacked POVM elements ``(..., 2**n, 2**n, 2**n)``."""
-    d = 2 ** ops.shape[-4]
-    ws = witness_operators(ops)
-    top = fix_phase(herm_eig(ws).vectors[..., -1])  # row m: outcome m's top vector
-    q = _polar_orthonormal(np.swapaxes(top, -1, -2))
+    """Best receiver measurement for traceless message operators
+    ``(..., n, 2, 2, 2)``, as stacked POVM elements ``(..., 2**n, 2**n, 2**n)``.
+
+    Every witness factor on slot j but the identity is traceless and lies in
+    the plane of sender j's Bloch vectors, so conjugating by ``N_j`` (see
+    :func:`_flip_operators`) on that slot flips the sign of every term with
+    such a factor there, and the witnesses
+    form one orbit (odd n) or two (even n) under local flips: ``W_m =
+    N_F W_r N_F``. Only the representatives ``W_r`` are built and solved;
+    outcome m's top vector is its representative's with ``N_j`` applied on
+    each slot of its flip pattern ``F``.
+    """
+    n = ops.shape[-4]
+    d = 2**n
+    reps, orbit, flips = _orbit_flips(n)
+    terms = [t[..., None, :, :] for t in witness_terms(ops)]
+    ws = signed_sum(witness_signs(n)[reps].T[..., None, None], terms)
+    top = herm_eig(ws).vectors[..., -1][..., orbit, :]  # row m: outcome m's top vector
+    flip = np.where(flips[..., None, None], _flip_operators(ops)[..., None, :, :, :], I2)
+    for j in range(n):
+        # slot j of outcome m's vector becomes sum_b u[a, b] v[b], u = N_j or I
+        v = top.reshape(top.shape[:-1] + (2**j, 1, 2, -1))
+        u = flip[..., j, :, :][..., None, :, :, None]
+        top = (u[..., 0, :] * v[..., 0, :] + u[..., 1, :] * v[..., 1, :]).reshape(top.shape)
+    q = _polar_orthonormal(np.swapaxes(fix_phase(top), -1, -2))
     elements = _outer(np.swapaxes(q, -1, -2))
-    zero = np.abs(ws).max(axis=(-3, -2, -1)) <= 1e-12
-    return np.where(zero[..., None, None, None], np.eye(d) / d, elements)
+    # conjugation keeps a zero witness zero, so the representatives decide
+    elements[np.abs(ws).max(axis=(-3, -2, -1)) <= 1e-12] = np.eye(d) / d
+    return elements
 
 
 def optimal_povm_for_states(n: int, ops: np.ndarray) -> Povm:
-    """Best receiver measurement for fixed message operators (GHZ game).
+    """Best receiver measurement for fixed traceless message operators (GHZ game).
 
     Stacks each witness's top eigenvector; when the stack is orthonormal
     (the generic converged case) the rank-1 projectors are the exact argmax,
     otherwise the symmetric orthonormalization of the stack gives a feasible
     measurement. All-zero operators yield the uniform split ``I / 2**n``.
+    The top vectors come from one or two witnesses by local flips, which
+    needs ``Tr a[j, x] = 0``: operators with ``|Tr a[j, x]| > 1e-9`` (not a
+    difference of two unit-trace states) raise InvalidInput.
     """
     if ops.shape != (n, 2, 2, 2):
         raise InvalidInput(f"operators have shape {ops.shape}, expected ({n},2,2,2)")
+    traces = np.abs(np.trace(ops, axis1=-2, axis2=-1))
+    if (traces > 1e-9).any():
+        j, x = np.argwhere(traces > 1e-9)[0].tolist()
+        raise InvalidInput(f"message operator of sender {j + 1}, input {x} has trace "
+                           f"{traces[j, x]:.3g}; the GHZ measurement step needs traceless ones")
     return Povm(_ghz_povm(ops))
 
 
@@ -150,10 +224,11 @@ def _ghz_sweep(rho: np.ndarray, elements: np.ndarray) -> np.ndarray:
     n = rho.shape[-5]
     rho = rho.copy()
     ops = message_operators(rho)
-    # signed element sums f_j = sum_s (-1)^{s_j} M_s
-    els = np.moveaxis(elements, -3, 0)
-    fs = [sum(c * el for c, el in zip(col, els))
-          for col in np.sign(witness_signs(n)).T.tolist()]
+    # signed element sums f_j = sum_s (-1)^{s_j} M_s, one product with the sign table
+    d = elements.shape[-1]
+    fs = np.sign(witness_signs(n)).T @ elements.reshape(
+        elements.shape[:-2] + (d * d,))
+    fs = np.moveaxis(fs.reshape(fs.shape[:-1] + (d, d)), -3, 0)
     for j in range(n):
         # the spectators of each witness term; the entry at the updated slot is ignored
         spect = witness_factors(ops)
@@ -313,7 +388,7 @@ GAMES = {
         _ghz_sweep,
         lambda rho, els: success_scores(message_operators(rho), els),
         _ghz_build,
-        lambda n: 8**n,  # 2**n witnesses or POVM elements of 2**n x 2**n
+        lambda n: 8**n,  # 2**n POVM elements of 2**n x 2**n
     ),
     "counterexample": _Game(
         _counterexample_start,

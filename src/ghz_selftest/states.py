@@ -34,11 +34,11 @@ def outcome_bits(s, n: int) -> tuple:
         return tuple((int(s) >> (j - 1)) & 1 for j in range(1, n + 1))
     if isinstance(s, str):
         if len(s) != n or any(c not in "01" for c in s):
-            raise InvalidInput(f"outcome string {s!r} is not an {n}-bit word")
+            raise InvalidInput(f"outcome string {s!r} is not a {n}-bit word")
         return tuple(int(c) for c in s)
     bits = tuple(int(b) for b in s)
     if len(bits) != n or any(b not in (0, 1) for b in bits):
-        raise InvalidInput(f"outcome {s!r} is not an {n}-bit word")
+        raise InvalidInput(f"outcome {s!r} is not a {n}-bit word")
     return bits
 
 

@@ -405,6 +405,38 @@ class TestRun:
         assert abs(res["witness_traces"][2] - 4 * np.sqrt(2)) < 1e-10
         assert abs(res["fidelity_bound"] - 1) < 1e-10
 
+    @pytest.mark.parametrize("command, strategy", [
+        ("certify", ideal_strategy(3)), ("partial-bell", partial_bell_strategy()),
+    ])
+    def test_strategy_file_is_validated_once(self, tmp_path, monkeypatch, command, strategy):
+        calls = []
+        validate = Povm.validate
+
+        def counting(self, *args, **kwargs):
+            calls.append(len(self))
+            return validate(self, *args, **kwargs)
+
+        monkeypatch.setattr(Povm, "validate", counting)
+        strat = tmp_path / "s.json"
+        save_strategy(strategy, str(strat))
+        code = run(parse_args([command, "--input", str(strat), "-o", str(tmp_path / "r.json")]))
+        assert code == 0
+        assert calls == [len(strategy.povm)]
+
+    @pytest.mark.parametrize("command, strategy", [
+        ("certify", ideal_strategy(2)), ("partial-bell", partial_bell_strategy()),
+    ])
+    def test_invalid_strategy_file_is_an_input_error(self, tmp_path, capsys, command, strategy):
+        data = strategy_to_dict(strategy)
+        data["povm"][1] = [[[-re, -im] for re, im in row] for row in data["povm"][1]]
+        strat = tmp_path / "s.json"
+        strat.write_text(json.dumps(data))
+        out = tmp_path / "r.json"
+        assert run(parse_args([command, "--input", str(strat), "-o", str(out)])) == 2
+        assert capsys.readouterr().err == (
+            f"{command}: error: POVM element 1 is not positive semidefinite\n")
+        assert not out.exists()
+
     def test_partial_bell_strategy_file(self, tmp_path):
         strat = tmp_path / "pb.json"
         out = tmp_path / "r.json"

@@ -4,15 +4,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ghz_selftest import backends
 from ghz_selftest.errors import InvalidInput
-from ghz_selftest.fixtures import ideal_strategy, partial_bell_strategy
-from ghz_selftest.linalg import I2, projector, tensor
+from ghz_selftest.fixtures import computational_strategy, ideal_strategy, partial_bell_strategy
+from ghz_selftest.linalg import I2, fix_phase, herm_eig, projector, tensor
 from ghz_selftest.optimize import (
     GAMES,
     SeesawConfig,
+    _flip_operators,
     _Game,
     _effective_qubit_operator,
+    _ghz_povm,
+    _ghz_sweep,
     _lockstep,
+    _orbit_flips,
+    _outer,
+    _polar_orthonormal,
     optimal_povm_for_states,
     optimal_states_for_povm,
     seesaw,
@@ -24,7 +31,9 @@ from ghz_selftest.scenario import (
     a_operators,
     comm_metric,
     counterexample_value,
+    message_operators,
     success_metric,
+    witness_operators,
 )
 from ghz_selftest.selftest import antipodality_gap, classify_outcome_measurement
 from ghz_selftest.states import (
@@ -34,6 +43,8 @@ from ghz_selftest.states import (
     ghz_basis_state,
     ghz_povm,
     random_antipodal_strategy,
+    random_messages,
+    random_mixed_strategy,
     random_strategy,
 )
 
@@ -136,10 +147,101 @@ class TestPovmStep:
             fixed = success_metric(Strategy(n=2, senders=s.senders, povm=ghz_povm(2)))
             assert constructed >= fixed - 1e-10
 
+    def test_operators_with_trace_are_rejected(self):
+        ops = a_operators(random_mixed_strategy(3, 7))
+        optimal_povm_for_states(3, ops).validate()
+        ops[1, 0] += 1e-6 * I2
+        with pytest.raises(InvalidInput, match="sender 2, input 0"):
+            optimal_povm_for_states(3, ops)
+
     def test_output_is_valid_povm(self):
         for seed in range(10):
             s = random_strategy(3, seed)
             optimal_povm_for_states(3, a_operators(s)).validate()
+
+
+def reference_ghz_povm(ops):
+    """The measurement step solving every witness: each outcome's top vector
+    from its own witness, then the same orthonormalization and zero rule."""
+    d = 2 ** ops.shape[-4]
+    ws = witness_operators(ops)
+    top = fix_phase(herm_eig(ws).vectors[..., -1])
+    elements = _outer(np.swapaxes(_polar_orthonormal(np.swapaxes(top, -1, -2)), -1, -2))
+    zero = np.abs(ws).max(axis=(-3, -2, -1)) <= 1e-12
+    return np.where(zero[..., None, None, None], np.eye(d) / d, elements)
+
+
+ORBIT_INPUTS = {
+    "random pure": lambda n: a_operators(random_strategy(n, 40 + n)),
+    "random mixed": lambda n: a_operators(random_mixed_strategy(n, 50 + n)),
+    "computational": lambda n: a_operators(computational_strategy(n)),
+    "zero": lambda n: np.zeros((n, 2, 2, 2), dtype=complex),
+}
+
+
+class TestWitnessOrbits:
+    @pytest.mark.parametrize("kind", list(ORBIT_INPUTS))
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_each_witness_is_its_representative_flipped(self, n, kind):
+        ops = ORBIT_INPUTS[kind](n)
+        ws = witness_operators(ops)
+        flip_ops = _flip_operators(ops)
+        assert np.abs(flip_ops @ flip_ops - I2).max() <= 1e-14
+        reps, orbit, flips = _orbit_flips(n)
+        assert len(reps) == 2 - n % 2
+        for m in range(2**n):
+            nf = tensor([flip_ops[j] if flips[m, j] else I2 for j in range(n)])
+            assert np.abs(nf @ ws[reps[orbit[m]]] @ nf - ws[m]).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_one_flip_changes_the_documented_sign_bits(self, n):
+        ops = ORBIT_INPUTS["random mixed"](n)
+        ws = witness_operators(ops)
+        flip_ops = _flip_operators(ops)
+        for j in range(n):
+            # sender 1 flips every bit; sender j >= 2 flips s_1 and s_j
+            pattern = 2**n - 1 if j == 0 else 1 | 1 << j
+            nf = tensor([flip_ops[k] if k == j else I2 for k in range(n)])
+            for m in range(2**n):
+                assert np.abs(nf @ ws[m] @ nf - ws[m ^ pattern]).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_the_full_solve_where_top_eigenvalues_are_simple(self, n):
+        # see-saw inputs: random starts and the messages after one and two sweeps
+        inputs = []
+        for seed in range(6):
+            rho = random_messages(n, 90 + seed)
+            for _ in range(3):
+                inputs.append(message_operators(rho))
+                rho = _ghz_sweep(rho, _ghz_povm(message_operators(rho)))
+        checked = 0
+        for ops in inputs:
+            values = np.linalg.eigvalsh(witness_operators(ops))
+            if (values[:, -1] - values[:, -2]).min() <= 1e-8:
+                continue  # a degenerate top eigenvalue: either top vector is an argmax
+            assert np.abs(_ghz_povm(ops) - reference_ghz_povm(ops)).max() <= 1e-10
+            checked += 1
+        assert checked >= len(inputs) // 2
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_one_solve_per_orbit_and_restart(self, n, monkeypatch):
+        solved = []
+        eigh = backends.eigh
+
+        def spy(m):
+            solved.append(np.shape(m))
+            return eigh(m)
+
+        monkeypatch.setattr(backends, "eigh", spy)
+        d, orbits = 2**n, 2 - n % 2
+        msgs = np.stack([random_messages(n, seed) for seed in range(3)])
+        GAMES["ghz"].measure(msgs)
+        assert solved == [(3, orbits, d, d)]
+        # every witness-sized solve of a whole search is one such step
+        solved.clear()
+        seesaw(SeesawConfig(n=n, restarts=3, max_iters=5, seed=1))
+        steps = [shape for shape in solved if shape[-1] == d]
+        assert steps and all(shape[1:] == (orbits, d, d) and shape[0] <= 3 for shape in steps)
 
 
 class TestStatesStep:
