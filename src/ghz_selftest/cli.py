@@ -42,12 +42,14 @@ from .fixtures import (
     partial_bell_strategy,
     separable_fixture,
 )
+from .linalg import herm_eigvals
 from .optimize import SeesawConfig, seesaw
 from .robustness import (
     FidelityBoundParams,
     analytic_params,
     fidelity_lower_bound,
     margin_grid,
+    parametrized_a_operators,
     partial_fidelity_bound,
 )
 from .scenario import (
@@ -60,21 +62,24 @@ from .scenario import (
     partial_witnesses,
     rac_bound,
     rac_metric,
+    witness_operator,
 )
 from .selftest import (
-    DEFAULT_TOLERANCES,
     certify_strategy,
     classify_outcome_measurement,
     min_shifted_eigenvalue,
+    resolve_tolerances,
     sos_passes,
     sos_residual,
     spectrum_closed_form,
+    spectrum_deviation,
     witness_spectra,
 )
 from .states import (
     Povm,
     SenderStates,
     Strategy,
+    aligned_sender_states,
     outcome_index,
     outcome_label,
     random_antipodal_strategy,
@@ -259,14 +264,9 @@ def _extract_tolerances(argv) -> tuple:
     rest = []
     for token in argv:
         if token.startswith("--tol."):
-            body = token[len("--tol."):]
-            if "=" not in body:
+            name, eq, value = token[len("--tol."):].partition("=")
+            if not eq:
                 raise InvalidInput(f"tolerance override {token!r} must be --tol.NAME=VALUE")
-            name, _, value = body.partition("=")
-            if name not in DEFAULT_TOLERANCES:
-                raise InvalidInput(
-                    f"unknown tolerance {name!r}; known: {sorted(DEFAULT_TOLERANCES)}"
-                )
             try:
                 tol[name] = float(value)
             except ValueError as exc:
@@ -297,11 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.0,
                    help="noise level for the depolarized fixture")
 
-    p = sub.add_parser("spectrum", help="closed-form witness spectrum vs. numerics")
+    p = sub.add_parser("spectrum", help="certify's witness-spectrum check on the reference frame")
     common(p)
     p.add_argument("--s", default="all", help="outcome word (sign bit first) or 'all'")
 
-    p = sub.add_parser("sos", help="sum-of-squares residuals on random antipodal strategies")
+    p = sub.add_parser("sos", help="certify's sum-of-squares check on random antipodal strategies")
     common(p)
     p.add_argument("--samples", type=int, default=50)
 
@@ -352,6 +352,7 @@ def parse_args(argv) -> RunConfig:
     parser = build_parser()
     try:
         tolerances, rest = _extract_tolerances(argv)
+        resolve_tolerances(tolerances)
     except InvalidInput as exc:
         parser.error(str(exc))
     ns = parser.parse_args(rest)
@@ -400,38 +401,28 @@ def _cmd_certify(config: RunConfig) -> tuple:
 
 
 def _cmd_spectrum(config: RunConfig) -> tuple:
-    from .robustness import parametrized_a_operators
-
     n = config.n
     ops = parametrized_a_operators([np.pi / 4] * n)
-    from .linalg import herm_eigvals
-    from .scenario import witness_chunks, witness_operator
-
     want = config.options["s"]
     if want == "all":
-        stream = witness_chunks(ops)
+        outcomes = range(2**n)
+        spectra = witness_spectra(ops)
     else:
-        m = outcome_index(want, n)
-        stream = [(slice(m, m + 1), witness_operator(n, m, ops)[None])]
-    eigenvalues = {}
-    max_dev = 0.0
-    min_gap = float("inf")
-    for part, ws in stream:
-        for m, numeric in zip(range(2**n)[part], herm_eigvals(ws)):
-            closed = spectrum_closed_form(n, m)
-            sorted_closed = np.sort(closed)
-            max_dev = max(max_dev, float(np.abs(numeric - sorted_closed).max()))
-            min_gap = min(min_gap, float(sorted_closed[-1] - sorted_closed[-2]))
-            eigenvalues[outcome_label(m, n)] = closed
-    tol = config.tolerances.get("spectrum", DEFAULT_TOLERANCES["spectrum"])
-    passed = max_dev <= tol
+        outcomes = [outcome_index(want, n)]
+        spectra = herm_eigvals(witness_operator(n, outcomes[0], ops)[None])
+    max_dev = spectrum_deviation(n, spectra)
+    # sorted, the closed form is one row for every outcome
+    top = np.sort(spectrum_closed_form(n, 0))
+    gap = float(top[-1] - top[-2])
     results = {
-        "eigenvalues_by_outcome": eigenvalues,
+        "eigenvalues_by_outcome": {outcome_label(m, n): spectrum_closed_form(n, m)
+                                   for m in outcomes},
         "max_numeric_deviation": max_dev,
-        "min_top_gap": min_gap,
+        "min_top_gap": gap,
         "top_value": float(2 * np.sqrt(2) * (n - 1)),
     }
-    return results, passed, f"max_deviation={max_dev:.3e} top_gap={min_gap:.6f}"
+    passed = max_dev <= resolve_tolerances(config.tolerances)["spectrum"]
+    return results, passed, f"max_deviation={max_dev:.3e} top_gap={gap:.6f}"
 
 
 def _cmd_sos(config: RunConfig) -> tuple:
@@ -445,7 +436,7 @@ def _cmd_sos(config: RunConfig) -> tuple:
         ops = a_operators(random_antipodal_strategy(n, config.seed + k))
         worst = max(worst, sos_residual(n, 0, ops))
         worst_shift = min(worst_shift, min_shifted_eigenvalue(n, witness_spectra(ops)))
-    passed = sos_passes(worst, worst_shift, {**DEFAULT_TOLERANCES, **config.tolerances})
+    passed = sos_passes(worst, worst_shift, resolve_tolerances(config.tolerances))
     results = {
         "samples": samples,
         "max_residual": worst,
@@ -592,20 +583,13 @@ def _cmd_partial_bell(config: RunConfig) -> tuple:
 
 
 def _cmd_rac(config: RunConfig) -> tuple:
-    from .states import aligned_sender_states
-
     alpha = config.options.get("alpha")
     if alpha is None:
         sender = aligned_sender_states(1, 2)
     else:
-        from .robustness import parametrized_a_operators
-
         ops = parametrized_a_operators([alpha, np.pi / 4])
-        rho = np.zeros((2, 2, 2, 2), dtype=complex)
-        for a in range(2):
-            for x in range(2):
-                rho[a, x] = (np.eye(2) + (-1) ** a * ops[0, x]) / 2
-        sender = SenderStates(rho)
+        # rho[a, x] = (I + (-1)^a ops[0, x]) / 2
+        sender = SenderStates((np.eye(2) + np.array([1, -1])[:, None, None, None] * ops[0]) / 2)
     mx, mz = best_rac_observables(sender)
     value = rac_metric(sender, mx, mz)
     bound = rac_bound(bloch_from_relabeled(sender))
@@ -628,30 +612,27 @@ _HANDLERS = {
 
 def run(config: RunConfig) -> int:
     """Execute a parsed command: write the report, print a summary line."""
+    out_path = config.output_path or f"report-{config.command}.json"
     try:
         results, passed, summary = _HANDLERS[config.command](config)
-    except (OSError, json.JSONDecodeError) as exc:
+        text = canonical_json({
+            "command": config.command,
+            "version": __version__,
+            "config": {
+                "n": config.n,
+                "seed": config.seed,
+                "input": config.input_path,
+                "tolerances": config.tolerances,
+                "options": {k: v for k, v in sorted(config.options.items())},
+            },
+            "results": results,
+            "passed": passed,
+        })
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except (OSError, json.JSONDecodeError, GhzSelfTestError) as exc:
         print(f"{config.command}: error: {exc}", file=sys.stderr)
         return 2
-    except GhzSelfTestError as exc:
-        print(f"{config.command}: error: {exc}", file=sys.stderr)
-        return 2
-    report = {
-        "command": config.command,
-        "version": __version__,
-        "config": {
-            "n": config.n,
-            "seed": config.seed,
-            "input": config.input_path,
-            "tolerances": config.tolerances,
-            "options": {k: v for k, v in sorted(config.options.items())},
-        },
-        "results": results,
-        "passed": passed,
-    }
-    out_path = config.output_path or f"report-{config.command}.json"
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(report))
     print(f"{config.command}: {'PASS' if passed else 'FAIL'} {summary} -> {out_path}")
     return 0 if passed else 1
 

@@ -33,6 +33,11 @@ ANALYTIC_MU_2 = -(1 + 2 * SQRT2) / 4
 GRID_STEP = np.pi / 80
 GRID_PASS_FLOOR = -1e-8
 GRID_FAIL_FLOOR = -1e-6
+# Most margins (angle points times outcomes) a sweep may evaluate: at the limit
+# its peak RSS measured 88 MB at n = 2 and 140 MB at n = 4. The largest grid
+# in the tests, the acceptance suite and the benchmark workloads is
+# 41**2 * 4 = 6724 points (n = 2, default step pi/80, every outcome).
+GRID_MAX_POINTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -57,8 +62,16 @@ class FidelityBoundParams:
 def analytic_params(n: int = 2) -> FidelityBoundParams:
     """The analytically known inequality coefficients (two senders only)."""
     if n != 2:
-        raise Unsupported(f"analytic (r, mu) known only for n=2, got n={n}")
+        raise Unsupported(f"analytic (r, mu) known only for n=2, got n={n}; pass certified params")
     return FidelityBoundParams(r=ANALYTIC_R_2, mu=ANALYTIC_MU_2, n=2)
+
+
+def _params_for(n: int, params: FidelityBoundParams | None) -> FidelityBoundParams:
+    """``params``, or the analytic pair when None; either must be for ``n``."""
+    params = analytic_params(n) if params is None else params
+    if params.n != n:
+        raise InvalidInput(f"params are for n={params.n}, requested for n={n}")
+    return params
 
 
 def _check_angles(angles, n: int | None = None, stacked: bool = False) -> np.ndarray:
@@ -298,10 +311,7 @@ def margin_grid(
     Optionally writes rows ``(s, alpha_1..alpha_n, margin)`` to
     ``csv_path`` (outcome words listed sign-bit first), outcome-major.
     """
-    if params is None:
-        params = analytic_params(n)
-    if params.n != n:
-        raise InvalidInput(f"params are for n={params.n}, grid is for n={n}")
+    params = _params_for(n, params)
     if n > 7:
         raise Unsupported("operator-inequality certification supported for n <= 7 only")
     if not (math.isfinite(step) and step > 0):
@@ -312,7 +322,12 @@ def margin_grid(
         outcome_list = [int(m) for m in outcomes]
     if not outcome_list:
         raise InvalidInput("no outcomes to sweep")
-    axis = np.linspace(0, np.pi / 2, int(round((np.pi / 2) / step)) + 1)
+    # capped first, so a tiny step cannot overflow the integer conversion
+    ticks = int(round(min((np.pi / 2) / step, GRID_MAX_POINTS))) + 1
+    if ticks**n * len(outcome_list) > GRID_MAX_POINTS:
+        raise InvalidInput(f"step {step} at n={n} over {len(outcome_list)} outcomes exceeds "
+                           f"the limit of {GRID_MAX_POINTS} grid points; use a larger step")
+    axis = np.linspace(0, np.pi / 2, ticks)
     grid = _check_angles(_product([axis] * n), n, stacked=True)
 
     # margins[i, k]: outcome outcome_list[i] at grid point k
@@ -370,15 +385,7 @@ def fidelity_lower_bound(n: int, eps: float, params: FidelityBoundParams | None 
         raise InvalidInput(f"eps must be finite, got {eps}")
     if eps < 0:
         raise InvalidInput("eps must be nonnegative")
-    if params is None:
-        if n != 2:
-            raise Unsupported(
-                "no built-in inequality coefficients for n != 2; pass params "
-                "certified via margin_grid"
-            )
-        params = analytic_params(2)
-    if params.n != n:
-        raise InvalidInput(f"params are for n={params.n}, bound requested for n={n}")
+    params = _params_for(n, params)
     if n > 7:
         raise Unsupported("fidelity bounds supported for n <= 7 only")
     return max(0.0, 1.0 - params.slope * eps)
@@ -386,9 +393,7 @@ def fidelity_lower_bound(n: int, eps: float, params: FidelityBoundParams | None 
 
 def meaningful_eps(n: int = 2, params: FidelityBoundParams | None = None) -> float:
     """Largest score deficit at which the fidelity bound still exceeds 1/2."""
-    if params is None:
-        params = analytic_params(n)
-    return 0.5 / params.slope
+    return 0.5 / _params_for(n, params).slope
 
 
 def avg_fidelity(povm, angles) -> float:

@@ -36,6 +36,8 @@ COUNTEREXAMPLE_MATRIX = np.array(
 )
 COUNTEREXAMPLE_MATRIX.flags.writeable = False
 
+TABLE_ATOL = 1e-9  # a probability table's normalization and nonnegativity
+
 
 def a_operators(strategy: Strategy) -> np.ndarray:
     """Difference operators ``a[j-1, x] = rho[0|x] - rho[1|x]`` per sender."""
@@ -165,12 +167,12 @@ class ProbabilityTable:
     base: np.ndarray
     pair: np.ndarray
 
-    def validate(self, atol: float = 1e-9) -> None:
-        if np.abs(self.base.sum(axis=-1) - 1).max() > atol:
+    def validate(self) -> None:
+        if np.abs(self.base.sum(axis=-1) - 1).max() > TABLE_ATOL:
             raise InvalidInput("base context probabilities do not normalize")
-        if self.pair.size and np.abs(self.pair.sum(axis=-1) - 1).max() > atol:
+        if self.pair.size and np.abs(self.pair.sum(axis=-1) - 1).max() > TABLE_ATOL:
             raise InvalidInput("pair context probabilities do not normalize")
-        if self.base.min() < -atol or (self.pair.size and self.pair.min() < -atol):
+        if self.base.min() < -TABLE_ATOL or (self.pair.size and self.pair.min() < -TABLE_ATOL):
             raise InvalidInput("negative probability entry")
 
 

@@ -6,10 +6,11 @@ sum-of-squares remainder and the positivity of the shifted witnesses, the
 closed-form witness spectrum, extraction of the aligning local unitaries,
 the GHZ fidelities of the aligned measurement, partial-transpose
 entanglement of the outcomes, and antipodality of the messages.
-``certify_strategy`` bundles them into a :class:`CertReport`.
+``certify_strategy`` bundles them into a :class:`CertReport`; the CLI's
+``spectrum`` and ``sos`` commands apply the same tolerances and checks.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -47,6 +48,19 @@ DEFAULT_TOLERANCES = {
     "spectrum": 1e-9,
     "ppt": 1e-8,
 }
+
+
+def resolve_tolerances(overrides: dict | None = None) -> dict:
+    """:data:`DEFAULT_TOLERANCES` with ``overrides`` applied. A NaN, infinite or
+    negative value would decide its check whatever the number: InvalidInput."""
+    tol = dict(DEFAULT_TOLERANCES)
+    for name, value in (overrides or {}).items():
+        if name not in tol:
+            raise InvalidInput(f"unknown tolerance {name!r}; known: {sorted(tol)}")
+        if not 0 <= value < np.inf:
+            raise InvalidInput(f"tolerance {name} must be finite and >= 0, got {value!r}")
+        tol[name] = value
+    return tol
 
 
 def _abs_norm(m) -> float:
@@ -97,6 +111,13 @@ def sos_passes(residual: float, min_shifted: float, tol: dict) -> bool:
 def min_shifted_eigenvalue(n: int, spectra: np.ndarray) -> float:
     """Least eigenvalue of ``2*sqrt(2)*(n-1)*I - W_s`` over all outcomes."""
     return float(2 * SQRT2 * (n - 1) - spectra[:, -1].max())
+
+
+def spectrum_deviation(n: int, spectra: np.ndarray) -> float:
+    """Largest |numeric - closed form| over ascending witness spectra, one row
+    per outcome. Sorted, the closed form is the same for every outcome (its
+    entries are relabeled by ``s' -> s' xor s``), so one row serves all."""
+    return float(np.abs(spectra - np.sort(spectrum_closed_form(n, 0))).max())
 
 
 def spectrum_closed_form(n: int, s) -> np.ndarray:
@@ -230,9 +251,9 @@ class CertReport:
     """Outcome of a full certification run."""
 
     metric_value: float
-    antipodality: float
+    antipodality_gap: float
     povm_traces: list
-    alignment_err: float | None = None
+    alignment_error: float | None = None
     ghz_fidelities: list | None = None
     sos_residual: float | None = None
     min_shifted_eigenvalue: float | None = None
@@ -245,29 +266,12 @@ class CertReport:
         return all(self.checks.values())
 
     def to_dict(self) -> dict:
-        return {
-            "metric_value": self.metric_value,
-            "antipodality_gap": self.antipodality,
-            "povm_traces": self.povm_traces,
-            "alignment_error": self.alignment_err,
-            "ghz_fidelities": self.ghz_fidelities,
-            "sos_residual": self.sos_residual,
-            "min_shifted_eigenvalue": self.min_shifted_eigenvalue,
-            "spectrum_diff": self.spectrum_diff,
-            "ppt_min_eigs": self.ppt_min_eigs,
-            "checks": dict(sorted(self.checks.items())),
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def certify_strategy(strategy: Strategy, tolerances: dict | None = None) -> CertReport:
     """Run every certification check on a GHZ-task strategy."""
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        unknown = set(tolerances) - set(tol)
-        if unknown:
-            raise InvalidInput(f"unknown tolerance names: {sorted(unknown)}")
-        tol.update(tolerances)
+    tol = resolve_tolerances(tolerances)
     strategy.validate()
     n = strategy.n
     metric = success_metric(strategy)
@@ -277,7 +281,7 @@ def certify_strategy(strategy: Strategy, tolerances: dict | None = None) -> Cert
 
     report = CertReport(
         metric_value=metric,
-        antipodality=gap,
+        antipodality_gap=gap,
         povm_traces=traces,
         checks={
             "metric": abs(metric - 1) <= tol["metric"],
@@ -296,8 +300,8 @@ def certify_strategy(strategy: Strategy, tolerances: dict | None = None) -> Cert
 
     try:
         unitaries = align_locals(ops)
-        report.alignment_err = alignment_error(ops, unitaries)
-        report.checks["alignment"] = report.alignment_err <= tol["alignment"]
+        report.alignment_error = alignment_error(ops, unitaries)
+        report.checks["alignment"] = report.alignment_error <= tol["alignment"]
         fids = verify_ghz_measurement(strategy.povm, unitaries)
         report.ghz_fidelities = [float(f) for f in fids]
         report.checks["ghz_fidelity"] = min(fids) >= 1 - tol["ghz_fidelity"]
@@ -306,8 +310,7 @@ def certify_strategy(strategy: Strategy, tolerances: dict | None = None) -> Cert
         report.checks["ghz_fidelity"] = False
 
     spectra = witness_spectra(ops)
-    closed = np.sort([spectrum_closed_form(n, m) for m in range(2**n)], axis=1)
-    report.spectrum_diff = float(np.abs(spectra - closed).max())
+    report.spectrum_diff = spectrum_deviation(n, spectra)
     report.checks["spectrum"] = report.spectrum_diff <= tol["spectrum"]
     report.min_shifted_eigenvalue = min_shifted_eigenvalue(n, spectra)
     try:

@@ -25,6 +25,10 @@ from .rng import make_rng
 COS8 = np.cos(np.pi / 8)
 SIN8 = np.sin(np.pi / 8)
 
+STATE_ATOL = 1e-10  # a message state's Hermiticity, trace and least eigenvalue
+POVM_ATOL = 1e-9  # a POVM element's Hermiticity, and the elements' sum
+POVM_PSD_ATOL = 1e-10  # a POVM element's least eigenvalue
+
 
 def outcome_bits(s, n: int) -> tuple:
     """Normalize an outcome given as int, ``s_1``-first string, or bit list."""
@@ -95,13 +99,13 @@ class SenderStates:
             raise InvalidInput(f"SenderStates.rho must have shape (2,2,2,2), got {rho.shape}")
         object.__setattr__(self, "rho", rho)
 
-    def validate(self, atol: float = 1e-10) -> None:
+    def validate(self) -> None:
         m = backends.real_if_real(self.rho.reshape(4, 2, 2))  # row 2a + x
         traces = np.trace(m, axis1=1, axis2=2).real
         failed = _first_failure(
-            np.abs(m - dagger(m)).max(axis=(1, 2)) > atol,
-            abs(traces - 1) > atol,
-            backends.eigvalsh(m)[:, 0] < -atol,
+            np.abs(m - dagger(m)).max(axis=(1, 2)) > STATE_ATOL,
+            abs(traces - 1) > STATE_ATOL,
+            backends.eigvalsh(m)[:, 0] < -STATE_ATOL,
         )
         if failed is not None:
             k, check = failed
@@ -129,18 +133,18 @@ class Povm:
     def __len__(self) -> int:
         return self.elements.shape[0]
 
-    def validate(self, atol: float = 1e-9, psd_atol: float = 1e-10) -> None:
+    def validate(self) -> None:
         for part in chunks(len(self), self.dim**2):
             m = backends.real_if_real(self.elements[part])
             failed = _first_failure(
-                np.abs(m - dagger(m)).max(axis=(1, 2)) > atol,
-                backends.eigvalsh((m + dagger(m)) / 2)[:, 0] < -psd_atol,
+                np.abs(m - dagger(m)).max(axis=(1, 2)) > POVM_ATOL,
+                backends.eigvalsh((m + dagger(m)) / 2)[:, 0] < -POVM_PSD_ATOL,
             )
             if failed is not None:
                 k, check = failed
                 reason = ("Hermitian", "positive semidefinite")[check]
                 raise InvalidInput(f"POVM element {part.start + k} is not {reason}")
-        if np.abs(self.elements.sum(axis=0) - np.eye(self.dim)).max() > atol:
+        if np.abs(self.elements.sum(axis=0) - np.eye(self.dim)).max() > POVM_ATOL:
             raise InvalidInput("POVM elements do not sum to the identity")
 
 
@@ -164,14 +168,17 @@ class Strategy:
         if self.observables is not None:
             object.__setattr__(self, "observables", np.asarray(self.observables, dtype=complex))
 
-    def validate(self, atol: float = 1e-9) -> None:
+    def validate(self) -> None:
         if self.n < 2:
             raise InvalidInput(f"need at least two senders, got n={self.n}")
         if len(self.senders) != self.n:
             raise InvalidInput(f"expected {self.n} senders, got {len(self.senders)}")
-        for st in self.senders:
-            st.validate()
-        self.povm.validate(atol=atol)
+        for j, st in enumerate(self.senders, 1):
+            try:
+                st.validate()
+            except InvalidInput as exc:
+                raise InvalidInput(f"sender {j}: {exc}") from None
+        self.povm.validate()
         if self.task == "ghz":
             if len(self.povm) != 2**self.n or self.povm.dim != 2**self.n:
                 raise InvalidInput(

@@ -77,6 +77,24 @@ class TestParsing:
             parse_args(["certify", "--tol.bogus=1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["certify", "spectrum", "sos"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_tolerance_value_rejected(self, tmp_path, capsys, command, value):
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--n", "3", f"--tol.spectrum={value}", "-o", str(out)])
+        assert exc.value.code == 2
+        assert "tolerance spectrum must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_tolerances_cannot_pass_a_non_ghz_measurement(self, tmp_path):
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--fixture", "computational", "--n", "3", "--tol.metric=inf",
+                  "--tol.ghz_fidelity=inf", "-o", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
 
 class TestCanonicalJson:
     def test_sorted_keys_and_float_format(self):
@@ -356,6 +374,14 @@ class TestRun:
         assert "step must be a positive finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("step", ["1e-6", "5e-324"])
+    def test_robustness_grid_too_large_is_an_input_error(self, tmp_path, capsys, step):
+        out = tmp_path / "r.json"
+        code = run(parse_args(["robustness-grid", "--n", "2", "--step", step, "-o", str(out)]))
+        assert code == 2
+        assert "exceeds the limit" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fidelity_bound_nan_eps_is_an_input_error(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         code = run(parse_args(["fidelity-bound", "--n", "2", "--eps", "nan", "-o", str(out)]))
@@ -435,6 +461,24 @@ class TestRun:
         assert run(parse_args([command, "--input", str(strat), "-o", str(out)])) == 2
         assert capsys.readouterr().err == (
             f"{command}: error: POVM element 1 is not positive semidefinite\n")
+        assert not out.exists()
+
+    def test_invalid_state_names_its_sender(self, tmp_path, capsys):
+        data = strategy_to_dict(ideal_strategy(3))
+        data["senders"][2]["rho"][1][0] = [[[0.9, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+        strat = tmp_path / "s.json"
+        strat.write_text(json.dumps(data))
+        out = tmp_path / "r.json"
+        assert run(parse_args(["certify", "--input", str(strat), "-o", str(out)])) == 2
+        assert capsys.readouterr().err == (
+            "certify: error: sender 3: state (1|0) has trace 0.9\n")
+        assert not out.exists()
+
+    def test_unwritable_report_path_is_an_input_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        assert run(parse_args(["certify", "--n", "2", "-o", str(out)])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("certify: error: ") and "No such file or directory" in err
         assert not out.exists()
 
     def test_partial_bell_strategy_file(self, tmp_path):

@@ -5,6 +5,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from ghz_selftest import robustness
 from ghz_selftest.errors import InequalityViolated, InvalidInput, Unsupported
 from ghz_selftest.fixtures import depolarized_strategy, ideal_strategy, partial_bell_strategy
 from ghz_selftest.linalg import SIGMA_A, SIGMA_B, SIGMA_X, SIGMA_Z, herm_eigvals, projector
@@ -344,6 +345,26 @@ class TestStackedSweep:
         with pytest.raises(InvalidInput, match="step"):
             margin_grid(2, step=step)
 
+    @pytest.mark.parametrize("n, step", [(2, 1e-6), (2, 5e-324), (7, np.pi / 12)])
+    def test_grid_over_the_point_limit_is_refused_before_it_is_built(
+            self, monkeypatch, n, step):
+        def no_grid(axes):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(robustness, "_product", no_grid)
+        params = FidelityBoundParams(r=1 / ((n - 1) * 2 * SQRT2), mu=0.0, n=n)
+        with pytest.raises(InvalidInput, match="exceeds the limit"):
+            margin_grid(n, params, step=step)
+
+    def test_point_limit_counts_every_outcome(self, monkeypatch):
+        # step pi/16 at n=2: 9**2 points for each of 4 outcomes
+        monkeypatch.setattr(robustness, "GRID_MAX_POINTS", 4 * 9 * 9)
+        assert margin_grid(2, step=np.pi / 16).points == 4 * 9 * 9
+        monkeypatch.setattr(robustness, "GRID_MAX_POINTS", 4 * 9 * 9 - 1)
+        with pytest.raises(InvalidInput, match="exceeds the limit"):
+            margin_grid(2, step=np.pi / 16)
+        assert margin_grid(2, step=np.pi / 16, outcomes=[0]).points == 9 * 9
+
     def test_angle_stack_validation(self):
         with pytest.raises(InvalidInput, match="outside"):
             inequality_margin(2, 0, [0.1, float("nan")], analytic_params(2))
@@ -407,6 +428,10 @@ class TestFidelityBounds:
         eps = meaningful_eps(2)
         assert abs(eps - 2 * SQRT2 / (4 + 5 * SQRT2)) < 1e-15
         assert abs(fidelity_lower_bound(2, eps) - 0.5) < 1e-12
+
+    def test_meaningful_eps_checks_the_params_n(self):
+        with pytest.raises(InvalidInput, match="params are for n=2"):
+            meaningful_eps(3, analytic_params(2))
 
     def test_clamped_at_zero(self):
         assert fidelity_lower_bound(2, 10.0) == 0.0

@@ -33,6 +33,7 @@ from ghz_selftest.selftest import (
     sos_passes,
     sos_residual,
     spectrum_closed_form,
+    spectrum_deviation,
     verify_ghz_measurement,
     witness_spectra,
 )
@@ -182,6 +183,18 @@ class TestSpectrum:
             w = witness_operator(n, m, canonical_ops(n))
             numeric = herm_eigvals(w)
             assert np.abs(numeric - np.sort(spectrum_closed_form(n, m))).max() <= 1e-9
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_sorted_closed_form_is_one_row(self, n):
+        rows = np.sort([spectrum_closed_form(n, m) for m in range(2**n)], axis=1)
+        assert (rows == rows[0]).all()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_deviation_against_every_outcome_closed_form(self, n):
+        closed = np.sort([spectrum_closed_form(n, m) for m in range(2**n)], axis=1)
+        for ops in (canonical_ops(n), a_operators(random_antipodal_strategy(n, 3))):
+            spectra = witness_spectra(ops)
+            assert spectrum_deviation(n, spectra) == np.abs(spectra - closed).max()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_top_eigenvector_is_ghz(self, n):
@@ -405,6 +418,11 @@ class TestCertify:
     def test_unknown_tolerance_rejected(self):
         with pytest.raises(InvalidInput):
             certify_strategy(ideal_strategy(2), {"bogus": 1.0})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_bad_tolerance_value_rejected(self, value):
+        with pytest.raises(InvalidInput, match="tolerance metric must be finite and >= 0"):
+            certify_strategy(ideal_strategy(2), {"metric": value})
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_sub_gate_message_defect_fails_sos(self, n):
