@@ -42,7 +42,6 @@ from .fixtures import (
     partial_bell_strategy,
     separable_fixture,
 )
-from .linalg import herm_eigvals
 from .optimize import SeesawConfig, seesaw
 from .robustness import (
     FidelityBoundParams,
@@ -62,18 +61,15 @@ from .scenario import (
     partial_witnesses,
     rac_bound,
     rac_metric,
-    witness_operator,
 )
 from .selftest import (
     certify_strategy,
     classify_outcome_measurement,
-    min_shifted_eigenvalue,
     resolve_tolerances,
     sos_passes,
     sos_residual,
     spectrum_closed_form,
-    spectrum_deviation,
-    witness_spectra,
+    witness_bounds,
 )
 from .states import (
     Povm,
@@ -96,6 +92,8 @@ COMMANDS = (
     "partial-bell",
     "rac",
 )
+# the commands whose checks read selftest's tolerance table
+TOLERANCE_COMMANDS = ("certify", "spectrum", "sos")
 
 GHZ_FIXTURES = {
     "ideal": lambda n, noise: ideal_strategy(n),
@@ -356,6 +354,9 @@ def parse_args(argv) -> RunConfig:
     except InvalidInput as exc:
         parser.error(str(exc))
     ns = parser.parse_args(rest)
+    if tolerances and ns.command not in TOLERANCE_COMMANDS:
+        parser.error(f"{ns.command} applies no tolerance; --tol.NAME=VALUE applies to "
+                     f"{', '.join(TOLERANCE_COMMANDS)} only")
     if ns.n < 2:
         parser.error("--n must be at least 2")
     if ns.n > 7:
@@ -404,25 +405,20 @@ def _cmd_spectrum(config: RunConfig) -> tuple:
     n = config.n
     ops = parametrized_a_operators([np.pi / 4] * n)
     want = config.options["s"]
-    if want == "all":
-        outcomes = range(2**n)
-        spectra = witness_spectra(ops)
-    else:
-        outcomes = [outcome_index(want, n)]
-        spectra = herm_eigvals(witness_operator(n, outcomes[0], ops)[None])
-    max_dev = spectrum_deviation(n, spectra)
+    outcomes = None if want == "all" else [outcome_index(want, n)]
+    spectrum_tol = resolve_tolerances(config.tolerances)["spectrum"]
+    max_dev, _ = witness_bounds(ops, spectrum_tol, outcomes)
     # sorted, the closed form is one row for every outcome
     top = np.sort(spectrum_closed_form(n, 0))
     gap = float(top[-1] - top[-2])
     results = {
         "eigenvalues_by_outcome": {outcome_label(m, n): spectrum_closed_form(n, m)
-                                   for m in outcomes},
+                                   for m in (outcomes or range(2**n))},
         "max_numeric_deviation": max_dev,
         "min_top_gap": gap,
         "top_value": float(2 * np.sqrt(2) * (n - 1)),
     }
-    passed = max_dev <= resolve_tolerances(config.tolerances)["spectrum"]
-    return results, passed, f"max_deviation={max_dev:.3e} top_gap={gap:.6f}"
+    return results, max_dev <= spectrum_tol, f"max_deviation={max_dev:.3e} top_gap={gap:.6f}"
 
 
 def _cmd_sos(config: RunConfig) -> tuple:
@@ -430,13 +426,14 @@ def _cmd_sos(config: RunConfig) -> tuple:
     samples = config.options["samples"]
     if samples < 1:
         raise InvalidInput(f"--samples must be at least 1, got {samples}")
+    tol = resolve_tolerances(config.tolerances)
     worst = 0.0
     worst_shift = float("inf")
     for k in range(samples):
         ops = a_operators(random_antipodal_strategy(n, config.seed + k))
         worst = max(worst, sos_residual(n, 0, ops))
-        worst_shift = min(worst_shift, min_shifted_eigenvalue(n, witness_spectra(ops)))
-    passed = sos_passes(worst, worst_shift, resolve_tolerances(config.tolerances))
+        worst_shift = min(worst_shift, witness_bounds(ops, tol["spectrum"])[1])
+    passed = sos_passes(worst, worst_shift, tol)
     results = {
         "samples": samples,
         "max_residual": worst,

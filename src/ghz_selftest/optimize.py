@@ -22,7 +22,6 @@ kernels called without one.
 import math
 import threading
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -43,6 +42,7 @@ from .scenario import (
     signed_sum,
     success_scores,
     witness_factors,
+    witness_orbits,
     witness_signs,
     witness_terms,
 )
@@ -125,32 +125,6 @@ def _effective_qubit_operator(f: np.ndarray, spectators: list, slot: int) -> np.
 # ---------------------------------------------------------------------------
 
 
-@cache
-def _orbit_flips(n: int) -> tuple:
-    """Where each outcome's witness sits in its orbit under local flips.
-
-    Conjugating by sender 1's flip operator flips every sign bit of the
-    witness; by sender j's (j >= 2), bits ``s_1`` and ``s_j``. At odd n
-    these flips reach all ``2**n`` outcomes from outcome 0; at even n they
-    keep the parity of ``s``, leaving two orbits, of outcomes 0 and 1.
-    Returns read-only ``(reps, orbit, flips)``: the representative outcomes,
-    each outcome's index into ``reps`` and a ``(2**n, n)`` boolean table
-    whose row m marks the slots to flip to carry ``W_reps[orbit[m]]`` onto
-    ``W_m``. Sender j >= 2 flips where ``s_j`` differs from sender 1's flip.
-    """
-    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
-    parity = bits.sum(axis=1) & 1
-    if n % 2:  # one orbit; sender 1 flips the outcomes of odd parity
-        reps, orbit, first = np.array([0]), np.zeros_like(parity), parity
-    else:  # the parity names the orbit; sender 1 never flips
-        reps, orbit, first = np.array([0, 1]), parity, np.zeros_like(parity)
-    flips = (bits ^ first[:, None]).astype(bool)
-    flips[:, 0] = first
-    for table in (reps, orbit, flips):
-        table.flags.writeable = False
-    return reps, orbit, flips
-
-
 def _flip_operators(ops: np.ndarray) -> np.ndarray:
     """Per-sender ``N_j = m_j . sigma`` for message operators ``(..., n, 2, 2, 2)``,
     stacked ``(..., n, 2, 2)``: ``m_j`` is a unit normal to the Bloch vectors
@@ -180,7 +154,7 @@ def _ghz_povm(ops: np.ndarray) -> np.ndarray:
     """
     n = ops.shape[-4]
     d = 2**n
-    reps, orbit, flips = _orbit_flips(n)
+    reps, orbit, flips = witness_orbits(n)
     terms = [t[..., None, :, :] for t in witness_terms(ops)]
     ws = signed_sum(witness_signs(n)[reps].T[..., None, None], terms)
     top = herm_eig(ws).vectors[..., -1][..., orbit, :]  # row m: outcome m's top vector

@@ -306,8 +306,10 @@ def margin_grid(
 
     A nonnegative minimum (above ``-1e-8``) certifies the supplied
     inequality coefficients on the grid; any value below ``-1e-6`` raises
-    ``InequalityViolated`` carrying the sweep's result. With ``refine`` the
-    neighborhood of the minimum is re-swept at one quarter of the step.
+    ``InequalityViolated`` carrying the sweep's result. With ``refine`` a
+    negative minimum's neighborhood (one step to each side) is re-swept at
+    one quarter of the step, or on fewer ticks per axis when the coarse grid
+    leaves fewer than ``9**n`` of the ``GRID_MAX_POINTS``.
     Optionally writes rows ``(s, alpha_1..alpha_n, margin)`` to
     ``csv_path`` (outcome words listed sign-bit first), outcome-major.
     """
@@ -337,8 +339,12 @@ def margin_grid(
     min_pt = grid[first % len(grid)]
     min_val = float(margins.flat[first])
 
-    if refine and min_val < 0:
-        fine = step / 4
+    # the refinement counts against the same limit: 9 ticks per axis a quarter
+    # step apart, fewer and farther apart when 9**n do not fit
+    per_axis = max((k for k in range(2, 10) if k**n <= GRID_MAX_POINTS - margins.size),
+                   default=0)
+    if refine and min_val < 0 and per_axis:
+        fine = 2 * step / (per_axis - 1)
         local = _check_angles(
             _product([np.clip(np.arange(c - step, c + step + fine / 2, fine), 0, np.pi / 2)
                       for c in min_pt]),

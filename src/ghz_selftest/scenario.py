@@ -87,6 +87,33 @@ def witness_signs(n: int) -> np.ndarray:
     return signs
 
 
+@cache
+def witness_orbits(n: int) -> tuple:
+    """Where each outcome's witness sits in its orbit under local flips.
+
+    For traceless message operators, conjugating by sender 1's flip
+    operator flips every sign bit of the witness; by sender j's (j >= 2),
+    bits ``s_1`` and ``s_j``. At odd n these flips reach all ``2**n``
+    outcomes from outcome 0; at even n they keep the parity of ``s``,
+    leaving two orbits, of outcomes 0 and 1. Returns read-only ``(reps,
+    orbit, flips)``: the representative outcomes, each outcome's index into
+    ``reps`` and a ``(2**n, n)`` boolean table whose row m marks the slots
+    to flip to carry ``W_reps[orbit[m]]`` onto ``W_m``. Sender j >= 2 flips
+    where ``s_j`` differs from sender 1's flip.
+    """
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    parity = bits.sum(axis=1) & 1
+    if n % 2:  # one orbit; sender 1 flips the outcomes of odd parity
+        reps, orbit, first = np.array([0]), np.zeros_like(parity), parity
+    else:  # the parity names the orbit; sender 1 never flips
+        reps, orbit, first = np.array([0, 1]), parity, np.zeros_like(parity)
+    flips = (bits ^ first[:, None]).astype(bool)
+    flips[:, 0] = first
+    for table in (reps, orbit, flips):
+        table.flags.writeable = False
+    return reps, orbit, flips
+
+
 def signed_sum(coeffs, terms):
     """``sum_k coeffs[k] * terms[k]``, accumulated left to right."""
     w = coeffs[0] * terms[0]
@@ -104,15 +131,17 @@ def witness_operator(n: int, s, ops: np.ndarray) -> np.ndarray:
     return signed_sum(witness_signs(n)[outcome_index(s, n)].tolist(), witness_terms(ops))
 
 
-def witness_chunks(ops: np.ndarray):
-    """Yield ``(outcomes, witnesses)``: a slice of outcomes holding at most
-    ``CHUNK_ELEMENTS`` entries per leading index, and their witnesses
-    ``(..., len, 2**n, 2**n)``, so no caller needs all ``2**n`` at once."""
+def witness_chunks(ops: np.ndarray, outcomes=None):
+    """Yield ``(part, witnesses)``: a slice of ``outcomes`` (all ``2**n`` by
+    default) holding at most ``CHUNK_ELEMENTS`` entries per leading index,
+    and those outcomes' witnesses ``(..., len, 2**n, 2**n)``, so no caller
+    needs all of them at once."""
     n = ops.shape[-4]
     d = 2**n
+    signs = witness_signs(n) if outcomes is None else witness_signs(n)[outcomes]
     terms = [t[..., None, :, :] for t in witness_terms(ops)]
-    for part in chunks(d, d * d):
-        yield part, signed_sum(witness_signs(n)[part].T[..., None, None], terms)
+    for part in chunks(len(signs), d * d):
+        yield part, signed_sum(signs[part].T[..., None, None], terms)
 
 
 def witness_operators(ops: np.ndarray) -> np.ndarray:
@@ -139,9 +168,14 @@ def _signed_score(n: int, t: np.ndarray):
 def success_scores(ops: np.ndarray, elements: np.ndarray) -> np.ndarray:
     """GHZ-game scores of stacked operators ``(..., n, 2, 2, 2)`` and POVM
     elements ``(..., 2**n, 2**n, 2**n)``."""
-    # t[k, ..., m] = Tr(M_m terms[k])
-    t = np.einsum("...kij,...mji->k...m", np.stack(witness_terms(ops), axis=-3), elements)
-    return _signed_score(ops.shape[-4], t.real)
+    # Tr(M_m T_k) = sum_ij M_m[i, j] T_k[j, i]: one matmul of the flattened
+    # elements, a view, against the flattened transposed terms, which are the
+    # terms of the transposed operators
+    m, d = elements.shape[-3:-1]
+    terms = np.stack(witness_terms(np.swapaxes(ops, -1, -2)), axis=-3)
+    flat = terms.reshape(terms.shape[:-2] + (d * d,))
+    t = elements.reshape(elements.shape[:-3] + (m, d * d)) @ np.swapaxes(flat, -1, -2)
+    return _signed_score(ops.shape[-4], np.moveaxis(t.real, -1, 0))
 
 
 def success_metric(strategy: Strategy) -> float:

@@ -20,6 +20,7 @@ from .linalg import (
     SIGMA_X,
     SIGMA_Z,
     SQRT2,
+    dagger,
     fix_phase,
     herm_eig,
     herm_eigvals,
@@ -30,6 +31,8 @@ from .scenario import (
     a_operators,
     success_metric,
     witness_chunks,
+    witness_factors,
+    witness_orbits,
     witness_signs,
     witness_terms,
 )
@@ -95,12 +98,91 @@ def sos_residual(n: int, s, ops: np.ndarray) -> float:
     return _abs_norm((2 * (n - 1) * np.eye(2**n) - psum) / SQRT2)
 
 
-def witness_spectra(ops: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of every witness, shape ``(2**n, 2**n)``; the
-    local unitaries of :func:`align_locals` leave them unchanged. The
-    witnesses stream in the chunks of :func:`witness_chunks`, one stacked
-    solve each, so the ``(2**n, 2**n, 2**n)`` stack is never held."""
-    return np.concatenate([herm_eigvals(ws) for _, ws in witness_chunks(ops)])
+def _traceless(ops: np.ndarray) -> np.ndarray:
+    """Traceless Hermitian parts ``a0`` of message operators ``(n, 2, 2, 2)``;
+    exactly traceless Hermitian operators are returned bit for bit."""
+    h = (ops + dagger(ops)) / 2
+    return h - (np.trace(h, axis1=-2, axis2=-1).real / 2)[..., None, None] * I2
+
+
+def _norms(m: np.ndarray) -> np.ndarray:
+    """Spectral norms of 2x2 matrices ``(..., 2, 2)`` in closed form: the root of
+    the larger eigenvalue of the Gram matrix ``m^dag m = [[p, r], [r*, q]]``."""
+    g = dagger(m) @ m
+    p, q, r = g[..., 0, 0].real, g[..., 1, 1].real, np.abs(g[..., 0, 1])
+    return np.sqrt((p + q) / 2 + np.hypot((p - q) / 2, r))
+
+
+def trace_bound(ops: np.ndarray) -> float:
+    """A bound ``delta >= ||W_s - W0_s||`` for every outcome s, where ``W0_s``
+    is the witness of the traceless Hermitian parts ``a0`` of ``ops``.
+
+    Witness term k is a Kronecker product of 2x2 factors ``A_i`` (``B_i``
+    for ``a0``). Its difference telescopes into n products with one factor
+    ``A_i - B_i`` each, and Kronecker norms multiply, so the term moves by at
+    most ``e_k = sum_i prod_{l<i} |B_l| |A_i - B_i| prod_{l>i} |A_l|`` and
+    every ``W_s`` by at most ``(n-1) e_0 + e_1 + ... + e_{n-1}``. Exactly
+    traceless Hermitian operators give 0.
+    """
+    n = ops.shape[-4]
+    a0 = _traceless(ops)
+    if np.array_equal(ops, a0):  # every difference factor is zero
+        return 0.0
+    a, b = np.array([witness_factors(ops), witness_factors(a0)])  # (term, slot, 2, 2)
+    ones = np.ones((n, 1))
+    before = np.cumprod(np.hstack([ones, _norms(b)[:, :-1]]), axis=1)
+    after = np.cumprod(np.hstack([ones, _norms(a)[:, :0:-1]]), axis=1)[:, ::-1]
+    moved = (before * _norms(a - b) * after).sum(axis=1)
+    return float(np.abs(witness_signs(n)[0]) @ moved)
+
+
+def _solve_witnesses(ops: np.ndarray, outcomes=None) -> np.ndarray:
+    """Ascending eigenvalues of each outcome's own witness, one row per outcome
+    (all ``2**n`` by default). The witnesses stream in the chunks of
+    :func:`witness_chunks`, one stacked solve each, so the ``(2**n, 2**n,
+    2**n)`` stack is never held."""
+    return np.concatenate([herm_eigvals(ws) for _, ws in witness_chunks(ops, outcomes)])
+
+
+def witness_spectra(ops: np.ndarray, outcomes=None) -> np.ndarray:
+    """Ascending eigenvalues of the traceless witnesses ``W0_s``, one row per
+    outcome of ``outcomes`` (all ``2**n`` by default).
+
+    Local flips carry the ``W0_s`` of one orbit of :func:`witness_orbits`
+    onto each other, so only the representatives are solved and each row is
+    copied from its representative's. By Weyl's inequality every eigenvalue
+    of the witness ``W_s`` of ``ops`` lies within :func:`trace_bound` of row
+    s. The local unitaries of :func:`align_locals` leave the rows unchanged.
+    """
+    reps, orbit, _ = witness_orbits(ops.shape[-4])
+    wanted = orbit if outcomes is None else orbit[outcomes]
+    solved = np.unique(wanted)
+    rows = _solve_witnesses(_traceless(ops), reps[solved])
+    return rows[np.searchsorted(solved, wanted)]
+
+
+def witness_bounds(ops: np.ndarray, spectrum_tol: float, outcomes=None) -> tuple:
+    """``(spectrum_diff, min_shifted_eigenvalue)`` over the witnesses of
+    ``outcomes`` (all by default): the two numbers that the ``spectrum`` and
+    ``sos`` checks compare with ``spectrum_tol``.
+
+    They come from the rows of :func:`witness_spectra`, moved by ``delta =``
+    :func:`trace_bound` to the end at which each check fails: the deviation
+    plus ``delta``, the least shifted eigenvalue minus ``delta``. When
+    ``delta`` exceeds a tenth of ``spectrum_tol``, or when the two ends of
+    either number would decide its check differently, each outcome's own
+    witness is solved instead, so no verdict depends on ``delta``.
+    """
+    n = ops.shape[-4]
+    delta = trace_bound(ops)
+    if delta <= spectrum_tol / 10:
+        rows = witness_spectra(ops, outcomes)
+        dev, shift = spectrum_deviation(n, rows), min_shifted_eigenvalue(n, rows)
+        if ((dev - delta <= spectrum_tol) == (dev + delta <= spectrum_tol)
+                and (shift + delta >= -spectrum_tol) == (shift - delta >= -spectrum_tol)):
+            return dev + delta, shift - delta
+    rows = _solve_witnesses(ops, outcomes)
+    return spectrum_deviation(n, rows), min_shifted_eigenvalue(n, rows)
 
 
 def sos_passes(residual: float, min_shifted: float, tol: dict) -> bool:
@@ -309,10 +391,8 @@ def certify_strategy(strategy: Strategy, tolerances: dict | None = None) -> Cert
         report.checks["alignment"] = False
         report.checks["ghz_fidelity"] = False
 
-    spectra = witness_spectra(ops)
-    report.spectrum_diff = spectrum_deviation(n, spectra)
+    report.spectrum_diff, report.min_shifted_eigenvalue = witness_bounds(ops, tol["spectrum"])
     report.checks["spectrum"] = report.spectrum_diff <= tol["spectrum"]
-    report.min_shifted_eigenvalue = min_shifted_eigenvalue(n, spectra)
     try:
         report.sos_residual = sos_residual(n, 0, ops)
         report.checks["sos"] = sos_passes(report.sos_residual, report.min_shifted_eigenvalue, tol)

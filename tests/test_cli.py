@@ -22,7 +22,7 @@ from ghz_selftest.cli import (
 )
 from ghz_selftest.fixtures import depolarized_partial_bell, ideal_strategy, partial_bell_strategy
 from ghz_selftest.scenario import a_operators, success_metric
-from ghz_selftest.selftest import min_shifted_eigenvalue, witness_spectra
+from ghz_selftest.selftest import DEFAULT_TOLERANCES, witness_bounds
 from ghz_selftest.states import (
     Povm,
     SenderStates,
@@ -85,6 +85,22 @@ class TestParsing:
             main([command, "--n", "3", f"--tol.spectrum={value}", "-o", str(out)])
         assert exc.value.code == 2
         assert "tolerance spectrum must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["seesaw", "--n", "2", "--restarts", "1"],
+        ["counterexample"],
+        ["robustness-grid", "--step", "0.5"],
+        ["fidelity-bound", "--eps", "0.1"],
+        ["partial-bell"],
+        ["rac"],
+    ], ids=lambda argv: argv[0])
+    def test_tolerance_on_a_command_without_tolerances_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol.metric=1", "-o", str(out)])
+        assert exc.value.code == 2
+        assert f"{argv[0]} applies no tolerance" in capsys.readouterr().err
         assert not out.exists()
 
     def test_infinite_tolerances_cannot_pass_a_non_ghz_measurement(self, tmp_path):
@@ -267,6 +283,15 @@ class TestRun:
         code = run(parse_args(["spectrum", "--n", "3", "--tol.spectrum=1e-30", "-o", str(out)]))
         assert code == 1  # float roundoff cannot satisfy an impossible tolerance
 
+    def test_one_outcome_deviation_is_at_most_the_all_outcome_one(self, tmp_path):
+        def deviation(*extra):
+            out = tmp_path / "r.json"
+            assert run(parse_args(["spectrum", "--n", "4", *extra, "-o", str(out)])) == 0
+            return json.loads(out.read_text())["results"]["max_numeric_deviation"]
+
+        worst = deviation()
+        assert max(deviation("--s", format(m, "04b")) for m in range(16)) == worst
+
     def test_fidelity_bound_value(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         code = run(parse_args(["fidelity-bound", "--n", "2", "--eps", "0.1", "-o", str(out)]))
@@ -303,7 +328,7 @@ class TestRun:
         assert run(parse_args(["sos", "--n", "5", "--samples", "4", "--seed", "9",
                                "-o", str(out)])) == 0
         samples = [a_operators(random_antipodal_strategy(5, 9 + k)) for k in range(4)]
-        want = min(min_shifted_eigenvalue(5, witness_spectra(ops)) for ops in samples)
+        want = min(witness_bounds(ops, DEFAULT_TOLERANCES["spectrum"])[1] for ops in samples)
         assert want > 1
         assert json.loads(out.read_text())["results"]["min_shifted_eigenvalue"] == want
 

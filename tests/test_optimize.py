@@ -17,7 +17,6 @@ from ghz_selftest.optimize import (
     _ghz_povm,
     _ghz_sweep,
     _lockstep,
-    _orbit_flips,
     _outer,
     _polar_orthonormal,
     optimal_povm_for_states,
@@ -34,6 +33,7 @@ from ghz_selftest.scenario import (
     message_operators,
     success_metric,
     witness_operators,
+    witness_orbits,
 )
 from ghz_selftest.selftest import antipodality_gap, classify_outcome_measurement
 from ghz_selftest.states import (
@@ -187,7 +187,7 @@ class TestWitnessOrbits:
         ws = witness_operators(ops)
         flip_ops = _flip_operators(ops)
         assert np.abs(flip_ops @ flip_ops - I2).max() <= 1e-14
-        reps, orbit, flips = _orbit_flips(n)
+        reps, orbit, flips = witness_orbits(n)
         assert len(reps) == 2 - n % 2
         for m in range(2**n):
             nf = tensor([flip_ops[j] if flips[m, j] else I2 for j in range(n)])

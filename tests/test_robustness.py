@@ -365,6 +365,21 @@ class TestStackedSweep:
             margin_grid(2, step=np.pi / 16)
         assert margin_grid(2, step=np.pi / 16, outcomes=[0]).points == 9 * 9
 
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_refinement_counts_against_the_point_limit(self, monkeypatch, n):
+        counted = []
+
+        def counting(n, s, angles, params):
+            counted.append(len(angles))
+            return np.full(len(angles), -1e-7)  # negative: the minimum is refined
+
+        monkeypatch.setattr(robustness, "_margins", counting)
+        params = FidelityBoundParams(r=1 / ((n - 1) * 2 * SQRT2), mu=0.0, n=n)
+        margin_grid(n, params, step=np.pi / 2, outcomes=[0])
+        assert counted[0] == 2**n and len(counted) == 2  # the grid, then the refinement
+        assert sum(counted) <= robustness.GRID_MAX_POINTS
+        assert counted[1] == (9 if n < 7 else 7) ** n
+
     def test_angle_stack_validation(self):
         with pytest.raises(InvalidInput, match="outside"):
             inequality_margin(2, 0, [0.1, float("nan")], analytic_params(2))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -378,6 +380,18 @@ def test_stacked_success_scores_match_success_metric_bitwise(n):
     ops = np.stack([a_operators(s) for s in strategies])
     scores = success_scores(ops, np.stack([s.povm.elements for s in strategies]))
     assert scores.tolist() == [success_metric(s) for s in strategies]
+
+
+def test_success_metric_never_copies_the_element_stack():
+    strategy = ideal_strategy(7)
+    success_metric(strategy)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        success_metric(strategy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6  # the (128, 128, 128) complex element stack alone is 33.5 MB
 
 
 class TestRac:

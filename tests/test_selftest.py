@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from ghz_selftest.errors import InvalidInput, NotSelfTestable, PreconditionViolated
+from ghz_selftest import backends
+from ghz_selftest.cli import parse_args, run
 from ghz_selftest.fixtures import (
     computational_strategy,
+    depolarized_strategy,
     entangling_fixture,
     ideal_strategy,
     literal_ideal_strategy,
@@ -34,7 +37,9 @@ from ghz_selftest.selftest import (
     sos_residual,
     spectrum_closed_form,
     spectrum_deviation,
+    trace_bound,
     verify_ghz_measurement,
+    witness_bounds,
     witness_spectra,
 )
 from ghz_selftest.states import (
@@ -115,16 +120,67 @@ class TestSosResidual:
         assert max(values) - min(values) <= 1e-14
 
 
+def trace_perturbed(strategy, eps, seed):
+    """``strategy`` with every message state scaled by ``1 + e``, ``|e| <= eps``:
+    the difference operators get traces of order ``eps``, and the states stay
+    valid while ``eps`` is within the validation's trace tolerance."""
+    rng = make_rng(seed)
+    senders = tuple(SenderStates(st.rho * (1 + eps * rng.uniform(-1, 1, size=(2, 2, 1, 1))))
+                    for st in strategy.senders)
+    return Strategy(n=strategy.n, senders=senders, povm=strategy.povm)
+
+
+def orbit_inputs(n):
+    """The four certify fixtures and random antipodal and mixed strategies."""
+    return {
+        "ideal": ideal_strategy(n),
+        "literal": literal_ideal_strategy(n),
+        "computational": computational_strategy(n),
+        "depolarized": depolarized_strategy(n, 0.05),
+        "antipodal": random_antipodal_strategy(n, 3),
+        "mixed": random_mixed_strategy(n, 7),
+    }
+
+
+def full_spectra(ops):
+    """Each outcome's own witness solved on its own."""
+    return np.stack([herm_eigvals(w) for w in witness_operators(ops)])
+
+
+def witness_matrix_solves(monkeypatch, ops_list, run):
+    """How many ``2**n``-dimensional matrices that ``run()`` hands to
+    ``backends.eigvalsh`` are (symmetrized) witnesses of one of ``ops_list``."""
+    witnesses = np.concatenate([witness_operators(ops) for ops in ops_list])
+    d = witnesses.shape[-1]
+    seen = []
+    solve = backends.eigvalsh
+
+    def spy(m):
+        if m.shape[-1] == d:
+            seen.extend(m.reshape(-1, d, d))
+        return solve(m)
+
+    monkeypatch.setattr(backends, "eigvalsh", spy)
+    run()
+    monkeypatch.undo()
+    return sum(np.abs(witnesses - m).max(axis=(1, 2)).min() <= 1e-9 for m in seen)
+
+
 class TestWitnessSpectra:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_per_outcome_solves(self, n):
-        ops = a_operators(random_antipodal_strategy(n, 3))
-        ws = witness_operators(ops)
-        assert ws.imag.any(axis=(1, 2)).all()  # every solve is complex
+        # rows are copied from the orbit representatives: equal up to rounding
+        for name, strategy in orbit_inputs(n).items():
+            ops = a_operators(strategy)
+            spectra = witness_spectra(ops)
+            assert spectra.shape == (2**n, 2**n)
+            assert np.abs(spectra - full_spectra(ops)).max() <= 1e-12, name
+
+    def test_outcome_rows_are_their_representatives(self):
+        ops = a_operators(random_mixed_strategy(4, 7))
         spectra = witness_spectra(ops)
-        assert spectra.shape == (2**n, 2**n)
-        for m in range(2**n):
-            assert np.array_equal(spectra[m], herm_eigvals(ws[m]))
+        for outcomes in ([5], [6, 3], [3, 0, 3]):
+            assert np.array_equal(witness_spectra(ops, outcomes), spectra[outcomes])
 
     def test_never_holds_the_witness_stack(self):
         ops = a_operators(ideal_strategy(7))
@@ -154,6 +210,86 @@ class TestWitnessSpectra:
         conj = np.stack([[v @ base[j, x] @ v.conj().T for x in range(2)]
                          for j, v in enumerate(vs)])
         assert np.abs(witness_spectra(conj) - witness_spectra(base)).max() <= 1e-12
+
+
+class TestTraceBound:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_zero_for_exactly_traceless_operators(self, n):
+        for name in ("ideal", "literal", "computational", "depolarized"):
+            assert trace_bound(a_operators(orbit_inputs(n)[name])) == 0.0, name
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_bounds_the_deviation_of_perturbed_traces(self, n):
+        for seed, base in enumerate((ideal_strategy(n), random_antipodal_strategy(n, 3),
+                                     random_mixed_strategy(n, 7))):
+            strategy = trace_perturbed(base, 1e-10, seed)
+            strategy.validate()
+            ops = a_operators(strategy)
+            delta = trace_bound(ops)
+            moved = np.abs(witness_spectra(ops) - full_spectra(ops)).max()
+            assert 1e-12 < delta <= 1e-7
+            assert moved <= delta
+
+    def test_bounds_every_witness_norm_difference(self):
+        rng = make_rng(4)
+        for n in (2, 3, 4):
+            ops = a_operators(random_mixed_strategy(n, 11))
+            ops = ops + 1e-3 * rng.uniform(-1, 1, size=(n, 2, 1, 1)) * I2
+            ops0 = ops - np.trace(ops, axis1=-2, axis2=-1)[..., None, None] / 2 * I2
+            gap = np.linalg.norm(witness_operators(ops) - witness_operators(ops0), ord=2,
+                                 axis=(1, 2)).max()
+            assert gap <= trace_bound(ops) <= 10 * gap
+
+    def test_large_bound_falls_back_to_the_full_solve(self):
+        # delta above a tenth of the spectrum tolerance: the full solve decides
+        strategy = trace_perturbed(ideal_strategy(4), 1e-10, 2)
+        strategy.validate()
+        ops = a_operators(strategy)
+        assert trace_bound(ops) > DEFAULT_TOLERANCES["spectrum"] / 10
+        full = full_spectra(ops)
+        report = certify_strategy(strategy)
+        assert report.spectrum_diff == pytest.approx(spectrum_deviation(4, full), abs=1e-13)
+        assert report.min_shifted_eigenvalue == pytest.approx(
+            min_shifted_eigenvalue(4, full), abs=1e-13)
+        assert report.checks["spectrum"] == (spectrum_deviation(4, full)
+                                             <= DEFAULT_TOLERANCES["spectrum"])
+        assert report.checks == certify_strategy(ideal_strategy(4)).checks
+
+    def test_undecided_verdict_falls_back_to_the_full_solve(self):
+        # a tolerance within delta of the orbit deviation: the two ends disagree
+        ops = a_operators(trace_perturbed(random_antipodal_strategy(3, 3), 1e-13, 1))
+        delta = trace_bound(ops)
+        rows = witness_spectra(ops)
+        tol = spectrum_deviation(3, rows)
+        assert 0 < delta <= tol / 10
+        full = full_spectra(ops)
+        assert witness_bounds(ops, tol) == (spectrum_deviation(3, full),
+                                            min_shifted_eigenvalue(3, full))
+        assert witness_bounds(ops, 2 * tol) == (tol + delta, min_shifted_eigenvalue(3, rows) - delta)
+
+
+class TestOrbitSolves:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_one_or_two_witness_solves_per_certify(self, n, monkeypatch):
+        for strategy in (ideal_strategy(n), random_antipodal_strategy(n, 3)):
+            count = witness_matrix_solves(monkeypatch, [a_operators(strategy)],
+                                          lambda: certify_strategy(strategy))
+            assert count == 2 - n % 2
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_one_or_two_witness_solves_per_sos_sample(self, n, monkeypatch, tmp_path):
+        samples = [a_operators(random_antipodal_strategy(n, 5 + k)) for k in range(3)]
+        argv = ["sos", "--n", str(n), "--samples", "3", "--seed", "5",
+                "-o", str(tmp_path / "r.json")]
+        count = witness_matrix_solves(monkeypatch, samples, lambda: run(parse_args(argv)))
+        assert count == 3 * (2 - n % 2)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_one_or_two_witness_solves_per_spectrum_run(self, n, monkeypatch, tmp_path):
+        argv = ["spectrum", "--n", str(n), "-o", str(tmp_path / "r.json")]
+        count = witness_matrix_solves(monkeypatch, [canonical_ops(n)],
+                                      lambda: run(parse_args(argv)))
+        assert count == 2 - n % 2
 
 
 class TestSpectrum:
