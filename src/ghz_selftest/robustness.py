@@ -12,9 +12,19 @@ grid sweep.
 Angle points are evaluated as stacks: a ``(P, n)`` array of points gives
 ``(P, 2**n, 2**n)`` channel images, witnesses and shifted operators, worked
 through in the chunks of ``linalg.chunks``; witnesses are
-``scenario.witness_operator`` of the stacked message operators. The one-point
-functions (``apply_channel``, ``k_operator``, ``inequality_margin``) call the
-same stacked code with a single point.
+``scenario.witness_operator`` of the stacked message operators. The sweep
+applies the channel qubit by qubit (``_channel_stack``), and so do the
+one-point ``apply_channel`` and ``inequality_margin``.
+
+GHZ projectors have a shorter route. ``xi_s xi_s^dag`` is a sum of four
+basis dyads ``|x><y|``, and the product channel maps each to a Kronecker
+product of real 2x2 factors, so ``K_s`` is a Kronecker sum built in real
+arithmetic (``_ghz_images``; ``k_operator`` is its one-point call). Each local
+channel is self-dual and ``K_s`` is real symmetric, so the average fidelity
+``sum_s <xi_s|Lambda[M_s]|xi_s> / 2**n`` is ``sum_s Tr(M_s K_s) / 2**n``
+(``avg_fidelity``): the POVM is never pushed through the channel. The sweep
+keeps the qubit-by-qubit route because its margins are exactly 0 at some grid
+points, where the Kronecker images round differently (see ``_margins``).
 """
 
 import math
@@ -25,7 +35,7 @@ import numpy as np
 from .errors import InequalityViolated, InvalidInput, Unsupported
 from .linalg import I2, SIGMA_A, SIGMA_B, SIGMA_X, SIGMA_Z, SQRT2, chunks, projector, tensor
 from .scenario import witness_operator
-from .states import ghz_basis, ghz_basis_state, outcome_bits, outcome_label
+from .states import ghz_basis_state, outcome_bits, outcome_index, outcome_label
 
 ANALYTIC_R_2 = (4 + 5 * SQRT2) / 16
 ANALYTIC_MU_2 = -(1 + 2 * SQRT2) / 4
@@ -128,7 +138,10 @@ def channel_g(x: float) -> float:
 
 
 def gamma_operator(j: int, x: float) -> np.ndarray:
-    """Conjugation axis of sender ``j``'s channel; branch switches at pi/4."""
+    """Conjugation axis of sender ``j`` (an integer >= 1)'s channel; branch
+    switches at pi/4."""
+    if not (isinstance(j, (int, np.integer)) and j >= 1):
+        raise InvalidInput(f"sender index must be an integer >= 1, got {j!r}")
     x = _check_angle(x)
     # sender 1 has a frame of its own; every other sender shares slot 2's
     slots = 1 if j == 1 else 2
@@ -185,10 +198,50 @@ def apply_channel(angles, m) -> np.ndarray:
     return _channel_stack(m[None], angles[None])[0]
 
 
+def _kron_stack(factors: np.ndarray) -> np.ndarray:
+    """Kronecker products of real factors ``(..., n, 2, 2)``, slot 0 the most
+    significant, as ``(..., 2**n, 2**n)``. Built from the last slot up, so the
+    growing product is the inner factor and every step writes it contiguously."""
+    out = factors[..., -1, :, :]
+    for j in range(factors.shape[-3] - 2, -1, -1):
+        f = factors[..., j, :, :]
+        d = 2 * out.shape[-1]
+        out = (f[..., :, None, :, None] * out[..., None, :, None, :]).reshape(
+            out.shape[:-2] + (d, d))
+    return out
+
+
+def _ghz_images(n: int, outcomes: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Channel images ``K_s`` of the GHZ projectors of ``outcomes`` at one
+    checked angle point, a real ``(len(outcomes), 2**n, 2**n)`` stack.
+
+    With ``a = 0 s_2..s_n`` and ``b = 1 ~s_2..~s_n``,
+    ``xi_s xi_s^dag = (|a><a| + |b><b| + (-1)^{s_1} (|a><b| + |b><a|)) / 2``,
+    and the product channel maps each ``|x><y|`` to the Kronecker product
+    ``L_xy`` of the real 2x2 factors ``(1+g_j)/2 |x_j><y_j| + (1-g_j)/2
+    G_j |x_j><y_j| G_j``. Every ``G_j`` is real symmetric, so
+    ``L_ba = L_ab^T``.
+    """
+    g = _strengths(angles)[:, None, None, None, None]
+    gam = _axes(angles).real
+    unit = np.eye(4).reshape(2, 2, 2, 2)  # unit[x, y] = |x><y|
+    # table[j, x, y]: qubit j's channel image of |x><y|
+    table = (1 + g) / 2 * unit + (1 - g) / 2 * np.einsum("jrx,jcy->jxyrc", gam, gam)
+    bits = (outcomes[:, None] >> np.arange(n)) & 1  # (S, n), column j-1 is s_j
+    a = bits.copy()
+    a[:, 0] = 0
+    b = 1 - a
+    slots = np.arange(n)
+    l_aa, l_bb, l_ab = _kron_stack(
+        np.stack([table[slots, a, a], table[slots, b, b], table[slots, a, b]]))
+    sign = (1 - 2 * bits[:, 0])[:, None, None]
+    return (l_aa + l_bb + sign * (l_ab + l_ab.swapaxes(-1, -2))) / 2
+
+
 def k_operator(n: int, s, angles) -> np.ndarray:
-    """The channel image of the GHZ projector for outcome ``s``."""
+    """The channel image of the GHZ projector for outcome ``s``, real symmetric."""
     angles = _check_angles(angles, n)
-    return _channel_stack(projector(ghz_basis_state(s, n))[None], angles[None])[0]
+    return _ghz_images(n, np.array([outcome_index(s, n)]), angles)[0]
 
 
 def _message_stack(angles: np.ndarray) -> np.ndarray:
@@ -212,7 +265,15 @@ def parametrized_a_operators(angles) -> np.ndarray:
 
 def _margins(n: int, s, angles: np.ndarray, params: FidelityBoundParams) -> np.ndarray:
     """Minimum eigenvalue of ``K_s - r W_s - mu I`` at each row of the checked
-    (P, n) angles, one stacked eigensolve per chunk."""
+    (P, n) angles, one stacked eigensolve per chunk.
+
+    ``K_s`` comes from :func:`_channel_stack` and the solve is complex, not
+    from :func:`_ghz_images` and a real solve. At n = 2 the margin is exactly
+    0 at the corners and at (pi/4, pi/4), and either change rounds such a
+    zero below it: the Kronecker images give -2.2e-16 at (pi/4, pi/4), a
+    real solve -5e-17 at (0, 0). The sweep's minimum, its report and its CSV
+    would move with them.
+    """
     d = 2**n
     xi = projector(ghz_basis_state(s, n))[None]
     shift = params.mu * np.eye(d)
@@ -406,7 +467,10 @@ def avg_fidelity(povm, angles) -> float:
     """Mean GHZ fidelity of the channel-processed POVM elements.
 
     ``sum_s <xi_s| Lambda[M_s] |xi_s> / 2**n`` -- a certified lower estimate
-    of the channel-maximized extraction fidelity.
+    of the channel-maximized extraction fidelity. The product channel is
+    self-dual, so each term is ``Tr(M_s K_s)`` with ``K_s`` the real
+    symmetric image of :func:`_ghz_images`, and the POVM is never pushed
+    through the channel.
     """
     angles = _check_angles(angles)
     n = angles.shape[0]
@@ -415,12 +479,11 @@ def avg_fidelity(povm, angles) -> float:
         raise InvalidInput(
             f"POVM has {len(povm)} elements on dim {povm.dim}, expected 2**{n}"
         )
-    xi = ghz_basis(n)
     total = 0.0
     for part in chunks(d, d * d):
-        processed = _channel_stack(povm.elements[part], angles[None])
-        v = xi[:, part]
-        total += float(np.einsum("ip,pij,jp->", v.conj(), processed, v).real)
+        images = _ghz_images(n, np.arange(d)[part], angles)
+        # Tr(M K) for symmetric K; Im M is antisymmetric, so its part cancels
+        total += float(np.einsum("pij,pij->", povm.elements[part].real, images))
     return total / d
 
 

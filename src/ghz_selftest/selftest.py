@@ -113,7 +113,7 @@ def _norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt((p + q) / 2 + np.hypot((p - q) / 2, r))
 
 
-def trace_bound(ops: np.ndarray) -> float:
+def trace_bound(ops: np.ndarray, a0: np.ndarray | None = None) -> float:
     """A bound ``delta >= ||W_s - W0_s||`` for every outcome s, where ``W0_s``
     is the witness of the traceless Hermitian parts ``a0`` of ``ops``.
 
@@ -122,10 +122,11 @@ def trace_bound(ops: np.ndarray) -> float:
     ``A_i - B_i`` each, and Kronecker norms multiply, so the term moves by at
     most ``e_k = sum_i prod_{l<i} |B_l| |A_i - B_i| prod_{l>i} |A_l|`` and
     every ``W_s`` by at most ``(n-1) e_0 + e_1 + ... + e_{n-1}``. Exactly
-    traceless Hermitian operators give 0.
+    traceless Hermitian operators give 0. ``a0`` is ``_traceless(ops)``,
+    computed here unless the caller has it.
     """
     n = ops.shape[-4]
-    a0 = _traceless(ops)
+    a0 = _traceless(ops) if a0 is None else a0
     if np.array_equal(ops, a0):  # every difference factor is zero
         return 0.0
     a, b = np.array([witness_factors(ops), witness_factors(a0)])  # (term, slot, 2, 2)
@@ -144,7 +145,7 @@ def _solve_witnesses(ops: np.ndarray, outcomes=None) -> np.ndarray:
     return np.concatenate([herm_eigvals(ws) for _, ws in witness_chunks(ops, outcomes)])
 
 
-def witness_spectra(ops: np.ndarray, outcomes=None) -> np.ndarray:
+def witness_spectra(ops: np.ndarray, outcomes=None, a0: np.ndarray | None = None) -> np.ndarray:
     """Ascending eigenvalues of the traceless witnesses ``W0_s``, one row per
     outcome of ``outcomes`` (all ``2**n`` by default).
 
@@ -153,11 +154,13 @@ def witness_spectra(ops: np.ndarray, outcomes=None) -> np.ndarray:
     copied from its representative's. By Weyl's inequality every eigenvalue
     of the witness ``W_s`` of ``ops`` lies within :func:`trace_bound` of row
     s. The local unitaries of :func:`align_locals` leave the rows unchanged.
+    ``a0`` is ``_traceless(ops)``, as for :func:`trace_bound`.
     """
     reps, orbit, _ = witness_orbits(ops.shape[-4])
     wanted = orbit if outcomes is None else orbit[outcomes]
     solved = np.unique(wanted)
-    rows = _solve_witnesses(_traceless(ops), reps[solved])
+    a0 = _traceless(ops) if a0 is None else a0
+    rows = _solve_witnesses(a0, reps[solved])
     return rows[np.searchsorted(solved, wanted)]
 
 
@@ -174,9 +177,10 @@ def witness_bounds(ops: np.ndarray, spectrum_tol: float, outcomes=None) -> tuple
     witness is solved instead, so no verdict depends on ``delta``.
     """
     n = ops.shape[-4]
-    delta = trace_bound(ops)
+    a0 = _traceless(ops)
+    delta = trace_bound(ops, a0)
     if delta <= spectrum_tol / 10:
-        rows = witness_spectra(ops, outcomes)
+        rows = witness_spectra(ops, outcomes, a0)
         dev, shift = spectrum_deviation(n, rows), min_shifted_eigenvalue(n, rows)
         if ((dev - delta <= spectrum_tol) == (dev + delta <= spectrum_tol)
                 and (shift + delta >= -spectrum_tol) == (shift - delta >= -spectrum_tol)):

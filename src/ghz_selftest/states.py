@@ -87,6 +87,13 @@ def _first_failure(*failed):
     return k, int(failed[:, k].argmax())
 
 
+def _first_non_finite(m: np.ndarray):
+    """Index of the first matrix of the stack ``m`` with a NaN or infinite
+    entry, or None. Runs before any solve: LAPACK fails on such a matrix."""
+    bad = ~np.isfinite(m).all(axis=(-2, -1))
+    return int(bad.argmax()) if bad.any() else None
+
+
 @dataclass(frozen=True)
 class SenderStates:
     """One sender's four message states, ``rho[a, x]`` of shape (2, 2, 2, 2)."""
@@ -101,6 +108,9 @@ class SenderStates:
 
     def validate(self) -> None:
         m = backends.real_if_real(self.rho.reshape(4, 2, 2))  # row 2a + x
+        k = _first_non_finite(m)
+        if k is not None:
+            raise InvalidInput(f"state ({k // 2}|{k % 2}) has a non-finite entry")
         traces = np.trace(m, axis1=1, axis2=2).real
         failed = _first_failure(
             np.abs(m - dagger(m)).max(axis=(1, 2)) > STATE_ATOL,
@@ -136,6 +146,9 @@ class Povm:
     def validate(self) -> None:
         for part in chunks(len(self), self.dim**2):
             m = backends.real_if_real(self.elements[part])
+            k = _first_non_finite(m)
+            if k is not None:
+                raise InvalidInput(f"POVM element {part.start + k} has a non-finite entry")
             failed = _first_failure(
                 np.abs(m - dagger(m)).max(axis=(1, 2)) > POVM_ATOL,
                 backends.eigvalsh((m + dagger(m)) / 2)[:, 0] < -POVM_PSD_ATOL,

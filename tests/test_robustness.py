@@ -31,7 +31,7 @@ from ghz_selftest.robustness import (
     relabel_unitary,
 )
 from ghz_selftest.scenario import a_operators, comm_metric, partial_witnesses, success_metric
-from ghz_selftest.states import ghz_basis_state, outcome_index
+from ghz_selftest.states import ghz_basis_state, outcome_index, random_strategy
 
 SQRT2 = np.sqrt(2)
 
@@ -149,6 +149,17 @@ class TestChannel:
             assert abs(np.trace(out).real - 1) < 1e-12
             assert herm_eigvals(out)[0] >= -1e-12
 
+    @pytest.mark.parametrize("j", [0, -3, 1.5, "2"])
+    def test_sender_index_must_be_a_positive_integer(self, j):
+        with pytest.raises(InvalidInput, match="sender index"):
+            gamma_operator(j, 0.1)
+        with pytest.raises(InvalidInput, match="sender index"):
+            local_channel(j, 0.1, np.eye(2) / 2)
+
+    def test_sender_index_accepts_numpy_integers(self):
+        for j in (np.int64(1), np.int32(3)):
+            assert np.array_equal(gamma_operator(j, 0.1), gamma_operator(int(j), 0.1))
+
     def test_self_dual(self):
         rng = make_rng(3)
         for _ in range(20):
@@ -184,6 +195,57 @@ class TestKOperator:
             k = k_operator(3, 5, angles)
             assert abs(np.trace(k).real - 1) < 1e-12
             assert herm_eigvals(k)[0] >= -1e-12
+
+
+class TestGhzImages:
+    """``k_operator`` and ``avg_fidelity`` use the Kronecker-sum images of the
+    GHZ projectors; the qubit-by-qubit ``apply_channel`` is their reference."""
+
+    @staticmethod
+    def angle_points(n, seed):
+        rng = make_rng(seed)
+        points = [rng.uniform(0, np.pi / 2, size=n) for _ in range(4)]
+        # the ends, and pi/4 where the channel axes switch branch
+        points += [np.full(n, x) for x in (0.0, np.pi / 4, np.pi / 2)]
+        points.append(np.resize([0.0, np.pi / 4, np.pi / 2], n))
+        return points
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_k_operator_matches_apply_channel(self, n):
+        for angles in self.angle_points(n, 20 + n):
+            for s in range(2**n):
+                want = apply_channel(angles, projector(ghz_basis_state(s, n)))
+                k = k_operator(n, s, angles)
+                assert np.abs(k - want).max() <= 1e-14, (s, angles)
+                assert np.array_equal(k, k.T)
+
+    def test_k_operator_takes_every_outcome_form(self):
+        angles = [0.3, 1.2, 0.7]
+        want = k_operator(3, 5, angles)
+        for s in ("101", [1, 0, 1], np.int64(5)):
+            assert np.array_equal(k_operator(3, s, angles), want)
+        with pytest.raises(InvalidInput):
+            k_operator(3, 8, angles)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_avg_fidelity_matches_the_channelled_povm(self, n):
+        povms = [depolarized_strategy(n, 0.05).povm, random_strategy(n, 30 + n).povm]
+        xi = [ghz_basis_state(s, n) for s in range(2**n)]
+        for angles in self.angle_points(n, 40 + n)[::2]:
+            for povm in povms:
+                want = np.mean([(v.conj() @ apply_channel(angles, m) @ v).real
+                                for v, m in zip(xi, povm.elements)])
+                assert abs(avg_fidelity(povm, angles) - want) <= 1e-13
+
+    def test_avg_fidelity_never_channels_the_povm(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("avg_fidelity applied the channel to the POVM")
+
+        povm = depolarized_strategy(3, 0.1).povm
+        want = avg_fidelity(povm, [0.2, 0.9, 1.4])
+        monkeypatch.setattr(robustness, "_channel_stack", refuse)
+        assert avg_fidelity(povm, [0.2, 0.9, 1.4]) == want
+        assert abs(avg_fidelity(ideal_strategy(2).povm, [np.pi / 4] * 2) - 1) < 1e-12
 
 
 class TestInequality:

@@ -51,6 +51,7 @@ from ghz_selftest.states import (
     outcome_bits,
     random_antipodal_strategy,
     random_mixed_strategy,
+    random_strategy,
 )
 from ghz_selftest.rng import make_rng
 
@@ -534,6 +535,27 @@ class TestCertify:
 
     def test_literal_variant_passes(self):
         assert certify_strategy(literal_ideal_strategy(3)).passed
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("where", ["sender", "povm"])
+    def test_non_finite_entries_are_invalid_input(self, n, kind, where):
+        # NaN and inf pass the Hermiticity, trace and sum checks, and LAPACK
+        # fails on them, so they are refused before any solve
+        base = ideal_strategy(n) if kind == "real" else random_strategy(n, 3)
+        senders, elements = list(base.senders), base.povm.elements.copy()
+        if where == "sender":
+            rho = senders[-1].rho.copy()
+            rho[1, 0, 0, 1] = np.nan
+            senders[-1] = SenderStates(rho)
+            want = f"sender {n}: state (1|0) has a non-finite entry"
+        else:
+            elements[1, 2, 2] = np.inf
+            want = "POVM element 1 has a non-finite entry"
+        strategy = Strategy(n=n, senders=tuple(senders), povm=Povm(elements))
+        with pytest.raises(InvalidInput) as exc:
+            certify_strategy(strategy)
+        assert str(exc.value) == want
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_full_pipeline_scales(self, n):

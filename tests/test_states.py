@@ -228,6 +228,31 @@ class TestValidation:
         with pytest.raises(InvalidInput, match="element 1 is not Hermitian"):
             Povm(el).validate()
 
+    @pytest.mark.parametrize("n", [2, 7])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0, np.nan)])
+    def test_povm_rejects_non_finite_entries(self, n, kind, entry):
+        el = povm_elements(n, kind).copy()
+        el[1, 2, 2] = entry
+        el[3, 0, 1] += 1e-6  # a later defect never masks the earlier one
+        with pytest.raises(InvalidInput) as exc:
+            Povm(el).validate()
+        assert str(exc.value) == "POVM element 1 has a non-finite entry"
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("entry", [np.nan, -np.inf])
+    @pytest.mark.parametrize("k, where", [(0, (1, 1)), (2, (0, 1))])
+    def test_sender_states_reject_non_finite_entries(self, kind, entry, k, where):
+        if kind == "real":
+            rho = ideal_sender_states(2, 2).rho.copy()
+        else:
+            rho = random_strategy(2, 5).senders[1].rho.copy()
+        a, x = divmod(k, 2)
+        rho[(a, x) + where] = entry
+        with pytest.raises(InvalidInput) as exc:
+            SenderStates(rho).validate()
+        assert str(exc.value) == f"state ({a}|{x}) has a non-finite entry"
+
     @pytest.mark.parametrize("k", range(4))
     @pytest.mark.parametrize("defect", ["Hermitian", "trace", "positive semidefinite"])
     def test_sender_states_name_the_failing_state(self, k, defect):
