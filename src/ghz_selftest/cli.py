@@ -22,6 +22,7 @@ do not depend on it.
 """
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -247,8 +248,23 @@ def save_strategy(strategy: Strategy, path: str) -> None:
 
 
 def load_strategy(path: str) -> Strategy:
+    """The strategy of a strategy file. A file that is not UTF-8 text or
+    nests too deeply to parse is an InvalidInput; the cyclic garbage
+    collector is paused while the parse builds its lists, which hold no
+    cycles, and left as the caller had it."""
     with open(path, "r", encoding="utf-8") as fh:
-        return strategy_from_dict(json.load(fh))
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            data = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise InvalidInput(f"strategy file is not UTF-8 text: {exc}") from exc
+        except RecursionError as exc:
+            raise InvalidInput("strategy file nests too deeply to parse") from exc
+        finally:
+            if collecting:
+                gc.enable()
+    return strategy_from_dict(data)
 
 
 # ---------------------------------------------------------------------------

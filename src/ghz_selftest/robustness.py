@@ -371,8 +371,10 @@ def margin_grid(
     negative minimum's neighborhood (one step to each side) is re-swept at
     one quarter of the step, or on fewer ticks per axis when the coarse grid
     leaves fewer than ``9**n`` of the ``GRID_MAX_POINTS``.
-    Optionally writes rows ``(s, alpha_1..alpha_n, margin)`` to
-    ``csv_path`` (outcome words listed sign-bit first), outcome-major.
+    ``outcomes`` is ``"all"`` or a list of outcomes in any form
+    :func:`~ghz_selftest.states.outcome_index` takes. Optionally writes rows
+    ``(s, alpha_1..alpha_n, margin)`` to ``csv_path`` (outcome words listed
+    sign-bit first), outcome-major.
     """
     params = _params_for(n, params)
     if n > 7:
@@ -382,7 +384,7 @@ def margin_grid(
     if outcomes == "all":
         outcome_list = list(range(2**n))
     else:
-        outcome_list = [int(m) for m in outcomes]
+        outcome_list = [outcome_index(m, n) for m in outcomes]
     if not outcome_list:
         raise InvalidInput("no outcomes to sweep")
     # capped first, so a tiny step cannot overflow the integer conversion

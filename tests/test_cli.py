@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -20,6 +21,7 @@ from ghz_selftest.cli import (
     strategy_from_dict,
     strategy_to_dict,
 )
+from ghz_selftest.errors import InvalidInput
 from ghz_selftest.fixtures import depolarized_partial_bell, ideal_strategy, partial_bell_strategy
 from ghz_selftest.scenario import a_operators, success_metric
 from ghz_selftest.selftest import DEFAULT_TOLERANCES, witness_bounds
@@ -178,6 +180,70 @@ class TestCanonicalJson:
         save_strategy(s, str(path))
         assert abs(success_metric(load_strategy(str(path))) - 1) < 1e-10
 
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_strategy_file_roundtrips_bit_for_bit(self, tmp_path, seed):
+        path = tmp_path / "s.json"
+        s = random_antipodal_strategy(6, seed)
+        save_strategy(s, str(path))
+        back = load_strategy(str(path))
+        assert (back.n, back.task, back.observables) == (6, "ghz", None)
+        assert back.povm.elements.tobytes() == s.povm.elements.tobytes()
+        for got, want in zip(back.senders, s.senders, strict=True):
+            assert got.rho.tobytes() == want.rho.tobytes()
+
+
+class TestLoadStrategyGc:
+    """The parse runs with the cyclic collector paused; the caller's setting
+    survives a return and a raise."""
+
+    @pytest.fixture
+    def caller_gc(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("caller_enabled", [True, False])
+    @pytest.mark.parametrize("content", ["valid", "{not json"])
+    def test_caller_setting_is_restored(self, tmp_path, caller_gc, caller_enabled, content):
+        path = tmp_path / "s.json"
+        if content == "valid":
+            save_strategy(ideal_strategy(2), str(path))
+        else:
+            path.write_text(content)
+        (gc.enable if caller_enabled else gc.disable)()
+        if content == "valid":
+            load_strategy(str(path))
+        else:
+            with pytest.raises(json.JSONDecodeError):
+                load_strategy(str(path))
+        assert gc.isenabled() is caller_enabled
+
+    def test_restored_after_an_input_error(self, tmp_path, caller_gc):
+        path = tmp_path / "s.json"
+        path.write_bytes(b"\xff\xfe{}")
+        gc.enable()
+        with pytest.raises(InvalidInput):
+            load_strategy(str(path))
+        assert gc.isenabled()
+
+    def test_parse_runs_paused(self, tmp_path, monkeypatch, caller_gc):
+        path = tmp_path / "s.json"
+        save_strategy(ideal_strategy(2), str(path))
+        seen = []
+        parse = json.load
+
+        def recording(fh):
+            seen.append(gc.isenabled())
+            return parse(fh)
+
+        monkeypatch.setattr(json, "load", recording)
+        gc.enable()
+        load_strategy(str(path))
+        assert seen == [False] and gc.isenabled()
+
 
 class TestRun:
     def test_certify_ideal_passes(self, tmp_path, capsys):
@@ -277,6 +343,20 @@ class TestRun:
         assert code == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("command", ["certify", "partial-bell"])
+    @pytest.mark.parametrize("content, message", [
+        (b"\xff\xfe" + b"{}" * 8, "strategy file is not UTF-8 text"),
+        (b"[" * 200000 + b"]" * 200000, "strategy file nests too deeply to parse"),
+    ], ids=["not-utf8", "deep-nesting"])
+    def test_unreadable_strategy_file_is_an_input_error(self, tmp_path, capsys,
+                                                         command, content, message):
+        strat = tmp_path / "s.json"
+        strat.write_bytes(content)
+        out = tmp_path / "r.json"
+        assert run(parse_args([command, "--input", str(strat), "-o", str(out)])) == 2
+        assert capsys.readouterr().err.startswith(f"{command}: error: {message}")
+        assert not out.exists()
 
     def test_tolerance_override_applies(self, tmp_path):
         out = tmp_path / "r.json"

@@ -1,5 +1,6 @@
 import csv as csvlib
 import itertools
+import re
 from functools import reduce
 
 import numpy as np
@@ -297,6 +298,25 @@ class TestInequality:
             margin_grid(8, params, step=np.pi / 4)
         with pytest.raises(InvalidInput):
             margin_grid(2, step=np.pi / 4, outcomes=[])
+
+    def test_margin_grid_resolves_outcome_words(self, tmp_path):
+        # "01" is s_1 = 0, s_2 = 1: outcome 2, not int("01") = 1
+        path = tmp_path / "grid.csv"
+        res = margin_grid(2, step=np.pi / 8, outcomes=["01"], csv_path=str(path))
+        assert res == margin_grid(2, step=np.pi / 8, outcomes=[2])
+        assert res.argmin_outcome == 2
+        assert {m for m, _, _ in read_grid_csv(path, 2)} == {2}
+        assert margin_grid(2, step=np.pi / 8, outcomes=[(0, 1)]) == res
+
+    @pytest.mark.parametrize("outcome", [1.5, None, "2"])
+    def test_margin_grid_rejects_a_non_outcome(self, outcome):
+        with pytest.raises(InvalidInput, match=re.escape(repr(outcome))):
+            margin_grid(2, step=np.pi / 8, outcomes=[outcome])
+
+    @pytest.mark.parametrize("outcome", [1.5, None])
+    def test_k_operator_rejects_a_non_outcome(self, outcome):
+        with pytest.raises(InvalidInput, match=re.escape(repr(outcome))):
+            k_operator(2, outcome, [np.pi / 4, np.pi / 4])
 
     def test_margin_grid_certifies_supplied_three_sender_pair(self):
         # no built-in coefficients beyond n=2: callers supply a pair and

@@ -1,13 +1,18 @@
+import re
 from functools import cache
 
 import numpy as np
 import pytest
 
+from ghz_selftest import backends
 from ghz_selftest.errors import InvalidBloch, InvalidInput
-from ghz_selftest.linalg import I2, SIGMA_X, SIGMA_Z, projector
+from ghz_selftest.fixtures import ideal_strategy
+from ghz_selftest.linalg import I2, SIGMA_X, SIGMA_Z, chunks, dagger, projector
 from ghz_selftest.scenario import a_operators, witness_operator
 from ghz_selftest.selftest import antipodality_gap
 from ghz_selftest.states import (
+    POVM_ATOL,
+    POVM_PSD_ATOL,
     Povm,
     SenderStates,
     aligned_sender_states,
@@ -62,6 +67,11 @@ class TestOutcomes:
             outcome_bits("012", 3)
         with pytest.raises(InvalidInput):
             outcome_bits(8, 3)
+
+    @pytest.mark.parametrize("s", [1.5, None, 2.0, ["0", "x"]])
+    def test_non_integer_outcomes_name_the_value(self, s):
+        with pytest.raises(InvalidInput, match=re.escape(repr(s))):
+            outcome_bits(s, 2)
 
 
 class TestIdealStates:
@@ -122,6 +132,17 @@ class TestGhzBasis:
     def test_wrong_length(self):
         with pytest.raises(InvalidInput):
             ghz_basis_state("01", 3)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_closed_form_is_the_stacked_states(self, n):
+        want = np.stack([ghz_basis_state(m, n) for m in range(2**n)], axis=1)
+        got = ghz_basis(n)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_closed_form_needs_a_positive_n(self):
+        with pytest.raises(InvalidInput):
+            ghz_basis(0)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_witness_expectation_at_ghz_vectors(self, n):
@@ -272,3 +293,84 @@ class TestValidation:
         with pytest.raises(InvalidInput) as exc:
             SenderStates(rho).validate()
         assert str(exc.value) == want
+
+
+def eigvalsh_rule(povm: Povm):
+    """``Povm.validate``'s message without the Cholesky screen, or None for a
+    valid POVM: every chunk decided by ``eigvalsh``, the rule as it was."""
+    for part in chunks(len(povm), povm.dim**2):
+        m = backends.real_if_real(povm.elements[part])
+        bad = ~np.isfinite(m).all(axis=(-2, -1))
+        if bad.any():
+            return f"POVM element {part.start + int(bad.argmax())} has a non-finite entry"
+        failed = np.array([
+            np.abs(m - dagger(m)).max(axis=(1, 2)) > POVM_ATOL,
+            backends.eigvalsh((m + dagger(m)) / 2)[:, 0] < -POVM_PSD_ATOL,
+        ])
+        if failed.any():
+            k = int(failed.any(axis=0).argmax())
+            reason = ("Hermitian", "positive semidefinite")[int(failed[:, k].argmax())]
+            return f"POVM element {part.start + k} is not {reason}"
+    if np.abs(povm.elements.sum(axis=0) - np.eye(povm.dim)).max() > POVM_ATOL:
+        return "POVM elements do not sum to the identity"
+    return None
+
+
+def validate_message(povm: Povm):
+    try:
+        povm.validate()
+    except InvalidInput as exc:
+        return str(exc)
+    return None
+
+
+class TestCholeskyScreen:
+    """The Cholesky screen clears valid POVMs without an eigensolve and
+    leaves every verdict and message to the eigenvalue rule."""
+
+    @pytest.mark.parametrize("n", [2, 7])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("least", [-0.4, -0.5, -0.6, -1.0, -2.0])  # x 1e-10
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_verdicts_match_the_eigenvalue_rule(self, n, kind, least, scale):
+        el = povm_elements(n, kind).copy()
+        # element 1 gains the eigenvalue `least` along element 0's vector and,
+        # for scale 1e6, entries of order 1e6 along element 2's
+        el[1] += least * 1e-10 * el[0] + (scale - 1) * el[2]
+        povm = Povm(el)
+        want = eigvalsh_rule(povm)
+        assert validate_message(povm) == want
+        if scale == 1.0 and least >= -0.6:
+            assert want is None
+        if least <= -2.0:
+            assert want == "POVM element 1 is not positive semidefinite"
+
+    @pytest.mark.parametrize("n", [2, 7])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("earlier_psd_defect", [False, True])
+    def test_a_non_hermitian_chunk_is_decided_by_the_eigenvalue_rule(
+            self, n, kind, earlier_psd_defect):
+        el = povm_elements(n, kind).copy()
+        # an anti-Hermitian defect leaves (m + m^dag)/2, and the screen's
+        # verdict on it, unchanged
+        el[2, 0, 1] += 1e-6
+        el[2, 1, 0] -= 1e-6
+        if earlier_psd_defect:
+            el[1] -= 2e-10 * el[0]
+        povm = Povm(el)
+        want = eigvalsh_rule(povm)
+        assert validate_message(povm) == want
+        assert want == f"POVM element {1 if earlier_psd_defect else 2} is not " + (
+            "positive semidefinite" if earlier_psd_defect else "Hermitian")
+
+    @pytest.mark.parametrize("povm", [ideal_strategy(7).povm, random_strategy(6, 5).povm],
+                             ids=["ideal7", "random6"])
+    def test_valid_povm_runs_no_eigensolve(self, monkeypatch, povm):
+        def no_solve(m):
+            raise AssertionError("eigensolve called")
+
+        monkeypatch.setattr(backends, "eigvalsh", no_solve)
+        povm.validate()
+
+    def test_ideal_elements_are_contiguous_matrices(self):
+        assert ghz_povm(7).elements.flags["C_CONTIGUOUS"]
