@@ -59,10 +59,11 @@ def require_hermitian(m, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     return m
 
 
-def chunks(count: int, entries: int) -> list:
+def chunks(count: int, entries: int, budget: int | None = None) -> list:
     """Slices over ``count`` points of ``entries`` array entries each, every
-    slice holding at most ``CHUNK_ELEMENTS`` entries (and at least one point)."""
-    size = max(1, CHUNK_ELEMENTS // entries)
+    slice holding at most ``budget`` entries (``CHUNK_ELEMENTS`` by default)
+    and at least one point."""
+    size = max(1, (CHUNK_ELEMENTS if budget is None else budget) // entries)
     return [slice(i, i + size) for i in range(0, count, size)]
 
 

@@ -14,9 +14,10 @@ history is nondecreasing within a restart.
 
 The restarts advance in lockstep: every half-step works on arrays with a
 leading restart axis, and a restart leaves the active set once it has
-converged, keeping its own iteration count and history. The half-step
-kernels take any leading axes; the public single-strategy steps are the same
-kernels called without one.
+converged, keeping its own iteration count and history. A block of restarts
+holds at most ``BLOCK_ENTRIES`` entries of its largest per-restart stack. The
+half-step kernels take any leading axes; the public single-strategy steps are
+the same kernels called without one.
 """
 
 import math
@@ -56,6 +57,10 @@ from .states import (
 )
 
 METRICS = ("ghz", "counterexample", "partial_bell")
+
+# entries of the largest per-restart stack that one lockstep block may hold
+# (4 MB of complex128): 8 GHZ restarts at n = 5, one from n = 6 on
+BLOCK_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)
@@ -443,13 +448,14 @@ def seesaw(config: SeesawConfig) -> SeesawResult:
 
     Deterministic for a given seed: restart ``i`` draws from stream ``i`` of
     the master seed, and ties between restarts break by restart order. The
-    restarts run in contiguous blocks of at most ``linalg.CHUNK_ELEMENTS``
-    entries of their largest per-restart stack, mapped over the worker pool;
-    a restart's history does not depend on the block it shares.
+    restarts run in contiguous blocks of at most ``BLOCK_ENTRIES`` entries of
+    their largest per-restart stack, mapped over the worker pool; a
+    restart's history does not depend on the block it shares.
     """
     game = GAMES[config.metric]
     restarts = range(config.restarts)
-    blocks = [restarts[part] for part in chunks(config.restarts, game.entries(config.n))]
+    blocks = [restarts[part]
+              for part in chunks(config.restarts, game.entries(config.n), BLOCK_ENTRIES)]
     leader = _Leader()
 
     def run(block: range) -> list:

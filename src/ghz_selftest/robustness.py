@@ -381,7 +381,7 @@ def margin_grid(
         raise Unsupported("operator-inequality certification supported for n <= 7 only")
     if not (math.isfinite(step) and step > 0):
         raise InvalidInput(f"step must be a positive finite number, got {step}")
-    if outcomes == "all":
+    if isinstance(outcomes, str) and outcomes == "all":
         outcome_list = list(range(2**n))
     else:
         outcome_list = [outcome_index(m, n) for m in outcomes]

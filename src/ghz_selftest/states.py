@@ -13,6 +13,7 @@ Qubit order inside operators: sender 1 occupies the most significant tensor
 factor, i.e. ``tensor([A1, A2, ...])``.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,12 +42,15 @@ def outcome_bits(s, n: int) -> tuple:
             raise InvalidInput(f"outcome string {s!r} is not a {n}-bit word")
         return tuple(int(c) for c in s)
     try:
-        bits = tuple(int(b) for b in s)
-    except (TypeError, ValueError):
+        entries = list(s)
+    except TypeError:
         raise InvalidInput(f"outcome {s!r} is not an integer, a bit string or a bit list") from None
-    if len(bits) != n or any(b not in (0, 1) for b in bits):
+    # checked before int(), which would truncate 0.5 to 0 and 1.9 to 1
+    if len(entries) != n or not all(
+        isinstance(b, (numbers.Real, np.bool_)) and b in (0, 1) for b in entries
+    ):
         raise InvalidInput(f"outcome {s!r} is not a {n}-bit word")
-    return bits
+    return tuple(int(b) for b in entries)
 
 
 def outcome_index(s, n: int) -> int:

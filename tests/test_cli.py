@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ghz_selftest
+from ghz_selftest import optimize
 from ghz_selftest.cli import (
     canonical_json,
     load_strategy,
@@ -446,6 +447,21 @@ class TestRun:
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
         best = load_strategy(str(strat))
         assert success_metric(best) >= 1 - 1e-6
+
+    @pytest.mark.parametrize("n, restarts", [(5, 3), (4, 9)])
+    def test_seesaw_files_do_not_depend_on_the_block_size(self, tmp_path, monkeypatch,
+                                                          n, restarts):
+        outputs = []
+        for budget in (optimize.BLOCK_ENTRIES, 1):  # one block, then blocks of one
+            monkeypatch.setattr(optimize, "BLOCK_ENTRIES", budget)
+            files = [tmp_path / name for name in ("r.json", "h.csv", "s.json")]
+            assert run(parse_args([
+                "seesaw", "--metric", "ghz", "--n", str(n), "--restarts", str(restarts),
+                "--seed", "5", "-o", str(files[0]), "--history-csv", str(files[1]),
+                "--save-strategy", str(files[2]),
+            ])) == 0
+            outputs.append([f.read_bytes() for f in files])
+        assert outputs[0] == outputs[1]
 
     def test_counterexample_strategy_export_rejected_before_the_search(self, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ghz_selftest import backends
+from ghz_selftest import backends, optimize
 from ghz_selftest.errors import InvalidInput
 from ghz_selftest.fixtures import computational_strategy, ideal_strategy, partial_bell_strategy
 from ghz_selftest.linalg import I2, fix_phase, herm_eig, projector, tensor
@@ -405,6 +405,7 @@ class TestLockstep:
 
     @pytest.mark.parametrize("metric, n, restarts", [
         ("counterexample", 2, 12), ("partial_bell", 2, 6), ("ghz", 2, 8), ("ghz", 4, 5),
+        ("ghz", 5, 3),
     ])
     def test_restart_does_not_depend_on_its_block(self, metric, n, restarts):
         cfg = SeesawConfig(n=n, metric=metric, restarts=restarts, seed=3)
@@ -432,12 +433,24 @@ class TestLockstep:
         assert history == [[-1.0, 0.0, 0.0]] * 2
         assert all((f[0], f[1], f[2][0], f[3][0]) == (0.0, 2, 0.5, 1.0) for f in final)
 
+    @pytest.mark.parametrize("n, restarts, sizes", [(5, 3, [3]), (5, 9, [8, 1]), (6, 2, [1, 1])])
+    def test_blocks_hold_at_most_the_budget(self, monkeypatch, n, restarts, sizes):
+        blocks = []
+
+        def counting(config, game, block):
+            blocks.append(len(block))
+            return _lockstep(config, game, block)
+
+        monkeypatch.setattr(optimize, "_lockstep", counting)
+        seesaw(SeesawConfig(n=n, restarts=restarts, max_iters=1))
+        assert blocks == sizes
+
     def test_thread_count_does_not_change_results(self, monkeypatch):
-        # n=4 runs blocks of four restarts, so nine restarts make three blocks
+        # n=5 runs blocks of eight restarts, so nine restarts make two blocks
         runs = []
         for threads in ("1", "3"):
             monkeypatch.setenv("GHZ_SELFTEST_THREADS", threads)
-            runs.append(seesaw(SeesawConfig(n=4, restarts=9, seed=1)))
+            runs.append(seesaw(SeesawConfig(n=5, restarts=9, seed=1)))
         a, b = runs
         assert a.history == b.history
         assert (a.best_value, a.iters_used) == (b.best_value, b.iters_used)
@@ -471,9 +484,12 @@ class TestLockstep:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("n, restarts", [(2, 20), (5, 3)], ids=["one-block", "blocks-of-one"])
-    def test_best_restart_is_the_first_maximum(self, n, restarts):
+    @pytest.mark.parametrize("n, restarts, budget", [
+        (2, 20, optimize.BLOCK_ENTRIES), (5, 3, optimize.BLOCK_ENTRIES), (5, 3, 8**5),
+    ], ids=["one-block", "one-block-n5", "blocks-of-one"])
+    def test_best_restart_is_the_first_maximum(self, monkeypatch, n, restarts, budget):
         # at these seeds several restarts end on the same value bit for bit
+        monkeypatch.setattr(optimize, "BLOCK_ENTRIES", budget)
         res = seesaw(SeesawConfig(n=n, restarts=restarts, seed=0))
         finals = [h[-1] for h in res.history]
         first = finals.index(max(finals))

@@ -308,6 +308,12 @@ class TestInequality:
         assert {m for m, _, _ in read_grid_csv(path, 2)} == {2}
         assert margin_grid(2, step=np.pi / 8, outcomes=[(0, 1)]) == res
 
+    @pytest.mark.parametrize("outcomes", [np.array([0, 1]), [0, 1], (0, 1)],
+                             ids=["ndarray", "list", "tuple"])
+    def test_margin_grid_takes_any_outcome_sequence(self, outcomes):
+        want = margin_grid(2, step=np.pi / 8, outcomes=[0, 1])
+        assert margin_grid(2, step=np.pi / 8, outcomes=outcomes) == want
+
     @pytest.mark.parametrize("outcome", [1.5, None, "2"])
     def test_margin_grid_rejects_a_non_outcome(self, outcome):
         with pytest.raises(InvalidInput, match=re.escape(repr(outcome))):

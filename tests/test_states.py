@@ -68,10 +68,15 @@ class TestOutcomes:
         with pytest.raises(InvalidInput):
             outcome_bits(8, 3)
 
-    @pytest.mark.parametrize("s", [1.5, None, 2.0, ["0", "x"]])
+    # int() would truncate the bit lists' 0.5 to 0 and 1.9 to 1
+    @pytest.mark.parametrize("s", [1.5, None, 2.0, ["0", "x"], [0.5, 1], [True, 1.9]])
     def test_non_integer_outcomes_name_the_value(self, s):
         with pytest.raises(InvalidInput, match=re.escape(repr(s))):
             outcome_bits(s, 2)
+
+    @pytest.mark.parametrize("s, bits", [([0, 1], (0, 1)), ([np.int64(1), 0], (1, 0))])
+    def test_integer_bit_lists(self, s, bits):
+        assert outcome_bits(s, 2) == bits
 
 
 class TestIdealStates:
