@@ -15,10 +15,10 @@ where ``M`` is a row-major matrix of ``[re, im]`` pairs. POVM element ``m``
 is the outcome whose bits are ``s_j = (m >> (j-1)) & 1``; outcome strings in
 reports and CSV exports list the sign bit ``s_1`` first.
 
-Randomness is counter-based (Philox keyed by ``--seed``), so results are
-reproducible across runs and platforms. ``GHZ_SELFTEST_THREADS`` caps worker
-parallelism over the see-saw's blocks of restarts (0 = one per CPU); results
-do not depend on it.
+Randomness is counter-based (Philox keyed by ``--seed``, which only ``sos``
+and ``seesaw`` take), so results are reproducible across runs and platforms.
+``GHZ_SELFTEST_THREADS`` caps worker parallelism over the see-saw's blocks of
+restarts (0 = one per CPU); results do not depend on it.
 """
 
 import argparse
@@ -45,6 +45,7 @@ from .fixtures import (
 )
 from .optimize import SeesawConfig, seesaw
 from .robustness import (
+    RAC_OPTIMUM,
     FidelityBoundParams,
     analytic_params,
     fidelity_lower_bound,
@@ -82,17 +83,8 @@ from .states import (
     random_antipodal_strategy,
 )
 
-COMMANDS = (
-    "certify",
-    "spectrum",
-    "sos",
-    "seesaw",
-    "counterexample",
-    "robustness-grid",
-    "fidelity-bound",
-    "partial-bell",
-    "rac",
-)
+# the largest sender count any command or strategy file takes
+MAX_N = 7
 # the commands whose checks read selftest's tolerance table
 TOLERANCE_COMMANDS = ("certify", "spectrum", "sos")
 
@@ -213,12 +205,11 @@ def strategy_from_dict(data: dict) -> Strategy:
     valid is left to the command that uses the strategy, which validates it
     once (:func:`certify_strategy` does so itself)."""
     try:
-        try:
-            n = int(data["n"])
-        except (ValueError, OverflowError) as exc:
-            raise InvalidInput(f"strategy file field n is not an integer: {exc}") from exc
-        if n < 2:
-            raise InvalidInput(f"need at least two senders, got n={n}")
+        n = data["n"]
+        # checked before 2**n sizes the POVM: a bool, a float or a huge n is refused
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 2 <= n <= MAX_N:
+            raise InvalidInput(f"strategy file field n is not an integer from 2 to {MAX_N}: {n!r}")
+        n = int(n)
         task = data.get("task", "ghz")
         senders = []
         for j, entry in enumerate(data["senders"]):
@@ -298,29 +289,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_n=2):
-        p.add_argument("--seed", type=int, default=0, help="master random seed")
-        p.add_argument("--n", type=int, default=default_n, help="number of senders")
+    def command(name, summary, n=False, seed=False):
+        # no abbreviations: `partial-bell --n 0.1` must not parse as --noise 0.1
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        if seed:
+            p.add_argument("--seed", type=int, help="master random seed")
+        if n:
+            p.add_argument("--n", type=int, help="number of senders")
         p.add_argument("--output", "-o", help="report path (default report-<command>.json)")
+        # every report's config echoes n and seed, whether the command reads them or not
+        p.set_defaults(n=2, seed=0)
+        return p
 
-    p = sub.add_parser("certify", help="run all certification checks on a strategy")
-    common(p)
+    p = command("certify", "run all certification checks on a strategy", n=True)
     p.add_argument("--input", help="strategy JSON file")
     p.add_argument("--fixture", choices=sorted(GHZ_FIXTURES), default="ideal",
                    help="built-in strategy when no --input is given")
     p.add_argument("--noise", type=float, default=0.0,
                    help="noise level for the depolarized fixture")
 
-    p = sub.add_parser("spectrum", help="certify's witness-spectrum check on the reference frame")
-    common(p)
+    p = command("spectrum", "certify's witness-spectrum check on the reference frame", n=True)
     p.add_argument("--s", default="all", help="outcome word (sign bit first) or 'all'")
 
-    p = sub.add_parser("sos", help="certify's sum-of-squares check on random antipodal strategies")
-    common(p)
+    p = command("sos", "certify's sum-of-squares check on random antipodal strategies",
+                n=True, seed=True)
     p.add_argument("--samples", type=int, default=50)
 
-    p = sub.add_parser("seesaw", help="alternating optimization of a game score")
-    common(p)
+    p = command("seesaw", "alternating optimization of a game score", n=True, seed=True)
     p.add_argument("--metric", choices=("ghz", "counterexample", "partial-bell"),
                    default="ghz")
     p.add_argument("--restarts", type=int, default=50)
@@ -329,33 +324,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history-csv", help="write per-restart score history CSV")
     p.add_argument("--save-strategy", help="write the best strategy as JSON")
 
-    p = sub.add_parser("counterexample",
-                       help="evaluate the three-input game reference parameters")
-    common(p)
+    command("counterexample", "evaluate the three-input game reference parameters")
 
-    p = sub.add_parser("robustness-grid",
-                       help="sweep the operator-inequality margin over angles")
-    common(p)
+    p = command("robustness-grid", "sweep the operator-inequality margin over angles", n=True)
     p.add_argument("--step", type=float, default=float(np.pi / 80))
     p.add_argument("--r", type=float, help="inequality coefficient r")
     p.add_argument("--mu", type=float, help="inequality coefficient mu")
     p.add_argument("--csv", help="write per-point margins to CSV")
-    p.add_argument("--no-refine", action="store_true")
 
-    p = sub.add_parser("fidelity-bound", help="score deficit -> fidelity floor")
-    common(p)
+    p = command("fidelity-bound", "score deficit -> fidelity floor", n=True)
     p.add_argument("--eps", type=float, required=True, help="score deficit 1 - S")
     p.add_argument("--r", type=float)
     p.add_argument("--mu", type=float)
 
-    p = sub.add_parser("partial-bell", help="evaluate the three-outcome Bell game")
-    common(p)
+    p = command("partial-bell", "evaluate the three-outcome Bell game")
     p.add_argument("--input", help="strategy JSON file (partial_bell task)")
     p.add_argument("--noise", type=float, default=0.0,
                    help="depolarize the built-in optimal measurement")
 
-    p = sub.add_parser("rac", help="random-access-code score and its upper bound")
-    common(p)
+    p = command("rac", "random-access-code score and its upper bound")
     p.add_argument("--alpha", type=float,
                    help="message angle in radians (default: reference states)")
     return parser
@@ -375,10 +362,8 @@ def parse_args(argv) -> RunConfig:
                      f"{', '.join(TOLERANCE_COMMANDS)} only")
     if ns.n < 2:
         parser.error("--n must be at least 2")
-    if ns.n > 7:
-        parser.error(f"--n {ns.n} unsupported for {ns.command} (n <= 7)")
-    if ns.command in ("counterexample", "partial-bell", "rac") and ns.n != 2:
-        parser.error(f"{ns.command} is a two-sender scenario")
+    if ns.n > MAX_N:
+        parser.error(f"--n {ns.n} unsupported for {ns.command} (n <= {MAX_N})")
     if ns.command == "seesaw" and ns.metric in ("counterexample", "partial-bell") and ns.n != 2:
         parser.error(f"--metric {ns.metric} requires --n 2")
     if ns.command == "seesaw" and ns.metric == "counterexample" and ns.save_strategy:
@@ -535,7 +520,6 @@ def _cmd_robustness_grid(config: RunConfig) -> tuple:
             params,
             step=config.options["step"],
             csv_path=config.options.get("csv"),
-            refine=not config.options["no_refine"],
         )
     except InequalityViolated as exc:
         grid = exc.result
@@ -576,7 +560,7 @@ def _cmd_partial_bell(config: RunConfig) -> tuple:
         float(np.trace(strategy.povm.elements[i] @ ws[i]).real) for i in range(3)
     ]
     eps = max(0.0, 1 - s_comm)
-    rac_capped = min(s_rac, (1 + 1 / np.sqrt(2)) / 2)
+    rac_capped = min(s_rac, RAC_OPTIMUM)
     bound = partial_fidelity_bound(eps, rac_capped)
     # the bound linearizes a trace term around the optimal message angle;
     # the RAC score caps the angle deviation, which in turn sizes the

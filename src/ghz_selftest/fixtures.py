@@ -153,8 +153,8 @@ def entangling_fixture() -> CounterexampleStrategy:
 
     Both measurement kets are normalized after construction from the listed
     amplitudes; no re-orthogonalization is applied, so the two projectors
-    are only approximately orthogonal and validation of this fixture needs
-    the relaxed effect tolerance.
+    are not orthogonal and ``m0`` (largest eigenvalue about 1.15) is not an
+    effect. The fixture keeps the quoted parameters as they stand.
     """
     states = _three_input_states(ENTANGLING_SENDER1, ENTANGLING_SENDER2)
     l1, l2 = ENTANGLING_WEIGHTS

@@ -44,18 +44,19 @@ def dagger(m) -> np.ndarray:
     return np.asarray(m).conj().swapaxes(-1, -2)
 
 
-def require_hermitian(m, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     """Return ``m`` as a complex array (a float array stays real), raising
-    NotHermitian if it is not; a ``(..., d, d)`` stack passes only if every
-    matrix in it does."""
+    NotHermitian if ``m - m^dagger`` exceeds ``HERMITIAN_ATOL`` times
+    ``max(1, largest |entry|)``; a ``(..., d, d)`` stack passes only if
+    every matrix in it does."""
     m = np.asarray(m)
     if m.dtype != float:
         m = m.astype(complex, copy=False)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise InvalidInput(f"expected a square matrix, got shape {m.shape}")
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
-    if (np.abs(m - dagger(m)).max(axis=(-2, -1)) > atol * scale).any():
-        raise NotHermitian(f"matrix is not Hermitian within {atol:g}")
+    if (np.abs(m - dagger(m)).max(axis=(-2, -1)) > HERMITIAN_ATOL * scale).any():
+        raise NotHermitian(f"matrix is not Hermitian within {HERMITIAN_ATOL:g}")
     return m
 
 

@@ -361,16 +361,15 @@ def margin_grid(
     step: float = GRID_STEP,
     outcomes="all",
     csv_path=None,
-    refine: bool = True,
 ) -> GridResult:
     """Sweep ``inequality_margin`` over an angle grid on ``[0, pi/2]**n``.
 
     A nonnegative minimum (above ``-1e-8``) certifies the supplied
     inequality coefficients on the grid; any value below ``-1e-6`` raises
-    ``InequalityViolated`` carrying the sweep's result. With ``refine`` a
-    negative minimum's neighborhood (one step to each side) is re-swept at
-    one quarter of the step, or on fewer ticks per axis when the coarse grid
-    leaves fewer than ``9**n`` of the ``GRID_MAX_POINTS``.
+    ``InequalityViolated`` carrying the sweep's result. A negative minimum's
+    neighborhood (one step to each side) is always re-swept at one quarter
+    of the step, or on fewer ticks per axis when the coarse grid leaves
+    fewer than ``9**n`` of the ``GRID_MAX_POINTS``.
     ``outcomes`` is ``"all"`` or a list of outcomes in any form
     :func:`~ghz_selftest.states.outcome_index` takes. Optionally writes rows
     ``(s, alpha_1..alpha_n, margin)`` to ``csv_path`` (outcome words listed
@@ -406,7 +405,7 @@ def margin_grid(
     # step apart, fewer and farther apart when 9**n do not fit
     per_axis = max((k for k in range(2, 10) if k**n <= GRID_MAX_POINTS - margins.size),
                    default=0)
-    if refine and min_val < 0 and per_axis:
+    if min_val < 0 and per_axis:
         fine = 2 * step / (per_axis - 1)
         local = _check_angles(
             _product([np.clip(np.arange(c - step, c + step + fine / 2, fine), 0, np.pi / 2)

@@ -293,16 +293,6 @@ class CounterexampleStrategy:
         object.__setattr__(self, "states", st)
         object.__setattr__(self, "m0", m0)
 
-    def validate(self, atol: float = 1e-9) -> None:
-        for k in range(2):
-            for y in range(3):
-                m = self.states[k, y]
-                if abs(np.trace(m).real - 1) > atol or np.linalg.eigvalsh(m).min() < -atol:
-                    raise InvalidInput(f"state ({k},{y}) is not a density matrix")
-        ev = np.linalg.eigvalsh((self.m0 + self.m0.conj().T) / 2)
-        if ev.min() < -atol or ev.max() > 1 + atol:
-            raise InvalidInput("m0 is not an effect (0 <= m0 <= I)")
-
 
 def counterexample_p0(states: np.ndarray, m0: np.ndarray) -> np.ndarray:
     """``p(0 | y1, y2) = Re Tr((s_1[y1] (x) s_2[y2]) m0)`` indexed ``[..., y1-1,

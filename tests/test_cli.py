@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import os
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 import ghz_selftest
 from ghz_selftest import optimize
 from ghz_selftest.cli import (
+    MAX_N,
+    build_parser,
     canonical_json,
     load_strategy,
     main,
@@ -45,7 +48,59 @@ JSON_VALUES = st.recursive(
 )
 
 
+# every subcommand's option strings: a flag is added or removed on purpose only
+COMMAND_FLAGS = {
+    "certify": {"--n", "--output", "-o", "--input", "--fixture", "--noise"},
+    "spectrum": {"--n", "--output", "-o", "--s"},
+    "sos": {"--seed", "--n", "--output", "-o", "--samples"},
+    "seesaw": {"--seed", "--n", "--output", "-o", "--metric", "--restarts", "--max-iters",
+               "--conv-tol", "--history-csv", "--save-strategy"},
+    "counterexample": {"--output", "-o"},
+    "robustness-grid": {"--n", "--output", "-o", "--step", "--r", "--mu", "--csv"},
+    "fidelity-bound": {"--n", "--output", "-o", "--eps", "--r", "--mu"},
+    "partial-bell": {"--output", "-o", "--input", "--noise"},
+    "rac": {"--output", "-o", "--alpha"},
+}
+
+
+def _subparsers() -> dict:
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 class TestParsing:
+    def test_each_command_takes_exactly_its_flags(self):
+        got = {name: {s for a in p._actions if not isinstance(a, argparse._HelpAction)
+                      for s in a.option_strings}
+               for name, p in _subparsers().items()}
+        assert got == COMMAND_FLAGS
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--seed", "1"],
+        ["spectrum", "--seed", "1"],
+        ["robustness-grid", "--seed", "1"],
+        ["fidelity-bound", "--eps", "0.1", "--seed", "1"],
+        ["partial-bell", "--seed", "1"],
+        ["rac", "--seed", "1"],
+        ["counterexample", "--seed", "1"],
+        ["counterexample", "--n", "2"],
+        ["partial-bell", "--n", "2"],
+        ["rac", "--n", "2"],
+        ["robustness-grid", "--no-refine"],
+    ], ids=" ".join)
+    def test_flag_the_command_does_not_read_is_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["-o", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_commands_without_the_flags_report_the_defaults(self):
+        cfg = parse_args(["rac"])
+        assert (cfg.n, cfg.seed) == (2, 0)
+        assert "n" not in cfg.options and "seed" not in cfg.options
+
     def test_seesaw_flags(self):
         cfg = parse_args(["seesaw", "--metric", "counterexample", "--restarts", "50"])
         assert cfg.command == "seesaw"
@@ -344,6 +399,24 @@ class TestRun:
         assert code == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("command, strategy", [
+        ("certify", ideal_strategy(2)), ("partial-bell", partial_bell_strategy()),
+    ])
+    @pytest.mark.parametrize("n", [2.7, "2", True, MAX_N + 1, 10**12],
+                             ids=["float", "string", "bool", "above-cap", "huge"])
+    def test_strategy_file_n_must_be_an_integer_in_range(self, tmp_path, capsys,
+                                                          command, strategy, n):
+        data = strategy_to_dict(strategy)
+        data["n"] = n
+        strat = tmp_path / "s.json"
+        strat.write_text(json.dumps(data))
+        out = tmp_path / "r.json"
+        assert run(parse_args([command, "--input", str(strat), "-o", str(out)])) == 2
+        assert capsys.readouterr().err == (
+            f"{command}: error: strategy file field n is not an integer "
+            f"from 2 to {MAX_N}: {n!r}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["certify", "partial-bell"])
     @pytest.mark.parametrize("content, message", [
