@@ -54,7 +54,6 @@ from .robustness import (
     partial_fidelity_bound,
 )
 from .scenario import (
-    CounterexampleStrategy,
     a_operators,
     best_rac_observables,
     bloch_from_relabeled,
@@ -99,7 +98,7 @@ GHZ_FIXTURES = {
 @dataclass
 class RunConfig:
     command: str
-    n: int = 2
+    n: int | None = 2  # None: certify --input without --n
     seed: int = 0
     input_path: str | None = None
     output_path: str | None = None
@@ -302,11 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("certify", "run all certification checks on a strategy", n=True)
-    p.add_argument("--input", help="strategy JSON file")
-    p.add_argument("--fixture", choices=sorted(GHZ_FIXTURES), default="ideal",
-                   help="built-in strategy when no --input is given")
-    p.add_argument("--noise", type=float, default=0.0,
-                   help="noise level for the depolarized fixture")
+    p.set_defaults(n=None)  # a strategy file brings its own n; a fixture defaults to 2
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--input", help="strategy JSON file")
+    source.add_argument("--fixture", choices=sorted(GHZ_FIXTURES),
+                        help="built-in strategy (default ideal)")
+    p.add_argument("--noise", type=float, help="noise level for the depolarized fixture")
 
     p = command("spectrum", "certify's witness-spectrum check on the reference frame", n=True)
     p.add_argument("--s", default="all", help="outcome word (sign bit first) or 'all'")
@@ -360,12 +360,15 @@ def parse_args(argv) -> RunConfig:
     if tolerances and ns.command not in TOLERANCE_COMMANDS:
         parser.error(f"{ns.command} applies no tolerance; --tol.NAME=VALUE applies to "
                      f"{', '.join(TOLERANCE_COMMANDS)} only")
-    if ns.n < 2:
+    if ns.command == "certify" and ns.noise is not None and ns.fixture != "depolarized":
+        parser.error("--noise applies to --fixture depolarized only")
+    if ns.command == "certify" and not ns.input:
+        ns.n, ns.fixture = 2 if ns.n is None else ns.n, ns.fixture or "ideal"
+        ns.noise = 0.0 if ns.noise is None else ns.noise
+    if ns.n is not None and ns.n < 2:
         parser.error("--n must be at least 2")
-    if ns.n > MAX_N:
+    if ns.n is not None and ns.n > MAX_N:
         parser.error(f"--n {ns.n} unsupported for {ns.command} (n <= {MAX_N})")
-    if ns.command == "seesaw" and ns.metric in ("counterexample", "partial-bell") and ns.n != 2:
-        parser.error(f"--metric {ns.metric} requires --n 2")
     if ns.command == "seesaw" and ns.metric == "counterexample" and ns.save_strategy:
         parser.error("--save-strategy: three-input strategies have no strategy-file form")
     options = {k: v for k, v in vars(ns).items()
@@ -389,11 +392,11 @@ def parse_args(argv) -> RunConfig:
 def _cmd_certify(config: RunConfig) -> tuple:
     if config.input_path:
         strategy = load_strategy(config.input_path)
-        # the report's config records the file's n, not the --n default
+        if config.n not in (None, strategy.n):
+            raise InvalidInput(f"--n {config.n} differs from the file's n {strategy.n}")
         config.n = strategy.n
     else:
-        maker = GHZ_FIXTURES[config.options["fixture"]]
-        strategy = maker(config.n, config.options["noise"])
+        strategy = GHZ_FIXTURES[config.options["fixture"]](config.n, config.options["noise"])
     report = certify_strategy(strategy, config.tolerances)
     summary = (
         f"metric={report.metric_value:.10f} "
@@ -427,6 +430,8 @@ def _cmd_sos(config: RunConfig) -> tuple:
     samples = config.options["samples"]
     if samples < 1:
         raise InvalidInput(f"--samples must be at least 1, got {samples}")
+    if config.seed + samples > 2**64:  # sample k draws from seed + k
+        raise InvalidInput("--seed + --samples - 1 must lie below 2**64")
     tol = resolve_tolerances(config.tolerances)
     worst = 0.0
     worst_shift = float("inf")
@@ -471,12 +476,9 @@ def _cmd_seesaw(config: RunConfig) -> tuple:
         "restarts": cfg.restarts,
         "target": targets[metric],
     }
-    if isinstance(result.best_strategy, CounterexampleStrategy):
-        flags = classify_outcome_measurement(
-            Povm(np.stack([result.best_strategy.m0,
-                           np.eye(4) - result.best_strategy.m0]))
-        )
-        results["outcome_classification"] = flags
+    if result.best_strategy.task == "counterexample":
+        results["outcome_classification"] = classify_outcome_measurement(
+            result.best_strategy.povm)
     return results, passed, f"metric={metric} best={result.best_value:.10f}"
 
 
@@ -486,13 +488,11 @@ def _cmd_counterexample(config: RunConfig) -> tuple:
     passed = True
     for name, fixture in (("entangling", entangling_fixture()),
                           ("separable", separable_fixture())):
-        value = counterexample_value(fixture)
-        povm = Povm(np.stack([fixture.m0, np.eye(4) - fixture.m0]))
-        flags = classify_outcome_measurement(povm)
+        flags = classify_outcome_measurement(fixture.povm)
         any_entangled = any(f["entangled"] for f in flags)
         passed = passed and (any_entangled == expected_flags[name])
         results[name] = {
-            "metric": value,
+            "metric": counterexample_value(fixture),
             "outcome_classification": flags,
         }
     summary = (

@@ -2,7 +2,11 @@
 
 Plain ``numpy.ndarray`` (complex128) carries all operators. Matrices here
 are small (dimension at most 2**7 = 128); Kronecker products and Hermitian
-eigensolves run through NumPy/LAPACK in :mod:`ghz_selftest.backends`.
+eigensolves run through NumPy/LAPACK in :mod:`ghz_selftest.backends`, except
+in ``robustness``: ``_kron_stack`` builds the real channel images from the last
+factor up, faster than :func:`tensor` (README, Install), and ``_margins`` calls
+``np.linalg.eigvalsh`` because :func:`herm_eigvals` would solve its stack as
+real and round the n = 2 margin that is exactly 0 at angles (0, 0) to -5e-17.
 :func:`herm_eigvals` gates, symmetrizes and solves a stack with no imaginary
 part in real arithmetic (for a real ``m``, ``|m - m^dag|`` is ``|m - m^T|``,
 so the gate's verdict is the same); :func:`herm_eig` always solves complex.

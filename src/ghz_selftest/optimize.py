@@ -22,7 +22,7 @@ the same kernels called without one.
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -56,8 +56,6 @@ from .states import (
     random_projectors,
 )
 
-METRICS = ("ghz", "counterexample", "partial_bell")
-
 # entries of the largest per-restart stack that one lockstep block may hold
 # (4 MB of complex128): 8 GHZ restarts at n = 5, one from n = 6 on
 BLOCK_ENTRIES = 2**18
@@ -75,8 +73,8 @@ class SeesawConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.metric not in METRICS:
-            raise InvalidInput(f"metric must be one of {METRICS}, got {self.metric!r}")
+        if self.metric not in GAMES:
+            raise InvalidInput(f"metric must be one of {tuple(GAMES)}, got {self.metric!r}")
         if self.restarts < 1 or self.max_iters < 1 or not 0 < self.conv_tol < math.inf:
             raise InvalidInput("restarts and max_iters must be >= 1, conv_tol finite and > 0")
         if self.metric in ("counterexample", "partial_bell") and self.n != 2:
@@ -293,26 +291,17 @@ def _partial_bell_sweep(rho: np.ndarray, elements: np.ndarray) -> np.ndarray:
     return rho
 
 
-def optimal_states_for_povm(strategy, metric: str | None = None):
-    """One cyclic pass of exact per-sender state maximization.
-
-    The returned strategy's score never falls below the input's. ``metric``
-    defaults to the strategy's own game.
-    """
-    if isinstance(strategy, CounterexampleStrategy):
-        if metric not in (None, "counterexample"):
-            raise InvalidInput("three-input strategies only support the counterexample metric")
-        return CounterexampleStrategy(
-            states=_counterexample_sweep(strategy.states, strategy.m0), m0=strategy.m0
-        )
-    if metric is None:
-        metric = "ghz" if strategy.task == "ghz" else "partial_bell"
-    if metric not in ("ghz", "partial_bell"):
-        raise InvalidInput(f"unknown metric {metric!r}")
-    sweep = _ghz_sweep if metric == "ghz" else _partial_bell_sweep
-    rho = sweep(np.stack([st.rho for st in strategy.senders]), strategy.povm.elements)
-    return Strategy(n=strategy.n, senders=tuple(SenderStates(r) for r in rho),
-                    povm=strategy.povm, task=strategy.task, observables=strategy.observables)
+def optimal_states_for_povm(strategy):
+    """One cyclic pass of exact per-sender state maximization by the sweep of
+    ``GAMES[strategy.task]``. The returned strategy's score never falls below
+    the input's; all but its states is the input's."""
+    game = GAMES.get(strategy.task)
+    if game is None:
+        raise InvalidInput(f"unknown task {strategy.task!r}")
+    if strategy.task == "counterexample":
+        return replace(strategy, states=game.sweep(strategy.states, strategy.m0))
+    rho = game.sweep(np.stack([st.rho for st in strategy.senders]), strategy.povm.elements)
+    return replace(strategy, senders=tuple(SenderStates(r) for r in rho))
 
 
 # ---------------------------------------------------------------------------

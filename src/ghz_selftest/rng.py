@@ -8,7 +8,11 @@ consumers (e.g. see-saw restarts) under one user-facing seed.
 
 import numpy as np
 
+from .errors import InvalidInput
+
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)], dtype=np.uint64)
+    if not 0 <= seed < 2**64:  # the 64-bit key; wrapping would alias two seeds
+        raise InvalidInput(f"seed must lie in [0, 2**64), got {seed}")
+    key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -13,12 +13,13 @@ Three games live here:
 
 from dataclasses import dataclass
 from functools import cache
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import InvalidBloch, InvalidInput
 from .linalg import I2, PAULIS, SQRT2, chunks, dagger, herm_eigvals, tensor
-from .states import SenderStates, Strategy, bloch_vector, outcome_index
+from .states import Povm, SenderStates, Strategy, bloch_vector, outcome_index
 
 # coefficients of the three-input game score on p(0 | y1, y2)
 COUNTEREXAMPLE_COEFFS = {
@@ -280,6 +281,7 @@ class CounterexampleStrategy:
     effect of outcome 0 (outcome 1 gets ``I - m0``).
     """
 
+    task: ClassVar[str] = "counterexample"
     states: np.ndarray
     m0: np.ndarray
 
@@ -292,6 +294,11 @@ class CounterexampleStrategy:
             raise InvalidInput(f"m0 must be 4x4, got {m0.shape}")
         object.__setattr__(self, "states", st)
         object.__setattr__(self, "m0", m0)
+
+    @property
+    def povm(self) -> Povm:
+        """The binary measurement ``[m0, I - m0]``."""
+        return Povm(np.stack([self.m0, np.eye(4) - self.m0]))
 
 
 def counterexample_p0(states: np.ndarray, m0: np.ndarray) -> np.ndarray:
@@ -337,11 +344,6 @@ def counterexample_costs(states: np.ndarray) -> np.ndarray:
                   states[..., 0, :, :, :], states[..., 1, :, :, :])
     c = c.reshape(c.shape[:-4] + (4, 4))
     return (c + dagger(c)) / 2
-
-
-def counterexample_cost_operator(strategy: CounterexampleStrategy) -> np.ndarray:
-    """Operator C with score = Tr(m0 C); used by the measurement half-step."""
-    return counterexample_costs(strategy.states)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import argparse
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -95,6 +96,15 @@ class TestParsing:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_readme_synopsis_lists_each_command_flags(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        synopsis = {}
+        for line in text.split("## CLI", 1)[1].split("```")[1].strip().splitlines():
+            if line.startswith("ghz-selftest "):  # else a continuation line
+                flags = synopsis.setdefault(line.split()[1], set())
+            flags |= set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", line))
+        assert synopsis == COMMAND_FLAGS
 
     def test_commands_without_the_flags_report_the_defaults(self):
         cfg = parse_args(["rac"])
@@ -334,6 +344,57 @@ class TestRun:
         report = json.loads(out.read_text())
         assert report["config"]["n"] == 3
         assert len(report["results"]["povm_traces"]) == 8
+
+    @pytest.mark.parametrize("argv, message", [
+        (["certify", "--fixture", "ideal", "--noise", "0.3"],
+         "--noise applies to --fixture depolarized only"),
+        (["certify", "--noise", "0"], "--noise applies to --fixture depolarized only"),
+        (["certify", "--input", "FILE", "--fixture", "ideal"],
+         "argument --fixture: not allowed with argument --input"),
+        (["certify", "--input", "FILE", "--noise", "0.05"],
+         "--noise applies to --fixture depolarized only"),
+        (["certify", "--input", "FILE", "--n", "5"],
+         "--n 5 differs from the file's n 2"),
+        (["seesaw", "--metric", "counterexample", "--n", "3"],
+         "metric 'counterexample' is a two-sender game"),
+        (["seesaw", "--seed", "-1", "--restarts", "2"], "seed must lie in [0, 2**64)"),
+        (["seesaw", "--seed", str(2**64), "--restarts", "2"], "seed must lie in [0, 2**64)"),
+        (["sos", "--seed", "-1"], "seed must lie in [0, 2**64)"),
+        (["sos", "--seed", str(2**64 - 1), "--samples", "2"],
+         "--seed + --samples - 1 must lie below 2**64"),
+    ], ids=["noise-ideal", "noise-default-fixture", "input-fixture", "input-noise",
+            "input-other-n", "counterexample-n3", "seesaw-seed-negative", "seesaw-seed-2**64",
+            "sos-seed-negative", "sos-seeds-past-2**64"])
+    def test_flag_the_run_cannot_honour_is_an_input_error(self, tmp_path, capsys, argv,
+                                                          message):
+        strat = tmp_path / "s2.json"
+        save_strategy(ideal_strategy(2), str(strat))
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            main([str(strat) if a == "FILE" else a for a in argv] + ["-o", str(out)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_certify_input_accepts_the_file_n(self, tmp_path):
+        strat = tmp_path / "s3.json"
+        save_strategy(ideal_strategy(3), str(strat))
+        reports = []
+        for extra in ([], ["--n", "3"]):
+            out = tmp_path / f"r{len(reports)}.json"
+            assert run(parse_args(["certify", "--input", str(strat), *extra, "-o", str(out)])) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["config"]["options"] == {"fixture": None, "noise": None}
+
+    @pytest.mark.parametrize("argv", [
+        ["seesaw", "--seed", str(2**64 - 1), "--restarts", "1", "--max-iters", "2"],
+        ["sos", "--seed", str(2**64 - 2), "--samples", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_largest_seeds_are_accepted(self, tmp_path, argv):
+        out = tmp_path / "r.json"
+        run(parse_args(argv + ["-o", str(out)]))
+        assert json.loads(out.read_text())["config"]["seed"] == int(argv[2])
 
     def test_module_entry_point_runs_the_command(self, tmp_path):
         src = str(Path(ghz_selftest.__file__).parents[1])

@@ -45,6 +45,7 @@ from ghz_selftest.states import (
     random_antipodal_strategy,
     random_messages,
     random_mixed_strategy,
+    random_projectors,
     random_strategy,
 )
 
@@ -286,7 +287,7 @@ class TestStatesStep:
             cur = CounterexampleStrategy(states=states, m0=m0)
             last = -np.inf
             for _ in range(300):
-                cur = optimal_states_for_povm(cur, "counterexample")
+                cur = optimal_states_for_povm(cur)
                 val = counterexample_value(cur)
                 assert val >= last - 1e-12
                 if abs(val - last) < 1e-13:
@@ -294,6 +295,31 @@ class TestStatesStep:
                 last = val
             best = max(best, counterexample_value(cur))
         assert best >= 2.8283
+
+    def test_partial_bell_sweep_keeps_sender_one_and_observables(self):
+        base = partial_bell_strategy()
+        rng = make_rng(31)
+        for _ in range(5):
+            second = random_projectors(rng, 4).reshape(2, 2, 2, 2)
+            s = Strategy(n=2, senders=(base.senders[0], SenderStates(second)), povm=base.povm,
+                         task="partial_bell", observables=base.observables)
+            swept = optimal_states_for_povm(s)
+            assert swept.task == "partial_bell" and swept.povm is s.povm
+            assert np.array_equal(swept.senders[0].rho, s.senders[0].rho)
+            assert np.array_equal(swept.observables, s.observables)
+            assert comm_metric(swept) >= comm_metric(s) - 1e-12
+
+    def test_each_strategy_names_its_game(self):
+        ce = seesaw(SeesawConfig(metric="counterexample", restarts=2, seed=3)).best_strategy
+        assert ce.task == "counterexample" and "task" not in vars(ce)
+        assert np.array_equal(ce.povm.elements, np.stack([ce.m0, np.eye(4) - ce.m0]))
+        for s in (ce, ideal_strategy(2), partial_bell_strategy()):
+            assert s.task in GAMES and type(optimal_states_for_povm(s)) is type(s)
+
+    def test_unknown_task_is_an_input_error(self):
+        s = ideal_strategy(2)
+        with pytest.raises(InvalidInput, match="unknown task 'bogus'"):
+            optimal_states_for_povm(Strategy(n=2, senders=s.senders, povm=s.povm, task="bogus"))
 
 
 class TestSeesaw:

@@ -22,7 +22,7 @@ from ghz_selftest.scenario import (
     bloch_from_relabeled,
     comm_metric,
     comm_scores,
-    counterexample_cost_operator,
+    counterexample_costs,
     counterexample_metric,
     counterexample_scores,
     counterexample_table,
@@ -300,7 +300,7 @@ class TestCounterexample:
                     assert abs(table[0, y1, y2] - np.trace(joint @ s.m0).real) <= 1e-14
                     cost += COUNTEREXAMPLE_COEFFS.get((y1 + 1, y2 + 1), 0.0) * joint
             assert np.array_equal(table[1], 1 - table[0])
-            assert np.abs(counterexample_cost_operator(s) - cost).max() <= 1e-14
+            assert np.abs(counterexample_costs(s.states) - cost).max() <= 1e-14
             assert counterexample_metric(table) == counterexample_value(s)
 
     def test_stacked_scores_match_single_strategies_bitwise(self):
