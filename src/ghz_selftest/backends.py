@@ -2,20 +2,25 @@
 
 The hot inner loops of this package are Kronecker products, of single
 matrices or of stacks of them, and Hermitian eigendecompositions of small
-(dim <= 128) complex matrices. Eigenvalue-only solves of a stack with no
-imaginary part run as real symmetric problems (LAPACK ``dsyevd`` in place of
-``zheevd``); full decompositions stay complex.
+(dim <= 128) matrices. Kronecker products of real factors stay real.
+Eigenvalue-only solves of a stack with no imaginary part run as real
+symmetric problems (LAPACK ``dsyevd`` in place of ``zheevd``); full
+decompositions stay complex.
 """
 
 import numpy as np
 
 
 def kron_chain(mats):
-    """Kronecker product of a sequence of square complex matrices; factors
-    ``(..., k, k)`` broadcast their leading axes, giving a stack of products."""
+    """Kronecker product of a sequence of square matrices, taken left to right;
+    factors ``(..., k, k)`` broadcast their leading axes, giving a stack of
+    products. Real factors give a float64 product, any complex factor a
+    complex128 one."""
     if len(mats) == 0:
         raise ValueError("kron_chain needs at least one factor")
-    out, *rest = [np.asarray(m, dtype=complex) for m in mats]
+    mats = [np.asarray(m) for m in mats]
+    dtype = complex if any(np.iscomplexobj(m) for m in mats) else float
+    out, *rest = [m.astype(dtype, copy=False) for m in mats]
     for m in rest:
         d = out.shape[-1] * m.shape[-1]
         out = out[..., :, None, :, None] * m[..., None, :, None, :]

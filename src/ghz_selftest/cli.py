@@ -338,9 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float)
 
     p = command("partial-bell", "evaluate the three-outcome Bell game")
-    p.add_argument("--input", help="strategy JSON file (partial_bell task)")
-    p.add_argument("--noise", type=float, default=0.0,
-                   help="depolarize the built-in optimal measurement")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--input", help="strategy JSON file (partial_bell task)")
+    source.add_argument("--noise", type=float, default=0.0,
+                        help="depolarize the built-in optimal measurement")
 
     p = command("rac", "random-access-code score and its upper bound")
     p.add_argument("--alpha", type=float,

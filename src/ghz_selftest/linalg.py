@@ -1,12 +1,16 @@
-"""Dense complex linear algebra substrate.
+"""Dense linear algebra substrate.
 
-Plain ``numpy.ndarray`` (complex128) carries all operators. Matrices here
-are small (dimension at most 2**7 = 128); Kronecker products and Hermitian
-eigensolves run through NumPy/LAPACK in :mod:`ghz_selftest.backends`, except
-in ``robustness``: ``_kron_stack`` builds the real channel images from the last
-factor up, faster than :func:`tensor` (README, Install), and ``_margins`` calls
-``np.linalg.eigvalsh`` because :func:`herm_eigvals` would solve its stack as
-real and round the n = 2 margin that is exactly 0 at angles (0, 0) to -5e-17.
+Plain ``numpy.ndarray`` carries all operators: complex128 in general,
+float64 where an operator is real by construction (the robustness sweep's
+operators, the GHZ channel images); :func:`tensor` of real factors stays
+real. Matrices here are small (dimension at most 2**7 = 128); Kronecker
+products and Hermitian eigensolves run through NumPy/LAPACK in
+:mod:`ghz_selftest.backends`, except in ``robustness``:
+``_kron_stack`` builds the real channel images from the last factor up,
+faster than :func:`tensor` (README, Install), and ``_margins`` calls
+``np.linalg.eigvalsh`` on a complex copy of its real stack because
+:func:`herm_eigvals` would solve it as real and round the n = 2 margin that
+is exactly 0 at angles (0, 0) to -5e-17.
 :func:`herm_eigvals` gates, symmetrizes and solves a stack with no imaginary
 part in real arithmetic (for a real ``m``, ``|m - m^dag|`` is ``|m - m^T|``,
 so the gate's verdict is the same); :func:`herm_eig` always solves complex.
@@ -33,6 +37,11 @@ SIGMA_B = (SIGMA_X - SIGMA_Z) / SQRT2
 
 # entries of one stacked (points, d, d) complex array worked on at a time
 CHUNK_ELEMENTS = 2**14
+# the larger budget of the loops whose per-call overhead dominates: entries of
+# the largest per-restart stack one see-saw block may hold (4 MB of
+# complex128: 8 GHZ restarts at n = 5, one from n = 6 on), and of the POVM
+# elements one ``robustness.avg_fidelity`` chunk contracts
+BLOCK_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)

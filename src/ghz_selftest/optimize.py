@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import I2, chunks, dagger, fix_phase, herm_eig, projector, tensor
+from .linalg import BLOCK_ENTRIES, I2, chunks, dagger, fix_phase, herm_eig, projector, tensor
 from .parallel import ordered_map
 from .rng import make_rng
 from .scenario import (
@@ -55,10 +55,6 @@ from .states import (
     random_messages,
     random_projectors,
 )
-
-# entries of the largest per-restart stack that one lockstep block may hold
-# (4 MB of complex128): 8 GHZ restarts at n = 5, one from n = 6 on
-BLOCK_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)

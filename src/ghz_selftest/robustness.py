@@ -14,17 +14,21 @@ Angle points are evaluated as stacks: a ``(P, n)`` array of points gives
 through in the chunks of ``linalg.chunks``; witnesses are
 ``scenario.witness_operator`` of the stacked message operators. The sweep
 applies the channel qubit by qubit (``_channel_stack``), and so do the
-one-point ``apply_channel`` and ``inequality_margin``.
+one-point ``apply_channel`` and ``inequality_margin``. Every operator of the
+sweep is real, so it is built in float64 and cast to complex only for the
+eigensolve, which stays complex (see ``_margins``).
 
 GHZ projectors have a shorter route. ``xi_s xi_s^dag`` is a sum of four
 basis dyads ``|x><y|``, and the product channel maps each to a Kronecker
-product of real 2x2 factors, so ``K_s`` is a Kronecker sum built in real
-arithmetic (``_ghz_images``; ``k_operator`` is its one-point call). Each local
-channel is self-dual and ``K_s`` is real symmetric, so the average fidelity
-``sum_s <xi_s|Lambda[M_s]|xi_s> / 2**n`` is ``sum_s Tr(M_s K_s) / 2**n``
-(``avg_fidelity``): the POVM is never pushed through the channel. The sweep
-keeps the qubit-by-qubit route because its margins are exactly 0 at some grid
-points, where the Kronecker images round differently (see ``_margins``).
+product of real 2x2 factors (``_slot_factors``), so ``K_s`` is a Kronecker
+sum built in real arithmetic (``_ghz_images``; ``k_operator`` is its
+one-point call). Each local channel is self-dual and ``K_s`` is real
+symmetric, so the average fidelity ``sum_s <xi_s|Lambda[M_s]|xi_s> / 2**n``
+is ``sum_s Tr(M_s K_s) / 2**n`` (``avg_fidelity``): the POVM is never pushed
+through the channel, and ``K_s`` is never built either, since each trace
+contracts ``M_s`` slot by slot against the 2x2 factors. The sweep keeps the
+qubit-by-qubit route because its margins are exactly 0 at some grid points,
+where the Kronecker images round differently.
 """
 
 import math
@@ -33,7 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InequalityViolated, InvalidInput, Unsupported
-from .linalg import I2, SIGMA_A, SIGMA_B, SIGMA_X, SIGMA_Z, SQRT2, chunks, projector, tensor
+from .linalg import (
+    BLOCK_ENTRIES, I2, SIGMA_A, SIGMA_B, SIGMA_X, SIGMA_Z, SQRT2, chunks, projector, tensor,
+)
 from .scenario import witness_operator
 from .states import ghz_basis_state, outcome_bits, outcome_index, outcome_label
 
@@ -169,14 +175,15 @@ def _channel_stack(ops: np.ndarray, angles: np.ndarray) -> np.ndarray:
     (P, n); a leading axis of length 1 broadcasts. Qubit j's axis (real
     symmetric) multiplies the rows of the operator reshaped to
     (P, 2**j, 2, 2**(n-j-1) d) and its columns reshaped to
-    (P, d 2**j, 2, 2**(n-j-1)), so no 2**n x 2**n operator is built.
+    (P, d 2**j, 2, 2**(n-j-1)), so no 2**n x 2**n operator is built. The axes
+    enter as real arrays, so a real stack stays real.
     """
     n = angles.shape[-1]
     d = 2**n
     g = _strengths(angles)[..., None, None]
     # column b of qubit j's axis is gam[:, j, :, :, b], shaped (P, 1, 2, 1) to
     # broadcast against the reshaped operator (P, lo, 2, rest)
-    gam = _axes(angles)[:, :, None, :, :, None]
+    gam = _axes(angles).real[:, :, None, :, :, None]
     out = ops
     for j in range(n):
         lo, hi = 2**j, 2 ** (n - j - 1)
@@ -211,16 +218,18 @@ def _kron_stack(factors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ghz_images(n: int, outcomes: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Channel images ``K_s`` of the GHZ projectors of ``outcomes`` at one
-    checked angle point, a real ``(len(outcomes), 2**n, 2**n)`` stack.
+def _slot_factors(n: int, outcomes: np.ndarray, angles: np.ndarray) -> tuple:
+    """Real 2x2 factors of the channel images of the GHZ dyads of
+    ``outcomes`` at one checked angle point, and each outcome's sign.
 
     With ``a = 0 s_2..s_n`` and ``b = 1 ~s_2..~s_n``,
     ``xi_s xi_s^dag = (|a><a| + |b><b| + (-1)^{s_1} (|a><b| + |b><a|)) / 2``,
     and the product channel maps each ``|x><y|`` to the Kronecker product
     ``L_xy`` of the real 2x2 factors ``(1+g_j)/2 |x_j><y_j| + (1-g_j)/2
-    G_j |x_j><y_j| G_j``. Every ``G_j`` is real symmetric, so
-    ``L_ba = L_ab^T``.
+    G_j |x_j><y_j| G_j``. Every ``G_j`` is real symmetric, so ``L_aa`` and
+    ``L_bb`` are symmetric and ``L_ba = L_ab^T``. Returns the factors of
+    ``L_aa``, ``L_bb`` and ``L_ab``, shape ``(3, S, n, 2, 2)`` with slot 0 the
+    most significant, and the signs ``(-1)^{s_1}``, shape ``(S,)``.
     """
     g = _strengths(angles)[:, None, None, None, None]
     gam = _axes(angles).real
@@ -232,9 +241,18 @@ def _ghz_images(n: int, outcomes: np.ndarray, angles: np.ndarray) -> np.ndarray:
     a[:, 0] = 0
     b = 1 - a
     slots = np.arange(n)
-    l_aa, l_bb, l_ab = _kron_stack(
-        np.stack([table[slots, a, a], table[slots, b, b], table[slots, a, b]]))
-    sign = (1 - 2 * bits[:, 0])[:, None, None]
+    factors = np.stack([table[slots, a, a], table[slots, b, b], table[slots, a, b]])
+    return factors, 1 - 2 * bits[:, 0]
+
+
+def _ghz_images(n: int, outcomes: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Channel images ``K_s`` of the GHZ projectors of ``outcomes`` at one
+    checked angle point, a real ``(len(outcomes), 2**n, 2**n)`` stack:
+    ``(L_aa + L_bb + (-1)^{s_1} (L_ab + L_ab^T)) / 2`` of :func:`_slot_factors`.
+    """
+    factors, sign = _slot_factors(n, outcomes, angles)
+    l_aa, l_bb, l_ab = _kron_stack(factors)
+    sign = sign[:, None, None]
     return (l_aa + l_bb + sign * (l_ab + l_ab.swapaxes(-1, -2))) / 2
 
 
@@ -267,23 +285,25 @@ def _margins(n: int, s, angles: np.ndarray, params: FidelityBoundParams) -> np.n
     """Minimum eigenvalue of ``K_s - r W_s - mu I`` at each row of the checked
     (P, n) angles, one stacked eigensolve per chunk.
 
-    ``K_s`` comes from :func:`_channel_stack` and the solve is complex, not
-    from :func:`_ghz_images` and a real solve. At n = 2 the margin is exactly
-    0 at the corners and at (pi/4, pi/4), and either change rounds such a
-    zero below it: the Kronecker images give -2.2e-16 at (pi/4, pi/4), a
-    real solve -5e-17 at (0, 0). The sweep's minimum, its report and its CSV
-    would move with them.
+    The operator is real and is built in float64, from the real GHZ projector
+    and message operators; with every imaginary part zero, complex arithmetic
+    would compute the same real parts in the same order. ``K_s`` comes from
+    :func:`_channel_stack` and the solve is complex, not from
+    :func:`_ghz_images` and a real solve. At n = 2 the margin is exactly 0 at
+    the corners and at (pi/4, pi/4), and either change rounds such a zero
+    below it: the Kronecker images give -2.2e-16 at (pi/4, pi/4), a real solve
+    -5e-17 at (0, 0). The sweep's minimum, its report and its CSV would move
+    with them.
     """
     d = 2**n
-    xi = projector(ghz_basis_state(s, n))[None]
+    xi = projector(ghz_basis_state(s, n)).real[None]
     shift = params.mu * np.eye(d)
     out = np.empty(len(angles))
     for part in chunks(len(angles), d * d):
         a = angles[part]
-        shifted = (
-            _channel_stack(xi, a) - params.r * witness_operator(n, s, _message_stack(a)) - shift
-        )
-        out[part] = np.linalg.eigvalsh(shifted)[:, 0]
+        ops = _message_stack(a).real
+        shifted = _channel_stack(xi, a) - params.r * witness_operator(n, s, ops) - shift
+        out[part] = np.linalg.eigvalsh(shifted.astype(complex))[:, 0]
     return out
 
 
@@ -471,7 +491,10 @@ def avg_fidelity(povm, angles) -> float:
     of the channel-maximized extraction fidelity. The product channel is
     self-dual, so each term is ``Tr(M_s K_s)`` with ``K_s`` the real
     symmetric image of :func:`_ghz_images`, and the POVM is never pushed
-    through the channel.
+    through the channel. Nor is ``K_s`` built: with ``S`` the symmetric part
+    of ``Re M_s``, ``Tr(M_s K_s) = (Tr(S L_aa) + Tr(S L_bb)) / 2
+    + (-1)^{s_1} Tr(S L_ab)``, and each trace contracts ``S`` slot by slot
+    against the 2x2 factors of :func:`_slot_factors`.
     """
     angles = _check_angles(angles)
     n = angles.shape[0]
@@ -481,10 +504,23 @@ def avg_fidelity(povm, angles) -> float:
             f"POVM has {len(povm)} elements on dim {povm.dim}, expected 2**{n}"
         )
     total = 0.0
-    for part in chunks(d, d * d):
-        images = _ghz_images(n, np.arange(d)[part], angles)
-        # Tr(M K) for symmetric K; Im M is antisymmetric, so its part cancels
-        total += float(np.einsum("pij,pij->", povm.elements[part].real, images))
+    for part in chunks(d, d * d, BLOCK_ENTRIES):
+        factors, sign = _slot_factors(n, np.arange(d)[part], angles)
+        f = np.moveaxis(factors, 0, 1)  # (S, 3, n, 2, 2)
+        m = povm.elements[part].real
+        m = (m + m.swapaxes(-1, -2)) / 2
+        # slot 0: entry (x, y) of each factor weighs the block of rows x, columns y
+        h = d // 2
+        blocks = m.reshape(-1, 2, h, 2, h).swapaxes(2, 3).reshape(-1, 4, h * h)
+        t = (f[:, :, 0].reshape(-1, 3, 4) @ blocks).reshape(-1, 3, h, h)
+        for j in range(1, n):
+            h //= 2
+            t = t.reshape(-1, 3, 2, h, 2, h)
+            w = f[:, :, j, :, :, None, None]
+            t = (w[:, :, 0, 0] * t[:, :, 0, :, 0] + w[:, :, 0, 1] * t[:, :, 0, :, 1]
+                 + w[:, :, 1, 0] * t[:, :, 1, :, 0] + w[:, :, 1, 1] * t[:, :, 1, :, 1])
+        tr = t.reshape(-1, 3)  # Tr(S L_aa), Tr(S L_bb), Tr(S L_ab) per outcome
+        total += float(((tr[:, 0] + tr[:, 1]) / 2 + sign * tr[:, 2]).sum())
     return total / d
 
 

@@ -56,13 +56,15 @@ def witness_factors(ops: np.ndarray) -> list:
 
     Term 0 is ``(a[0,0]+a[0,1]) (x) a[1,0] (x) ... (x) a[n-1,0]``; term j-1
     (j >= 2) puts ``a[j-1,1]`` in slot j, ``a[0,0]-a[0,1]`` in slot 1 and the
-    identity elsewhere. Stacked ``ops`` ``(..., n, 2, 2, 2)`` give stacked factors.
+    identity elsewhere, of the operators' dtype, so real operators give real
+    terms. Stacked ``ops`` ``(..., n, 2, 2, 2)`` give stacked factors.
     """
     n = ops.shape[-4]
     a = np.moveaxis(ops, (-4, -3), (0, 1))  # a[j, x] has shape (..., 2, 2)
+    eye = np.eye(2, dtype=ops.dtype)
     factors = [[a[0, 0] + a[0, 1]] + [a[j, 0] for j in range(1, n)]]
     for j in range(2, n + 1):
-        term = [a[0, 0] - a[0, 1]] + [I2] * (n - 1)
+        term = [a[0, 0] - a[0, 1]] + [eye] * (n - 1)
         term[j - 1] = a[j - 1, 1]
         factors.append(term)
     return factors

@@ -355,6 +355,10 @@ class TestRun:
          "--noise applies to --fixture depolarized only"),
         (["certify", "--input", "FILE", "--n", "5"],
          "--n 5 differs from the file's n 2"),
+        (["partial-bell", "--input", "FILE", "--noise", "0.5"],
+         "argument --noise: not allowed with argument --input"),
+        (["partial-bell", "--noise", "0", "--input", "FILE"],
+         "argument --input: not allowed with argument --noise"),
         (["seesaw", "--metric", "counterexample", "--n", "3"],
          "metric 'counterexample' is a two-sender game"),
         (["seesaw", "--seed", "-1", "--restarts", "2"], "seed must lie in [0, 2**64)"),
@@ -363,7 +367,8 @@ class TestRun:
         (["sos", "--seed", str(2**64 - 1), "--samples", "2"],
          "--seed + --samples - 1 must lie below 2**64"),
     ], ids=["noise-ideal", "noise-default-fixture", "input-fixture", "input-noise",
-            "input-other-n", "counterexample-n3", "seesaw-seed-negative", "seesaw-seed-2**64",
+            "input-other-n", "partial-bell-input-noise", "partial-bell-noise-0-input",
+            "counterexample-n3", "seesaw-seed-negative", "seesaw-seed-2**64",
             "sos-seed-negative", "sos-seeds-past-2**64"])
     def test_flag_the_run_cannot_honour_is_an_input_error(self, tmp_path, capsys, argv,
                                                           message):

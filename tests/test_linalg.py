@@ -70,6 +70,19 @@ class TestTensor:
         with pytest.raises(InvalidInput):
             tensor([])
 
+    def test_real_factors_stay_real(self):
+        rng = np.random.default_rng(1)
+        real = [rng.normal(size=(3, 2, 2)) for _ in range(3)]
+        out = tensor(real)
+        assert out.dtype == np.float64
+        for k in range(3):
+            mixed = real[:k] + [real[k].astype(complex)] + real[k + 1:]
+            got = tensor(mixed)
+            assert got.dtype == np.complex128
+            # the same real parts, computed in the same order
+            assert got.real.tobytes() == out.tobytes()
+            assert not got.imag.any()
+
 
 def random_complex(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)

@@ -31,8 +31,14 @@ from ghz_selftest.robustness import (
     relabel_covariance_defect,
     relabel_unitary,
 )
-from ghz_selftest.scenario import a_operators, comm_metric, partial_witnesses, success_metric
-from ghz_selftest.states import ghz_basis_state, outcome_index, random_strategy
+from ghz_selftest.scenario import (
+    a_operators,
+    comm_metric,
+    partial_witnesses,
+    success_metric,
+    witness_operator,
+)
+from ghz_selftest.states import Povm, ghz_basis_state, outcome_index, random_strategy
 
 SQRT2 = np.sqrt(2)
 
@@ -248,6 +254,20 @@ class TestGhzImages:
         assert avg_fidelity(povm, [0.2, 0.9, 1.4]) == want
         assert abs(avg_fidelity(ideal_strategy(2).povm, [np.pi / 4] * 2) - 1) < 1e-12
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_avg_fidelity_reads_only_the_real_symmetric_part(self, n):
+        # the contraction symmetrizes Re M_s, so an antisymmetric real part
+        # and any imaginary part of the elements leave the fidelity unchanged
+        rng = make_rng(50 + n)
+        d = 2**n
+        povm = random_strategy(n, 60 + n).povm
+        angles = rng.uniform(0, np.pi / 2, size=n)
+        want = avg_fidelity(povm, angles)
+        a = rng.normal(size=(d, d, d))
+        imag = 1j * rng.normal(size=(d, d, d))
+        for noise in (a - a.swapaxes(1, 2), imag, a - a.swapaxes(1, 2) + imag):
+            assert abs(avg_fidelity(Povm(povm.elements + noise), angles) - want) <= 1e-15
+
 
 class TestInequality:
     def test_params_normalization_gate(self):
@@ -400,6 +420,36 @@ class TestStackedSweep:
         at_argmin = ref_margin(2, res.argmin_outcome, res.argmin_angles, bad.r, bad.mu)
         assert abs(res.min_margin - at_argmin) <= 1e-12
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_float64_sweep_equals_the_complex_computation_bytewise(self, n):
+        # K_s - r W_s - mu I is real; built in float64 it has the complex
+        # build's real parts, and the complex solve gives the same margins
+        params = (analytic_params(2) if n == 2
+                  else FidelityBoundParams(r=4 / ((n - 1) * 2 * SQRT2), mu=-3.0, n=n))
+        rng = make_rng(60 + n)
+        points = list(itertools.product((0.0, np.pi / 4, np.pi / 2), repeat=n))
+        points += list(rng.uniform(0, np.pi / 2, size=(10, n)))
+        eye = np.eye(2**n, dtype=complex)
+        for s in range(2**n):
+            xi = projector(ghz_basis_state(s, n)).astype(complex)
+            for angles in points:
+                ops = parametrized_a_operators(angles).astype(complex)
+                shifted = (apply_channel(angles, xi)
+                           - params.r * witness_operator(n, s, ops) - params.mu * eye)
+                want = np.linalg.eigvalsh(shifted)[0]
+                got = inequality_margin(n, s, angles, params)
+                assert np.float64(got).tobytes() == want.tobytes(), (s, angles)
+
+    def test_sweep_solves_in_complex(self, monkeypatch):
+        # a real solve rounds the n = 2 zero at (0, 0) to -5e-17
+        seen = []
+        solve = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda m, *args: seen.append(m.dtype) or solve(m, *args))
+        assert inequality_margin(2, 0, [0.0, 0.0], analytic_params(2)) == 0.0
+        margin_grid(3, FidelityBoundParams(r=4 / (4 * SQRT2), mu=-3.0, n=3), step=np.pi / 4)
+        assert seen and set(seen) == {np.dtype(complex)}
+
     def test_inequality_margin_is_the_one_point_sweep(self):
         params = FidelityBoundParams(r=4 / (4 * SQRT2), mu=-3.0, n=3)
         rng = make_rng(12)
@@ -417,16 +467,22 @@ class TestStackedSweep:
             m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
             assert np.abs(apply_channel(angles, m) - ref_channel(angles, m)).max() <= 1e-12
 
-    def test_avg_fidelity_across_chunks(self):
-        # 32 POVM elements of dimension 32 span two chunks
-        povm = depolarized_strategy(5, 0.1).povm
-        angles = make_rng(14).uniform(0, np.pi / 2, size=5)
+    def test_avg_fidelity_across_chunks(self, monkeypatch):
+        # 128 POVM elements of dimension 128 span 8 chunks of BLOCK_ENTRIES
+        n = 7
+        povm = depolarized_strategy(n, 0.1).povm
+        angles = make_rng(14).uniform(0, np.pi / 2, size=n)
         want = np.mean([
-            (ghz_basis_state(m, 5).conj() @ ref_channel(angles, povm.elements[m])
-             @ ghz_basis_state(m, 5)).real
-            for m in range(32)
+            (ghz_basis_state(m, n).conj() @ apply_channel(angles, povm.elements[m])
+             @ ghz_basis_state(m, n)).real
+            for m in range(2**n)
         ])
+        factors = robustness._slot_factors
+        calls = []
+        monkeypatch.setattr(robustness, "_slot_factors",
+                            lambda *args: calls.append(args) or factors(*args))
         assert abs(avg_fidelity(povm, angles) - want) <= 1e-12
+        assert len(calls) >= 2
 
     @pytest.mark.parametrize("step", [0.0, -0.1, float("nan"), float("inf")])
     def test_step_must_be_positive_and_finite(self, step):
