@@ -173,7 +173,5 @@ def separable_fixture() -> CounterexampleStrategy:
     """Three-input game parameters with a product-form measurement."""
     states = _three_input_states(SEPARABLE_SENDER1, SEPARABLE_SENDER2)
     u = state_from_angles(*SEPARABLE_AXIS)
-    m0 = np.kron(projector([1, 0]), projector(u)) + np.kron(
-        projector([0, 1]), projector([1, 0])
-    )
+    m0 = tensor([projector([1, 0]), projector(u)]) + tensor([projector([0, 1]), projector([1, 0])])
     return CounterexampleStrategy(states=states, m0=m0)

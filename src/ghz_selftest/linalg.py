@@ -5,10 +5,8 @@ float64 where an operator is real by construction (the robustness sweep's
 operators, the GHZ channel images); :func:`tensor` of real factors stays
 real. Matrices here are small (dimension at most 2**7 = 128); Kronecker
 products and Hermitian eigensolves run through NumPy/LAPACK in
-:mod:`ghz_selftest.backends`, except in ``robustness``:
-``_kron_stack`` builds the real channel images from the last factor up,
-faster than :func:`tensor` (README, Install), and ``_margins`` calls
-``np.linalg.eigvalsh`` on a complex copy of its real stack because
+:mod:`ghz_selftest.backends`, with one exception: ``robustness._margins``
+calls ``np.linalg.eigvalsh`` on a complex copy of its real stack because
 :func:`herm_eigvals` would solve it as real and round the n = 2 margin that
 is exactly 0 at angles (0, 0) to -5e-17.
 :func:`herm_eigvals` gates, symmetrizes and solves a stack with no imaginary

@@ -2,7 +2,8 @@
 
 The see-saw advances the restarts of a block in lockstep as stacked arrays
 and maps the blocks over the workers. ``GHZ_SELFTEST_THREADS`` caps
-parallelism: unset or ``1`` means serial, ``0`` means one worker per CPU.
+parallelism: unset or ``1`` means serial, ``0`` means one worker per CPU,
+and a negative or non-integer value is an input error.
 Results never depend on the schedule; all reductions are deterministic.
 """
 
@@ -17,8 +18,10 @@ def worker_count(requested: int | None = None) -> int:
         raw = os.environ.get("GHZ_SELFTEST_THREADS", "1")
         try:
             requested = int(raw)
+            if requested < 0:
+                raise ValueError
         except ValueError:
-            raise InvalidInput(f"GHZ_SELFTEST_THREADS must be an integer, got {raw!r}")
+            raise InvalidInput(f"GHZ_SELFTEST_THREADS must be an integer >= 0, got {raw!r}")
     if requested == 0:
         return os.cpu_count() or 1
     return max(1, requested)

@@ -21,10 +21,10 @@ eigensolve, which stays complex (see ``_margins``).
 GHZ projectors have a shorter route. ``xi_s xi_s^dag`` is a sum of four
 basis dyads ``|x><y|``, and the product channel maps each to a Kronecker
 product of real 2x2 factors (``_slot_factors``), so ``K_s`` is a Kronecker
-sum built in real arithmetic (``_ghz_images``; ``k_operator`` is its
-one-point call). Each local channel is self-dual and ``K_s`` is real
-symmetric, so the average fidelity ``sum_s <xi_s|Lambda[M_s]|xi_s> / 2**n``
-is ``sum_s Tr(M_s K_s) / 2**n`` (``avg_fidelity``): the POVM is never pushed
+sum built in real arithmetic (``k_operator``, through ``linalg.tensor``).
+Each local channel is self-dual and ``K_s`` is real symmetric, so the
+average fidelity ``sum_s <xi_s|Lambda[M_s]|xi_s> / 2**n`` is
+``sum_s Tr(M_s K_s) / 2**n`` (``avg_fidelity``): the POVM is never pushed
 through the channel, and ``K_s`` is never built either, since each trace
 contracts ``M_s`` slot by slot against the 2x2 factors. The sweep keeps the
 qubit-by-qubit route because its margins are exactly 0 at some grid points,
@@ -205,19 +205,6 @@ def apply_channel(angles, m) -> np.ndarray:
     return _channel_stack(m[None], angles[None])[0]
 
 
-def _kron_stack(factors: np.ndarray) -> np.ndarray:
-    """Kronecker products of real factors ``(..., n, 2, 2)``, slot 0 the most
-    significant, as ``(..., 2**n, 2**n)``. Built from the last slot up, so the
-    growing product is the inner factor and every step writes it contiguously."""
-    out = factors[..., -1, :, :]
-    for j in range(factors.shape[-3] - 2, -1, -1):
-        f = factors[..., j, :, :]
-        d = 2 * out.shape[-1]
-        out = (f[..., :, None, :, None] * out[..., None, :, None, :]).reshape(
-            out.shape[:-2] + (d, d))
-    return out
-
-
 def _slot_factors(n: int, outcomes: np.ndarray, angles: np.ndarray) -> tuple:
     """Real 2x2 factors of the channel images of the GHZ dyads of
     ``outcomes`` at one checked angle point, and each outcome's sign.
@@ -245,21 +232,14 @@ def _slot_factors(n: int, outcomes: np.ndarray, angles: np.ndarray) -> tuple:
     return factors, 1 - 2 * bits[:, 0]
 
 
-def _ghz_images(n: int, outcomes: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Channel images ``K_s`` of the GHZ projectors of ``outcomes`` at one
-    checked angle point, a real ``(len(outcomes), 2**n, 2**n)`` stack:
-    ``(L_aa + L_bb + (-1)^{s_1} (L_ab + L_ab^T)) / 2`` of :func:`_slot_factors`.
-    """
-    factors, sign = _slot_factors(n, outcomes, angles)
-    l_aa, l_bb, l_ab = _kron_stack(factors)
-    sign = sign[:, None, None]
-    return (l_aa + l_bb + sign * (l_ab + l_ab.swapaxes(-1, -2))) / 2
-
-
 def k_operator(n: int, s, angles) -> np.ndarray:
-    """The channel image of the GHZ projector for outcome ``s``, real symmetric."""
+    """The channel image ``K_s`` of the GHZ projector for outcome ``s``, real
+    symmetric: ``(L_aa + L_bb + (-1)^{s_1} (L_ab + L_ab^T)) / 2`` with the
+    Kronecker products of :func:`_slot_factors`."""
     angles = _check_angles(angles, n)
-    return _ghz_images(n, np.array([outcome_index(s, n)]), angles)[0]
+    factors, sign = _slot_factors(n, np.array([outcome_index(s, n)]), angles)
+    l_aa, l_bb, l_ab = tensor(factors[:, 0].swapaxes(0, 1))
+    return (l_aa + l_bb + sign[0] * (l_ab + l_ab.T)) / 2
 
 
 def _message_stack(angles: np.ndarray) -> np.ndarray:
@@ -288,12 +268,13 @@ def _margins(n: int, s, angles: np.ndarray, params: FidelityBoundParams) -> np.n
     The operator is real and is built in float64, from the real GHZ projector
     and message operators; with every imaginary part zero, complex arithmetic
     would compute the same real parts in the same order. ``K_s`` comes from
-    :func:`_channel_stack` and the solve is complex, not from
-    :func:`_ghz_images` and a real solve. At n = 2 the margin is exactly 0 at
-    the corners and at (pi/4, pi/4), and either change rounds such a zero
-    below it: the Kronecker images give -2.2e-16 at (pi/4, pi/4), a real solve
-    -5e-17 at (0, 0). The sweep's minimum, its report and its CSV would move
-    with them.
+    :func:`_channel_stack` and the solve is complex, not from the Kronecker
+    images of :func:`k_operator` and a real solve. At n = 2 the margin is
+    exactly 0 at the corners and at (pi/4, pi/4), and either change rounds
+    such a zero below it: the Kronecker images give -2.2e-16 at (pi/4, pi/4),
+    a real solve -5e-17 at (0, 0) (``backends.eigvalsh`` solves a real stack
+    as real). The sweep's minimum, its report and its CSV would move with
+    them, so this is the one Hermitian solve outside :mod:`ghz_selftest.backends`.
     """
     d = 2**n
     xi = projector(ghz_basis_state(s, n)).real[None]
@@ -490,7 +471,7 @@ def avg_fidelity(povm, angles) -> float:
     ``sum_s <xi_s| Lambda[M_s] |xi_s> / 2**n`` -- a certified lower estimate
     of the channel-maximized extraction fidelity. The product channel is
     self-dual, so each term is ``Tr(M_s K_s)`` with ``K_s`` the real
-    symmetric image of :func:`_ghz_images`, and the POVM is never pushed
+    symmetric image of :func:`k_operator`, and the POVM is never pushed
     through the channel. Nor is ``K_s`` built: with ``S`` the symmetric part
     of ``Re M_s``, ``Tr(M_s K_s) = (Tr(S L_aa) + Tr(S L_bb)) / 2
     + (-1)^{s_1} Tr(S L_ab)``, and each trace contracts ``S`` slot by slot

@@ -356,9 +356,9 @@ def random_strategy(n: int, seed: int) -> Strategy:
     senders = [SenderStates(r) for r in random_projectors(rng, 4 * n).reshape(n, 2, 2, 2, 2)]
     d = 2**n
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    _, vecs = np.linalg.eigh((g + g.conj().T) / 2)
-    els = np.stack([np.outer(vecs[:, k], vecs[:, k].conj()) for k in range(d)])
-    return Strategy(n=n, senders=tuple(senders), povm=Povm(els))
+    _, vecs = backends.eigh((g + g.conj().T) / 2)
+    v = vecs.T.copy()  # v[k] is eigenvector k; contiguous rows, contiguous elements
+    return Strategy(n=n, senders=tuple(senders), povm=Povm(v[:, :, None] * v[:, None, :].conj()))
 
 
 def random_antipodal_strategy(n: int, seed: int) -> Strategy:
@@ -368,7 +368,7 @@ def random_antipodal_strategy(n: int, seed: int) -> Strategy:
     for st in base.senders:
         rho = st.rho.copy()
         for x in range(2):
-            w, v = np.linalg.eigh(rho[0, x])
+            _, v = backends.eigh(rho[0, x])
             rho[0, x] = projector(v[:, -1])
             rho[1, x] = projector(v[:, 0])
         senders.append(SenderStates(rho))

@@ -649,8 +649,9 @@ class TestRun:
         assert "eps must be finite" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_thread_count_is_an_input_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("GHZ_SELFTEST_THREADS", "abc")
+    @pytest.mark.parametrize("threads", ["abc", "-1"])
+    def test_bad_thread_count_is_an_input_error(self, threads, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("GHZ_SELFTEST_THREADS", threads)
         out = tmp_path / "r.json"
         code = run(parse_args(["seesaw", "--n", "2", "--restarts", "1", "-o", str(out)]))
         assert code == 2

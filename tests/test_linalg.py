@@ -1,8 +1,11 @@
+import ast
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ghz_selftest
 from ghz_selftest import backends
 from ghz_selftest.errors import InvalidInput, NotHermitian
 from ghz_selftest.fixtures import (
@@ -353,3 +356,34 @@ class TestOpNorm:
     def test_non_hermitian_rejected(self):
         with pytest.raises(NotHermitian):
             op_norm(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+EIG_NAMES = {"eigh", "eigvalsh", "eig", "eigvals"}
+# where a NumPy eigensolve may be called: the backend, and the margin sweep's
+# complex solve of a real stack, which keeps the exact n = 2 zeros
+EIG_ALLOWED = {("backends.py", None), ("robustness.py", "_margins")}
+
+
+def eig_calls(path):
+    """``(file, enclosing top-level definition, line)`` of every NumPy
+    eigensolver call in a module."""
+    found = []
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            func = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(func, ast.Attribute) and func.attr in EIG_NAMES
+                    and isinstance(func.value, ast.Attribute) and func.value.attr == "linalg"):
+                found.append((path.name, owner, node.lineno))
+    return found
+
+
+class TestEigensolverPath:
+    def test_eigensolves_go_through_backends(self):
+        calls = [c for path in sorted(Path(ghz_selftest.__file__).parent.glob("*.py"))
+                 for c in eig_calls(path)]
+        stray = [c for c in calls
+                 if (c[0], None) not in EIG_ALLOWED and (c[0], c[1]) not in EIG_ALLOWED]
+        assert stray == []
+        # the walk sees the one allowed call outside the backend
+        assert ("robustness.py", "_margins") in {c[:2] for c in calls}

@@ -226,6 +226,20 @@ class TestGhzImages:
                 assert np.abs(k - want).max() <= 1e-14, (s, angles)
                 assert np.array_equal(k, k.T)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_k_operator_is_the_left_to_right_kronecker_sum(self, n):
+        """Bit for bit the Kronecker sum of ``_slot_factors``, each product
+        taken left to right as ``reduce(np.kron, ...)`` does."""
+        for angles in self.angle_points(n, 40 + n):
+            for s in range(2**n):
+                factors, sign = robustness._slot_factors(
+                    n, np.array([s]), robustness._check_angles(angles, n))
+                l_aa, l_bb, l_ab = (kron_all(f) for f in factors[:, 0])
+                want = (l_aa + l_bb + sign[0] * (l_ab + l_ab.T)) / 2
+                k = k_operator(n, s, angles)
+                assert k.tobytes() == want.tobytes(), (s, angles)
+                assert np.array_equal(k, k.T)
+
     def test_k_operator_takes_every_outcome_form(self):
         angles = [0.3, 1.2, 0.7]
         want = k_operator(3, 5, angles)
