@@ -9,7 +9,6 @@ from .states import (
     Povm,
     Strategy,
     aligned_sender_states,
-    ghz_basis_state,
     ghz_povm,
     ideal_sender_states,
 )
@@ -30,10 +29,7 @@ def literal_ideal_strategy(n: int) -> Strategy:
     """
     senders = tuple(ideal_sender_states(j, n) for j in range(1, n + 1))
     h = tensor([I2] + [SIGMA_A] * (n - 1))  # sigma_A is the Hadamard
-    els = np.stack(
-        [h @ projector(ghz_basis_state(m, n)) @ h for m in range(2**n)]
-    )
-    return Strategy(n=n, senders=senders, povm=Povm(els))
+    return Strategy(n=n, senders=senders, povm=Povm(h @ ghz_povm(n).elements @ h))
 
 
 def computational_strategy(n: int) -> Strategy:

@@ -12,6 +12,9 @@ is exactly 0 at angles (0, 0) to -5e-17.
 :func:`herm_eigvals` gates, symmetrizes and solves a stack with no imaginary
 part in real arithmetic (for a real ``m``, ``|m - m^dag|`` is ``|m - m^T|``,
 so the gate's verdict is the same); :func:`herm_eig` always solves complex.
+:func:`contract_slot` is the one slot contraction: traced slot by slot, an
+operator against a Kronecker product of 2x2 factors never needs the product
+(``scenario.product_traces``, ``robustness.avg_fidelity``).
 """
 
 from dataclasses import dataclass
@@ -86,6 +89,17 @@ def tensor(factors) -> np.ndarray:
     if not factors:
         raise InvalidInput("tensor needs at least one factor")
     return backends.kron_chain(factors)
+
+
+def contract_slot(t, w) -> np.ndarray:
+    """Contract the leading qubit of operators ``t`` ``(..., 2h, 2h)`` against
+    2x2 weights ``w`` ``(..., 2, 2)``, leading axes broadcast: ``out[..., i, k]
+    = sum_{x,y} w[..., x, y] t[..., x*h + i, y*h + k]``. Applied slot by slot,
+    it gives ``Tr(t (x)_j w_j^T)``."""
+    h = t.shape[-1] // 2
+    blocks = t.reshape(t.shape[:-2] + (2, h, 2, h)).swapaxes(-3, -2)
+    out = w.reshape(w.shape[:-2] + (1, 4)) @ blocks.reshape(blocks.shape[:-4] + (4, h * h))
+    return out.reshape(out.shape[:-2] + (h, h))
 
 
 def herm_eig(m) -> EigenSystem:

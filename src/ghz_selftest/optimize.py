@@ -40,12 +40,11 @@ from .scenario import (
     counterexample_scores,
     message_operators,
     partial_witnesses,
-    signed_sum,
     success_scores,
+    witness_chunks,
     witness_factors,
     witness_orbits,
     witness_signs,
-    witness_terms,
 )
 from .states import (
     Povm,
@@ -154,8 +153,7 @@ def _ghz_povm(ops: np.ndarray) -> np.ndarray:
     n = ops.shape[-4]
     d = 2**n
     reps, orbit, flips = witness_orbits(n)
-    terms = [t[..., None, :, :] for t in witness_terms(ops)]
-    ws = signed_sum(witness_signs(n)[reps].T[..., None, None], terms)
+    ws = np.concatenate([w for _, w in witness_chunks(ops, reps)], axis=-3)
     top = herm_eig(ws).vectors[..., -1][..., orbit, :]  # row m: outcome m's top vector
     flip = np.where(flips[..., None, None], _flip_operators(ops)[..., None, :, :, :], I2)
     for j in range(n):

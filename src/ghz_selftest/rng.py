@@ -11,8 +11,15 @@ import numpy as np
 from .errors import InvalidInput
 
 
+def _key(name: str, value) -> np.uint64:
+    """One 64-bit key word; a float or bool would alias an integer seed."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    if not 0 <= int(value) < 2**64:  # wrapping would alias two seeds
+        raise InvalidInput(f"{name} must lie in [0, 2**64), got {value}")
+    return np.uint64(value)
+
+
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    if not 0 <= seed < 2**64:  # the 64-bit key; wrapping would alias two seeds
-        raise InvalidInput(f"seed must lie in [0, 2**64), got {seed}")
-    key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
+    key = np.array([_key("seed", seed), _key("stream", stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

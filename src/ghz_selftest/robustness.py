@@ -26,9 +26,10 @@ Each local channel is self-dual and ``K_s`` is real symmetric, so the
 average fidelity ``sum_s <xi_s|Lambda[M_s]|xi_s> / 2**n`` is
 ``sum_s Tr(M_s K_s) / 2**n`` (``avg_fidelity``): the POVM is never pushed
 through the channel, and ``K_s`` is never built either, since each trace
-contracts ``M_s`` slot by slot against the 2x2 factors. The sweep keeps the
-qubit-by-qubit route because its margins are exactly 0 at some grid points,
-where the Kronecker images round differently.
+contracts ``M_s`` slot by slot against the 2x2 factors
+(``linalg.contract_slot``). The sweep keeps the qubit-by-qubit route because
+its margins are exactly 0 at some grid points, where the Kronecker images
+round differently.
 """
 
 import math
@@ -38,7 +39,8 @@ import numpy as np
 
 from .errors import InequalityViolated, InvalidInput, Unsupported
 from .linalg import (
-    BLOCK_ENTRIES, I2, SIGMA_A, SIGMA_B, SIGMA_X, SIGMA_Z, SQRT2, chunks, projector, tensor,
+    BLOCK_ENTRIES, I2, SIGMA_A, SIGMA_B, SIGMA_X, SIGMA_Z, SQRT2, chunks, contract_slot,
+    projector, tensor,
 )
 from .scenario import witness_operator
 from .states import ghz_basis_state, outcome_bits, outcome_index, outcome_label
@@ -269,12 +271,14 @@ def _margins(n: int, s, angles: np.ndarray, params: FidelityBoundParams) -> np.n
     and message operators; with every imaginary part zero, complex arithmetic
     would compute the same real parts in the same order. ``K_s`` comes from
     :func:`_channel_stack` and the solve is complex, not from the Kronecker
-    images of :func:`k_operator` and a real solve. At n = 2 the margin is
-    exactly 0 at the corners and at (pi/4, pi/4), and either change rounds
-    such a zero below it: the Kronecker images give -2.2e-16 at (pi/4, pi/4),
-    a real solve -5e-17 at (0, 0) (``backends.eigvalsh`` solves a real stack
-    as real). The sweep's minimum, its report and its CSV would move with
-    them, so this is the one Hermitian solve outside :mod:`ghz_selftest.backends`.
+    images of :func:`k_operator` and a real solve. At n = 2 the margin is 0
+    in exact arithmetic at the corners and at (pi/4, pi/4). This route reads
+    exactly 0.0 at (0, 0) and (0, pi/2) and at most 2.2e-16 above 0 at the
+    other three, for every outcome; either change rounds some of them below
+    0: the Kronecker images give -2.2e-16 or -4.4e-16 at (pi/4, pi/4), a real
+    solve -5e-17 at (0, 0) (``backends.eigvalsh`` solves a real stack as
+    real). The sweep's minimum, its report and its CSV would move with them,
+    so this is the one Hermitian solve outside :mod:`ghz_selftest.backends`.
     """
     d = 2**n
     xi = projector(ghz_basis_state(s, n)).real[None]
@@ -457,7 +461,8 @@ def fidelity_lower_bound(n: int, eps: float, params: FidelityBoundParams | None 
     params = _params_for(n, params)
     if n > 7:
         raise Unsupported("fidelity bounds supported for n <= 7 only")
-    return max(0.0, 1.0 - params.slope * eps)
+    # a Python product: 1e308 overflows to inf without a NumPy warning
+    return max(0.0, 1.0 - float(params.slope) * eps)
 
 
 def meaningful_eps(n: int = 2, params: FidelityBoundParams | None = None) -> float:
@@ -475,7 +480,8 @@ def avg_fidelity(povm, angles) -> float:
     through the channel. Nor is ``K_s`` built: with ``S`` the symmetric part
     of ``Re M_s``, ``Tr(M_s K_s) = (Tr(S L_aa) + Tr(S L_bb)) / 2
     + (-1)^{s_1} Tr(S L_ab)``, and each trace contracts ``S`` slot by slot
-    against the 2x2 factors of :func:`_slot_factors`.
+    against the 2x2 factors of :func:`_slot_factors`, one
+    :func:`linalg.contract_slot` per slot for all three factor sets.
     """
     angles = _check_angles(angles)
     n = angles.shape[0]
@@ -487,19 +493,10 @@ def avg_fidelity(povm, angles) -> float:
     total = 0.0
     for part in chunks(d, d * d, BLOCK_ENTRIES):
         factors, sign = _slot_factors(n, np.arange(d)[part], angles)
-        f = np.moveaxis(factors, 0, 1)  # (S, 3, n, 2, 2)
         m = povm.elements[part].real
-        m = (m + m.swapaxes(-1, -2)) / 2
-        # slot 0: entry (x, y) of each factor weighs the block of rows x, columns y
-        h = d // 2
-        blocks = m.reshape(-1, 2, h, 2, h).swapaxes(2, 3).reshape(-1, 4, h * h)
-        t = (f[:, :, 0].reshape(-1, 3, 4) @ blocks).reshape(-1, 3, h, h)
-        for j in range(1, n):
-            h //= 2
-            t = t.reshape(-1, 3, 2, h, 2, h)
-            w = f[:, :, j, :, :, None, None]
-            t = (w[:, :, 0, 0] * t[:, :, 0, :, 0] + w[:, :, 0, 1] * t[:, :, 0, :, 1]
-                 + w[:, :, 1, 0] * t[:, :, 1, :, 0] + w[:, :, 1, 1] * t[:, :, 1, :, 1])
+        t = ((m + m.swapaxes(-1, -2)) / 2)[:, None]
+        for j in range(n):
+            t = contract_slot(t, np.moveaxis(factors[:, :, j], 0, 1))
         tr = t.reshape(-1, 3)  # Tr(S L_aa), Tr(S L_bb), Tr(S L_ab) per outcome
         total += float(((tr[:, 0] + tr[:, 1]) / 2 + sign * tr[:, 2]).sum())
     return total / d

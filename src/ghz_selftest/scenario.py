@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import InvalidBloch, InvalidInput
-from .linalg import I2, PAULIS, SQRT2, chunks, dagger, herm_eigvals, tensor
+from .linalg import I2, PAULIS, SQRT2, chunks, contract_slot, dagger, herm_eigvals, tensor
 from .states import Povm, SenderStates, Strategy, bloch_vector, outcome_index
 
 # coefficients of the three-input game score on p(0 | y1, y2)
@@ -150,11 +150,7 @@ def witness_chunks(ops: np.ndarray, outcomes=None):
 def witness_operators(ops: np.ndarray) -> np.ndarray:
     """All ``2**n`` witnesses stacked, indexed by outcome; stacked ``ops``
     ``(..., n, 2, 2, 2)`` give ``(..., 2**n, 2**n, 2**n)``."""
-    d = 2 ** ops.shape[-4]
-    out = np.empty(ops.shape[:-4] + (d, d, d), dtype=complex)
-    for part, ws in witness_chunks(ops):
-        out[..., part, :, :] = ws
-    return out
+    return np.concatenate([ws for _, ws in witness_chunks(ops)], axis=-3)
 
 
 def metric_normalization(n: int) -> float:
@@ -217,21 +213,19 @@ def product_traces(elements: np.ndarray, stacks) -> np.ndarray:
     """``p[m, k_1, ..., k_n] = Re Tr(M_m (x)_j S_j[k_j])`` for operators
     ``(count, 2**n, 2**n)`` and per-qubit state stacks ``S_j`` ``(k_j, 2, 2)``.
 
-    The product states are never formed: the operators are contracted with
-    one qubit's stack at a time, last qubit first, so one-state stacks shrink
-    them early. Operators are taken in the chunks of ``linalg.chunks``.
+    The product states are never formed: :func:`linalg.contract_slot`
+    contracts the operators with one qubit's stack at a time, first qubit
+    first, each stack's states landing on a new axis. Operators are taken in
+    the chunks of ``linalg.chunks``.
     """
     count, d = elements.shape[:2]
     sizes = [len(st) for st in stacks]
     out = np.empty((count, int(np.prod(sizes))))
     for part in chunks(count, d * d):
-        t = elements[part][..., None]  # (chunk, rows, cols, states so far)
-        for st in reversed(stacks):
-            c, r, _, k = t.shape
-            t = t.reshape(c, r // 2, 2, r // 2, 2, k)
-            # sum_{u,v} t[., a, u, b, v, .] st[l, v, u]: the qubit's trace
-            t = np.einsum("caubvk,lvu->cablk", t, st).reshape(c, r // 2, r // 2, -1)
-        out[part] = t.real.reshape(c, -1)
+        t = elements[part]
+        for st in stacks:
+            t = contract_slot(t[..., None, :, :], np.swapaxes(st, -1, -2))
+        out[part] = t.real.reshape(len(t), -1)
     return out.reshape(count, *sizes)
 
 

@@ -18,6 +18,7 @@ from ghz_selftest.linalg import (
     I2,
     SIGMA_X,
     SIGMA_Z,
+    contract_slot,
     dagger,
     fix_phase,
     herm_eig,
@@ -120,6 +121,46 @@ class TestKronChain:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             backends.kron_chain([])
+
+
+class TestContractSlot:
+    @staticmethod
+    def traced(t, weights):
+        for w in weights:
+            t = contract_slot(t, w)
+        return t[..., 0, 0]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_per_operator_weights_give_the_kronecker_trace(self, n):
+        rng = np.random.default_rng(70 + n)
+        d = 2**n
+        t = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+        w = rng.normal(size=(n, 3, 2, 2)) + 1j * rng.normal(size=(n, 3, 2, 2))
+        got = self.traced(t, w)
+        for k in range(3):
+            want = np.trace(t[k] @ reduce(np.kron, [w[j, k].T for j in range(n)]))
+            assert abs(got[k] - want) <= 1e-12 * max(1, abs(want))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_shared_stacks_land_on_new_axes(self, n):
+        # one stack of 2x2 weights per slot, each broadcast on a new axis
+        rng = np.random.default_rng(80 + n)
+        d = 2**n
+        t = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
+        stacks = [rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
+                  for k in (3, 1, 2, 2, 1)[:n]]
+        got = t
+        for st in stacks:
+            got = contract_slot(got[..., None, :, :], st)
+        assert got.shape == (2, *(len(st) for st in stacks), 1, 1)
+        for m, *ks in np.ndindex(got.shape[:-2]):
+            want = np.trace(t[m] @ reduce(np.kron, [st[k].T for st, k in zip(stacks, ks)]))
+            assert abs(got[(m, *ks, 0, 0)] - want) <= 1e-12 * max(1, abs(want))
+
+    def test_real_operands_stay_real(self):
+        rng = np.random.default_rng(5)
+        out = contract_slot(rng.normal(size=(8, 8)), rng.normal(size=(2, 2)))
+        assert out.dtype == float and out.shape == (4, 4)
 
 
 class TestHermEig:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ghz_selftest import backends, optimize
+from ghz_selftest import backends, linalg, optimize
 from ghz_selftest.errors import InvalidInput
 from ghz_selftest.fixtures import computational_strategy, ideal_strategy, partial_bell_strategy
 from ghz_selftest.linalg import I2, fix_phase, herm_eig, projector, tensor
@@ -223,6 +223,14 @@ class TestWitnessOrbits:
             assert np.abs(_ghz_povm(ops) - reference_ghz_povm(ops)).max() <= 1e-10
             checked += 1
         assert checked >= len(inputs) // 2
+
+    def test_representatives_across_chunks_give_the_same_bytes(self, monkeypatch):
+        # from n = 8 on, the two even-n representatives fall into two chunks
+        ops = message_operators(np.stack([random_messages(4, seed) for seed in range(3)]))
+        want = _ghz_povm(ops)
+        monkeypatch.setattr(linalg, "CHUNK_ELEMENTS", 4**4)  # one 16 x 16 witness each
+        assert len(linalg.chunks(2, 4**4)) == 2
+        assert _ghz_povm(ops).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_one_solve_per_orbit_and_restart(self, n, monkeypatch):

@@ -1,6 +1,7 @@
 import csv as csvlib
 import itertools
 import re
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -9,7 +10,10 @@ import pytest
 from ghz_selftest import robustness
 from ghz_selftest.errors import InequalityViolated, InvalidInput, Unsupported
 from ghz_selftest.fixtures import depolarized_strategy, ideal_strategy, partial_bell_strategy
-from ghz_selftest.linalg import SIGMA_A, SIGMA_B, SIGMA_X, SIGMA_Z, herm_eigvals, projector
+from ghz_selftest.linalg import (
+    BLOCK_ENTRIES, SIGMA_A, SIGMA_B, SIGMA_X, SIGMA_Z, chunks, contract_slot, herm_eigvals,
+    projector,
+)
 from ghz_selftest.rng import make_rng
 from ghz_selftest.robustness import (
     FidelityBoundParams,
@@ -268,6 +272,18 @@ class TestGhzImages:
         assert avg_fidelity(povm, [0.2, 0.9, 1.4]) == want
         assert abs(avg_fidelity(ideal_strategy(2).povm, [np.pi / 4] * 2) - 1) < 1e-12
 
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_avg_fidelity_contracts_one_slot_per_qubit_and_chunk(self, n, monkeypatch):
+        povm = depolarized_strategy(n, 0.1).povm
+        angles = make_rng(20 + n).uniform(0, np.pi / 2, size=n)
+        want = avg_fidelity(povm, angles)
+        calls = []
+        monkeypatch.setattr(robustness, "contract_slot",
+                            lambda t, w: calls.append(t.shape) or contract_slot(t, w))
+        assert avg_fidelity(povm, angles) == want
+        d = 2**n
+        assert len(calls) == n * len(chunks(d, d * d, BLOCK_ENTRIES))
+
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_avg_fidelity_reads_only_the_real_symmetric_part(self, n):
         # the contraction symmetrizes Re M_s, so an antisymmetric real part
@@ -291,6 +307,17 @@ class TestInequality:
     def test_margin_at_ideal_point(self):
         p = analytic_params(2)
         assert inequality_margin(2, 0, [np.pi / 4, np.pi / 4], p) >= -1e-10
+
+    @pytest.mark.parametrize("s", range(4))
+    def test_n2_margins_at_the_exact_zeros(self, s):
+        # 0 in exact arithmetic at all five points; floating point reads
+        # exactly 0.0 at the first two and a few 1e-16 above it at the rest
+        params = analytic_params(2)
+        q = np.pi
+        for angles in [(0, 0), (0, q / 2)]:
+            assert inequality_margin(2, s, angles, params) == 0.0
+        for angles in [(q / 2, 0), (q / 2, q / 2), (q / 4, q / 4)]:
+            assert 0 < inequality_margin(2, s, angles, params) <= 3e-16
 
     def test_margin_on_coarse_grid(self):
         p = analytic_params(2)
@@ -608,6 +635,11 @@ class TestFidelityBounds:
 
     def test_clamped_at_zero(self):
         assert fidelity_lower_bound(2, 10.0) == 0.0
+
+    def test_huge_eps_clamps_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fidelity_lower_bound(2, 1e308) == 0.0
 
     def test_needs_params_beyond_two(self):
         with pytest.raises(Unsupported):

@@ -12,7 +12,7 @@ from ghz_selftest.fixtures import (
     partial_bell_strategy,
     separable_fixture,
 )
-from ghz_selftest import linalg
+from ghz_selftest import linalg, scenario
 from ghz_selftest.linalg import CHUNK_ELEMENTS, I2, SIGMA_X, SIGMA_Z, op_norm, tensor
 from ghz_selftest.scenario import (
     COUNTEREXAMPLE_COEFFS,
@@ -103,6 +103,12 @@ class TestWitnessSigns:
             assert got.shape == (3, 2**n, 2**n)
             for p in range(3):
                 assert got[p].tobytes() == witness_operator(n, m, stack[p]).tobytes()
+
+    def test_stacked_witnesses_follow_the_operators_dtype(self):
+        ops = a_operators(ideal_strategy(3))
+        real = witness_operators(ops.real)
+        assert real.dtype == float
+        assert np.array_equal(real, witness_operators(ops).real)
 
 
 class TestWitness:
@@ -223,6 +229,22 @@ class TestProbabilityTable:
         whole = probability_table(s)
         assert np.array_equal(chunked.base, whole.base)
         assert np.array_equal(chunked.pair, whole.pair)
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_one_slot_contraction_per_qubit_and_chunk(self, n, monkeypatch):
+        s = random_mixed_strategy(n, 7)
+        want = probability_table(s)
+        shapes = []
+        contract = linalg.contract_slot
+        monkeypatch.setattr(scenario, "contract_slot",
+                            lambda t, w: shapes.append(t.shape) or contract(t, w))
+        got = probability_table(s)
+        assert np.array_equal(got.base, want.base) and np.array_equal(got.pair, want.pair)
+        d = 2**n
+        # the base table and the n - 1 pair contexts, each in outcome chunks
+        assert len(shapes) == n * n * len(linalg.chunks(d, d * d))
+        # memory stays flat: no contraction reads more than one chunk's entries
+        assert max(np.prod(shape) for shape in shapes) <= CHUNK_ELEMENTS
 
     def test_product_traces_of_unequal_stacks(self):
         rng = np.random.default_rng(2)

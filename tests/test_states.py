@@ -6,8 +6,9 @@ import pytest
 
 from ghz_selftest import backends
 from ghz_selftest.errors import InvalidBloch, InvalidInput
-from ghz_selftest.fixtures import ideal_strategy
-from ghz_selftest.linalg import I2, SIGMA_X, SIGMA_Z, chunks, dagger, projector
+from ghz_selftest.fixtures import ideal_strategy, literal_ideal_strategy
+from ghz_selftest.linalg import I2, SIGMA_A, SIGMA_X, SIGMA_Z, chunks, dagger, projector, tensor
+from ghz_selftest.rng import make_rng
 from ghz_selftest.scenario import a_operators, witness_operator
 from ghz_selftest.selftest import antipodality_gap
 from ghz_selftest.states import (
@@ -196,6 +197,12 @@ class TestRandomStrategies:
         want = np.stack([projector(ghz_basis_state(m, n)) for m in range(2**n)])
         assert ghz_povm(n).elements.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_literal_povm_is_the_conjugated_per_outcome_stack(self, n):
+        h = tensor([I2] + [SIGMA_A] * (n - 1))
+        want = np.stack([h @ projector(ghz_basis_state(m, n)) @ h for m in range(2**n)])
+        assert literal_ideal_strategy(n).povm.elements.tobytes() == want.tobytes()
+
     def test_a_operators_of_random_are_contractions(self):
         ops = a_operators(random_mixed_strategy(2, 3))
         for j in range(2):
@@ -211,6 +218,21 @@ def povm_elements(n: int, kind: str) -> np.ndarray:
     if kind == "real":
         return ghz_povm(n).elements
     return random_strategy(n, 5).povm.elements
+
+
+class TestRng:
+    @pytest.mark.parametrize("seed, stream", [
+        (1.5, 0), (2.0, 0), (True, 0), (np.float64(1), 0), ("1", 0), (0, -1), (0, 2**64),
+        (-1, 0), (2**64, 0), (0, 1.0),
+    ])
+    def test_non_integer_or_out_of_range_keys_are_refused(self, seed, stream):
+        with pytest.raises(InvalidInput):
+            make_rng(seed, stream=stream)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7), np.uint64(2**64 - 1)])
+    def test_numpy_integers_are_accepted(self, seed):
+        want = make_rng(int(seed), stream=3).integers(2**62, size=4)
+        assert np.array_equal(make_rng(seed, stream=np.int64(3)).integers(2**62, size=4), want)
 
 
 class TestValidation:
