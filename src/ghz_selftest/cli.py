@@ -27,7 +27,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -66,6 +66,7 @@ from .scenario import (
 from .selftest import (
     certify_strategy,
     classify_outcome_measurement,
+    povm_traces,
     resolve_tolerances,
     sos_passes,
     sos_residual,
@@ -349,9 +350,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser :func:`parse_args` reads in a process, built on first
+    use. Parsing leaves a parser and its (immutable) defaults as they were, so
+    no call sees another's arguments; :func:`build_parser` stays fresh for
+    callers that change the parser they get."""
+    return build_parser()
+
+
 def parse_args(argv) -> RunConfig:
     """Parse and validate; raises SystemExit(2) on usage errors."""
-    parser = build_parser()
+    parser = _parser()
     try:
         tolerances, rest = _extract_tolerances(argv)
         resolve_tolerances(tolerances)
@@ -571,7 +581,7 @@ def _cmd_partial_bell(config: RunConfig) -> tuple:
         "comm_metric": s_comm,
         "rac_metric": s_rac,
         "witness_traces": term_values,
-        "povm_traces": [float(np.trace(m).real) for m in strategy.povm.elements],
+        "povm_traces": povm_traces(strategy.povm.elements).tolist(),
         "eps": eps,
         "fidelity_bound": bound,
         "angle_deviation_bound": angle_dev,

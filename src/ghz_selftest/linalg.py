@@ -68,10 +68,16 @@ def require_hermitian(m) -> np.ndarray:
         m = m.astype(complex, copy=False)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise InvalidInput(f"expected a square matrix, got shape {m.shape}")
-    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
-    if (np.abs(m - dagger(m)).max(axis=(-2, -1)) > HERMITIAN_ATOL * scale).any():
+    if off_hermitian(m).any():
         raise NotHermitian(f"matrix is not Hermitian within {HERMITIAN_ATOL:g}")
     return m
+
+
+def off_hermitian(m: np.ndarray) -> np.ndarray:
+    """Per matrix of a ``(..., d, d)`` stack: whether :func:`require_hermitian`
+    refuses it."""
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    return np.abs(m - dagger(m)).max(axis=(-2, -1)) > HERMITIAN_ATOL * scale
 
 
 def chunks(count: int, entries: int, budget: int | None = None) -> list:
@@ -128,7 +134,8 @@ def op_norm(m) -> float:
 
 
 def partial_transpose(m, subsystem_dims, target: int) -> np.ndarray:
-    """Transpose on one tensor factor of a multipartite operator.
+    """Transpose on one tensor factor of a multipartite operator, or of every
+    operator of a ``(..., d, d)`` stack.
 
     ``subsystem_dims`` lists the local dimensions in tensor order and
     ``target`` indexes (0-based) the factor to transpose. Involutive and
@@ -136,15 +143,15 @@ def partial_transpose(m, subsystem_dims, target: int) -> np.ndarray:
     """
     m = np.asarray(m, dtype=complex)
     dims = [int(d) for d in subsystem_dims]
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise InvalidInput(f"expected a square matrix, got shape {m.shape}")
-    if int(np.prod(dims)) != m.shape[0]:
-        raise InvalidInput(f"subsystem dims {dims} do not multiply to {m.shape[0]}")
+    if int(np.prod(dims)) != m.shape[-1]:
+        raise InvalidInput(f"subsystem dims {dims} do not multiply to {m.shape[-1]}")
     if not 0 <= target < len(dims):
         raise InvalidInput(f"target {target} out of range for {len(dims)} subsystems")
-    k = len(dims)
-    t = m.reshape(dims + dims)
-    t = np.swapaxes(t, target, k + target)
+    lead, k = m.ndim - 2, len(dims)
+    t = m.reshape(m.shape[:-2] + tuple(dims + dims))
+    t = np.swapaxes(t, lead + target, lead + k + target)
     return t.reshape(m.shape)
 
 

@@ -519,13 +519,14 @@ def partial_fidelity_bound(eps: float, rac_value: float) -> float:
         raise InvalidInput("eps must be nonnegative")
     if rac_value > RAC_OPTIMUM + 1e-12:
         raise InvalidInput(f"RAC score {rac_value} exceeds the quantum optimum")
-    r, mu = ANALYTIC_R_2, ANALYTIC_MU_2
-    arg = np.clip(2 * SQRT2 * (rac_value - 0.5), -1.0, 1.0)
-    return float(
-        1
-        - (8 * SQRT2 * eps / 3) * (r - mu / SQRT2)
-        + mu * math.acos(arg) * (2 - 4 * eps / 3)
-    )
+    # Python floats: a huge eps overflows to inf without a NumPy warning
+    eps, rac_value = float(eps), float(rac_value)
+    r, mu, sqrt2 = float(ANALYTIC_R_2), float(ANALYTIC_MU_2), float(SQRT2)
+    arg = min(max(2 * sqrt2 * (rac_value - 0.5), -1.0), 1.0)
+    bound = 1 - (8 * sqrt2 * eps / 3) * (r - mu / sqrt2) + mu * math.acos(arg) * (2 - 4 * eps / 3)
+    if not math.isfinite(bound):
+        raise InvalidInput(f"eps {eps} is too large: the fidelity bound overflows")
+    return bound
 
 
 def partial_meaningful_eps() -> float:

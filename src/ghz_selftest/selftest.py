@@ -24,6 +24,7 @@ from .linalg import (
     fix_phase,
     herm_eig,
     herm_eigvals,
+    off_hermitian,
     partial_transpose,
     tensor,
 )
@@ -70,6 +71,19 @@ def _abs_norm(m) -> float:
     """Largest |eigenvalue| of a Hermitian matrix."""
     ev = herm_eigvals(m)
     return float(max(abs(ev[0]), abs(ev[-1])))
+
+
+def _eigvals_each(m: np.ndarray) -> np.ndarray:
+    """:func:`herm_eigvals` of every matrix of a stack ``(k, d, d)`` as if it
+    were solved alone: the matrices with no imaginary part solve as one real
+    stack, the others as one complex stack (``herm_eigvals`` decides realness
+    per stack)."""
+    real = ~m.imag.any(axis=(-2, -1))
+    ev = np.empty(m.shape[:-1])
+    for group in (real, ~real):
+        if group.any():
+            ev[group] = herm_eigvals(m[group])
+    return ev
 
 
 def _unit_square_defect(ops: np.ndarray) -> float:
@@ -218,22 +232,12 @@ def spectrum_closed_form(n: int, s) -> np.ndarray:
     return SQRT2 * prod[:, 1:].sum(axis=1) + SQRT2 * (prod[:, 0] // (n - 1))
 
 
-def _frame_unitary(x_op: np.ndarray, z_op: np.ndarray) -> np.ndarray:
-    """Unitary mapping the (x_op, z_op) frame onto (sigma_X, sigma_Z)."""
-    es = herm_eig(z_op)
-    v_minus = fix_phase(es.vectors[:, 0].copy())
-    v_plus = fix_phase(es.vectors[:, 1].copy())
-    x01 = complex(v_plus.conj() @ (x_op @ v_minus))
-    if abs(x01) < 1e-9:
-        raise NotSelfTestable("frame operators are too degenerate to align")
-    v_minus = v_minus * (x01.conjugate() / abs(x01))
-    return np.stack([v_plus.conj(), v_minus.conj()])
-
-
-def _frame_pair(ops: np.ndarray, j: int) -> tuple:
-    if j == 0:
-        return (ops[0, 0] + ops[0, 1]) / SQRT2, (ops[0, 0] - ops[0, 1]) / SQRT2
-    return ops[j, 0], ops[j, 1]
+def _frame_pairs(ops: np.ndarray) -> tuple:
+    """The stacked ``(x_op, z_op)`` frame operators ``(n, 2, 2)`` of every
+    sender: sender 1's sum and difference combinations, the others' own pair."""
+    x_ops, z_ops = ops[:, 0].copy(), ops[:, 1].copy()
+    x_ops[0], z_ops[0] = (ops[0, 0] + ops[0, 1]) / SQRT2, (ops[0, 0] - ops[0, 1]) / SQRT2
+    return x_ops, z_ops
 
 
 def align_locals(ops: np.ndarray) -> list:
@@ -242,27 +246,56 @@ def align_locals(ops: np.ndarray) -> list:
     Sender 1's sum/difference combinations map to ``sigma_X``/``sigma_Z``;
     every other sender's pair maps to ``(sigma_X, sigma_Z)`` directly. The
     pairs must anticommute within ``1e-6``; beyond that the alignment is
-    ill-posed and ``NotSelfTestable`` is raised.
+    ill-posed and ``NotSelfTestable`` is raised, naming the first failing
+    sender.
+
+    The senders are checked and aligned as stacks, with the errors of a
+    sender-by-sender pass: first every anticommutator, then every frame; in
+    each, a sender whose matrix fails the Hermiticity gate raises
+    NotHermitian unless an earlier sender fails first.
     """
     n = ops.shape[0]
-    for j in range(n):
-        anti = ops[j, 0] @ ops[j, 1] + ops[j, 1] @ ops[j, 0]
-        if _abs_norm(anti) > ANTICOMMUTATOR_GATE:
-            raise NotSelfTestable(
-                f"sender {j + 1} operators do not anticommute "
-                f"(defect {_abs_norm(anti):.3g})"
-            )
-    return [_frame_unitary(*_frame_pair(ops, j)) for j in range(n)]
+    anti = ops[:, 0] @ ops[:, 1] + ops[:, 1] @ ops[:, 0]
+    k = _hermitian_prefix(anti)
+    ev = _eigvals_each(anti[:k])
+    defects = np.maximum(np.abs(ev[:, 0]), np.abs(ev[:, -1]))
+    failing = np.flatnonzero(defects > ANTICOMMUTATOR_GATE)
+    if failing.size:
+        j = failing[0]
+        raise NotSelfTestable(
+            f"sender {j + 1} operators do not anticommute (defect {defects[j]:.3g})"
+        )
+    if k < n:
+        herm_eigvals(anti[k])  # raises NotHermitian
+    # each unitary maps the phase-fixed z_op eigenvectors to the computational
+    # basis, v_minus turned so that x_op's off-diagonal element is real positive
+    x_ops, z_ops = _frame_pairs(ops)
+    k = _hermitian_prefix(z_ops)
+    v_minus, v_plus = fix_phase(herm_eig(z_ops[:k]).vectors.swapaxes(-1, -2)).swapaxes(0, 1)
+    x01 = (v_plus.conj()[:, None, :] @ (x_ops[:k] @ v_minus[..., None]))[:, 0, 0].tolist()
+    if any(abs(x) < 1e-9 for x in x01):
+        raise NotSelfTestable("frame operators are too degenerate to align")
+    if k < n:
+        herm_eig(z_ops[k])  # raises NotHermitian
+    # the n phases in Python complex arithmetic, which rounds the division
+    # as the one-sender-at-a-time form did
+    v_minus = v_minus * np.array([[x.conjugate() / abs(x)] for x in x01])
+    return list(np.stack([v_plus.conj(), v_minus.conj()], axis=1))
+
+
+def _hermitian_prefix(m: np.ndarray) -> int:
+    """How many leading matrices of a stack pass the Hermiticity gate."""
+    off = np.flatnonzero(off_hermitian(m))
+    return int(off[0]) if off.size else len(m)
 
 
 def alignment_error(ops: np.ndarray, unitaries) -> float:
     """Largest residual of the two frame mappings over all senders."""
-    worst = 0.0
-    for j, u in enumerate(unitaries):
-        x_op, z_op = _frame_pair(ops, j)
-        worst = max(worst, float(np.abs(u @ x_op @ u.conj().T - SIGMA_X).max()))
-        worst = max(worst, float(np.abs(u @ z_op @ u.conj().T - SIGMA_Z).max()))
-    return worst
+    u = np.asarray(unitaries)
+    ud = dagger(u)
+    x_ops, z_ops = _frame_pairs(ops)
+    return max(0.0, float(np.abs(u @ x_ops @ ud - SIGMA_X).max()),
+               float(np.abs(u @ z_ops @ ud - SIGMA_Z).max()))
 
 
 def verify_ghz_measurement(povm, unitaries) -> np.ndarray:
@@ -298,19 +331,25 @@ def classify_outcome_measurement(povm) -> list:
 
     Each element is normalized by its trace and tested with the
     partial-transpose criterion, decisive on two qubits; entries with
-    negligible trace are reported as separable.
+    negligible trace are reported as separable. The elements are tested as
+    one stack, each with the value :func:`ppt_min_eig` gives it alone.
     """
     if povm.dim != 4:
         raise InvalidInput("classification is defined for two-qubit measurements")
-    out = []
-    for m in povm.elements:
-        t = float(np.trace(m).real)
-        if t <= 1e-12:
-            out.append({"trace": t, "ppt_min_eig": 0.0, "entangled": False})
-            continue
-        v = ppt_min_eig(m / t)
-        out.append({"trace": t, "ppt_min_eig": v, "entangled": bool(v < -1e-8)})
-    return out
+    els = povm.elements
+    traces = povm_traces(els)
+    tested = traces > 1e-12
+    mins = np.zeros(len(els))
+    if tested.any():
+        normed = els[tested] / traces[tested, None, None]
+        mins[tested] = _eigvals_each(partial_transpose(normed, [2, 2], 1))[:, 0]
+    return [{"trace": t, "ppt_min_eig": v, "entangled": v < -1e-8}
+            for t, v in zip(traces.tolist(), mins.tolist())]
+
+
+def povm_traces(elements: np.ndarray) -> np.ndarray:
+    """Real parts of the traces of stacked POVM elements ``(k, d, d)``."""
+    return np.trace(elements, axis1=1, axis2=2).real
 
 
 def antipodality_gap(strategy: Strategy) -> float:
@@ -320,16 +359,10 @@ def antipodality_gap(strategy: Strategy) -> float:
     ``1 - Tr(rho^2)``; zero iff every input's two messages are orthogonal
     pure states.
     """
-    overlap = 0.0
-    deficit = 0.0
-    for st in strategy.senders:
-        for x in range(2):
-            overlap = max(overlap, float(np.trace(st.rho[0, x] @ st.rho[1, x]).real))
-            for a in range(2):
-                deficit = max(
-                    deficit, 1 - float(np.trace(st.rho[a, x] @ st.rho[a, x]).real)
-                )
-    return overlap + deficit
+    rho = np.stack([st.rho for st in strategy.senders])  # [j, a, x]
+    overlap = np.trace(rho[:, 0] @ rho[:, 1], axis1=-2, axis2=-1).real.max()
+    deficit = (1 - np.trace(rho @ rho, axis1=-2, axis2=-1).real).max()
+    return max(0.0, float(overlap)) + max(0.0, float(deficit))
 
 
 @dataclass
@@ -362,7 +395,7 @@ def certify_strategy(strategy: Strategy, tolerances: dict | None = None) -> Cert
     n = strategy.n
     metric = success_metric(strategy)
     gap = antipodality_gap(strategy)
-    traces = [float(np.trace(m).real) for m in strategy.povm.elements]
+    traces = povm_traces(strategy.povm.elements).tolist()
     ops = a_operators(strategy)
 
     report = CertReport(

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ghz_selftest
-from ghz_selftest import optimize
+from ghz_selftest import cli, optimize
 from ghz_selftest.cli import (
     MAX_N,
     build_parser,
@@ -178,6 +178,83 @@ class TestParsing:
                   "--tol.ghz_fidelity=inf", "-o", str(out)])
         assert exc.value.code == 2
         assert not out.exists()
+
+
+def _help_texts(parser) -> dict:
+    """The --help text of the main parser and of every subcommand."""
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {"": parser.format_help(),
+            **{name: p.format_help() for name, p in subs.choices.items()}}
+
+
+def _fresh_parse(argv):
+    cli._parser.cache_clear()
+    return parse_args(argv)
+
+
+class TestParserReuse:
+    def test_parse_args_shares_one_parser_and_build_parser_stays_fresh(self, monkeypatch):
+        built = []
+
+        def counted():
+            built.append(build_parser())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        parse_args(["certify"])
+        parse_args(["rac"])
+        assert len(built) == 1
+        assert cli._parser() is built[0]
+        assert build_parser() is not build_parser()
+        cli._parser.cache_clear()
+
+    @pytest.mark.parametrize("first, second, want", [
+        (["certify", "--fixture", "depolarized", "--noise", "0.1"], ["certify"],
+         {"n": 2, "input_path": None,
+          "options": {"fixture": "ideal", "noise": 0.0}}),
+        (["seesaw", "--restarts", "5"], ["seesaw"], {"options.restarts": 50}),
+        (["certify", "--input", "F"], ["certify", "--fixture", "ideal"],
+         {"input_path": None, "n": 2}),
+    ], ids=["certify-noise", "seesaw-restarts", "certify-input"])
+    def test_defaults_do_not_leak_between_calls(self, first, second, want):
+        parse_args(first)
+        cfg = parse_args(second)
+        for key, value in want.items():
+            if key.startswith("options."):
+                assert cfg.options[key.split(".", 1)[1]] == value
+            else:
+                assert getattr(cfg, key) == value
+        assert cfg == _fresh_parse(second)
+
+    def test_refused_argv_leaves_the_parser_as_it_was(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["certify", "--noise", "0.1"])
+        assert exc.value.code == 2
+        assert "--noise applies to --fixture depolarized only" in capsys.readouterr().err
+        argv = ["certify", "--fixture", "depolarized", "--n", "3"]
+        assert parse_args(argv) == _fresh_parse(argv)
+
+    def test_help_matches_a_fresh_parser(self):
+        for argv in (["certify", "--input", "F"], ["seesaw", "--restarts", "5"],
+                     ["robustness-grid", "--n", "3"], ["rac"]):
+            parse_args(argv)
+        assert _help_texts(cli._parser()) == _help_texts(build_parser())
+
+    def test_at_most_one_parser_per_process(self, monkeypatch):
+        constructed = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            constructed.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli._parser.cache_clear()
+        for k in range(20):
+            parse_args(["certify", "--n", str(2 + k % 3)] if k % 2 else ["rac"])
+        # the main parser and its 9 subcommand parsers
+        assert 0 < len(constructed) <= 10
 
 
 class TestCanonicalJson:

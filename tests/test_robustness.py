@@ -1,5 +1,6 @@
 import csv as csvlib
 import itertools
+import math
 import re
 import warnings
 from functools import reduce
@@ -707,6 +708,16 @@ class TestPartialBounds:
         for eps, rac in ((float("nan"), opt), (float("inf"), opt), (0.0, float("nan"))):
             with pytest.raises(InvalidInput):
                 partial_fidelity_bound(eps, rac)
+
+    @pytest.mark.parametrize("eps", [1e308, np.float64(1e308), 2e307])
+    def test_overflowing_eps_is_refused_without_a_warning(self, eps):
+        opt = (1 + 1 / SQRT2) / 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rac in (opt, 0.5, np.float64(-1e308)):
+                with pytest.raises(InvalidInput, match=r"^eps .* too large"):
+                    partial_fidelity_bound(eps, rac)
+            assert math.isfinite(partial_fidelity_bound(1e300, 0.5))
 
     def test_trace_floors_for_perturbed_povms(self):
         # deficits of near-optimal three-outcome measurements floor the traces

@@ -3,7 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ghz_selftest.errors import InvalidInput, NotSelfTestable, PreconditionViolated
+from ghz_selftest.errors import (
+    InvalidInput,
+    NotHermitian,
+    NotSelfTestable,
+    PreconditionViolated,
+)
 from ghz_selftest import backends
 from ghz_selftest.cli import parse_args, run
 from ghz_selftest.fixtures import (
@@ -18,6 +23,7 @@ from ghz_selftest.linalg import (
     I2,
     SIGMA_X,
     SIGMA_Z,
+    fix_phase,
     herm_eig,
     herm_eigvals,
     projector,
@@ -31,6 +37,7 @@ from ghz_selftest.selftest import (
     alignment_error,
     antipodality_gap,
     certify_strategy,
+    classify_outcome_measurement,
     min_shifted_eigenvalue,
     ppt_min_eig,
     sos_passes,
@@ -624,3 +631,190 @@ class TestCertify:
         assert report.sos_residual <= 1e-9
         assert report.min_shifted_eigenvalue >= -1e-9
         assert report.checks["sos"]
+
+
+# ---------------------------------------------------------------------------
+# the per-sender and per-element loops that the stacked checks replaced, kept
+# as oracles: the stacked forms must reproduce them bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _loop_abs_norm(m):
+    ev = herm_eigvals(m)
+    return float(max(abs(ev[0]), abs(ev[-1])))
+
+
+def _loop_frame_pair(ops, j):
+    if j == 0:
+        return (ops[0, 0] + ops[0, 1]) / SQRT2, (ops[0, 0] - ops[0, 1]) / SQRT2
+    return ops[j, 0], ops[j, 1]
+
+
+def _loop_frame_unitary(x_op, z_op):
+    es = herm_eig(z_op)
+    v_minus = fix_phase(es.vectors[:, 0].copy())
+    v_plus = fix_phase(es.vectors[:, 1].copy())
+    x01 = complex(v_plus.conj() @ (x_op @ v_minus))
+    if abs(x01) < 1e-9:
+        raise NotSelfTestable("frame operators are too degenerate to align")
+    v_minus = v_minus * (x01.conjugate() / abs(x01))
+    return np.stack([v_plus.conj(), v_minus.conj()])
+
+
+def _loop_align_locals(ops):
+    for j in range(ops.shape[0]):
+        anti = ops[j, 0] @ ops[j, 1] + ops[j, 1] @ ops[j, 0]
+        if _loop_abs_norm(anti) > 1e-6:
+            raise NotSelfTestable(
+                f"sender {j + 1} operators do not anticommute "
+                f"(defect {_loop_abs_norm(anti):.3g})"
+            )
+    return [_loop_frame_unitary(*_loop_frame_pair(ops, j)) for j in range(ops.shape[0])]
+
+
+def _loop_alignment_error(ops, unitaries):
+    worst = 0.0
+    for j, u in enumerate(unitaries):
+        x_op, z_op = _loop_frame_pair(ops, j)
+        worst = max(worst, float(np.abs(u @ x_op @ u.conj().T - SIGMA_X).max()))
+        worst = max(worst, float(np.abs(u @ z_op @ u.conj().T - SIGMA_Z).max()))
+    return worst
+
+
+def _loop_ppt_min_eigs(povm):
+    out = []
+    for m in povm.elements:
+        t = float(np.trace(m).real)
+        out.append(0.0 if t <= 1e-12 else ppt_min_eig(m / t))
+    return out
+
+
+def _loop_antipodality_gap(strategy):
+    overlap = 0.0
+    deficit = 0.0
+    for st in strategy.senders:
+        for x in range(2):
+            overlap = max(overlap, float(np.trace(st.rho[0, x] @ st.rho[1, x]).real))
+            for a in range(2):
+                deficit = max(deficit, 1 - float(np.trace(st.rho[a, x] @ st.rho[a, x]).real))
+    return overlap + deficit
+
+
+def _loop_povm_traces(povm):
+    return [float(np.trace(m).real) for m in povm.elements]
+
+
+def _conjugated(strategy, senders, seed):
+    """``strategy`` with the listed senders' messages turned by Haar unitaries."""
+    rng = make_rng(seed)
+    out = list(strategy.senders)
+    for j in senders:
+        v = haar_unitary(rng)
+        out[j] = SenderStates(v @ out[j].rho @ v.conj().T)
+    return Strategy(n=strategy.n, senders=tuple(out), povm=strategy.povm)
+
+
+def _mixed_realness_povm():
+    """Two-qubit Bell-type projectors, two real and two complex, plus a zero element."""
+    vecs = np.array([[1, 0, 0, 1j], [1, 0, 0, -1j], [0, 1, 1, 0], [0, 1, -1, 0]]) / SQRT2
+    return Povm(np.concatenate([projector(vecs), np.zeros((1, 4, 4))]))
+
+
+def _stacked_case_strategies():
+    fixtures = {"ideal": ideal_strategy, "literal": literal_ideal_strategy,
+                "computational": computational_strategy,
+                "depolarized": lambda n: depolarized_strategy(n, 0.1)}
+    for name, make in fixtures.items():
+        for n in range(2, 8):
+            yield f"{name}-{n}", make(n)
+    for make in (random_strategy, random_antipodal_strategy, random_mixed_strategy):
+        for n in (2, 3, 4):
+            for seed in (0, 1, 5, 11):
+                yield f"{make.__name__}-{n}-{seed}", make(n, seed)
+    for n in (2, 3, 5):
+        # one sender real, the others turned complex; every sender complex
+        yield f"mixed-realness-{n}", _conjugated(ideal_strategy(n), range(1, n), n)
+        yield f"all-complex-{n}", _conjugated(ideal_strategy(n), range(n), 10 + n)
+
+
+STACKED_CASES = dict(_stacked_case_strategies())
+
+
+def _align_or_message(align, ops):
+    try:
+        return align(ops)
+    except NotSelfTestable as exc:
+        return str(exc)
+
+
+class TestStackedChecksMatchPerSenderLoops:
+    @pytest.mark.parametrize("name", sorted(STACKED_CASES))
+    def test_alignment(self, name):
+        ops = a_operators(STACKED_CASES[name])
+        want = _align_or_message(_loop_align_locals, ops)
+        got = _align_or_message(align_locals, ops)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert len(got) == len(want)
+        assert all(g.shape == w.shape and (g == w).all() for g, w in zip(got, want))
+        assert alignment_error(ops, got) == _loop_alignment_error(ops, want)
+
+    @pytest.mark.parametrize("name", sorted(STACKED_CASES))
+    def test_antipodality_gap_and_povm_traces(self, name):
+        strategy = STACKED_CASES[name]
+        assert antipodality_gap(strategy) == _loop_antipodality_gap(strategy)
+        report = certify_strategy(strategy)
+        assert report.povm_traces == _loop_povm_traces(strategy.povm)
+        if strategy.n == 2:
+            assert report.ppt_min_eigs == _loop_ppt_min_eigs(strategy.povm)
+
+    @pytest.mark.parametrize("povm", [
+        _mixed_realness_povm(), ghz_povm(2), entangling_fixture().povm,
+        separable_fixture().povm,
+    ], ids=["mixed-realness", "ghz", "entangling", "separable"])
+    def test_ppt_classification(self, povm):
+        got = classify_outcome_measurement(povm)
+        assert [c["ppt_min_eig"] for c in got] == _loop_ppt_min_eigs(povm)
+        assert [c["trace"] for c in got] == _loop_povm_traces(povm)
+        assert [c["entangled"] for c in got] == [v < -1e-8 for v in _loop_ppt_min_eigs(povm)]
+
+    def test_first_non_anticommuting_sender_is_named(self):
+        ops = a_operators(ideal_strategy(4)).copy()
+        ops[2, 1] = ops[2, 0]  # sender 3: {A, A} = 2 I
+        ops[3, 1] = ops[3, 0]
+        with pytest.raises(NotSelfTestable, match=r"^sender 3 operators do not anticommute "
+                                                  r"\(defect 2\)$"):
+            align_locals(ops)
+        assert _align_or_message(align_locals, ops) == _align_or_message(_loop_align_locals, ops)
+
+    @staticmethod
+    def _error(align, ops):
+        try:
+            align(ops)
+        except (NotSelfTestable, NotHermitian) as exc:
+            return type(exc).__name__, str(exc)
+        return None
+
+    def test_errors_come_in_sender_order(self):
+        # an anticommutator off the Hermiticity gate: 2i*eps*A_1 with eps = 4.5e-11
+        skewed_anti = a_operators(ideal_strategy(4)).copy()
+        skewed_anti[2, 0] = skewed_anti[2, 0] + 0.45e-10j * I2
+        # a z operator off the gate whose anticommutator is exactly 0: X with Z + eps*i*Y
+        skewed_z = a_operators(ideal_strategy(4)).copy()
+        skewed_z[2, 1] = skewed_z[2, 1] + 0.6e-10 * np.array([[0, 1], [-1, 0]])
+        non_anticommuting = (1, lambda ops, j: ops[j, 0])  # {A, A} = 2 I
+        degenerate = (0, lambda ops, j: np.zeros((2, 2)))  # x_op = 0
+        cases = {
+            "anticommutator-after-off-gate": (skewed_anti, 3, non_anticommuting, "NotHermitian"),
+            "anticommutator-before-off-gate": (skewed_anti, 1, non_anticommuting,
+                                               "NotSelfTestable"),
+            "frame-after-off-gate": (skewed_z, 3, degenerate, "NotHermitian"),
+            "frame-before-off-gate": (skewed_z, 1, degenerate, "NotSelfTestable"),
+        }
+        for name, (base, j, (x, make), kind) in cases.items():
+            ops = base.copy()
+            ops[j, x] = make(ops, j)
+            got = self._error(align_locals, ops)
+            assert got == self._error(_loop_align_locals, ops), name
+            assert got[0] == kind, name
