@@ -58,8 +58,8 @@ from .scenario import (
     best_rac_observables,
     bloch_from_relabeled,
     comm_metric,
+    comm_traces,
     counterexample_value,
-    partial_witnesses,
     rac_bound,
     rac_metric,
 )
@@ -566,10 +566,7 @@ def _cmd_partial_bell(config: RunConfig) -> tuple:
     s_comm = comm_metric(strategy)
     mx, mz = strategy.observables
     s_rac = rac_metric(strategy.senders[0], mx, mz)
-    ws = partial_witnesses(a_operators(strategy))
-    term_values = [
-        float(np.trace(strategy.povm.elements[i] @ ws[i]).real) for i in range(3)
-    ]
+    term_values = comm_traces(a_operators(strategy), strategy.povm.elements).tolist()
     eps = max(0.0, 1 - s_comm)
     rac_capped = min(s_rac, RAC_OPTIMUM)
     bound = partial_fidelity_bound(eps, rac_capped)

@@ -9,8 +9,11 @@ from .states import (
     Povm,
     Strategy,
     aligned_sender_states,
+    basis_index,
+    ghz_kets,
     ghz_povm,
     ideal_sender_states,
+    outcome_table,
 )
 
 
@@ -35,18 +38,18 @@ def literal_ideal_strategy(n: int) -> Strategy:
 def computational_strategy(n: int) -> Strategy:
     """Aligned states with a computational-basis measurement.
 
-    Outcome decoding reads the sign bit off qubit 1 and XORs it into the
-    remaining bits, so every element overlaps its GHZ vector with
-    probability exactly 1/2: the canonical sub-optimal reference.
+    Element ``m`` projects onto the ket of ``xi_m`` (:func:`states.ghz_kets`)
+    whose qubit 1 reads the sign bit ``s_1``, so every element overlaps its
+    GHZ vector with probability exactly 1/2: the canonical sub-optimal
+    reference.
     """
     senders = tuple(aligned_sender_states(j, n) for j in range(1, n + 1))
     d = 2**n
+    bits = outcome_table(n)
+    a, b = ghz_kets(bits)
+    idx = basis_index(np.where(bits[:, :1], b, a))
     els = np.zeros((d, d, d), dtype=complex)
-    for m in range(d):
-        bits = [(m >> (j - 1)) & 1 for j in range(1, n + 1)]
-        q = [bits[0]] + [b ^ bits[0] for b in bits[1:]]
-        idx = sum(q[j] << (n - 1 - j) for j in range(n))
-        els[m, idx, idx] = 1.0
+    els[np.arange(d), idx, idx] = 1.0
     return Strategy(n=n, senders=senders, povm=Povm(els))
 
 

@@ -153,7 +153,7 @@ def _ghz_povm(ops: np.ndarray) -> np.ndarray:
     n = ops.shape[-4]
     d = 2**n
     reps, orbit, flips = witness_orbits(n)
-    ws = np.concatenate([w for _, w in witness_chunks(ops, reps)], axis=-3)
+    ws = np.concatenate(list(witness_chunks(ops, reps)), axis=-3)
     top = herm_eig(ws).vectors[..., -1][..., orbit, :]  # row m: outcome m's top vector
     flip = np.where(flips[..., None, None], _flip_operators(ops)[..., None, :, :, :], I2)
     for j in range(n):

@@ -43,7 +43,9 @@ from .linalg import (
     projector, tensor,
 )
 from .scenario import witness_operator
-from .states import ghz_basis_state, outcome_bits, outcome_index, outcome_label
+from .states import (
+    ghz_basis_state, ghz_kets, outcome_bits, outcome_index, outcome_label, outcome_table,
+)
 
 ANALYTIC_R_2 = (4 + 5 * SQRT2) / 16
 ANALYTIC_MU_2 = -(1 + 2 * SQRT2) / 4
@@ -211,7 +213,8 @@ def _slot_factors(n: int, outcomes: np.ndarray, angles: np.ndarray) -> tuple:
     """Real 2x2 factors of the channel images of the GHZ dyads of
     ``outcomes`` at one checked angle point, and each outcome's sign.
 
-    With ``a = 0 s_2..s_n`` and ``b = 1 ~s_2..~s_n``,
+    With the kets ``a = 0 s_2..s_n`` and ``b = 1 ~s_2..~s_n`` of
+    :func:`states.ghz_kets`,
     ``xi_s xi_s^dag = (|a><a| + |b><b| + (-1)^{s_1} (|a><b| + |b><a|)) / 2``,
     and the product channel maps each ``|x><y|`` to the Kronecker product
     ``L_xy`` of the real 2x2 factors ``(1+g_j)/2 |x_j><y_j| + (1-g_j)/2
@@ -225,10 +228,8 @@ def _slot_factors(n: int, outcomes: np.ndarray, angles: np.ndarray) -> tuple:
     unit = np.eye(4).reshape(2, 2, 2, 2)  # unit[x, y] = |x><y|
     # table[j, x, y]: qubit j's channel image of |x><y|
     table = (1 + g) / 2 * unit + (1 - g) / 2 * np.einsum("jrx,jcy->jxyrc", gam, gam)
-    bits = (outcomes[:, None] >> np.arange(n)) & 1  # (S, n), column j-1 is s_j
-    a = bits.copy()
-    a[:, 0] = 0
-    b = 1 - a
+    bits = outcome_table(n)[outcomes]  # (S, n), column j-1 is s_j
+    a, b = ghz_kets(bits)
     slots = np.arange(n)
     factors = np.stack([table[slots, a, a], table[slots, b, b], table[slots, a, b]])
     return factors, 1 - 2 * bits[:, 0]

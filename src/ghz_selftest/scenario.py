@@ -9,6 +9,13 @@ Three games live here:
   alone certifies nothing;
 * the partial-Bell game (``comm_metric`` for the three-outcome part,
   ``rac_metric`` / ``rac_bound`` for the random-access-code part).
+
+The GHZ witnesses are signed sums of n sign-free tensor terms
+(:func:`witness_terms`). The signs of outcome ``s`` (:func:`witness_signs`)
+and its orbit under local flips (:func:`witness_orbits`) are read off the
+outcome bits of :func:`states.outcome_table`; this module derives no bits of
+its own. Every witness, one outcome's or a stack, is built by
+:func:`witness_chunks`.
 """
 
 from dataclasses import dataclass
@@ -19,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidBloch, InvalidInput
 from .linalg import I2, PAULIS, SQRT2, chunks, contract_slot, dagger, herm_eigvals, tensor
-from .states import Povm, SenderStates, Strategy, bloch_vector, outcome_index
+from .states import Povm, SenderStates, Strategy, bloch_vector, outcome_index, outcome_table
 
 # coefficients of the three-input game score on p(0 | y1, y2)
 COUNTEREXAMPLE_COEFFS = {
@@ -81,10 +88,9 @@ def witness_signs(n: int) -> np.ndarray:
 
     Row ``m`` holds the coefficients of the :func:`witness_terms` in
     ``W_m``: ``(n-1) (-1)^{s_1}`` for term 0 and ``(-1)^{s_j}`` for term
-    j-1, where ``s_j = (m >> (j-1)) & 1``.
+    j-1, with the bits ``s_j`` of :func:`states.outcome_table`.
     """
-    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
-    signs = 1 - 2 * bits
+    signs = 1 - 2 * outcome_table(n)
     signs[:, 0] *= n - 1
     signs.flags.writeable = False
     return signs
@@ -104,13 +110,13 @@ def witness_orbits(n: int) -> tuple:
     to flip to carry ``W_reps[orbit[m]]`` onto ``W_m``. Sender j >= 2 flips
     where ``s_j`` differs from sender 1's flip.
     """
-    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
-    parity = bits.sum(axis=1) & 1
+    bits = outcome_table(n)
+    parity = bits.sum(axis=1) % 2
     if n % 2:  # one orbit; sender 1 flips the outcomes of odd parity
         reps, orbit, first = np.array([0]), np.zeros_like(parity), parity
     else:  # the parity names the orbit; sender 1 never flips
         reps, orbit, first = np.array([0, 1]), parity, np.zeros_like(parity)
-    flips = (bits ^ first[:, None]).astype(bool)
+    flips = bits != first[:, None]
     flips[:, 0] = first
     for table in (reps, orbit, flips):
         table.flags.writeable = False
@@ -131,26 +137,28 @@ def witness_operator(n: int, s, ops: np.ndarray) -> np.ndarray:
     stacked ``ops`` ``(..., n, 2, 2, 2)`` give the stack of witnesses."""
     if ops.shape[-4:] != (n, 2, 2, 2):
         raise InvalidInput(f"operators have shape {ops.shape}, expected (...,{n},2,2,2)")
-    return signed_sum(witness_signs(n)[outcome_index(s, n)].tolist(), witness_terms(ops))
+    (ws,) = witness_chunks(ops, [outcome_index(s, n)])
+    return ws[..., 0, :, :]
 
 
 def witness_chunks(ops: np.ndarray, outcomes=None):
-    """Yield ``(part, witnesses)``: a slice of ``outcomes`` (all ``2**n`` by
-    default) holding at most ``CHUNK_ELEMENTS`` entries per leading index,
-    and those outcomes' witnesses ``(..., len, 2**n, 2**n)``, so no caller
-    needs all of them at once."""
+    """Yield the witnesses ``(..., len, 2**n, 2**n)`` of ``outcomes`` (all
+    ``2**n`` by default) in consecutive runs of at most ``CHUNK_ELEMENTS``
+    entries per leading index, so no caller needs all of them at once."""
     n = ops.shape[-4]
     d = 2**n
-    signs = witness_signs(n) if outcomes is None else witness_signs(n)[outcomes]
     terms = [t[..., None, :, :] for t in witness_terms(ops)]
+    signs = witness_signs(n) if outcomes is None else witness_signs(n)[outcomes]
+    # exact in the terms' dtype, whose products need no casting buffers
+    signs = signs.astype(terms[0].dtype)
     for part in chunks(len(signs), d * d):
-        yield part, signed_sum(signs[part].T[..., None, None], terms)
+        yield signed_sum(signs[part].T[..., None, None], terms)
 
 
 def witness_operators(ops: np.ndarray) -> np.ndarray:
     """All ``2**n`` witnesses stacked, indexed by outcome; stacked ``ops``
     ``(..., n, 2, 2, 2)`` give ``(..., 2**n, 2**n, 2**n)``."""
-    return np.concatenate([ws for _, ws in witness_chunks(ops)], axis=-3)
+    return np.concatenate(list(witness_chunks(ops)), axis=-3)
 
 
 def metric_normalization(n: int) -> float:
@@ -356,12 +364,18 @@ def partial_witnesses(ops: np.ndarray) -> tuple:
     return (plus + minus, minus - plus, -2 * minus)
 
 
+def comm_traces(ops: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """``Re Tr(M_k V_k)`` of the three POVM elements against their
+    :func:`partial_witnesses`, for stacked operators ``(..., 2, 2, 2, 2)``
+    and elements ``(..., 3, 4, 4)``: shape ``(..., 3)``."""
+    ws = np.stack(partial_witnesses(ops), axis=-3)
+    return np.trace(elements @ ws, axis1=-2, axis2=-1).real
+
+
 def comm_scores(ops: np.ndarray, elements: np.ndarray) -> np.ndarray:
     """Three-outcome scores of stacked operators ``(..., 2, 2, 2, 2)`` and
     POVM elements ``(..., 3, 4, 4)``."""
-    ws = np.stack(partial_witnesses(ops), axis=-3)
-    traces = np.trace(elements @ ws, axis1=-2, axis2=-1).real
-    return sum(np.moveaxis(traces, -1, 0)) / (8 * SQRT2)
+    return sum(np.moveaxis(comm_traces(ops, elements), -1, 0)) / (8 * SQRT2)
 
 
 def comm_metric(strategy: Strategy) -> float:

@@ -156,7 +156,7 @@ def _solve_witnesses(ops: np.ndarray, outcomes=None) -> np.ndarray:
     (all ``2**n`` by default). The witnesses stream in the chunks of
     :func:`witness_chunks`, one stacked solve each, so the ``(2**n, 2**n,
     2**n)`` stack is never held."""
-    return np.concatenate([herm_eigvals(ws) for _, ws in witness_chunks(ops, outcomes)])
+    return np.concatenate([herm_eigvals(ws) for ws in witness_chunks(ops, outcomes)])
 
 
 def witness_spectra(ops: np.ndarray, outcomes=None, a0: np.ndarray | None = None) -> np.ndarray:
@@ -417,9 +417,14 @@ def certify_strategy(strategy: Strategy, tolerances: dict | None = None) -> Cert
         # decided by the partial transpose on two qubits
         report.checks["outcome_entanglement"] = max(report.ppt_min_eigs) < -tol["ppt"]
 
+    # the validated states are Hermitian only within STATE_ATOL, which the
+    # anticommutators and the SOS form would carry past the Hermiticity gate
+    # of their solves; witness_bounds takes ``ops`` whole, as its
+    # trace_bound covers any anti-Hermitian part
+    herm = (ops + dagger(ops)) / 2
     try:
-        unitaries = align_locals(ops)
-        report.alignment_error = alignment_error(ops, unitaries)
+        unitaries = align_locals(herm)
+        report.alignment_error = alignment_error(herm, unitaries)
         report.checks["alignment"] = report.alignment_error <= tol["alignment"]
         fids = verify_ghz_measurement(strategy.povm, unitaries)
         report.ghz_fidelities = [float(f) for f in fids]
@@ -431,7 +436,7 @@ def certify_strategy(strategy: Strategy, tolerances: dict | None = None) -> Cert
     report.spectrum_diff, report.min_shifted_eigenvalue = witness_bounds(ops, tol["spectrum"])
     report.checks["spectrum"] = report.spectrum_diff <= tol["spectrum"]
     try:
-        report.sos_residual = sos_residual(n, 0, ops)
+        report.sos_residual = sos_residual(n, 0, herm)
         report.checks["sos"] = sos_passes(report.sos_residual, report.min_shifted_eigenvalue, tol)
     except PreconditionViolated:
         report.checks["sos"] = False

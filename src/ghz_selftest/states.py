@@ -11,10 +11,22 @@ the effect for outcome ``m``. String forms list ``s_1`` first: ``"10"`` means
 
 Qubit order inside operators: sender 1 occupies the most significant tensor
 factor, i.e. ``tensor([A1, A2, ...])``.
+
+Outcome ``s`` labels the GHZ vector ``xi_s = (|a_s> + (-1)^{s_1} |b_s>) /
+sqrt(2)`` with ``a_s = 0 s_2..s_n`` and ``b_s = 1 ~s_2..~s_n``. This module
+is the one place both rules are computed for arrays: :func:`outcome_table`
+holds the bits of every outcome, :func:`ghz_kets` maps bit rows to the ket
+rows ``(a_s, b_s)`` and :func:`basis_index` maps a ket row to its
+computational-basis index. The GHZ vectors here, the witness sign and orbit
+tables of :mod:`ghz_selftest.scenario`, the channelled GHZ projectors of
+:mod:`ghz_selftest.robustness` and the computational reference strategy all
+read them. :func:`outcome_bits`, :func:`outcome_index` and
+:func:`outcome_label` parse one outcome given by a user.
 """
 
 import numbers
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -299,33 +311,55 @@ def aligned_sender_states(j: int, n: int) -> SenderStates:
     return SenderStates(base[:, ::-1].copy())
 
 
+@cache
+def outcome_table(n: int) -> np.ndarray:
+    """Read-only ``(2**n, n)`` table of outcome bits: row ``m`` is ``(s_1,
+    ..., s_n)`` with ``s_j = (m >> (j-1)) & 1``."""
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    bits.flags.writeable = False
+    return bits
+
+
+def ghz_kets(bits) -> tuple:
+    """Bit rows ``(a, b)`` of the two computational kets of ``xi_s`` for
+    outcome bit rows ``bits`` ``(..., n)``: ``a = 0 s_2..s_n`` and ``b = 1
+    ~s_2..~s_n``, column 0 being qubit 1, the most significant."""
+    a = np.array(bits)
+    a[..., 0] = 0
+    return a, 1 - a
+
+
+def basis_index(rows: np.ndarray) -> np.ndarray:
+    """Computational-basis index of ket bit rows ``(..., n)``, column 0 the
+    most significant bit."""
+    return rows @ (1 << np.arange(rows.shape[-1])[::-1])
+
+
 def ghz_basis_state(s, n: int) -> np.ndarray:
-    """GHZ basis vector ``(|0 s2..sn> + (-1)^{s1} |1 ~s2..~sn>)/sqrt(2)``."""
+    """GHZ basis vector ``(|0 s2..sn> + (-1)^{s1} |1 ~s2..~sn>)/sqrt(2)``,
+    built from the bits of ``s`` alone, in O(2**n) memory."""
     if n < 1:
         raise InvalidInput("n must be positive")
-    bits = outcome_bits(s, n)
+    bits = np.array(outcome_bits(s, n))
+    a, b = ghz_kets(bits)
+    c = 1 / np.sqrt(2)
     v = np.zeros(2**n, dtype=complex)
-    i0 = sum(bits[j - 1] << (n - j) for j in range(2, n + 1))
-    i1 = (1 << (n - 1)) + sum((1 - bits[j - 1]) << (n - j) for j in range(2, n + 1))
-    v[i0] = 1 / np.sqrt(2)
-    v[i1] = (-1) ** bits[0] / np.sqrt(2)
+    v[basis_index(a)] = c
+    v[basis_index(b)] = -c if bits[0] else c
     return v
 
 
 def ghz_basis(n: int) -> np.ndarray:
-    """Unitary whose column ``m`` is :func:`ghz_basis_state` ``(m, n)``,
-    built by index arithmetic: ``|1 ~s_2..~s_n>`` is row ``2**n - 1 - i0``
-    for ``|0 s_2..s_n>`` at row ``i0``."""
+    """Unitary whose column ``m`` is :func:`ghz_basis_state` ``(m, n)``."""
     if n < 1:
         raise InvalidInput("n must be positive")
+    bits = outcome_table(n)
+    a, b = ghz_kets(bits)
     m = np.arange(2**n)
-    i0 = np.zeros_like(m)
-    for j in range(2, n + 1):  # bit s_j of m sits at bit n - j of i0
-        i0 |= ((m >> (j - 1)) & 1) << (n - j)
     c = 1 / np.sqrt(2)
     u = np.zeros((2**n, 2**n), dtype=complex)
-    u[i0, m] = c
-    u[2**n - 1 - i0, m] = np.where(m & 1, -c, c)
+    u[basis_index(a), m] = c
+    u[basis_index(b), m] = np.where(bits[:, 0], -c, c)
     return u
 
 
@@ -337,9 +371,10 @@ def ghz_povm(n: int) -> Povm:
 
 
 def random_projectors(rng, count: int) -> np.ndarray:
-    """``count`` Haar-random pure qubit states, drawn one after another."""
-    return np.stack([projector(rng.normal(size=2) + 1j * rng.normal(size=2))
-                     for _ in range(count)])
+    """``count`` Haar-random pure qubit states, drawn one after another: two
+    real parts, then two imaginary parts, per state."""
+    z = rng.normal(size=(count, 2, 2))
+    return projector(z[:, 0] + 1j * z[:, 1])
 
 
 def random_messages(n: int, seed: int) -> np.ndarray:
@@ -364,27 +399,16 @@ def random_strategy(n: int, seed: int) -> Strategy:
 def random_antipodal_strategy(n: int, seed: int) -> Strategy:
     """Like :func:`random_strategy` but each input's two messages orthogonal."""
     base = random_strategy(n, seed)
-    senders = []
-    for st in base.senders:
-        rho = st.rho.copy()
-        for x in range(2):
-            _, v = backends.eigh(rho[0, x])
-            rho[0, x] = projector(v[:, -1])
-            rho[1, x] = projector(v[:, 0])
-        senders.append(SenderStates(rho))
-    return Strategy(n=n, senders=tuple(senders), povm=base.povm)
+    rho = np.stack([st.rho for st in base.senders])  # [j, a, x]
+    _, v = backends.eigh(rho[:, 0])
+    rho[:, 0] = projector(v[..., -1])
+    rho[:, 1] = projector(v[..., 0])
+    return Strategy(n=n, senders=tuple(SenderStates(r) for r in rho), povm=base.povm)
 
 
 def random_mixed_strategy(n: int, seed: int) -> Strategy:
     """Random strategy with mixed messages (Bloch radius uniform in [0, 1])."""
     base = random_strategy(n, seed)
-    rng = make_rng(seed, stream=1)
-    senders = []
-    for st in base.senders:
-        rho = st.rho.copy()
-        for a in range(2):
-            for x in range(2):
-                r = rng.uniform(0.0, 1.0)
-                rho[a, x] = r * rho[a, x] + (1 - r) * I2 / 2
-        senders.append(SenderStates(rho))
-    return Strategy(n=n, senders=tuple(senders), povm=base.povm)
+    r = make_rng(seed, stream=1).uniform(0.0, 1.0, size=(n, 2, 2))[..., None, None]
+    rho = r * np.stack([st.rho for st in base.senders]) + (1 - r) * I2 / 2
+    return Strategy(n=n, senders=tuple(SenderStates(x) for x in rho), povm=base.povm)

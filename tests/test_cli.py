@@ -413,6 +413,21 @@ class TestRun:
         code = run(parse_args(["certify", "--input", str(strat), "-o", str(out)]))
         assert code == 0
 
+    def test_certify_strategy_file_hermitian_within_state_atol(self, tmp_path):
+        # sender 2's rho[0, 0] carries 4.5e-11 i I: the file validates, so
+        # certify writes a report and exits 0 or 1, never 2
+        base = ideal_strategy(3)
+        rho = base.senders[1].rho.copy()
+        rho[0, 0] += 4.5e-11j * np.eye(2)
+        senders = (base.senders[0], SenderStates(rho), base.senders[2])
+        strat = tmp_path / "s.json"
+        out = tmp_path / "r.json"
+        save_strategy(Strategy(n=3, senders=senders, povm=base.povm), str(strat))
+        assert run(parse_args(["certify", "--input", str(strat), "-o", str(out)])) in (0, 1)
+        report = json.loads(out.read_text())
+        assert report["results"]["alignment_error"] is not None
+        assert report["results"]["sos_residual"] is not None
+
     def test_certify_strategy_file_reports_its_n(self, tmp_path):
         strat = tmp_path / "s.json"
         out = tmp_path / "r.json"

@@ -528,6 +528,16 @@ class TestTraceArgument:
                 assert np.abs(w[mask]).max() <= 1e-12
 
 
+def skewed_ideal_strategy() -> Strategy:
+    """``ideal_strategy(3)`` with ``4.5e-11 i I`` added to sender 2's
+    ``rho[0, 0]``: Hermitian within ``STATE_ATOL``, not exactly."""
+    base = ideal_strategy(3)
+    rho = base.senders[1].rho.copy()
+    rho[0, 0] += 4.5e-11j * I2
+    senders = (base.senders[0], SenderStates(rho), base.senders[2])
+    return Strategy(n=3, senders=senders, povm=base.povm)
+
+
 class TestCertify:
     def test_ideal_passes_everything(self):
         report = certify_strategy(ideal_strategy(2))
@@ -542,6 +552,16 @@ class TestCertify:
 
     def test_literal_variant_passes(self):
         assert certify_strategy(literal_ideal_strategy(3)).passed
+
+    def test_states_hermitian_within_state_atol_are_certified(self):
+        # an anti-Hermitian part within STATE_ATOL validates; the checks read
+        # the Hermitian parts of the message operators and report, not raise
+        strategy = skewed_ideal_strategy()
+        strategy.validate()
+        report = certify_strategy(strategy)
+        assert report.passed
+        assert report.alignment_error <= 1e-12
+        assert report.sos_residual <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 7])
     @pytest.mark.parametrize("kind", ["real", "complex"])

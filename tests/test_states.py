@@ -1,9 +1,13 @@
+import ast
 import re
+import tracemalloc
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ghz_selftest
 from ghz_selftest import backends
 from ghz_selftest.errors import InvalidBloch, InvalidInput
 from ghz_selftest.fixtures import ideal_strategy, literal_ideal_strategy
@@ -17,16 +21,20 @@ from ghz_selftest.states import (
     Povm,
     SenderStates,
     aligned_sender_states,
+    basis_index,
     bloch_to_state,
     ghz_basis,
     ghz_basis_state,
+    ghz_kets,
     ghz_povm,
     ideal_sender_states,
     outcome_bits,
     outcome_index,
     outcome_label,
+    outcome_table,
     random_antipodal_strategy,
     random_mixed_strategy,
+    random_projectors,
     random_strategy,
 )
 
@@ -163,6 +171,68 @@ class TestGhzBasis:
             assert abs(val - 2 * SQRT2 * (n - 1)) < 1e-10
 
 
+BIT_OPS = (ast.RShift, ast.LShift, ast.BitXor)
+# the one place the outcome convention is computed: the scalar parsers of
+# user input, the outcome-bit table and the ket index
+BIT_ALLOWED = {("states.py", name)
+               for name in ("outcome_bits", "outcome_index", "outcome_table", "basis_index")}
+# the readers of the table and the ket rule, which keep no bit arithmetic
+BIT_READERS = {("states.py", "ghz_basis"), ("states.py", "ghz_basis_state"),
+               ("robustness.py", "_slot_factors"), ("scenario.py", "witness_signs"),
+               ("scenario.py", "witness_orbits"), ("fixtures.py", "computational_strategy")}
+
+
+def bit_ops(path, ops):
+    """``(file, enclosing top-level definition, line)`` of every binary
+    operation of a type in ``ops`` in a module."""
+    found = []
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ops):
+                found.append((path.name, owner, node.lineno))
+    return found
+
+
+class TestOutcomeConvention:
+    def test_outcome_bits_are_derived_only_in_states(self):
+        modules = sorted(Path(ghz_selftest.__file__).parent.glob("*.py"))
+        found = [c for path in modules for c in bit_ops(path, BIT_OPS)]
+        assert [c for c in found if c[:2] not in BIT_ALLOWED] == []
+        # the walk sees the table's own derivation
+        assert ("states.py", "outcome_table") in {c[:2] for c in found}
+        readers = [c for path in modules for c in bit_ops(path, BIT_OPS + (ast.BitAnd,))
+                   if c[:2] in BIT_READERS]
+        assert readers == []
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_table_rows_are_the_parsed_outcomes(self, n):
+        table = outcome_table(n)
+        assert table.shape == (2**n, n) and not table.flags.writeable
+        assert [tuple(row) for row in table.tolist()] == [outcome_bits(m, n) for m in range(2**n)]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_kets_are_0_s2_sn_and_1_not_s2_sn(self, n):
+        a, b = ghz_kets(outcome_table(n))
+        for m in range(2**n):
+            rest = outcome_bits(m, n)[1:]
+            want_a, want_b = (0, *rest), (1, *(1 - x for x in rest))
+            assert (tuple(a[m]), tuple(b[m])) == (want_a, want_b)
+            assert basis_index(a[m]) == int("".join(map(str, want_a)), 2)
+            assert basis_index(b[m]) == int("".join(map(str, want_b)), 2)
+
+    def test_one_ghz_vector_needs_no_square_array(self):
+        n = 20
+        tracemalloc.start()
+        try:
+            v = ghz_basis_state(2**n - 1, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * v.nbytes
+        assert np.flatnonzero(v).tolist() == [2**(n - 1) - 1, 2**(n - 1)]
+
+
 class TestRandomStrategies:
     def test_deterministic(self):
         s1 = random_strategy(3, 42)
@@ -202,6 +272,38 @@ class TestRandomStrategies:
         h = tensor([I2] + [SIGMA_A] * (n - 1))
         want = np.stack([h @ projector(ghz_basis_state(m, n)) @ h for m in range(2**n)])
         assert literal_ideal_strategy(n).povm.elements.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("count", [1, 2, 5, 12])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    def test_stacked_draw_is_the_state_by_state_loop(self, seed, count):
+        rng, loop_rng = make_rng(seed), make_rng(seed)
+        want = np.stack([projector(loop_rng.normal(size=2) + 1j * loop_rng.normal(size=2))
+                         for _ in range(count)])
+        assert random_projectors(rng, count).tobytes() == want.tobytes()
+        assert rng.normal() == loop_rng.normal()  # the same draws were taken
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("seed", [0, 4, 11])
+    def test_stacked_variants_are_the_per_sender_loops(self, n, seed):
+        base = random_strategy(n, seed)
+        rng = make_rng(seed, stream=1)
+        antipodal, mixed = [], []
+        for st in base.senders:
+            rho, mix = st.rho.copy(), st.rho.copy()
+            for x in range(2):
+                _, v = backends.eigh(rho[0, x])
+                rho[0, x] = projector(v[:, -1])
+                rho[1, x] = projector(v[:, 0])
+            for a in range(2):
+                for x in range(2):
+                    r = rng.uniform(0.0, 1.0)
+                    mix[a, x] = r * mix[a, x] + (1 - r) * I2 / 2
+            antipodal.append(rho)
+            mixed.append(mix)
+        for got, want in ((random_antipodal_strategy(n, seed), antipodal),
+                          (random_mixed_strategy(n, seed), mixed)):
+            assert [st.rho.tobytes() for st in got.senders] == [r.tobytes() for r in want]
+            assert got.povm.elements.tobytes() == base.povm.elements.tobytes()
 
     def test_a_operators_of_random_are_contractions(self):
         ops = a_operators(random_mixed_strategy(2, 3))
