@@ -5,10 +5,7 @@ float64 where an operator is real by construction (the robustness sweep's
 operators, the GHZ channel images); :func:`tensor` of real factors stays
 real. Matrices here are small (dimension at most 2**7 = 128); Kronecker
 products and Hermitian eigensolves run through NumPy/LAPACK in
-:mod:`ghz_selftest.backends`, with one exception: ``robustness._margins``
-calls ``np.linalg.eigvalsh`` on a complex copy of its real stack because
-:func:`herm_eigvals` would solve it as real and round the n = 2 margin that
-is exactly 0 at angles (0, 0) to -5e-17.
+:mod:`ghz_selftest.backends`.
 :func:`herm_eigvals` gates, symmetrizes and solves a stack with no imaginary
 part in real arithmetic (for a real ``m``, ``|m - m^dag|`` is ``|m - m^T|``,
 so the gate's verdict is the same); :func:`herm_eig` always solves complex.

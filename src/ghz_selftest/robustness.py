@@ -12,24 +12,21 @@ grid sweep.
 Angle points are evaluated as stacks: a ``(P, n)`` array of points gives
 ``(P, 2**n, 2**n)`` channel images, witnesses and shifted operators, worked
 through in the chunks of ``linalg.chunks``; witnesses are
-``scenario.witness_operator`` of the stacked message operators. The sweep
-applies the channel qubit by qubit (``_channel_stack``), and so do the
-one-point ``apply_channel`` and ``inequality_margin``. Every operator of the
-sweep is real, so it is built in float64 and cast to complex only for the
-eigensolve, which stays complex (see ``_margins``).
+``scenario.witness_operator`` of the stacked message operators.
 
-GHZ projectors have a shorter route. ``xi_s xi_s^dag`` is a sum of four
-basis dyads ``|x><y|``, and the product channel maps each to a Kronecker
-product of real 2x2 factors (``_slot_factors``), so ``K_s`` is a Kronecker
-sum built in real arithmetic (``k_operator``, through ``linalg.tensor``).
-Each local channel is self-dual and ``K_s`` is real symmetric, so the
-average fidelity ``sum_s <xi_s|Lambda[M_s]|xi_s> / 2**n`` is
-``sum_s Tr(M_s K_s) / 2**n`` (``avg_fidelity``): the POVM is never pushed
+GHZ projectors have one route through the channel. ``xi_s xi_s^dag`` is a
+sum of four basis dyads ``|x><y|``, and the product channel maps each to a
+Kronecker product of real 2x2 factors (``_slot_factors``, at a point or a
+stack of points), so ``K_s`` is a Kronecker sum built in real arithmetic
+with ``linalg.tensor`` (``k_operator`` at one point, ``_margins`` for a
+chunk of the sweep, which solves the real ``K_s - r W_s - mu I`` through
+``backends.eigvalsh``). Each local channel is self-dual and ``K_s`` is real
+symmetric, so the average fidelity ``sum_s <xi_s|Lambda[M_s]|xi_s> / 2**n``
+is ``sum_s Tr(M_s K_s) / 2**n`` (``avg_fidelity``): the POVM is never pushed
 through the channel, and ``K_s`` is never built either, since each trace
 contracts ``M_s`` slot by slot against the 2x2 factors
-(``linalg.contract_slot``). The sweep keeps the qubit-by-qubit route because
-its margins are exactly 0 at some grid points, where the Kronecker images
-round differently.
+(``linalg.contract_slot``). ``apply_channel`` channels any operator qubit by
+qubit; it is the reference the images are tested against.
 """
 
 import math
@@ -37,15 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import backends
 from .errors import InequalityViolated, InvalidInput, Unsupported
 from .linalg import (
-    BLOCK_ENTRIES, I2, SIGMA_A, SIGMA_B, SIGMA_X, SIGMA_Z, SQRT2, chunks, contract_slot,
-    projector, tensor,
+    BLOCK_ENTRIES, I2, SIGMA_A, SIGMA_B, SIGMA_X, SIGMA_Z, SQRT2, chunks, contract_slot, tensor,
 )
 from .scenario import witness_operator
-from .states import (
-    ghz_basis_state, ghz_kets, outcome_bits, outcome_index, outcome_label, outcome_table,
-)
+from .states import ghz_kets, outcome_bits, outcome_index, outcome_label, outcome_table
 
 ANALYTIC_R_2 = (4 + 5 * SQRT2) / 16
 ANALYTIC_MU_2 = -(1 + 2 * SQRT2) / 4
@@ -172,46 +167,24 @@ def local_channel(j: int, x: float, rho) -> np.ndarray:
     return (1 + g) / 2 * rho + (1 - g) / 2 * (gam @ rho @ gam)
 
 
-def _channel_stack(ops: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Tensor product of the local channels applied to a stack of operators.
-
-    ``ops`` has shape (P, d, d) with ``d = 2**n`` and ``angles`` shape
-    (P, n); a leading axis of length 1 broadcasts. Qubit j's axis (real
-    symmetric) multiplies the rows of the operator reshaped to
-    (P, 2**j, 2, 2**(n-j-1) d) and its columns reshaped to
-    (P, d 2**j, 2, 2**(n-j-1)), so no 2**n x 2**n operator is built. The axes
-    enter as real arrays, so a real stack stays real.
-    """
-    n = angles.shape[-1]
-    d = 2**n
-    g = _strengths(angles)[..., None, None]
-    # column b of qubit j's axis is gam[:, j, :, :, b], shaped (P, 1, 2, 1) to
-    # broadcast against the reshaped operator (P, lo, 2, rest)
-    gam = _axes(angles).real[:, :, None, :, :, None]
-    out = ops
-    for j in range(n):
-        lo, hi = 2**j, 2 ** (n - j - 1)
-        col0, col1 = gam[:, j, :, :, 0], gam[:, j, :, :, 1]
-        t = out.reshape(-1, lo, 2, hi * d)
-        t = (col0 * t[:, :, :1] + col1 * t[:, :, 1:]).reshape(-1, d * lo, 2, hi)
-        t = col0 * t[:, :, :1] + col1 * t[:, :, 1:]
-        out = (1 + g[:, j]) / 2 * out + (1 - g[:, j]) / 2 * t.reshape(-1, d, d)
-    return out
-
-
 def apply_channel(angles, m) -> np.ndarray:
-    """Tensor product of the local channels applied to an n-qubit operator."""
+    """Tensor product of the local channels applied to an n-qubit operator,
+    qubit by qubit: ``(1+g_j)/2 m + (1-g_j)/2 G_j m G_j`` with ``G_j`` qubit
+    j's axis on the full space."""
     angles = _check_angles(angles)
     n = angles.shape[0]
     m = np.asarray(m, dtype=complex)
     if m.shape != (2**n, 2**n):
         raise InvalidInput(f"operator shape {m.shape} does not match {n} qubits")
-    return _channel_stack(m[None], angles[None])[0]
+    for j, (g, gam) in enumerate(zip(_strengths(angles), _axes(angles))):
+        big = tensor([np.eye(2**j), gam, np.eye(2 ** (n - j - 1))])
+        m = (1 + g) / 2 * m + (1 - g) / 2 * (big @ m @ big)
+    return m
 
 
 def _slot_factors(n: int, outcomes: np.ndarray, angles: np.ndarray) -> tuple:
     """Real 2x2 factors of the channel images of the GHZ dyads of
-    ``outcomes`` at one checked angle point, and each outcome's sign.
+    ``outcomes`` at checked angles ``(..., n)``, and each outcome's sign.
 
     With the kets ``a = 0 s_2..s_n`` and ``b = 1 ~s_2..~s_n`` of
     :func:`states.ghz_kets`,
@@ -220,29 +193,34 @@ def _slot_factors(n: int, outcomes: np.ndarray, angles: np.ndarray) -> tuple:
     ``L_xy`` of the real 2x2 factors ``(1+g_j)/2 |x_j><y_j| + (1-g_j)/2
     G_j |x_j><y_j| G_j``. Every ``G_j`` is real symmetric, so ``L_aa`` and
     ``L_bb`` are symmetric and ``L_ba = L_ab^T``. Returns the factors of
-    ``L_aa``, ``L_bb`` and ``L_ab``, shape ``(3, S, n, 2, 2)`` with slot 0 the
-    most significant, and the signs ``(-1)^{s_1}``, shape ``(S,)``.
+    ``L_aa``, ``L_bb`` and ``L_ab``, shape ``(3, ..., S, n, 2, 2)`` with slot 0
+    the most significant, and the signs ``(-1)^{s_1}``, shape ``(S,)``.
     """
-    g = _strengths(angles)[:, None, None, None, None]
+    g = _strengths(angles)[..., None, None, None, None]
     gam = _axes(angles).real
     unit = np.eye(4).reshape(2, 2, 2, 2)  # unit[x, y] = |x><y|
-    # table[j, x, y]: qubit j's channel image of |x><y|
-    table = (1 + g) / 2 * unit + (1 - g) / 2 * np.einsum("jrx,jcy->jxyrc", gam, gam)
+    # table[..., j, x, y]: qubit j's channel image of |x><y|
+    table = (1 + g) / 2 * unit + (1 - g) / 2 * np.einsum("...jrx,...jcy->...jxyrc", gam, gam)
     bits = outcome_table(n)[outcomes]  # (S, n), column j-1 is s_j
     a, b = ghz_kets(bits)
     slots = np.arange(n)
-    factors = np.stack([table[slots, a, a], table[slots, b, b], table[slots, a, b]])
+    factors = np.stack([table[..., slots, x, y, :, :] for x, y in ((a, a), (b, b), (a, b))])
     return factors, 1 - 2 * bits[:, 0]
+
+
+def _k_images(n: int, s, angles: np.ndarray) -> np.ndarray:
+    """``K_s`` at checked angles ``(..., n)``, shape ``(..., 2**n, 2**n)``:
+    ``(L_aa + L_bb + (-1)^{s_1} (L_ab + L_ab^T)) / 2`` with the Kronecker
+    products of :func:`_slot_factors`."""
+    factors, sign = _slot_factors(n, np.array([outcome_index(s, n)]), angles)
+    l_aa, l_bb, l_ab = tensor(np.moveaxis(factors[..., 0, :, :, :], -3, 0))
+    return (l_aa + l_bb + sign[0] * (l_ab + l_ab.swapaxes(-1, -2))) / 2
 
 
 def k_operator(n: int, s, angles) -> np.ndarray:
     """The channel image ``K_s`` of the GHZ projector for outcome ``s``, real
-    symmetric: ``(L_aa + L_bb + (-1)^{s_1} (L_ab + L_ab^T)) / 2`` with the
-    Kronecker products of :func:`_slot_factors`."""
-    angles = _check_angles(angles, n)
-    factors, sign = _slot_factors(n, np.array([outcome_index(s, n)]), angles)
-    l_aa, l_bb, l_ab = tensor(factors[:, 0].swapaxes(0, 1))
-    return (l_aa + l_bb + sign[0] * (l_ab + l_ab.T)) / 2
+    symmetric (see :func:`_k_images`)."""
+    return _k_images(n, s, _check_angles(angles, n))
 
 
 def _message_stack(angles: np.ndarray) -> np.ndarray:
@@ -266,30 +244,14 @@ def parametrized_a_operators(angles) -> np.ndarray:
 
 def _margins(n: int, s, angles: np.ndarray, params: FidelityBoundParams) -> np.ndarray:
     """Minimum eigenvalue of ``K_s - r W_s - mu I`` at each row of the checked
-    (P, n) angles, one stacked eigensolve per chunk.
-
-    The operator is real and is built in float64, from the real GHZ projector
-    and message operators; with every imaginary part zero, complex arithmetic
-    would compute the same real parts in the same order. ``K_s`` comes from
-    :func:`_channel_stack` and the solve is complex, not from the Kronecker
-    images of :func:`k_operator` and a real solve. At n = 2 the margin is 0
-    in exact arithmetic at the corners and at (pi/4, pi/4). This route reads
-    exactly 0.0 at (0, 0) and (0, pi/2) and at most 2.2e-16 above 0 at the
-    other three, for every outcome; either change rounds some of them below
-    0: the Kronecker images give -2.2e-16 or -4.4e-16 at (pi/4, pi/4), a real
-    solve -5e-17 at (0, 0) (``backends.eigvalsh`` solves a real stack as
-    real). The sweep's minimum, its report and its CSV would move with them,
-    so this is the one Hermitian solve outside :mod:`ghz_selftest.backends`.
-    """
-    d = 2**n
-    xi = projector(ghz_basis_state(s, n)).real[None]
-    shift = params.mu * np.eye(d)
+    (P, n) angles: per chunk, one build of the real operators and one stacked
+    real solve."""
+    shift = params.mu * np.eye(2**n)
     out = np.empty(len(angles))
-    for part in chunks(len(angles), d * d):
+    for part in chunks(len(angles), 4**n):
         a = angles[part]
-        ops = _message_stack(a).real
-        shifted = _channel_stack(xi, a) - params.r * witness_operator(n, s, ops) - shift
-        out[part] = np.linalg.eigvalsh(shifted.astype(complex))[:, 0]
+        w = witness_operator(n, s, _message_stack(a).real)
+        out[part] = backends.eigvalsh(_k_images(n, s, a) - params.r * w - shift)[:, 0]
     return out
 
 
@@ -388,6 +350,8 @@ def margin_grid(
         raise InvalidInput(f"step must be a positive finite number, got {step}")
     if isinstance(outcomes, str) and outcomes == "all":
         outcome_list = list(range(2**n))
+    elif isinstance(outcomes, str) or not np.iterable(outcomes):
+        raise InvalidInput(f'outcomes must be "all" or a sequence of outcomes, got {outcomes!r}')
     else:
         outcome_list = [outcome_index(m, n) for m in outcomes]
     if not outcome_list:

@@ -8,7 +8,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from ghz_selftest import robustness
+from ghz_selftest import backends, robustness
 from ghz_selftest.errors import InequalityViolated, InvalidInput, Unsupported
 from ghz_selftest.fixtures import depolarized_strategy, ideal_strategy, partial_bell_strategy
 from ghz_selftest.linalg import (
@@ -210,8 +210,9 @@ class TestKOperator:
 
 
 class TestGhzImages:
-    """``k_operator`` and ``avg_fidelity`` use the Kronecker-sum images of the
-    GHZ projectors; the qubit-by-qubit ``apply_channel`` is their reference."""
+    """``k_operator``, ``avg_fidelity`` and the margin sweep use the
+    Kronecker-sum images of the GHZ projectors; the qubit-by-qubit
+    ``apply_channel`` is their reference."""
 
     @staticmethod
     def angle_points(n, seed):
@@ -263,15 +264,27 @@ class TestGhzImages:
                                 for v, m in zip(xi, povm.elements)])
                 assert abs(avg_fidelity(povm, angles) - want) <= 1e-13
 
-    def test_avg_fidelity_never_channels_the_povm(self, monkeypatch):
+    @staticmethod
+    def refuse_apply_channel(monkeypatch):
         def refuse(*args):
-            raise AssertionError("avg_fidelity applied the channel to the POVM")
+            raise AssertionError("an operator was channelled qubit by qubit")
 
+        monkeypatch.setattr(robustness, "apply_channel", refuse)
+
+    def test_avg_fidelity_never_channels_the_povm(self, monkeypatch):
         povm = depolarized_strategy(3, 0.1).povm
         want = avg_fidelity(povm, [0.2, 0.9, 1.4])
-        monkeypatch.setattr(robustness, "_channel_stack", refuse)
+        self.refuse_apply_channel(monkeypatch)
         assert avg_fidelity(povm, [0.2, 0.9, 1.4]) == want
         assert abs(avg_fidelity(ideal_strategy(2).povm, [np.pi / 4] * 2) - 1) < 1e-12
+
+    def test_margins_never_channel_an_operator(self, monkeypatch):
+        params = FidelityBoundParams(r=4 / (4 * SQRT2), mu=-3.0, n=3)
+        want = margin_grid(3, params, step=np.pi / 4)
+        one = inequality_margin(3, 5, [0.2, 0.9, 1.4], params)
+        self.refuse_apply_channel(monkeypatch)
+        assert margin_grid(3, params, step=np.pi / 4) == want
+        assert inequality_margin(3, 5, [0.2, 0.9, 1.4], params) == one
 
     @pytest.mark.parametrize("n", [3, 7])
     def test_avg_fidelity_contracts_one_slot_per_qubit_and_chunk(self, n, monkeypatch):
@@ -311,14 +324,12 @@ class TestInequality:
 
     @pytest.mark.parametrize("s", range(4))
     def test_n2_margins_at_the_exact_zeros(self, s):
-        # 0 in exact arithmetic at all five points; floating point reads
-        # exactly 0.0 at the first two and a few 1e-16 above it at the rest
+        # 0 in exact arithmetic at all five points; floating point reads a
+        # few 1e-16 to either side
         params = analytic_params(2)
         q = np.pi
-        for angles in [(0, 0), (0, q / 2)]:
-            assert inequality_margin(2, s, angles, params) == 0.0
-        for angles in [(q / 2, 0), (q / 2, q / 2), (q / 4, q / 4)]:
-            assert 0 < inequality_margin(2, s, angles, params) <= 3e-16
+        for angles in [(0, 0), (0, q / 2), (q / 2, 0), (q / 2, q / 2), (q / 4, q / 4)]:
+            assert abs(inequality_margin(2, s, angles, params)) <= 5e-16
 
     def test_margin_on_coarse_grid(self):
         p = analytic_params(2)
@@ -376,10 +387,14 @@ class TestInequality:
         want = margin_grid(2, step=np.pi / 8, outcomes=[0, 1])
         assert margin_grid(2, step=np.pi / 8, outcomes=outcomes) == want
 
-    @pytest.mark.parametrize("outcome", [1.5, None, "2"])
-    def test_margin_grid_rejects_a_non_outcome(self, outcome):
-        with pytest.raises(InvalidInput, match=re.escape(repr(outcome))):
-            margin_grid(2, step=np.pi / 8, outcomes=[outcome])
+    @pytest.mark.parametrize("outcomes, named", [
+        ([1.5], "1.5"), ([None], "None"), (["2"], "'2'"),
+        # not a sequence, or a string other than "all", which is not split
+        (0, "got 0"), (None, "got None"), ("01", "got '01'"),
+    ])
+    def test_margin_grid_rejects_a_non_outcome(self, outcomes, named):
+        with pytest.raises(InvalidInput, match=re.escape(named)):
+            margin_grid(2, step=np.pi / 8, outcomes=outcomes)
 
     @pytest.mark.parametrize("outcome", [1.5, None])
     def test_k_operator_rejects_a_non_outcome(self, outcome):
@@ -432,9 +447,10 @@ class TestStackedSweep:
         return res
 
     def test_two_senders_all_outcomes(self, tmp_path):
+        # the margin is 0 in exact arithmetic at the corners and at (pi/4, pi/4)
         res = self.check_grid(tmp_path, 2, analytic_params(2), np.pi / 16, [0, 1, 2, 3])
         assert res.passed
-        assert (res.min_margin, res.argmin_outcome, res.argmin_angles) == (0.0, 0, (0.0, 0.0))
+        assert abs(res.min_margin) <= 5e-16
 
     def test_three_senders_two_outcomes(self, tmp_path):
         params = FidelityBoundParams(r=4 / (4 * SQRT2), mu=-3.0, n=3)
@@ -463,34 +479,32 @@ class TestStackedSweep:
         assert abs(res.min_margin - at_argmin) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_float64_sweep_equals_the_complex_computation_bytewise(self, n):
-        # K_s - r W_s - mu I is real; built in float64 it has the complex
-        # build's real parts, and the complex solve gives the same margins
+    def test_sweep_equals_the_one_point_formula_bytewise(self, n):
+        # the stacked build and solve give each point's margin bit for bit
         params = (analytic_params(2) if n == 2
                   else FidelityBoundParams(r=4 / ((n - 1) * 2 * SQRT2), mu=-3.0, n=n))
         rng = make_rng(60 + n)
-        points = list(itertools.product((0.0, np.pi / 4, np.pi / 2), repeat=n))
-        points += list(rng.uniform(0, np.pi / 2, size=(10, n)))
-        eye = np.eye(2**n, dtype=complex)
+        points = np.array(list(itertools.product((0.0, np.pi / 4, np.pi / 2), repeat=n)))
+        points = np.concatenate([points, rng.uniform(0, np.pi / 2, size=(10, n))])
+        eye = np.eye(2**n)
         for s in range(2**n):
-            xi = projector(ghz_basis_state(s, n)).astype(complex)
-            for angles in points:
-                ops = parametrized_a_operators(angles).astype(complex)
-                shifted = (apply_channel(angles, xi)
+            swept = robustness._margins(n, s, points, params)
+            for angles, got in zip(points, swept):
+                ops = parametrized_a_operators(angles).real
+                shifted = (k_operator(n, s, angles)
                            - params.r * witness_operator(n, s, ops) - params.mu * eye)
                 want = np.linalg.eigvalsh(shifted)[0]
-                got = inequality_margin(n, s, angles, params)
-                assert np.float64(got).tobytes() == want.tobytes(), (s, angles)
+                assert got.tobytes() == want.tobytes(), (s, angles)
+                one = inequality_margin(n, s, angles, params)
+                assert np.float64(one).tobytes() == want.tobytes(), (s, angles)
 
-    def test_sweep_solves_in_complex(self, monkeypatch):
-        # a real solve rounds the n = 2 zero at (0, 0) to -5e-17
+    def test_sweep_solves_float64_stacks_through_backends(self, monkeypatch):
         seen = []
-        solve = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh",
-                            lambda m, *args: seen.append(m.dtype) or solve(m, *args))
-        assert inequality_margin(2, 0, [0.0, 0.0], analytic_params(2)) == 0.0
+        solve = backends.eigvalsh
+        monkeypatch.setattr(backends, "eigvalsh", lambda m: seen.append(m.dtype) or solve(m))
+        inequality_margin(2, 0, [0.0, 0.0], analytic_params(2))
         margin_grid(3, FidelityBoundParams(r=4 / (4 * SQRT2), mu=-3.0, n=3), step=np.pi / 4)
-        assert seen and set(seen) == {np.dtype(complex)}
+        assert len(seen) >= 2 and set(seen) == {np.dtype(float)}
 
     def test_inequality_margin_is_the_one_point_sweep(self):
         params = FidelityBoundParams(r=4 / (4 * SQRT2), mu=-3.0, n=3)

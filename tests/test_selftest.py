@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -599,6 +600,15 @@ class TestCertify:
         assert not report.checks["metric"]
         assert not report.checks["ghz_fidelity"]
         assert np.abs(np.array(report.ghz_fidelities) - 0.5).max() < 1e-12
+
+    @pytest.mark.parametrize("strategy", [
+        ideal_strategy(2), computational_strategy(2), depolarized_strategy(3, 0.05),
+        random_strategy(2, 0),  # its message operators do not anticommute
+    ], ids=["ideal", "computational", "depolarized", "not-self-testable"])
+    def test_checks_are_python_bools_and_the_report_serializes(self, strategy):
+        report = certify_strategy(strategy)
+        assert all(type(v) is bool for v in report.checks.values()), report.checks
+        assert json.loads(json.dumps(report.to_dict()))["passed"] == report.passed
 
     def test_unknown_tolerance_rejected(self):
         with pytest.raises(InvalidInput):
