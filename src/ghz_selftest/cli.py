@@ -85,6 +85,7 @@ from .states import (
 
 # the largest sender count any command or strategy file takes
 MAX_N = 7
+STRATEGY_FORMAT = "ghz-selftest/strategy"
 # the commands whose checks read selftest's tolerance table
 TOLERANCE_COMMANDS = ("certify", "spectrum", "sos")
 
@@ -188,7 +189,7 @@ def strategy_to_dict(strategy: Strategy, arrays: bool = False) -> dict:
         return out if arrays else out.tolist()
 
     out = {
-        "format": "ghz-selftest/strategy",
+        "format": STRATEGY_FORMAT,
         "n": strategy.n,
         "task": strategy.task,
         "senders": [{"rho": pairs(st.rho)} for st in strategy.senders],
@@ -203,8 +204,12 @@ def strategy_from_dict(data: dict) -> Strategy:
     """The strategy of a strategy-file dict. Only the file's form is checked
     here (field shapes, finite entries); whether the states and the POVM are
     valid is left to the command that uses the strategy, which validates it
-    once (:func:`certify_strategy` does so itself)."""
+    once (:func:`certify_strategy` does so itself). A ``format`` tag, when
+    present, must be the one :func:`strategy_to_dict` writes."""
     try:
+        if "format" in data and data["format"] != STRATEGY_FORMAT:
+            raise InvalidInput(
+                f"strategy file format is not {STRATEGY_FORMAT!r}: {data['format']!r}")
         n = data["n"]
         # checked before 2**n sizes the POVM: a bool, a float or a huge n is refused
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 2 <= n <= MAX_N:

@@ -14,6 +14,11 @@ Angle points are evaluated as stacks: a ``(P, n)`` array of points gives
 through in the chunks of ``linalg.chunks``; witnesses are
 ``scenario.witness_operator`` of the stacked message operators.
 
+``margin_grid`` solves each grid node once: relabeling covariance maps every
+outcome onto outcome 0 at reflected angles, and outcome 0 is invariant under
+permuting senders 2..n, so only nodes with ``alpha_2 <= ... <= alpha_n`` are
+solved.
+
 GHZ projectors have one route through the channel. ``xi_s xi_s^dag`` is a
 sum of four basis dyads ``|x><y|``, and the product channel maps each to a
 Kronecker product of real 2x2 factors (``_slot_factors``, at a point or a
@@ -49,9 +54,10 @@ GRID_STEP = np.pi / 80
 GRID_PASS_FLOOR = -1e-8
 GRID_FAIL_FLOOR = -1e-6
 # Most margins (angle points times outcomes) a sweep may evaluate: at the limit
-# its peak RSS measured 88 MB at n = 2 and 140 MB at n = 4. The largest grid
-# in the tests, the acceptance suite and the benchmark workloads is
-# 41**2 * 4 = 6724 points (n = 2, default step pi/80, every outcome).
+# its peak RSS measured 54 MB at n = 2 and 47 MB at n = 4 (every outcome, fresh
+# process, 2-vCPU VM). The largest grid in the tests, the acceptance suite and
+# the benchmark workloads is 41**2 * 4 = 6724 points (n = 2, step pi/80, every
+# outcome).
 GRID_MAX_POINTS = 2**20
 
 
@@ -332,6 +338,17 @@ def margin_grid(
 ) -> GridResult:
     """Sweep ``inequality_margin`` over an angle grid on ``[0, pi/2]**n``.
 
+    Each axis has ``round((pi/2) / step) + 1`` ticks, two at least, so it
+    holds both ends. Outcome ``s`` at ``alpha`` is outcome 0 at ``alpha``
+    with ``a -> pi/2 - a`` on each slot ``j >= 2`` where ``s_j = 1``
+    (:func:`relabel_unitary`, :func:`reflected_angles`), and permuting
+    senders 2..n permutes the qubits of ``K_0 - r W_0``. So outcome 0 is
+    solved once, on the ``ticks * C(ticks+n-2, n-1)`` nodes with slots 2..n
+    sorted, and every outcome is gathered from them; ``points`` still counts
+    outcomes times nodes. ``_margins`` and ``inequality_margin`` are
+    bit-exact; a non-canonical node reports its canonical node's margin,
+    within about 1e-14 of a direct solve.
+
     A nonnegative minimum (above ``-1e-8``) certifies the supplied
     inequality coefficients on the grid; any value below ``-1e-6`` raises
     ``InequalityViolated`` carrying the sweep's result. A negative minimum's
@@ -356,19 +373,29 @@ def margin_grid(
         outcome_list = [outcome_index(m, n) for m in outcomes]
     if not outcome_list:
         raise InvalidInput("no outcomes to sweep")
-    # capped first, so a tiny step cannot overflow the integer conversion
-    ticks = int(round(min((np.pi / 2) / step, GRID_MAX_POINTS))) + 1
+    # capped first, so a tiny step cannot overflow the integer conversion; two
+    # ticks at least, so every axis holds both ends and is closed under reflection
+    ticks = max(2, int(round(min((np.pi / 2) / step, GRID_MAX_POINTS))) + 1)
     if ticks**n * len(outcome_list) > GRID_MAX_POINTS:
         raise InvalidInput(f"step {step} at n={n} over {len(outcome_list)} outcomes exceeds "
                            f"the limit of {GRID_MAX_POINTS} grid points; use a larger step")
     axis = np.linspace(0, np.pi / 2, ticks)
-    grid = _check_angles(_product([axis] * n), n, stacked=True)
+    ticks_at = _product([np.arange(ticks, dtype=np.min_scalar_type(ticks))] * n)
 
+    # row k of ticks_at is the node of flat index k: the canonical nodes are
+    # the rows with slots 2..n sorted, and outcome m's node maps to one by
+    # reflecting the ticks of the slots j >= 2 with s_j = 1, then sorting
+    canonical = (ticks_at[:, 1:-1] <= ticks_at[:, 2:]).all(axis=1)
+    at_node = np.empty(len(ticks_at))
+    at_node[canonical] = _margins(n, 0, axis[ticks_at[canonical]], params)
     # margins[i, k]: outcome outcome_list[i] at grid point k
-    margins = np.stack([_margins(n, m, grid, params) for m in outcome_list])
+    margins = np.empty((len(outcome_list), len(ticks_at)))
+    for row, flip in zip(margins, outcome_table(n)[outcome_list, 1:] == 1):
+        rest = np.sort(np.where(flip, ticks - 1 - ticks_at[:, 1:], ticks_at[:, 1:]), axis=1)
+        np.take(at_node, np.ravel_multi_index((ticks_at[:, 0], *rest.T), (ticks,) * n), out=row)
     first = int(np.argmin(margins))
-    min_m = outcome_list[first // len(grid)]
-    min_pt = grid[first % len(grid)]
+    min_m = outcome_list[first // len(ticks_at)]
+    min_pt = axis[ticks_at[first % len(ticks_at)]]
     min_val = float(margins.flat[first])
 
     # the refinement counts against the same limit: 9 ticks per axis a quarter
@@ -392,7 +419,7 @@ def margin_grid(
         with open(csv_path, "w", encoding="utf-8") as fh:
             cols = ",".join(f"alpha_{j}" for j in range(1, n + 1))
             fh.write(f"s,{cols},margin\n")
-            coords = [",".join(f"{p:.12g}" for p in pt) for pt in grid]
+            coords = [",".join(f"{p:.12g}" for p in pt) for pt in axis[ticks_at]]
             for m, row in zip(outcome_list, margins):
                 label = outcome_label(m, n)
                 fh.writelines(f"{label},{pts},{val:.17g}\n" for pts, val in zip(coords, row))

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ghz_selftest
-from ghz_selftest import cli, optimize
+from ghz_selftest import cli, optimize, robustness
 from ghz_selftest.cli import (
     MAX_N,
     build_parser,
@@ -28,6 +28,7 @@ from ghz_selftest.cli import (
 )
 from ghz_selftest.errors import InvalidInput
 from ghz_selftest.fixtures import depolarized_partial_bell, ideal_strategy, partial_bell_strategy
+from ghz_selftest.robustness import analytic_params
 from ghz_selftest.scenario import a_operators, success_metric
 from ghz_selftest.selftest import DEFAULT_TOLERANCES, witness_bounds
 from ghz_selftest.states import (
@@ -576,6 +577,27 @@ class TestRun:
             f"from 2 to {MAX_N}: {n!r}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, strategy", [
+        ("certify", ideal_strategy(2)), ("partial-bell", partial_bell_strategy()),
+    ])
+    @pytest.mark.parametrize("tag", ["other", None, 1])
+    def test_strategy_file_format_tag_must_be_the_written_one(self, tmp_path, capsys,
+                                                              command, strategy, tag):
+        data = strategy_to_dict(strategy)
+        data["format"] = tag
+        strat = tmp_path / "s.json"
+        strat.write_text(json.dumps(data))
+        out = tmp_path / "r.json"
+        assert run(parse_args([command, "--input", str(strat), "-o", str(out)])) == 2
+        assert capsys.readouterr().err == (
+            f"{command}: error: strategy file format is not "
+            f"'ghz-selftest/strategy': {tag!r}\n")
+        assert not out.exists()
+        # a file without the tag is read as the current format
+        del data["format"]
+        strat.write_text(json.dumps(data))
+        assert run(parse_args([command, "--input", str(strat), "-o", str(out)])) == 0
+
     @pytest.mark.parametrize("command", ["certify", "partial-bell"])
     @pytest.mark.parametrize("content, message", [
         (b"\xff\xfe" + b"{}" * 8, "strategy file is not UTF-8 text"),
@@ -717,6 +739,23 @@ class TestRun:
         lines = csv.read_text().strip().splitlines()
         assert lines[0] == "s,alpha_1,alpha_2,margin"
         assert len(lines) == 1 + 4 * 5 * 5
+
+    def test_robustness_grid_step_above_pi_sweeps_both_ends(self, tmp_path):
+        # two ticks per axis at least: the four corners, not the origin alone
+        out = tmp_path / "r.json"
+        csv = tmp_path / "grid.csv"
+        code = run(parse_args(["robustness-grid", "--n", "2", "--step", "10",
+                               "--csv", str(csv), "-o", str(out)]))
+        assert code == 0
+        assert json.loads(out.read_text())["results"]["points"] == 4 * 2 * 2
+        rows = [line.split(",") for line in csv.read_text().strip().splitlines()[1:]]
+        corners = np.array([[0.0, 0.0], [0.0, np.pi / 2], [np.pi / 2, 0.0], [np.pi / 2] * 2])
+        for s in range(4):
+            part = rows[4 * s: 4 * s + 4]
+            assert [r[1:3] for r in part] == [[f"{a:.12g}" for a in pt] for pt in corners]
+            got = np.array([float(r[3]) for r in part])
+            want = robustness._margins(2, s, corners, analytic_params(2))
+            assert np.abs(got - want).max() <= 1e-13
 
     @pytest.mark.parametrize("step", ["0", "-0.1", "nan"])
     def test_robustness_grid_bad_step_is_an_input_error(self, tmp_path, capsys, step):

@@ -119,6 +119,11 @@ def grid_points(n, step):
     return list(itertools.product(axis, repeat=n))
 
 
+def slope_params(n, slope):
+    """Normalized inequality coefficients ``(r, mu)`` of the given slope."""
+    return FidelityBoundParams(r=slope / ((n - 1) * 2 * SQRT2), mu=1 - slope, n=n)
+
+
 def random_density(rng):
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
     p = projector(v)
@@ -576,9 +581,45 @@ class TestStackedSweep:
         monkeypatch.setattr(robustness, "_margins", counting)
         params = FidelityBoundParams(r=1 / ((n - 1) * 2 * SQRT2), mu=0.0, n=n)
         margin_grid(n, params, step=np.pi / 2, outcomes=[0])
-        assert counted[0] == 2**n and len(counted) == 2  # the grid, then the refinement
+        # the grid's 2n canonical nodes (slots 2..n sorted), then the refinement
+        assert counted[0] == 2 * n and len(counted) == 2
         assert sum(counted) <= robustness.GRID_MAX_POINTS
         assert counted[1] == (9 if n < 7 else 7) ** n
+
+    @pytest.mark.parametrize("n, step, slope", [
+        (2, np.pi / 16, None), (3, np.pi / 8, 4.0), (4, np.pi / 8, 6.0), (5, np.pi / 4, 8.0),
+    ])
+    def test_all_outcome_sweep_solves_each_canonical_node_once(self, monkeypatch, n, step,
+                                                               slope):
+        # one outcome-0 call on the nodes with slots 2..n sorted, then at most
+        # one refinement
+        calls = []
+        margins = robustness._margins
+
+        def counting(n, s, angles, params):
+            calls.append((s, len(angles)))
+            return margins(n, s, angles, params)
+
+        monkeypatch.setattr(robustness, "_margins", counting)
+        params = analytic_params(2) if slope is None else slope_params(n, slope)
+        res = margin_grid(n, params, step=step)
+        ticks = int(round((np.pi / 2) / step)) + 1
+        assert res.points == 2**n * ticks**n
+        assert calls[0] == (0, ticks * math.comb(ticks + n - 2, n - 1))
+        assert len(calls) <= 2
+
+    def test_a_step_above_pi_sweeps_both_ends_of_every_axis(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        params = analytic_params(2)
+        res = margin_grid(2, step=10.0, csv_path=str(path))
+        assert res.points == 4 * 2 * 2 and res.passed
+        rows = read_grid_csv(path, 2)
+        corners = np.array(list(itertools.product((0.0, np.pi / 2), repeat=2)))
+        for s in range(4):
+            part = [(strs, val) for m, strs, val in rows if m == s]
+            assert [strs for strs, _ in part] == [[f"{a:.12g}" for a in pt] for pt in corners]
+            got = np.array([val for _, val in part])
+            assert np.abs(got - robustness._margins(2, s, corners, params)).max() <= 1e-13
 
     def test_angle_stack_validation(self):
         with pytest.raises(InvalidInput, match="outside"):
@@ -630,6 +671,43 @@ class TestRelabelUnitary:
                 w0 = witness_operator(3, 0, parametrized_a_operators(angles))
                 wp = witness_operator(3, sp, parametrized_a_operators(refl))
                 assert np.abs(wp - u @ w0 @ u.conj().T).max() < 1e-11
+
+
+class TestSweepSymmetries:
+    """The two identities that let the sweep solve outcome 0 on sorted nodes only."""
+
+    @pytest.mark.parametrize("n, slope", [(3, 4.0), (4, 6.0), (5, 8.0)])
+    def test_permuting_senders_two_to_n_is_a_qubit_permutation(self, n, slope):
+        params = slope_params(n, slope)
+
+        def shifted(angles):
+            ops = parametrized_a_operators(angles)
+            return k_operator(n, 0, angles) - params.r * witness_operator(n, 0, ops)
+
+        rng = make_rng(70 + n)
+        for _ in range(6):
+            angles = rng.uniform(0, np.pi / 2, size=n)
+            order = np.concatenate([[0], 1 + rng.permutation(n - 1)])
+            # perm[y, x] = 1 where bit j of y is bit order[j] of x
+            perm = (np.eye(2**n).reshape((2,) * n + (2**n,))
+                    .transpose([*order, n]).reshape(2**n, 2**n))
+            moved = perm @ shifted(angles) @ perm.T
+            assert np.abs(moved - shifted(angles[order])).max() <= 1e-12
+
+    @pytest.mark.parametrize("n, step, slope", [
+        (2, np.pi / 16, None), (3, np.pi / 8, 4.0), (4, np.pi / 8, 6.0),
+    ])
+    def test_gathered_margins_are_each_outcomes_own(self, tmp_path, n, step, slope):
+        # relabeling covariance carries outcome s to outcome 0 at reflected
+        # angles; every CSV margin equals its outcome's direct sweep
+        params = analytic_params(2) if slope is None else slope_params(n, slope)
+        path = tmp_path / "grid.csv"
+        margin_grid(n, params, step=step, csv_path=str(path))
+        rows = read_grid_csv(path, n)
+        grid = np.array(grid_points(n, step))
+        for s in range(2**n):
+            got = np.array([val for m, _, val in rows if m == s])
+            assert np.abs(got - robustness._margins(n, s, grid, params)).max() <= 1e-13
 
 
 class TestFidelityBounds:
