@@ -12,6 +12,10 @@ so the gate's verdict is the same); :func:`herm_eig` always solves complex.
 :func:`contract_slot` is the one slot contraction: traced slot by slot, an
 operator against a Kronecker product of 2x2 factors never needs the product
 (``scenario.product_traces``, ``robustness.avg_fidelity``).
+:func:`chunks` sizes every loop that streams a stack (witness solves, POVM
+validation, product traces, the margin sweep, the average fidelity and the
+see-saw's restart blocks) from the one budget ``BLOCK_ENTRIES``, which no
+other module reads.
 """
 
 from dataclasses import dataclass
@@ -33,12 +37,8 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 SIGMA_A = (SIGMA_X + SIGMA_Z) / SQRT2
 SIGMA_B = (SIGMA_X - SIGMA_Z) / SQRT2
 
-# entries of one stacked (points, d, d) complex array worked on at a time
-CHUNK_ELEMENTS = 2**14
-# the larger budget of the loops whose per-call overhead dominates: entries of
-# the largest per-restart stack one see-saw block may hold (4 MB of
-# complex128: 8 GHZ restarts at n = 5, one from n = 6 on), and of the POVM
-# elements one ``robustness.avg_fidelity`` chunk contracts
+# entries one chunk of :func:`chunks` may hold (4 MB of complex128): 16
+# matrices at n = 7, a see-saw block of 8 GHZ restarts at n = 5
 BLOCK_ENTRIES = 2**18
 
 
@@ -77,11 +77,10 @@ def off_hermitian(m: np.ndarray) -> np.ndarray:
     return np.abs(m - dagger(m)).max(axis=(-2, -1)) > HERMITIAN_ATOL * scale
 
 
-def chunks(count: int, entries: int, budget: int | None = None) -> list:
+def chunks(count: int, entries: int) -> list:
     """Slices over ``count`` points of ``entries`` array entries each, every
-    slice holding at most ``budget`` entries (``CHUNK_ELEMENTS`` by default)
-    and at least one point."""
-    size = max(1, (CHUNK_ELEMENTS if budget is None else budget) // entries)
+    slice holding at most ``BLOCK_ENTRIES`` entries and at least one point."""
+    size = max(1, BLOCK_ENTRIES // entries)
     return [slice(i, i + size) for i in range(0, count, size)]
 
 

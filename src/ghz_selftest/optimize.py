@@ -14,8 +14,8 @@ history is nondecreasing within a restart.
 
 The restarts advance in lockstep: every half-step works on arrays with a
 leading restart axis, and a restart leaves the active set once it has
-converged, keeping its own iteration count and history. A block of restarts
-holds at most ``BLOCK_ENTRIES`` entries of its largest per-restart stack. The
+converged, keeping its own iteration count and history. The restarts run in
+the blocks of ``linalg.chunks``, sized by their largest per-restart stack. The
 half-step kernels take any leading axes; the public single-strategy steps are
 the same kernels called without one.
 """
@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import BLOCK_ENTRIES, I2, chunks, dagger, fix_phase, herm_eig, projector, tensor
+from .linalg import I2, chunks, dagger, fix_phase, herm_eig, projector, tensor
 from .parallel import ordered_map
 from .rng import make_rng
 from .scenario import (
@@ -41,8 +41,8 @@ from .scenario import (
     message_operators,
     partial_witnesses,
     success_scores,
-    witness_chunks,
     witness_factors,
+    witness_operators,
     witness_orbits,
     witness_signs,
 )
@@ -153,7 +153,7 @@ def _ghz_povm(ops: np.ndarray) -> np.ndarray:
     n = ops.shape[-4]
     d = 2**n
     reps, orbit, flips = witness_orbits(n)
-    ws = np.concatenate(list(witness_chunks(ops, reps)), axis=-3)
+    ws = witness_operators(ops, reps)
     top = herm_eig(ws).vectors[..., -1][..., orbit, :]  # row m: outcome m's top vector
     flip = np.where(flips[..., None, None], _flip_operators(ops)[..., None, :, :, :], I2)
     for j in range(n):
@@ -431,14 +431,14 @@ def seesaw(config: SeesawConfig) -> SeesawResult:
 
     Deterministic for a given seed: restart ``i`` draws from stream ``i`` of
     the master seed, and ties between restarts break by restart order. The
-    restarts run in contiguous blocks of at most ``BLOCK_ENTRIES`` entries of
-    their largest per-restart stack, mapped over the worker pool; a
-    restart's history does not depend on the block it shares.
+    restarts run in the contiguous blocks of ``linalg.chunks``, sized by their
+    largest per-restart stack and mapped over the worker pool; a restart's
+    history does not depend on the block it shares.
     """
     game = GAMES[config.metric]
     restarts = range(config.restarts)
     blocks = [restarts[part]
-              for part in chunks(config.restarts, game.entries(config.n), BLOCK_ENTRIES)]
+              for part in chunks(config.restarts, game.entries(config.n))]
     leader = _Leader()
 
     def run(block: range) -> list:

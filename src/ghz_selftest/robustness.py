@@ -41,9 +41,7 @@ import numpy as np
 
 from . import backends
 from .errors import InequalityViolated, InvalidInput, Unsupported
-from .linalg import (
-    BLOCK_ENTRIES, I2, SIGMA_A, SIGMA_B, SIGMA_X, SIGMA_Z, SQRT2, chunks, contract_slot, tensor,
-)
+from .linalg import I2, SIGMA_A, SIGMA_B, SIGMA_X, SIGMA_Z, SQRT2, chunks, contract_slot, tensor
 from .scenario import witness_operator
 from .states import ghz_kets, outcome_bits, outcome_index, outcome_label, outcome_table
 
@@ -54,10 +52,10 @@ GRID_STEP = np.pi / 80
 GRID_PASS_FLOOR = -1e-8
 GRID_FAIL_FLOOR = -1e-6
 # Most margins (angle points times outcomes) a sweep may evaluate: at the limit
-# its peak RSS measured 54 MB at n = 2 and 47 MB at n = 4 (every outcome, fresh
-# process, 2-vCPU VM). The largest grid in the tests, the acceptance suite and
-# the benchmark workloads is 41**2 * 4 = 6724 points (n = 2, step pi/80, every
-# outcome).
+# its peak RSS measured 65 MB at n = 2 and 56 MB at n = 4 (every outcome, fresh
+# process, 2-vCPU VM, sweep chunks of 2**18 entries). The largest grid in the
+# tests, the acceptance suite and the benchmark workloads is 41**2 * 4 = 6724
+# points (n = 2, step pi/80, every outcome).
 GRID_MAX_POINTS = 2**20
 
 
@@ -399,13 +397,15 @@ def margin_grid(
     min_val = float(margins.flat[first])
 
     # the refinement counts against the same limit: 9 ticks per axis a quarter
-    # step apart, fewer and farther apart when 9**n do not fit
+    # step apart, fewer and farther apart when 9**n do not fit; ticks clipped
+    # onto the same end of [0, pi/2] are solved once
     per_axis = max((k for k in range(2, 10) if k**n <= GRID_MAX_POINTS - margins.size),
                    default=0)
     if min_val < 0 and per_axis:
         fine = 2 * step / (per_axis - 1)
         local = _check_angles(
-            _product([np.clip(np.arange(c - step, c + step + fine / 2, fine), 0, np.pi / 2)
+            _product([np.unique(np.clip(np.arange(c - step, c + step + fine / 2, fine),
+                                        0, np.pi / 2))
                       for c in min_pt]),
             n,
             stacked=True,
@@ -483,7 +483,7 @@ def avg_fidelity(povm, angles) -> float:
             f"POVM has {len(povm)} elements on dim {povm.dim}, expected 2**{n}"
         )
     total = 0.0
-    for part in chunks(d, d * d, BLOCK_ENTRIES):
+    for part in chunks(d, d * d):
         factors, sign = _slot_factors(n, np.arange(d)[part], angles)
         m = povm.elements[part].real
         t = ((m + m.swapaxes(-1, -2)) / 2)[:, None]

@@ -15,7 +15,8 @@ The GHZ witnesses are signed sums of n sign-free tensor terms
 and its orbit under local flips (:func:`witness_orbits`) are read off the
 outcome bits of :func:`states.outcome_table`; this module derives no bits of
 its own. Every witness, one outcome's or a stack, is built by
-:func:`witness_chunks`.
+:func:`witness_operators` in one piece; ``selftest`` streams the solves
+of many witnesses over ``linalg.chunks``.
 """
 
 from dataclasses import dataclass
@@ -137,28 +138,18 @@ def witness_operator(n: int, s, ops: np.ndarray) -> np.ndarray:
     stacked ``ops`` ``(..., n, 2, 2, 2)`` give the stack of witnesses."""
     if ops.shape[-4:] != (n, 2, 2, 2):
         raise InvalidInput(f"operators have shape {ops.shape}, expected (...,{n},2,2,2)")
-    (ws,) = witness_chunks(ops, [outcome_index(s, n)])
-    return ws[..., 0, :, :]
+    return witness_operators(ops, [outcome_index(s, n)])[..., 0, :, :]
 
 
-def witness_chunks(ops: np.ndarray, outcomes=None):
-    """Yield the witnesses ``(..., len, 2**n, 2**n)`` of ``outcomes`` (all
-    ``2**n`` by default) in consecutive runs of at most ``CHUNK_ELEMENTS``
-    entries per leading index, so no caller needs all of them at once."""
+def witness_operators(ops: np.ndarray, outcomes=None) -> np.ndarray:
+    """The witnesses of ``outcomes`` (all ``2**n`` by default), stacked in
+    that order; stacked ``ops`` ``(..., n, 2, 2, 2)`` give ``(..., len,
+    2**n, 2**n)``."""
     n = ops.shape[-4]
-    d = 2**n
     terms = [t[..., None, :, :] for t in witness_terms(ops)]
     signs = witness_signs(n) if outcomes is None else witness_signs(n)[outcomes]
     # exact in the terms' dtype, whose products need no casting buffers
-    signs = signs.astype(terms[0].dtype)
-    for part in chunks(len(signs), d * d):
-        yield signed_sum(signs[part].T[..., None, None], terms)
-
-
-def witness_operators(ops: np.ndarray) -> np.ndarray:
-    """All ``2**n`` witnesses stacked, indexed by outcome; stacked ``ops``
-    ``(..., n, 2, 2, 2)`` give ``(..., 2**n, 2**n, 2**n)``."""
-    return np.concatenate(list(witness_chunks(ops)), axis=-3)
+    return signed_sum(signs.astype(terms[0].dtype).T[..., None, None], terms)
 
 
 def metric_normalization(n: int) -> float:

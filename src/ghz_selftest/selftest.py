@@ -8,6 +8,8 @@ the GHZ fidelities of the aligned measurement, partial-transpose
 entanglement of the outcomes, and antipodality of the messages.
 ``certify_strategy`` bundles them into a :class:`CertReport`; the CLI's
 ``spectrum`` and ``sos`` commands apply the same tolerances and checks.
+Witness spectra are the one place that streams witnesses: they are built and
+solved a chunk of ``linalg.chunks`` at a time.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -20,6 +22,7 @@ from .linalg import (
     SIGMA_X,
     SIGMA_Z,
     SQRT2,
+    chunks,
     dagger,
     fix_phase,
     herm_eig,
@@ -31,8 +34,8 @@ from .linalg import (
 from .scenario import (
     a_operators,
     success_metric,
-    witness_chunks,
     witness_factors,
+    witness_operators,
     witness_orbits,
     witness_signs,
     witness_terms,
@@ -153,10 +156,13 @@ def trace_bound(ops: np.ndarray, a0: np.ndarray | None = None) -> float:
 
 def _solve_witnesses(ops: np.ndarray, outcomes=None) -> np.ndarray:
     """Ascending eigenvalues of each outcome's own witness, one row per outcome
-    (all ``2**n`` by default). The witnesses stream in the chunks of
-    :func:`witness_chunks`, one stacked solve each, so the ``(2**n, 2**n,
-    2**n)`` stack is never held."""
-    return np.concatenate([herm_eigvals(ws) for ws in witness_chunks(ops, outcomes)])
+    (all ``2**n`` by default). The witnesses are built and solved a chunk of
+    :func:`linalg.chunks` at a time, so the ``(2**n, 2**n, 2**n)`` stack is
+    never held."""
+    d = 2 ** ops.shape[-4]
+    outcomes = np.arange(d) if outcomes is None else np.asarray(outcomes)
+    return np.concatenate([herm_eigvals(witness_operators(ops, outcomes[part]))
+                           for part in chunks(len(outcomes), d * d)])
 
 
 def witness_spectra(ops: np.ndarray, outcomes=None, a0: np.ndarray | None = None) -> np.ndarray:

@@ -164,22 +164,24 @@ class Povm:
 
     def validate(self) -> None:
         """Raise InvalidInput naming the first element that has a non-finite
-        entry, is not Hermitian (within ``POVM_ATOL``) or has a least
-        eigenvalue below ``-POVM_PSD_ATOL``, or if the elements do not sum to
-        the identity (within ``POVM_ATOL``).
+        entry, else the first that is not Hermitian (within ``POVM_ATOL``) or
+        has a least eigenvalue below ``-POVM_PSD_ATOL``, or if the elements
+        do not sum to the identity (within ``POVM_ATOL``), as
+        :meth:`SenderStates.validate` orders its checks.
 
-        The elements are checked a chunk at a time. A chunk that passes the
-        Hermiticity gate is first screened by one Cholesky factorization
-        (:func:`_cholesky_clears`); a chunk the screen does not clear is
-        decided by the least eigenvalue of ``(m + m^dag)/2`` from
-        ``eigvalsh``, exactly as without the screen, so the screen changes
+        The non-finite check reads the whole stack, so no message depends on
+        the chunk size; the finite elements are then checked a chunk at a
+        time. A chunk that passes the Hermiticity gate is first screened by one
+        Cholesky factorization (:func:`_cholesky_clears`); a chunk the screen
+        does not clear is decided by the least eigenvalue of ``(m + m^dag)/2``
+        from ``eigvalsh``, exactly as without the screen, so the screen changes
         neither a verdict nor a message.
         """
+        k = _first_non_finite(self.elements)
+        if k is not None:
+            raise InvalidInput(f"POVM element {k} has a non-finite entry")
         for part in chunks(len(self), self.dim**2):
             m = backends.real_if_real(self.elements[part])
-            k = _first_non_finite(m)
-            if k is not None:
-                raise InvalidInput(f"POVM element {part.start + k} has a non-finite entry")
             not_hermitian = np.abs(m - dagger(m)).max(axis=(1, 2)) > POVM_ATOL
             if not not_hermitian.any() and _cholesky_clears(m):
                 continue

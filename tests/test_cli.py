@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ghz_selftest
-from ghz_selftest import cli, optimize, robustness
+from ghz_selftest import cli, linalg, robustness
 from ghz_selftest.cli import (
     MAX_N,
     build_parser,
@@ -705,8 +705,8 @@ class TestRun:
     def test_seesaw_files_do_not_depend_on_the_block_size(self, tmp_path, monkeypatch,
                                                           n, restarts):
         outputs = []
-        for budget in (optimize.BLOCK_ENTRIES, 1):  # one block, then blocks of one
-            monkeypatch.setattr(optimize, "BLOCK_ENTRIES", budget)
+        for budget in (linalg.BLOCK_ENTRIES, 1):  # one block, then blocks of one
+            monkeypatch.setattr(linalg, "BLOCK_ENTRIES", budget)
             files = [tmp_path / name for name in ("r.json", "h.csv", "s.json")]
             assert run(parse_args([
                 "seesaw", "--metric", "ghz", "--n", str(n), "--restarts", str(restarts),
@@ -756,6 +756,32 @@ class TestRun:
             got = np.array([float(r[3]) for r in part])
             want = robustness._margins(2, s, corners, analytic_params(2))
             assert np.abs(got - want).max() <= 1e-13
+
+    def test_refinement_solves_each_clipped_point_once(self, tmp_path, monkeypatch):
+        calls = []  # (points, distinct points) per call
+        margins = robustness._margins
+
+        def counting(n, s, angles, params):
+            calls.append((len(angles), len(np.unique(angles, axis=0))))
+            return margins(n, s, angles, params)
+
+        monkeypatch.setattr(robustness, "_margins", counting)
+        # at step 10 every refinement tick clips onto 0 or pi/2: four corners
+        robustness.margin_grid(2, step=10.0)
+        assert calls == [(4, 4), (4, 4)]
+        # the default sweep refines around (pi/4, pi/4), where nothing clips,
+        # and its report keeps every byte
+        calls.clear()
+        out = tmp_path / "r.json"
+        assert run(parse_args(["robustness-grid", "--n", "2", "-o", str(out)])) == 0
+        assert calls == [(41 * 41, 41 * 41), (81, 81)]
+        assert out.read_text() == (
+            '{"command":"robustness-grid","config":{"input":null,"n":2,"options":{"csv":null,'
+            '"mu":null,"r":null,"step":0.039269908169872414},"seed":0,"tolerances":{}},'
+            '"passed":true,"results":{"argmin_angles":[0.7853981633974485,0.7853981633974485],'
+            '"argmin_outcome":"00","min_margin":-4.4408920985006262e-16,'
+            '"mu":-0.95710678118654757,"points":6724,"r":0.69194173824159222},'
+            '"version":"0.1.0"}')
 
     @pytest.mark.parametrize("step", ["0", "-0.1", "nan"])
     def test_robustness_grid_bad_step_is_an_input_error(self, tmp_path, capsys, step):

@@ -427,3 +427,30 @@ class TestEigensolverPath:
         assert stray == []
         # the walk sees the backend's own solves
         assert {"eigh", "_eigh_retry", "eigvalsh"} <= {c[1] for c in calls if c[0] == "backends.py"}
+
+
+def budget_names(tree):
+    """Line numbers of every mention of ``BLOCK_ENTRIES`` in a module: a
+    name, an attribute, an imported name or a string."""
+    return [node.lineno for node in ast.walk(tree) if "BLOCK_ENTRIES" in (
+        getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None),
+        getattr(node, "value", None))]
+
+
+class TestChunkBudget:
+    """Every streamed loop takes its slices from ``linalg.chunks``, so the
+    chunk budget is decided in one module."""
+
+    def test_only_linalg_names_the_budget(self):
+        trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+                 for path in Path(ghz_selftest.__file__).parent.glob("*.py")}
+        named = {name for name, tree in trees.items() if budget_names(tree)}
+        assert named == {"linalg.py"}
+        (chunks,) = [stmt for stmt in trees["linalg.py"].body
+                     if isinstance(stmt, ast.FunctionDef) and stmt.name == "chunks"]
+        args = chunks.args
+        assert [a.arg for a in args.posonlyargs + args.args] == ["count", "entries"]
+        assert not (args.vararg or args.kwonlyargs or args.kwarg or args.defaults)
+        # the walk sees the constant and the one read of it, in chunks
+        assert len(budget_names(trees["linalg.py"])) == 2
+        assert budget_names(chunks) != []

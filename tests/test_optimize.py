@@ -224,14 +224,6 @@ class TestWitnessOrbits:
             checked += 1
         assert checked >= len(inputs) // 2
 
-    def test_representatives_across_chunks_give_the_same_bytes(self, monkeypatch):
-        # from n = 8 on, the two even-n representatives fall into two chunks
-        ops = message_operators(np.stack([random_messages(4, seed) for seed in range(3)]))
-        want = _ghz_povm(ops)
-        monkeypatch.setattr(linalg, "CHUNK_ELEMENTS", 4**4)  # one 16 x 16 witness each
-        assert len(linalg.chunks(2, 4**4)) == 2
-        assert _ghz_povm(ops).tobytes() == want.tobytes()
-
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_one_solve_per_orbit_and_restart(self, n, monkeypatch):
         solved = []
@@ -519,11 +511,11 @@ class TestLockstep:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("n, restarts, budget", [
-        (2, 20, optimize.BLOCK_ENTRIES), (5, 3, optimize.BLOCK_ENTRIES), (5, 3, 8**5),
+        (2, 20, linalg.BLOCK_ENTRIES), (5, 3, linalg.BLOCK_ENTRIES), (5, 3, 8**5),
     ], ids=["one-block", "one-block-n5", "blocks-of-one"])
     def test_best_restart_is_the_first_maximum(self, monkeypatch, n, restarts, budget):
         # at these seeds several restarts end on the same value bit for bit
-        monkeypatch.setattr(optimize, "BLOCK_ENTRIES", budget)
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", budget)
         res = seesaw(SeesawConfig(n=n, restarts=restarts, seed=0))
         finals = [h[-1] for h in res.history]
         first = finals.index(max(finals))

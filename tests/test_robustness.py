@@ -12,8 +12,7 @@ from ghz_selftest import backends, robustness
 from ghz_selftest.errors import InequalityViolated, InvalidInput, Unsupported
 from ghz_selftest.fixtures import depolarized_strategy, ideal_strategy, partial_bell_strategy
 from ghz_selftest.linalg import (
-    BLOCK_ENTRIES, SIGMA_A, SIGMA_B, SIGMA_X, SIGMA_Z, chunks, contract_slot, herm_eigvals,
-    projector,
+    SIGMA_A, SIGMA_B, SIGMA_X, SIGMA_Z, chunks, contract_slot, herm_eigvals, projector,
 )
 from ghz_selftest.rng import make_rng
 from ghz_selftest.robustness import (
@@ -301,7 +300,7 @@ class TestGhzImages:
                             lambda t, w: calls.append(t.shape) or contract_slot(t, w))
         assert avg_fidelity(povm, angles) == want
         d = 2**n
-        assert len(calls) == n * len(chunks(d, d * d, BLOCK_ENTRIES))
+        assert len(calls) == n * len(chunks(d, d * d))
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_avg_fidelity_reads_only_the_real_symmetric_part(self, n):
@@ -463,7 +462,8 @@ class TestStackedSweep:
         assert res.passed
 
     def test_four_senders_across_chunks(self, tmp_path):
-        # 9**4 points of dimension 16: many chunks of the stacked sweep
+        # 9 * C(11, 3) = 1485 canonical nodes of dimension 16: two chunks of the
+        # stacked sweep
         params = FidelityBoundParams(r=6 / (3 * 2 * SQRT2), mu=-5.0, n=4)
         res = self.check_grid(tmp_path, 4, params, np.pi / 16, [0], sample=(11, 150))
         assert res.points == 6561
@@ -584,7 +584,10 @@ class TestStackedSweep:
         # the grid's 2n canonical nodes (slots 2..n sorted), then the refinement
         assert counted[0] == 2 * n and len(counted) == 2
         assert sum(counted) <= robustness.GRID_MAX_POINTS
-        assert counted[1] == (9 if n < 7 else 7) ** n
+        # the minimum is the first node, (0, ..., 0): of each local axis's 9
+        # ticks (7 at n = 7, where 9**7 do not fit), those at or below 0 clip
+        # onto 0 and are solved once
+        assert counted[1] == (5 if n < 7 else 4) ** n
 
     @pytest.mark.parametrize("n, step, slope", [
         (2, np.pi / 16, None), (3, np.pi / 8, 4.0), (4, np.pi / 8, 6.0), (5, np.pi / 4, 8.0),

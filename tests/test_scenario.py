@@ -13,7 +13,7 @@ from ghz_selftest.fixtures import (
     separable_fixture,
 )
 from ghz_selftest import linalg, scenario
-from ghz_selftest.linalg import CHUNK_ELEMENTS, I2, SIGMA_X, SIGMA_Z, op_norm, tensor
+from ghz_selftest.linalg import I2, SIGMA_X, SIGMA_Z, op_norm, tensor
 from ghz_selftest.scenario import (
     COUNTEREXAMPLE_COEFFS,
     CounterexampleStrategy,
@@ -223,10 +223,11 @@ class TestProbabilityTable:
 
     def test_identical_across_chunk_boundaries(self, monkeypatch):
         s = random_mixed_strategy(6, 5)
-        assert CHUNK_ELEMENTS // 4**6 < 2**6  # several chunks per call
-        chunked = probability_table(s)
-        monkeypatch.setattr(linalg, "CHUNK_ELEMENTS", 2**6 * 4**6)
+        assert len(linalg.chunks(2**6, 4**6)) == 1
         whole = probability_table(s)
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 5 * 4**6)
+        assert len(linalg.chunks(2**6, 4**6)) == 13  # chunks of 5 outcomes, the last of 4
+        chunked = probability_table(s)
         assert np.array_equal(chunked.base, whole.base)
         assert np.array_equal(chunked.pair, whole.pair)
 
@@ -234,6 +235,7 @@ class TestProbabilityTable:
     def test_one_slot_contraction_per_qubit_and_chunk(self, n, monkeypatch):
         s = random_mixed_strategy(n, 7)
         want = probability_table(s)
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 16 * 4**6)  # four chunks at n = 6
         shapes = []
         contract = linalg.contract_slot
         monkeypatch.setattr(scenario, "contract_slot",
@@ -244,7 +246,7 @@ class TestProbabilityTable:
         # the base table and the n - 1 pair contexts, each in outcome chunks
         assert len(shapes) == n * n * len(linalg.chunks(d, d * d))
         # memory stays flat: no contraction reads more than one chunk's entries
-        assert max(np.prod(shape) for shape in shapes) <= CHUNK_ELEMENTS
+        assert max(np.prod(shape) for shape in shapes) <= linalg.BLOCK_ENTRIES
 
     def test_product_traces_of_unequal_stacks(self):
         rng = np.random.default_rng(2)

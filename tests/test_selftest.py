@@ -10,7 +10,7 @@ from ghz_selftest.errors import (
     NotSelfTestable,
     PreconditionViolated,
 )
-from ghz_selftest import backends
+from ghz_selftest import backends, linalg
 from ghz_selftest.cli import parse_args, run
 from ghz_selftest.fixtures import (
     computational_strategy,
@@ -190,6 +190,27 @@ class TestWitnessSpectra:
         spectra = witness_spectra(ops)
         for outcomes in ([5], [6, 3], [3, 0, 3]):
             assert np.array_equal(witness_spectra(ops, outcomes), spectra[outcomes])
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_outcome_rows_and_one_witness_chunks_keep_every_byte(self, kind, monkeypatch):
+        n = 4
+        # traced operators: witness_bounds solves every outcome's own witness
+        stack = np.stack([a_operators(random_mixed_strategy(n, seed)) for seed in (7, 8)])
+        stack = (stack.real if kind == "real" else stack) + 1e-3 * np.eye(2)
+        assert stack.dtype == (float if kind == "real" else complex)
+        outcomes = [11, 0, 5, 11]
+        for ops in (stack[0], stack):
+            every = witness_operators(ops)
+            got = witness_operators(ops, outcomes)
+            assert got.tobytes() == every[..., outcomes, :, :].tobytes()
+        ops = stack[0]
+        assert trace_bound(ops) > 1e-9 / 10
+        want = [witness_spectra(ops).tobytes(), np.array(witness_bounds(ops, 1e-9)).tobytes()]
+        assert len(linalg.chunks(2**n, 4**n)) == 1
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 4**n)  # one witness per chunk
+        assert len(linalg.chunks(2**n, 4**n)) == 2**n
+        assert [witness_spectra(ops).tobytes(),
+                np.array(witness_bounds(ops, 1e-9)).tobytes()] == want
 
     def test_never_holds_the_witness_stack(self):
         ops = a_operators(ideal_strategy(7))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ghz_selftest
-from ghz_selftest import backends
+from ghz_selftest import backends, linalg
 from ghz_selftest.errors import InvalidBloch, InvalidInput
 from ghz_selftest.fixtures import ideal_strategy, literal_ideal_strategy
 from ghz_selftest.linalg import I2, SIGMA_A, SIGMA_X, SIGMA_Z, chunks, dagger, projector, tensor
@@ -338,10 +338,11 @@ class TestRng:
 
 
 class TestValidation:
-    """Stacked validation names the first failing element and its first
-    failing check, as a loop over the elements would."""
+    """Stacked validation names the first element with a non-finite entry,
+    else the first failing element and its first failing check, whatever the
+    chunk size."""
 
-    @pytest.mark.parametrize("n", [2, 7])  # one chunk; one element per chunk
+    @pytest.mark.parametrize("n", [2, 7])  # one chunk; eight chunks of 16 elements
     @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
     @pytest.mark.parametrize("defect", ["Hermitian", "positive semidefinite"])
@@ -389,6 +390,21 @@ class TestValidation:
             Povm(el).validate()
         assert str(exc.value) == "POVM element 1 has a non-finite entry"
 
+    @pytest.mark.parametrize("n", [2, 7])
+    @pytest.mark.parametrize("one_per_chunk", [False, True])
+    def test_povm_names_a_non_finite_entry_first_at_any_chunk_size(
+            self, monkeypatch, n, one_per_chunk):
+        # as for sender states: a non-finite entry anywhere is named before an
+        # earlier element's other defect, however the elements are chunked
+        el = povm_elements(n, "complex").copy()
+        el[0, 0, 1] += 1e-6
+        el[3, 2, 2] = np.nan
+        if one_per_chunk:
+            monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 4**n)
+        with pytest.raises(InvalidInput) as exc:
+            Povm(el).validate()
+        assert str(exc.value) == "POVM element 3 has a non-finite entry"
+
     @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("entry", [np.nan, -np.inf])
     @pytest.mark.parametrize("k, where", [(0, (1, 1)), (2, (0, 1))])
@@ -427,11 +443,11 @@ class TestValidation:
 def eigvalsh_rule(povm: Povm):
     """``Povm.validate``'s message without the Cholesky screen, or None for a
     valid POVM: every chunk decided by ``eigvalsh``, the rule as it was."""
+    bad = ~np.isfinite(povm.elements).all(axis=(-2, -1))
+    if bad.any():
+        return f"POVM element {int(bad.argmax())} has a non-finite entry"
     for part in chunks(len(povm), povm.dim**2):
         m = backends.real_if_real(povm.elements[part])
-        bad = ~np.isfinite(m).all(axis=(-2, -1))
-        if bad.any():
-            return f"POVM element {part.start + int(bad.argmax())} has a non-finite entry"
         failed = np.array([
             np.abs(m - dagger(m)).max(axis=(1, 2)) > POVM_ATOL,
             backends.eigvalsh((m + dagger(m)) / 2)[:, 0] < -POVM_PSD_ATOL,
