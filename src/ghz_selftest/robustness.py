@@ -29,9 +29,10 @@ chunk of the sweep, which solves the real ``K_s - r W_s - mu I`` through
 symmetric, so the average fidelity ``sum_s <xi_s|Lambda[M_s]|xi_s> / 2**n``
 is ``sum_s Tr(M_s K_s) / 2**n`` (``avg_fidelity``): the POVM is never pushed
 through the channel, and ``K_s`` is never built either, since each trace
-contracts ``M_s`` slot by slot against the 2x2 factors
-(``linalg.contract_slot``). ``apply_channel`` channels any operator qubit by
-qubit; it is the reference the images are tested against.
+contracts ``Re M_s`` slot by slot against the 2x2 factors of ``L_aa``,
+``L_bb``, ``L_ab`` and ``L_ba = L_ab^T`` (``linalg.contract_slot``).
+``apply_channel`` channels any operator qubit by qubit; it is the reference
+the images are tested against.
 """
 
 import math
@@ -469,11 +470,12 @@ def avg_fidelity(povm, angles) -> float:
     of the channel-maximized extraction fidelity. The product channel is
     self-dual, so each term is ``Tr(M_s K_s)`` with ``K_s`` the real
     symmetric image of :func:`k_operator`, and the POVM is never pushed
-    through the channel. Nor is ``K_s`` built: with ``S`` the symmetric part
-    of ``Re M_s``, ``Tr(M_s K_s) = (Tr(S L_aa) + Tr(S L_bb)) / 2
-    + (-1)^{s_1} Tr(S L_ab)``, and each trace contracts ``S`` slot by slot
-    against the 2x2 factors of :func:`_slot_factors`, one
-    :func:`linalg.contract_slot` per slot for all three factor sets.
+    through the channel. Nor is ``K_s`` built: ``K_s`` is real symmetric, so
+    with ``R = Re M_s`` and ``L_ba = L_ab^T``, ``Tr(M_s K_s) = (Tr(R L_aa)
+    + Tr(R L_bb) + (-1)^{s_1} (Tr(R L_ab) + Tr(R L_ba))) / 2``, and each
+    trace contracts ``R`` slot by slot against the 2x2 factors of
+    :func:`_slot_factors` and their transposes, one
+    :func:`linalg.contract_slot` per slot for all four factor sets.
     """
     angles = _check_angles(angles)
     n = angles.shape[0]
@@ -485,12 +487,13 @@ def avg_fidelity(povm, angles) -> float:
     total = 0.0
     for part in chunks(d, d * d):
         factors, sign = _slot_factors(n, np.arange(d)[part], angles)
-        m = povm.elements[part].real
-        t = ((m + m.swapaxes(-1, -2)) / 2)[:, None]
+        # the factors of L_aa, L_bb, L_ab and L_ba = L_ab^T
+        factors = np.concatenate([factors, factors[2:].swapaxes(-1, -2)])
+        t = povm.elements[part].real[:, None]
         for j in range(n):
             t = contract_slot(t, np.moveaxis(factors[:, :, j], 0, 1))
-        tr = t.reshape(-1, 3)  # Tr(S L_aa), Tr(S L_bb), Tr(S L_ab) per outcome
-        total += float(((tr[:, 0] + tr[:, 1]) / 2 + sign * tr[:, 2]).sum())
+        tr = t.reshape(-1, 4)  # Tr(Re M_s L) for the four factor sets, per outcome
+        total += float(((tr[:, 0] + tr[:, 1] + sign * (tr[:, 2] + tr[:, 3])) / 2).sum())
     return total / d
 
 
@@ -502,7 +505,8 @@ def partial_fidelity_bound(eps: float, rac_value: float) -> float:
 
     ``1 - (8 sqrt2 eps / 3)(r - mu/sqrt2)
     + mu * arccos(2 sqrt2 (rac - 1/2)) * (2 - 4 eps / 3)`` with the
-    analytic two-sender coefficients. ``rac_value`` may not exceed the
+    analytic two-sender coefficients, clamped at 0 as
+    :func:`fidelity_lower_bound` is. ``rac_value`` may not exceed the
     quantum optimum (the arccos argument must stay in [-1, 1]).
     """
     if not (math.isfinite(eps) and math.isfinite(rac_value)):
@@ -518,7 +522,7 @@ def partial_fidelity_bound(eps: float, rac_value: float) -> float:
     bound = 1 - (8 * sqrt2 * eps / 3) * (r - mu / sqrt2) + mu * math.acos(arg) * (2 - 4 * eps / 3)
     if not math.isfinite(bound):
         raise InvalidInput(f"eps {eps} is too large: the fidelity bound overflows")
-    return bound
+    return max(0.0, bound)
 
 
 def partial_meaningful_eps() -> float:

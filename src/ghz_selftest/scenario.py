@@ -208,24 +208,33 @@ class ProbabilityTable:
             raise InvalidInput("negative probability entry")
 
 
-def product_traces(elements: np.ndarray, stacks) -> np.ndarray:
-    """``p[m, k_1, ..., k_n] = Re Tr(M_m (x)_j S_j[k_j])`` for operators
-    ``(count, 2**n, 2**n)`` and per-qubit state stacks ``S_j`` ``(k_j, 2, 2)``.
+def product_traces(elements: np.ndarray, head, tails) -> list:
+    """One array per tail ``T``: ``p[m, k_1, ..., k_n] = Re Tr(M_m (x)_j
+    S_j[k_j])`` for operators ``(count, 2**n, 2**n)`` and the per-qubit state
+    stacks ``S_j`` ``(k_j, 2, 2)`` of ``head + T``.
 
     The product states are never formed: :func:`linalg.contract_slot`
     contracts the operators with one qubit's stack at a time, first qubit
     first, each stack's states landing on a new axis. Operators are taken in
-    the chunks of ``linalg.chunks``.
+    the chunks of ``linalg.chunks``; each chunk is contracted with the shared
+    ``head`` once and then with every tail, so one context is one tail.
     """
     count, d = elements.shape[:2]
-    sizes = [len(st) for st in stacks]
-    out = np.empty((count, int(np.prod(sizes))))
+    sizes = [[len(st) for st in head + tail] for tail in tails]
+    outs = [np.empty((count, int(np.prod(s)))) for s in sizes]
     for part in chunks(count, d * d):
-        t = elements[part]
-        for st in stacks:
-            t = contract_slot(t[..., None, :, :], np.swapaxes(st, -1, -2))
-        out[part] = t.real.reshape(len(t), -1)
-    return out.reshape(count, *sizes)
+        shared = _contract_stacks(elements[part], head)
+        for out, tail in zip(outs, tails):
+            t = _contract_stacks(shared, tail)
+            out[part] = t.real.reshape(len(t), -1)
+    return [out.reshape(count, *s) for out, s in zip(outs, sizes)]
+
+
+def _contract_stacks(t: np.ndarray, stacks) -> np.ndarray:
+    """Contract the leading qubits of ``t`` with ``stacks``, one slot each."""
+    for st in stacks:
+        t = contract_slot(t[..., None, :, :], np.swapaxes(st, -1, -2))
+    return t
 
 
 def probability_table(strategy: Strategy) -> ProbabilityTable:
@@ -237,15 +246,17 @@ def probability_table(strategy: Strategy) -> ProbabilityTable:
     d = 2**n
     rho = [st.rho for st in strategy.senders]
     first = rho[0].swapaxes(0, 1).reshape(4, 2, 2)  # indexed by (x1, a1)
-    p = product_traces(els, [first] + [r[:, 0] for r in rho[1:]])
+    # the base context, then pair context j: x_j = 1, the other senders mixed
+    tails = [[r[:, 0] for r in rho[1:]]]
+    for j in range(2, n + 1):
+        tail = [I2[None] / 2] * (n - 1)
+        tail[j - 2] = rho[j - 1][:, 1]
+        tails.append(tail)
+    p, *pairs = product_traces(els, [first], tails)
     # axes (s, x1, a1, ..., an) -> (x1, an, ..., a1, s): a1 is bit 0 of a
     p = p.reshape((d, 2) + (2,) * n).transpose([1, *range(n + 1, 1, -1), 0])
     base = p.reshape(2, d, d)
-    pair = np.empty((n - 1, 2, 2, 2, d))
-    for j in range(2, n + 1):
-        stacks = [first] + [I2[None] / 2] * (n - 1)
-        stacks[j - 1] = rho[j - 1][:, 1]
-        pair[j - 2] = np.moveaxis(product_traces(els, stacks).reshape(d, 2, 2, 2), 0, -1)
+    pair = np.stack([np.moveaxis(q.reshape(d, 2, 2, 2), 0, -1) for q in pairs])
     return ProbabilityTable(n=n, base=base, pair=pair)
 
 

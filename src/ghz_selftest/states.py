@@ -130,15 +130,19 @@ class SenderStates:
         k = _first_non_finite(m)
         if k is not None:
             raise InvalidInput(f"state ({k // 2}|{k % 2}) has a non-finite entry")
-        traces = np.trace(m, axis1=1, axis2=2).real
+        # in halves, so no difference or trace of finite entries overflows;
+        # halving is exact, so the verdicts are those of m - m^dag and Tr m
+        half = m / 2
+        half_traces = np.trace(half, axis1=1, axis2=2).real
         failed = _first_failure(
-            np.abs(m - dagger(m)).max(axis=(1, 2)) > STATE_ATOL,
-            abs(traces - 1) > STATE_ATOL,
+            np.abs(half - dagger(half)).max(axis=(1, 2)) > STATE_ATOL / 2,
+            abs(half_traces - 0.5) > STATE_ATOL / 2,
             backends.eigvalsh(m)[:, 0] < -STATE_ATOL,
         )
         if failed is not None:
             k, check = failed
-            reason = ("is not Hermitian", f"has trace {traces[k]}",
+            # a Python product: a trace above the float range reads inf
+            reason = ("is not Hermitian", f"has trace {2 * float(half_traces[k])}",
                       "is not positive semidefinite")[check]
             raise InvalidInput(f"state ({k // 2}|{k % 2}) {reason}")
 
@@ -182,25 +186,32 @@ class Povm:
             raise InvalidInput(f"POVM element {k} has a non-finite entry")
         for part in chunks(len(self), self.dim**2):
             m = backends.real_if_real(self.elements[part])
-            not_hermitian = np.abs(m - dagger(m)).max(axis=(1, 2)) > POVM_ATOL
-            if not not_hermitian.any() and _cholesky_clears(m):
+            # in halves, as for sender states: m/2 - m^dag/2 and the
+            # symmetrization m/2 + m^dag/2 never overflow
+            half = m / 2
+            not_hermitian = np.abs(half - dagger(half)).max(axis=(1, 2)) > POVM_ATOL / 2
+            if not not_hermitian.any() and _cholesky_clears(half):
                 continue
             failed = _first_failure(
                 not_hermitian,
-                backends.eigvalsh((m + dagger(m)) / 2)[:, 0] < -POVM_PSD_ATOL,
+                backends.eigvalsh(half + dagger(half))[:, 0] < -POVM_PSD_ATOL,
             )
             if failed is not None:
                 k, check = failed
                 reason = ("Hermitian", "positive semidefinite")[check]
                 raise InvalidInput(f"POVM element {part.start + k} is not {reason}")
-        if np.abs(self.elements.sum(axis=0) - np.eye(self.dim)).max() > POVM_ATOL:
+        # a sum of huge entries may overflow to inf, which the check refuses
+        with np.errstate(over="ignore"):
+            total = self.elements.sum(axis=0)
+        if np.abs(total - np.eye(self.dim)).max() > POVM_ATOL:
             raise InvalidInput("POVM elements do not sum to the identity")
 
 
-def _cholesky_clears(m: np.ndarray) -> bool:
+def _cholesky_clears(half: np.ndarray) -> bool:
     """True when a Cholesky factorization proves that every matrix of the
-    Hermitian stack ``m`` has ``(m + m^dag)/2`` with least eigenvalue above
-    ``-POVM_PSD_ATOL``; False leaves the verdict to the eigenvalue rule.
+    Hermitian stack ``m``, given as ``half = m / 2``, has ``(m + m^dag)/2``
+    with least eigenvalue above ``-POVM_PSD_ATOL``; False leaves the verdict
+    to the eigenvalue rule.
 
     With ``H = (m + m^dag)/2`` and ``tau = POVM_PSD_ATOL``, a factorization of
     ``H + (tau/2) I`` that runs to completion in floating point proves the
@@ -211,13 +222,13 @@ def _cholesky_clears(m: np.ndarray) -> bool:
     (true of every valid element), stays below ``tau/2``: up to d = 256,
     and at d = 128 it is 3.7e-12 against 5e-11.
     """
-    d = m.shape[-1]
+    d = half.shape[-1]
     if not (d + 1) * np.finfo(float).eps * d * (1 + POVM_ATOL) < POVM_PSD_ATOL / 2:
         return False
-    if np.diagonal(m, axis1=1, axis2=2).real.max() > 1 + POVM_ATOL:
+    if np.diagonal(half, axis1=1, axis2=2).real.max() > (1 + POVM_ATOL) / 2:
         return False
-    shifted = (m + dagger(m)) / 2
-    shifted.reshape(len(m), d * d)[:, :: d + 1] += POVM_PSD_ATOL / 2
+    shifted = half + dagger(half)
+    shifted.reshape(len(half), d * d)[:, :: d + 1] += POVM_PSD_ATOL / 2
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:

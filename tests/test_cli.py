@@ -535,6 +535,41 @@ class TestRun:
         assert "non-finite" in err and path in err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("entries, message", [
+        # a diagonal entry: fails only the identity sum
+        ([("povm", 0, 0, 0, 1e308)], "POVM elements do not sum to the identity"),
+        # an antisymmetric pair, in the POVM and in a sender state
+        ([("povm", 0, 0, 1, 1e308), ("povm", 0, 1, 0, -1e308)],
+         "POVM element 0 is not Hermitian"),
+        ([("rho", 0, 0, 1, 1e308), ("rho", 0, 1, 0, -1e308)],
+         "sender 1: state (0|0) is not Hermitian"),
+        # two diagonal entries of one state: its trace is above the float range
+        ([("rho", 0, 0, 0, 1e308), ("rho", 0, 1, 1, 1e308)],
+         "sender 1: state (0|0) has trace inf"),
+        # the same diagonal entry in two elements: their sum overflows
+        ([("povm", 2, 0, 0, 1e308), ("povm", 3, 0, 0, 1e308)],
+         "POVM elements do not sum to the identity"),
+        # off the projector's support (m + m^dag) / 2 overflowed to inf and the
+        # eigensolver failed; in halves the least eigenvalue is read at the
+        # scale of 1e308, so the eigenvalue rule or the identity sum refuses it
+        ([("povm", 0, 1, 1, 1e308)], "POVM element"),
+    ])
+    def test_huge_finite_entries_are_refused_without_a_warning(self, tmp_path, capsys,
+                                                                entries, message):
+        # validation works in halves, so no entry near the float range
+        # overflows on the way to the verdict (a NumPy overflow warning
+        # fails the test)
+        data = strategy_to_dict(ideal_strategy(2))
+        for field, k, i, j, value in entries:
+            matrix = data["senders"][0]["rho"][0][k] if field == "rho" else data["povm"][k]
+            matrix[i][j][0] = value
+        strat = tmp_path / "s.json"
+        strat.write_text(json.dumps(data))
+        code = run(parse_args(["certify", "--input", str(strat), "-o", str(tmp_path / "r.json")]))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"certify: error: {message}")
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("defect, field", [
         ("third number in a pair", "povm[0]"),
         ("three of four entries in a row", "povm[1]"),

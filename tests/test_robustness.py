@@ -8,7 +8,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from ghz_selftest import backends, robustness
+from ghz_selftest import backends, linalg, robustness
 from ghz_selftest.errors import InequalityViolated, InvalidInput, Unsupported
 from ghz_selftest.fixtures import depolarized_strategy, ideal_strategy, partial_bell_strategy
 from ghz_selftest.linalg import (
@@ -302,10 +302,22 @@ class TestGhzImages:
         d = 2**n
         assert len(calls) == n * len(chunks(d, d * d))
 
+    def test_avg_fidelity_in_several_chunks_agrees_with_one(self, monkeypatch):
+        n = 6
+        d = 2**n
+        povm = random_strategy(n, 70).povm
+        angles = make_rng(71).uniform(0, np.pi / 2, size=n)
+        assert len(chunks(d, d * d)) == 1
+        want = avg_fidelity(povm, angles)
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 5 * d * d)
+        assert len(chunks(d, d * d)) == 13  # chunks of 5 outcomes, the last of 4
+        assert abs(avg_fidelity(povm, angles) - want) <= 1e-15
+
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_avg_fidelity_reads_only_the_real_symmetric_part(self, n):
-        # the contraction symmetrizes Re M_s, so an antisymmetric real part
-        # and any imaginary part of the elements leave the fidelity unchanged
+        # K_s is real symmetric, so Tr(M_s K_s) reads only the real symmetric
+        # part of M_s: an antisymmetric real part and any imaginary part of
+        # the elements leave the fidelity unchanged
         rng = make_rng(50 + n)
         d = 2**n
         povm = random_strategy(n, 60 + n).povm
@@ -797,6 +809,17 @@ class TestPartialBounds:
     def test_rac_range_gate(self):
         with pytest.raises(InvalidInput):
             partial_fidelity_bound(0.0, 0.9)
+
+    def test_clamped_at_zero(self):
+        # the affine floor reads -0.858 and -2.007 at these points; a fidelity
+        # floor below 0 says no more than 0, as in fidelity_lower_bound
+        opt = (1 + 1 / SQRT2) / 2
+        assert partial_fidelity_bound(0.36, opt) == 0.0
+        assert partial_fidelity_bound(0.0, 0.5) == 0.0
+        # the floor reaches 0 at twice the meaningful edge, and not before
+        edge = 2 * partial_meaningful_eps()
+        assert 0 < partial_fidelity_bound(edge * (1 - 1e-9), opt) < 1e-8
+        assert partial_fidelity_bound(edge * (1 + 1e-9), opt) == 0.0
 
     def test_non_finite_inputs_rejected(self):
         opt = (1 + 1 / SQRT2) / 2

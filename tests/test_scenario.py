@@ -243,21 +243,63 @@ class TestProbabilityTable:
         got = probability_table(s)
         assert np.array_equal(got.base, want.base) and np.array_equal(got.pair, want.pair)
         d = 2**n
-        # the base table and the n - 1 pair contexts, each in outcome chunks
-        assert len(shapes) == n * n * len(linalg.chunks(d, d * d))
+        # per outcome chunk: slot 1 once, shared by the base table and the
+        # n - 1 pair contexts, which each contract the other n - 1 slots
+        assert len(shapes) == (1 + n * (n - 1)) * len(linalg.chunks(d, d * d))
         # memory stays flat: no contraction reads more than one chunk's entries
         assert max(np.prod(shape) for shape in shapes) <= linalg.BLOCK_ENTRIES
+
+    @staticmethod
+    def per_context_table(s):
+        """The tables with every context contracted on its own, slot 1
+        included, through ``contract_slot`` over the whole POVM stack."""
+        n, d = s.n, 2**s.n
+        rho = [st.rho for st in s.senders]
+        first = rho[0].swapaxes(0, 1).reshape(4, 2, 2)
+
+        def traces(stacks):
+            t = s.povm.elements
+            for st in stacks:
+                t = linalg.contract_slot(t[..., None, :, :], np.swapaxes(st, -1, -2))
+            return t.real.reshape(d, -1)
+
+        p = traces([first] + [r[:, 0] for r in rho[1:]])
+        base = p.reshape((d, 2) + (2,) * n).transpose([1, *range(n + 1, 1, -1), 0])
+        pair = np.empty((n - 1, 2, 2, 2, d))
+        for j in range(1, n):
+            stacks = [first] + [I2[None] / 2] * (n - 1)
+            stacks[j] = rho[j][:, 1]
+            pair[j - 1] = np.moveaxis(traces(stacks).reshape(d, 2, 2, 2), 0, -1)
+        return base.reshape(2, d, d), pair
+
+    @pytest.mark.parametrize("n, block", [(2, None), (3, None), (4, None), (5, None),
+                                          (6, None), (6, 5 * 4**6)])
+    def test_shared_first_slot_gives_the_per_context_tables(self, n, block, monkeypatch):
+        # sharing slot 1 between the contexts reorders no arithmetic, in one
+        # chunk (block None) or in chunks of 5 outcomes
+        if block is not None:
+            monkeypatch.setattr(linalg, "BLOCK_ENTRIES", block)
+        for s in (random_mixed_strategy(n, 11), random_strategy(n, 12)):
+            table = probability_table(s)
+            base, pair = self.per_context_table(s)
+            assert np.array_equal(table.base, base) and np.array_equal(table.pair, pair)
 
     def test_product_traces_of_unequal_stacks(self):
         rng = np.random.default_rng(2)
         els = rng.normal(size=(3, 8, 8)) + 1j * rng.normal(size=(3, 8, 8))
         stacks = [rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
-                  for k in (3, 1, 2)]
-        p = product_traces(els, stacks)
-        assert p.shape == (3, 3, 1, 2)
-        for m, i, j, k in np.ndindex(p.shape):
-            joint = tensor([stacks[0][i], stacks[1][j], stacks[2][k]])
-            assert abs(p[m, i, j, k] - np.trace(els[m] @ joint).real) < 1e-13
+                  for k in (3, 1, 2, 4)]
+        # one head stack and two tails of two stacks each
+        tails = [[stacks[1], stacks[2]], [stacks[3], stacks[1]]]
+        got = product_traces(els, stacks[:1], tails)
+        assert [p.shape for p in got] == [(3, 3, 1, 2), (3, 3, 4, 1)]
+        for p, tail in zip(got, tails):
+            for m, i, j, k in np.ndindex(p.shape):
+                joint = tensor([stacks[0][i], tail[0][j], tail[1][k]])
+                assert abs(p[m, i, j, k] - np.trace(els[m] @ joint).real) < 1e-13
+        # a single context is the one-tail case
+        alone, = product_traces(els, stacks[:1], tails[:1])
+        assert np.array_equal(alone, got[0])
 
     def test_pair_contexts_marginalize_for_antipodal_messages(self):
         # when each input's two messages are orthogonal, the maximally mixed
