@@ -31,8 +31,10 @@ def literal_ideal_strategy(n: int) -> Strategy:
     Hadamards on those slots. Score 1, like :func:`ideal_strategy`.
     """
     senders = tuple(ideal_sender_states(j, n) for j in range(1, n + 1))
-    h = tensor([I2] + [SIGMA_A] * (n - 1))  # sigma_A is the Hadamard
-    return Strategy(n=n, senders=senders, povm=Povm(h @ ghz_povm(n).elements @ h))
+    # sigma_A is the Hadamard; it and the GHZ projectors are real, and the
+    # real products carry the bits of the complex ones at half the cost
+    h = tensor([I2.real] + [SIGMA_A.real] * (n - 1))
+    return Strategy(n=n, senders=senders, povm=Povm(h @ ghz_povm(n).elements.real @ h))
 
 
 def computational_strategy(n: int) -> Strategy:

@@ -208,33 +208,46 @@ class ProbabilityTable:
             raise InvalidInput("negative probability entry")
 
 
-def product_traces(elements: np.ndarray, head, tails) -> list:
-    """One array per tail ``T``: ``p[m, k_1, ..., k_n] = Re Tr(M_m (x)_j
-    S_j[k_j])`` for operators ``(count, 2**n, 2**n)`` and the per-qubit state
-    stacks ``S_j`` ``(k_j, 2, 2)`` of ``head + T``.
+def product_traces(elements: np.ndarray, contexts) -> list:
+    """One array per context: ``p[m, k_1, ..., k_n] = Re Tr(M_m (x)_j
+    S_j[k_j])`` for operators ``(count, 2**n, 2**n)`` and a context's
+    per-qubit state stacks ``S_j`` ``(k_j, 2, 2)``.
 
     The product states are never formed: :func:`linalg.contract_slot`
     contracts the operators with one qubit's stack at a time, first qubit
     first, each stack's states landing on a new axis. Operators are taken in
-    the chunks of ``linalg.chunks``; each chunk is contracted with the shared
-    ``head`` once and then with every tail, so one context is one tail.
+    the chunks of ``linalg.chunks``. Contexts that open with the same stack
+    objects (compared by identity) share those contractions, so each distinct
+    leading run of stacks is contracted once per chunk.
     """
     count, d = elements.shape[:2]
-    sizes = [[len(st) for st in head + tail] for tail in tails]
+    sizes = [[len(st) for st in stacks] for stacks in contexts]
     outs = [np.empty((count, int(np.prod(s)))) for s in sizes]
     for part in chunks(count, d * d):
-        shared = _contract_stacks(elements[part], head)
-        for out, tail in zip(outs, tails):
-            t = _contract_stacks(shared, tail)
+        for out, t in zip(outs, _contract_shared(elements[part], contexts)):
             out[part] = t.real.reshape(len(t), -1)
     return [out.reshape(count, *s) for out, s in zip(outs, sizes)]
 
 
-def _contract_stacks(t: np.ndarray, stacks) -> np.ndarray:
-    """Contract the leading qubits of ``t`` with ``stacks``, one slot each."""
-    for st in stacks:
-        t = contract_slot(t[..., None, :, :], np.swapaxes(st, -1, -2))
-    return t
+def _contract_shared(t: np.ndarray, contexts) -> list:
+    """``t`` contracted with each context's stacks, one leading slot per
+    stack; contexts whose next stack is the same object contract it once."""
+    if len(contexts) == 1:  # nothing left to share
+        for st in contexts[0]:
+            t = contract_slot(t[..., None, :, :], np.swapaxes(st, -1, -2))
+        return [t]
+    out = [t] * len(contexts)
+    groups = {}
+    for i, stacks in enumerate(contexts):
+        if stacks:
+            groups.setdefault(id(stacks[0]), []).append(i)
+    for members in groups.values():
+        st = contexts[members[0]][0]
+        shared = contract_slot(t[..., None, :, :], np.swapaxes(st, -1, -2))
+        rests = _contract_shared(shared, [contexts[i][1:] for i in members])
+        for i, rest in zip(members, rests):
+            out[i] = rest
+    return out
 
 
 def probability_table(strategy: Strategy) -> ProbabilityTable:
@@ -246,13 +259,15 @@ def probability_table(strategy: Strategy) -> ProbabilityTable:
     d = 2**n
     rho = [st.rho for st in strategy.senders]
     first = rho[0].swapaxes(0, 1).reshape(4, 2, 2)  # indexed by (x1, a1)
-    # the base context, then pair context j: x_j = 1, the other senders mixed
-    tails = [[r[:, 0] for r in rho[1:]]]
+    # the base context, then pair context j: x_j = 1, the other senders mixed;
+    # one `first` and one `mixed` object, so the contexts share their prefixes
+    mixed = I2[None] / 2
+    contexts = [[first] + [r[:, 0] for r in rho[1:]]]
     for j in range(2, n + 1):
-        tail = [I2[None] / 2] * (n - 1)
-        tail[j - 2] = rho[j - 1][:, 1]
-        tails.append(tail)
-    p, *pairs = product_traces(els, [first], tails)
+        context = [first] + [mixed] * (n - 1)
+        context[j - 1] = rho[j - 1][:, 1]
+        contexts.append(context)
+    p, *pairs = product_traces(els, contexts)
     # axes (s, x1, a1, ..., an) -> (x1, an, ..., a1, s): a1 is bit 0 of a
     p = p.reshape((d, 2) + (2,) * n).transpose([1, *range(n + 1, 1, -1), 0])
     base = p.reshape(2, d, d)

@@ -175,17 +175,22 @@ class Povm:
 
         The non-finite check reads the whole stack, so no message depends on
         the chunk size; the finite elements are then checked a chunk at a
-        time. A chunk that passes the Hermiticity gate is first screened by one
-        Cholesky factorization (:func:`_cholesky_clears`); a chunk the screen
-        does not clear is decided by the least eigenvalue of ``(m + m^dag)/2``
-        from ``eigvalsh``, exactly as without the screen, so the screen changes
-        neither a verdict nor a message.
+        time. Two screens prove a chunk valid without an eigensolve. The
+        rank-1 screen (:func:`_rank_one_clears`, O(d**2) per element) clears
+        a chunk of rank-1 elements, such as a projective basis measurement,
+        before the Hermiticity gate. Any other chunk that passes the gate is
+        screened by one Cholesky factorization (:func:`_cholesky_clears`). A
+        chunk neither screen clears is decided by the least eigenvalue of
+        ``(m + m^dag)/2`` from ``eigvalsh``, exactly as without the screens,
+        so they change neither a verdict nor a message.
         """
         k = _first_non_finite(self.elements)
         if k is not None:
             raise InvalidInput(f"POVM element {k} has a non-finite entry")
         for part in chunks(len(self), self.dim**2):
             m = backends.real_if_real(self.elements[part])
+            if _rank_one_clears(m):
+                continue
             # in halves, as for sender states: m/2 - m^dag/2 and the
             # symmetrization m/2 + m^dag/2 never overflow
             half = m / 2
@@ -205,6 +210,70 @@ class Povm:
             total = self.elements.sum(axis=0)
         if np.abs(total - np.eye(self.dim)).max() > POVM_ATOL:
             raise InvalidInput("POVM elements do not sum to the identity")
+
+
+def _rank_one_clears(m: np.ndarray) -> bool:
+    """True when every matrix ``M`` of the finite stack ``m`` is within
+    ``POVM_PSD_ATOL/2``, in Frobenius norm, of a Hermitian rank-1 ``v v^dag``,
+    which proves it Hermitian within ``POVM_ATOL`` and ``(M + M^dag)/2`` of
+    least eigenvalue at or above ``-POVM_PSD_ATOL/2``; False leaves the
+    verdict to the Hermiticity gate and the screens after it.
+
+    ``v`` is the pivot column ``M[:, p] / sqrt(M_pp)``, ``p`` the largest
+    diagonal entry, which must be at most ``1 + POVM_ATOL`` (true of every
+    valid element). For the exact residual ``R = M - v v^dag`` of the
+    computed ``v``, ``(M + M^dag)/2 = v v^dag + (R + R^dag)/2`` has least
+    eigenvalue at least ``-||R||_F`` (Weyl), and ``|M - M^dag| = |R - R^dag|
+    <= 2 ||R||_F`` entrywise. The diagonal bound keeps ``||v||^2 <= d (1 +
+    POVM_ATOL) + sqrt(d) ||R||_F``, so ``eigvalsh``'s own rounding stays far
+    below ``POVM_PSD_ATOL/2`` and the eigenvalue rule passes the element too.
+
+    Each ``||R||_F`` is at most the norm of the whole stack of residuals,
+    which the screen bounds. It takes ``u = eps/2``, ``gamma_k = k u / (1 -
+    k u)``, ``eta = 2**-1074`` (gradual underflow) and ``N`` real numbers in
+    the stack (``count d**2``, twice that if complex). With ``P = fl(v
+    v^dag)``, ``r = fl(||fl(M - P)||_F)`` and ``w = fl(sum ||v||^2)`` over
+    the stack:
+
+    - a sum of ``k <= N`` squares is off by at most ``gamma_k`` relatively
+      plus ``k eta``, and a square root by ``u`` relatively;
+    - the subtraction rounds each entry once: ``||M - P||_F <=
+      ||fl(M - P)||_F / (1 - u)``;
+    - a product rounds each component at most twice (Higham, "Accuracy and
+      Stability of Numerical Algorithms", 2002, sec. 3.6): ``||P - v
+      v^dag||_F <= sqrt(2) gamma_2 sum ||v||^2 + 2 N eta``.
+
+    So, for ``N u <= 1e-3`` (any stack that fits in memory), ``||R||_F <= (1
+    + (N + 4) u) r + 4 u w + 2 sqrt(N eta)``. The screen tests ``beta = (1 +
+    2 (N + 4) u) r + 8 u w + 4 sqrt(N eta) <= POVM_PSD_ATOL/2``: doubled
+    allowances cover the few roundings of evaluating ``beta``. On the
+    package's projective measurements ``r`` is at most 1.7e-15 and ``beta``
+    at most 6e-14, against 5e-11. A zero pivot or an overflow makes ``beta``
+    NaN or infinite, which fails the test without a warning; an element of
+    rank 2 or more is refused by its residual's diagonal before the O(d**2)
+    pass.
+    """
+    count = len(m)
+    rows = np.arange(count)
+    diag = np.diagonal(m, axis1=1, axis2=2).real
+    p = diag.argmax(axis=1)
+    pivot = diag[rows, p]
+    if not pivot.max() <= 1 + POVM_ATOL:
+        return False
+    with np.errstate(all="ignore"):
+        v = m[rows, :, p] / np.sqrt(pivot)[:, None]
+        v_sq = (v * v.conj()).real
+        # the residual's diagonal alone refuses a higher rank in O(d)
+        if not np.abs(diag - v_sq).max() <= POVM_PSD_ATOL / 2:
+            return False
+        residual = v[:, :, None] * v[:, None, :].conj()
+        np.subtract(m, residual, out=residual)
+        parts = residual.reshape(-1).view(float)
+        u, n = np.finfo(float).eps / 2, len(parts)
+        eta = np.finfo(float).smallest_subnormal
+        beta = ((1 + 2 * (n + 4) * u) * np.sqrt(parts @ parts) + 8 * u * v_sq.sum()
+                + 4 * np.sqrt(n * eta))
+    return bool(beta <= POVM_PSD_ATOL / 2)
 
 
 def _cholesky_clears(half: np.ndarray) -> bool:

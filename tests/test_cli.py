@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import ghz_selftest
@@ -39,8 +39,6 @@ from ghz_selftest.states import (
     random_mixed_strategy,
     random_strategy,
 )
-
-PROPERTY_SETTINGS = settings(max_examples=20, deadline=None, database=None)
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -279,7 +277,6 @@ class TestCanonicalJson:
         assert np.abs(back.povm.elements - s.povm.elements).max() == 0
         assert np.abs(back.observables - s.observables).max() == 0
 
-    @PROPERTY_SETTINGS
     @given(n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), mixed=st.booleans())
     def test_strategy_dict_roundtrip_keeps_every_array(self, n, seed, mixed):
         s = (random_mixed_strategy if mixed else random_strategy)(n, seed)
@@ -289,7 +286,6 @@ class TestCanonicalJson:
         for got, want in zip(back.senders, s.senders, strict=True):
             assert np.array_equal(got.rho, want.rho)
 
-    @PROPERTY_SETTINGS
     @given(JSON_VALUES)
     def test_canonical_json_is_byte_stable(self, value):
         first = canonical_json(value)

@@ -243,9 +243,12 @@ class TestProbabilityTable:
         got = probability_table(s)
         assert np.array_equal(got.base, want.base) and np.array_equal(got.pair, want.pair)
         d = 2**n
-        # per outcome chunk: slot 1 once, shared by the base table and the
-        # n - 1 pair contexts, which each contract the other n - 1 slots
-        assert len(shapes) == (1 + n * (n - 1)) * len(linalg.chunks(d, d * d))
+        # per outcome chunk, every distinct leading run of stacks once: slot 1
+        # (shared by all n contexts), the base context's n - 1 other slots,
+        # pair context j's own slot j and the n - j mixed slots after it, and
+        # the run of mixed slots 2..k (k <= n - 1) that pair contexts k+1..n
+        # open with: 1 + (n - 1) + n(n - 1)/2 + (n - 2) = (n + 4)(n - 1)/2
+        assert len(shapes) == (n + 4) * (n - 1) // 2 * len(linalg.chunks(d, d * d))
         # memory stays flat: no contraction reads more than one chunk's entries
         assert max(np.prod(shape) for shape in shapes) <= linalg.BLOCK_ENTRIES
 
@@ -284,22 +287,33 @@ class TestProbabilityTable:
             base, pair = self.per_context_table(s)
             assert np.array_equal(table.base, base) and np.array_equal(table.pair, pair)
 
-    def test_product_traces_of_unequal_stacks(self):
+    def test_product_traces_of_unequal_stacks(self, monkeypatch):
         rng = np.random.default_rng(2)
         els = rng.normal(size=(3, 8, 8)) + 1j * rng.normal(size=(3, 8, 8))
         stacks = [rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
                   for k in (3, 1, 2, 4)]
-        # one head stack and two tails of two stacks each
-        tails = [[stacks[1], stacks[2]], [stacks[3], stacks[1]]]
-        got = product_traces(els, stacks[:1], tails)
-        assert [p.shape for p in got] == [(3, 3, 1, 2), (3, 3, 4, 1)]
-        for p, tail in zip(got, tails):
+        # three contexts of three stacks each, two of them opening with the
+        # same two stacks
+        contexts = [[stacks[0], stacks[1], stacks[2]], [stacks[0], stacks[3], stacks[1]],
+                    [stacks[0], stacks[1], stacks[3]]]
+        got = product_traces(els, contexts)
+        assert [p.shape for p in got] == [(3, 3, 1, 2), (3, 3, 4, 1), (3, 3, 1, 4)]
+        for p, ctx in zip(got, contexts):
             for m, i, j, k in np.ndindex(p.shape):
-                joint = tensor([stacks[0][i], tail[0][j], tail[1][k]])
+                joint = tensor([ctx[0][i], ctx[1][j], ctx[2][k]])
                 assert abs(p[m, i, j, k] - np.trace(els[m] @ joint).real) < 1e-13
-        # a single context is the one-tail case
-        alone, = product_traces(els, stacks[:1], tails[:1])
-        assert np.array_equal(alone, got[0])
+        # a single context is the one-context case of the same code
+        for p, ctx in zip(got, contexts):
+            alone, = product_traces(els, [ctx])
+            assert np.array_equal(alone, p)
+        # each distinct leading run is contracted once: (0), (0 1), (0 1 2),
+        # (0 1 3), (0 3) and (0 3 1)
+        calls = []
+        contract = linalg.contract_slot
+        monkeypatch.setattr(scenario, "contract_slot",
+                            lambda t, w: calls.append(t.shape) or contract(t, w))
+        product_traces(els, contexts)
+        assert len(calls) == 6
 
     def test_pair_contexts_marginalize_for_antipodal_messages(self):
         # when each input's two messages are orthogonal, the maximally mixed

@@ -6,11 +6,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ghz_selftest
-from ghz_selftest import backends, linalg
+from ghz_selftest import backends, linalg, states
 from ghz_selftest.errors import InvalidBloch, InvalidInput
-from ghz_selftest.fixtures import ideal_strategy, literal_ideal_strategy
+from ghz_selftest.fixtures import (
+    computational_strategy,
+    depolarized_strategy,
+    ideal_strategy,
+    literal_ideal_strategy,
+)
 from ghz_selftest.linalg import I2, SIGMA_A, SIGMA_X, SIGMA_Z, chunks, dagger, projector, tensor
 from ghz_selftest.rng import make_rng
 from ghz_selftest.scenario import a_operators, witness_operator
@@ -273,6 +280,14 @@ class TestRandomStrategies:
         want = np.stack([h @ projector(ghz_basis_state(m, n)) @ h for m in range(2**n)])
         assert literal_ideal_strategy(n).povm.elements.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_literal_povm_in_real_arithmetic_has_the_complex_bits(self, n):
+        h = tensor([I2] + [SIGMA_A] * (n - 1))
+        want = h @ ghz_povm(n).elements @ h
+        got = literal_ideal_strategy(n).povm.elements
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     @pytest.mark.parametrize("count", [1, 2, 5, 12])
     @pytest.mark.parametrize("seed", [0, 1, 7, 123])
     def test_stacked_draw_is_the_state_by_state_loop(self, seed, count):
@@ -519,3 +534,87 @@ class TestCholeskyScreen:
 
     def test_ideal_elements_are_contiguous_matrices(self):
         assert ghz_povm(7).elements.flags["C_CONTIGUOUS"]
+
+
+def random_basis_povm(n: int, seed: int, real: bool) -> np.ndarray:
+    """Projectors onto the columns of a random orthonormal basis of C^(2**n),
+    or of R^(2**n) when ``real``."""
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    g = rng.normal(size=(d, d)) if real else rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, _ = np.linalg.qr(g)
+    return projector(q.T.copy())
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("called")
+
+
+PATH_POVMS = {
+    "ideal7": lambda: ideal_strategy(7).povm,
+    "computational7": lambda: computational_strategy(7).povm,
+    "random6": lambda: random_strategy(6, 5).povm,
+    "literal5": lambda: literal_ideal_strategy(5).povm,
+}
+
+
+class TestRankOneScreen:
+    """The rank-1 screen clears projective POVMs without the Hermiticity gate,
+    a Cholesky factorization or an eigensolve, and leaves every verdict and
+    message to the rules after it."""
+
+    @given(n=st.sampled_from([2, 3, 4]), real=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           defect=st.sampled_from(["none", "negative rank-1", "anti-Hermitian pair",
+                                   "mixed with I/d", "zeroed", "scaled by 1e6"]),
+           exponent=st.floats(-12, -8), k=st.integers(0, 15))
+    def test_verdicts_match_the_eigenvalue_rule(self, n, real, seed, defect, exponent, k):
+        el = random_basis_povm(n, seed, real)
+        d, size = len(el), 10.0**exponent
+        k %= d
+        if defect == "negative rank-1":
+            el[k] -= size * el[(k + 1) % d]  # least eigenvalue -size
+        elif defect == "anti-Hermitian pair":
+            el[k, 0, 1] += size
+            el[k, 1, 0] -= size
+        elif defect == "mixed with I/d":
+            el = (1 - size) * el + size * np.eye(d) / d
+        elif defect == "zeroed":
+            el[k] = 0
+        elif defect == "scaled by 1e6":
+            el[k] *= 1e6
+        povm = Povm(el)
+        assert validate_message(povm) == eigvalsh_rule(povm)
+
+    @pytest.mark.parametrize("name", PATH_POVMS)
+    def test_projective_povm_skips_the_gate_cholesky_and_eigensolve(self, monkeypatch, name):
+        povm = PATH_POVMS[name]()
+        for owner, attr in ((np.linalg, "cholesky"), (states, "_cholesky_clears"),
+                            (backends, "eigvalsh"), (states, "dagger")):
+            monkeypatch.setattr(owner, attr, refuse)
+        povm.validate()
+
+    def test_depolarized_povm_clears_by_cholesky_without_an_eigensolve(self, monkeypatch):
+        povm = depolarized_strategy(7, 0.05).povm
+        results = {"_rank_one_clears": [], "_cholesky_clears": []}
+        for attr, got in results.items():
+            screen = getattr(states, attr)
+            monkeypatch.setattr(states, attr, lambda m, s=screen, g=got: g.append(s(m)) or g[-1])
+        monkeypatch.setattr(backends, "eigvalsh", refuse)
+        povm.validate()
+        count = len(chunks(len(povm), povm.dim**2))
+        assert results == {"_rank_one_clears": [False] * count,
+                           "_cholesky_clears": [True] * count}
+
+    @pytest.mark.parametrize("entries", [
+        [(0, 0, 0, 1e308)],
+        [(0, 0, 1, 1e308), (0, 1, 0, -1e308)],
+        [(2, 0, 0, 1e308), (3, 0, 0, 1e308)],
+        [(0, 1, 1, 1e308)],
+    ])
+    def test_huge_entries_are_refused_without_a_warning(self, entries):
+        # the POVM entries of the CLI's huge-entry files: a NumPy overflow
+        # warning fails the test
+        el = ideal_strategy(2).povm.elements.copy()
+        for k, i, j, value in entries:
+            el[k, i, j] = value
+        assert not states._rank_one_clears(backends.real_if_real(el))
