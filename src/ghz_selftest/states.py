@@ -168,25 +168,43 @@ class Povm:
 
     def validate(self) -> None:
         """Raise InvalidInput naming the first element that has a non-finite
-        entry, else the first that is not Hermitian (within ``POVM_ATOL``) or
-        has a least eigenvalue below ``-POVM_PSD_ATOL``, or if the elements
-        do not sum to the identity (within ``POVM_ATOL``), as
-        :meth:`SenderStates.validate` orders its checks.
+        entry, else the first that has an entry no valid element can hold,
+        is not Hermitian (within ``POVM_ATOL``) or has a least eigenvalue
+        below ``-POVM_PSD_ATOL``, or if the elements do not sum to the
+        identity (within ``POVM_ATOL``), as :meth:`SenderStates.validate`
+        orders its checks.
+
+        The magnitude check bounds ``H = (M + M^dag)/2`` of each of the ``k``
+        elements on dimension ``d``. If every ``H_j >= -delta I`` (``delta =
+        POVM_PSD_ATOL``) and their sum is ``I + F`` with ``|F_ab| <= eps =
+        POVM_ATOL`` entrywise, so ``||F||_2 <= d eps``, then ``H_j = I + F -
+        sum_{i != j} H_i <= (1 + d eps + (k - 1) delta) I``, and every entry
+        obeys ``|H_ab| <= ||H_j||_2 <= 1 + d eps + k delta``. An entry of
+        ``H`` above ``1 + 2 (d eps + k delta)`` (the allowance doubled for the
+        rounding of the checks) therefore proves that the elements are not
+        positive semidefinite operators summing to the identity; the message
+        names the element and the entry. The eigenvalue rule cannot name
+        that defect: at entries near 1e308 its rounding alone exceeds
+        ``delta``. An anti-Hermitian defect leaves ``H``, and this check, as
+        it was.
 
         The non-finite check reads the whole stack, so no message depends on
         the chunk size; the finite elements are then checked a chunk at a
         time. Two screens prove a chunk valid without an eigensolve. The
         rank-1 screen (:func:`_rank_one_clears`, O(d**2) per element) clears
         a chunk of rank-1 elements, such as a projective basis measurement,
-        before the Hermiticity gate. Any other chunk that passes the gate is
-        screened by one Cholesky factorization (:func:`_cholesky_clears`). A
-        chunk neither screen clears is decided by the least eigenvalue of
+        before the other checks: the entries of a cleared element are at
+        most ``1 + eps + delta``, within the magnitude bound. Any other chunk
+        that passes the magnitude check and the Hermiticity gate is screened
+        by one Cholesky factorization (:func:`_cholesky_clears`). A chunk
+        neither screen clears is decided by the least eigenvalue of
         ``(m + m^dag)/2`` from ``eigvalsh``, exactly as without the screens,
         so they change neither a verdict nor a message.
         """
         k = _first_non_finite(self.elements)
         if k is not None:
             raise InvalidInput(f"POVM element {k} has a non-finite entry")
+        bound = 1 + 2 * (self.dim * POVM_ATOL + len(self) * POVM_PSD_ATOL)
         for part in chunks(len(self), self.dim**2):
             m = backends.real_if_real(self.elements[part])
             if _rank_one_clears(m):
@@ -194,16 +212,28 @@ class Povm:
             # in halves, as for sender states: m/2 - m^dag/2 and the
             # symmetrization m/2 + m^dag/2 never overflow
             half = m / 2
+            herm = half + dagger(half)
+            with np.errstate(over="ignore"):  # |re + i im| above the float range
+                size = np.abs(herm)
+            too_large = size.max(axis=(1, 2)) > bound
             not_hermitian = np.abs(half - dagger(half)).max(axis=(1, 2)) > POVM_ATOL / 2
-            if not not_hermitian.any() and _cholesky_clears(half):
+            if not (too_large.any() or not_hermitian.any()) and _cholesky_clears(half):
                 continue
             failed = _first_failure(
+                too_large,
                 not_hermitian,
-                backends.eigvalsh(half + dagger(half))[:, 0] < -POVM_PSD_ATOL,
+                backends.eigvalsh(herm)[:, 0] < -POVM_PSD_ATOL,
             )
             if failed is not None:
                 k, check = failed
-                reason = ("Hermitian", "positive semidefinite")[check]
+                if check == 0:
+                    i, j = np.unravel_index(size[k].argmax(), size[k].shape)
+                    raise InvalidInput(
+                        "POVM elements do not sum to the identity as positive semidefinite "
+                        f"operators: element {part.start + k} has an entry of magnitude "
+                        f"{size[k, i, j]:.6g} at ({i}, {j}) in its Hermitian part, above the "
+                        f"{bound:.12g} that bounds every entry of such elements")
+                reason = ("Hermitian", "positive semidefinite")[check - 1]
                 raise InvalidInput(f"POVM element {part.start + k} is not {reason}")
         # a sum of huge entries may overflow to inf, which the check refuses
         with np.errstate(over="ignore"):

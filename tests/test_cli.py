@@ -1,16 +1,19 @@
 import argparse
 import gc
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import ghz_selftest
 from ghz_selftest import cli, linalg, robustness
@@ -40,8 +43,14 @@ from ghz_selftest.states import (
     random_strategy,
 )
 
+# finite float64 arrays of 0-3 dimensions, empty ones included: the bulk writer's path
+FLOAT_ARRAYS = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+    elements=st.floats(allow_nan=False, allow_infinity=False),
+)
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | FLOAT_ARRAYS,
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=20,
@@ -332,6 +341,160 @@ class TestCanonicalJson:
             assert got.rho.tobytes() == want.rho.tobytes()
 
 
+def element_text(a) -> str:
+    """The per-element ``%.17g`` text of a float array: its ``tolist()``
+    through the scalar path of ``canonical_json``."""
+    return canonical_json(np.asarray(a).tolist())
+
+
+def tie_values(rng) -> np.ndarray:
+    """Doubles ``m / 2**k`` with odd ``m``. Where ``m 5**k`` has 18 digits
+    (k = 2..25), the exact expansion ends in a 5 at the 18th significant
+    digit: a tie at the 17th. Above k = 25 no such ``m`` is a double, and odd
+    ``m`` near ``2**53`` give the longest exact expansions instead."""
+    out = []
+    for k in range(2, 41):
+        lo, hi = -(-(10**17) // 5**k), min(10**18 // 5**k, 2**53)
+        if lo >= hi:
+            lo, hi = 2**52, 2**53
+        m = rng.integers(lo, hi, 60, dtype=np.int64) | 1
+        out.append(m[m < hi] / 2.0**k)
+    return np.concatenate(out)
+
+
+# SHA-256 of the strategy files and the spectrum report written by the
+# per-element %.17g writer, which the bulk writer must reproduce byte for byte
+WRITER_SHA256 = {
+    "ideal-2": "982091eed7372deb7ef07baf07611b17394f6ebb8beef42f44ec010061f3a132",
+    "ideal-3": "31178499072afdacf2a5256d46a232c0e5893f3458638232d485aaf4582607e7",
+    "ideal-4": "c5c5b117f9d6266948fffffeafd8b94e291bc4e3c0d3be4c9468ec32cd675599",
+    "ideal-5": "05c0e8c4f6023dacfc2d0c9d4b0f4f89edf2613b872af1d0e353cfeb1b4468f4",
+    "literal-2": "b12654091eb1894c35b35df7007deb6c55bdf82b2142f80e25895512d0b2c47c",
+    "literal-3": "ec2e0201c3f2677e0f84a32ea24ec20597234ea30d56129226f51135e40868d3",
+    "literal-4": "5a576abed18d7323ee580c0f4bc33eb3be6f601f50432c9565b3e8a93fa756ab",
+    "literal-5": "1eddf4e1fe20e2afa3c4277baebdf55a44652e661b7f03bd0a5714ebe3f91864",
+    "depolarized-2": "024daf6963850df9322923ba38c057ac781ae9bbb8a3067088629eebaaa83699",
+    "depolarized-3": "fe90331d24c2ff166787b9e99304ea90d2cc4b93b36835120010c51509748a1f",
+    "depolarized-4": "9dd8c0788a40e736b574ad07271d6c89aee926147784caf60222b3489a669df8",
+    "depolarized-5": "d4fe2010ece04e84da3a67418e372f803942291179cb313ffd7410cca1f0be72",
+    "partial-bell": "4b299f75b3906d1a94903b5d34790d63ebd051f2c07f15013275a6e203624eea",
+    "antipodal-2": "39abd7ef7e1afec07536a0ea467a4f1035fe0d92eeea6f4b9ff87a4a06a63f87",
+    "antipodal-3": "ee026566f7270e5bd86907369652baacf96ece5a753051b246b78a472ff4d656",
+    "antipodal-4": "f655699cf07175bfb88b272df3d019d6b890d610f38b50077969ae31075b7978",
+    "antipodal-5": "ed103d485f3ad076e2bd02c8126076389d73d2724e93a60286d43cf105086369",
+    "antipodal-6": "052c28979d9b53866eaf41ed993a12767f279f2596540e0179fa8a53a1940f42",
+    # `spectrum --n 7`: 128 arrays of 128 eigenvalues (the report names the version)
+    "spectrum-7": "a72295eb39282f1b410094d8cad730a63d0197955d4fee9eaadeed04a1d3f988",
+}
+
+
+def writer_case(name: str):
+    kind, _, n = name.rpartition("-")
+    if kind == "antipodal":
+        return random_antipodal_strategy(int(n), 7)
+    if name == "partial-bell":
+        return partial_bell_strategy()
+    return cli.GHZ_FIXTURES[kind](int(n), 0.05)
+
+
+class TestFloatWriter:
+    """The bulk float writer equals the per-element ``%.17g`` path byte for
+    byte, on every range of doubles and every array layout."""
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20261019)
+        x = rng.integers(0, 2**64, 110_000, dtype=np.uint64).view(np.float64)
+        x = x[np.isfinite(x)]
+        assert x.size >= 100_000
+        assert canonical_json(x) == element_text(x)
+
+    def test_magnitudes_of_the_exact_range(self):
+        # 1e-13 .. 1e17 with both signs: mostly the integer path, and both
+        # of its edges
+        rng = np.random.default_rng(7)
+        x = rng.random(100_000) * 10.0 ** rng.integers(-13, 18, 100_000)
+        x *= rng.choice([-1.0, 1.0], x.size)
+        assert canonical_json(x) == element_text(x)
+
+    def test_zeros_subnormals_and_the_smallest_normal(self):
+        rng = np.random.default_rng(3)
+        tiny = np.finfo(float).tiny
+        sub = rng.integers(1, 2**52, 1000, dtype=np.uint64).view(np.float64)
+        x = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, tiny, -tiny,
+                             np.nextafter(tiny, 0), np.nextafter(tiny, 1),
+                             np.nextafter(-tiny, 0), np.nextafter(-tiny, -1)], sub, -sub])
+        text = canonical_json(x)
+        assert text == element_text(x)
+        assert text.startswith("[0,0,4.9406564584124654e-324,")
+
+    def test_near_the_largest_double(self):
+        big = np.finfo(float).max  # 1.7976931348623157e308
+        x = np.array([big, -big, np.nextafter(big, 0), np.nextafter(-big, 0),
+                      1.5e308, -1e308, 8.98846567431158e307])
+        assert canonical_json(x) == element_text(x)
+
+    def test_exact_ties_round_half_to_even(self):
+        x = tie_values(np.random.default_rng(11))
+        ties = x[(np.abs(x) > 1e-11) & (np.abs(x) < 4e15)]
+        assert ties.size > 1000
+        assert canonical_json(x) == element_text(x)
+
+    def test_neighbours_of_powers_of_ten(self):
+        p = 10.0 ** np.arange(-25, 26)
+        x = np.concatenate([p, np.nextafter(p, 0), np.nextafter(p, np.inf)])
+        x = np.concatenate([x, -x])
+        assert canonical_json(x) == element_text(x)
+        # the double nearest 1e-7 lies below it, yet its log10 is exactly -7:
+        # rounded before the range check, its digits would read 1e-07
+        assert canonical_json(np.array([1e-7])) == "[9.9999999999999995e-08]"
+
+    @pytest.mark.parametrize("shape, text", [((0,), "[]"), ((2, 0, 3), "[[],[]]")])
+    def test_zero_size_shapes(self, shape, text):
+        assert canonical_json(np.zeros(shape)) == text == element_text(np.zeros(shape))
+
+    def test_transposed_and_float32_arrays(self):
+        rng = np.random.default_rng(5)
+        t = rng.standard_normal((5, 7)).T
+        assert not t.flags["C_CONTIGUOUS"]
+        f = (rng.standard_normal((3, 4, 2)) * 1e3).astype(np.float32)
+        for a in (t, f, np.array(0.25), np.array(-0.0)):
+            assert canonical_json(a) == (element_text(a) if a.ndim else
+                                         canonical_json(float(a)))
+
+    @pytest.mark.parametrize("block", [linalg.BLOCK_ENTRIES, 32 * 64 * 15, 1])
+    def test_document_of_many_arrays_at_any_slice_size(self, monkeypatch, block):
+        # slices of 8192, 960 and 64 numbers: arrays start and end inside slices
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", block)
+        rng = np.random.default_rng(9)
+        doc = {"a": [rng.standard_normal((3, 11)) for _ in range(40)],
+               "b": rng.standard_normal((2, 1500, 2)), "c": np.array(1.5), "d": 2.0,
+               "e": {"f": np.zeros((1, 4)), "g": np.array([[np.nan, 1.0]])}}
+        plain = json.loads(json.dumps(doc, default=lambda a: a.tolist()))
+        assert canonical_json(doc) == canonical_json(plain)
+
+    @pytest.mark.parametrize("name", sorted(WRITER_SHA256))
+    def test_bytes_are_the_element_writers(self, tmp_path, name):
+        path = tmp_path / "out.json"
+        if name == "spectrum-7":
+            assert run(parse_args(["spectrum", "--n", "7", "-o", str(path)])) == 0
+        else:
+            save_strategy(writer_case(name), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == WRITER_SHA256[name]
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_save_peak_memory_is_about_the_file(self, tmp_path, n):
+        # the parts are written in turn: no joined or encoded copy of the text
+        strategy = random_antipodal_strategy(n, 7)
+        path = tmp_path / "s.json"
+        tracemalloc.start()
+        try:
+            save_strategy(strategy, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * path.stat().st_size + 2e6
+
+
 class TestLoadStrategyGc:
     """The parse runs with the cyclic collector paused; the caller's setting
     survives a return and a raise."""
@@ -564,6 +727,23 @@ class TestRun:
         code = run(parse_args(["certify", "--input", str(strat), "-o", str(tmp_path / "r.json")]))
         assert code == 2
         assert capsys.readouterr().err.startswith(f"certify: error: {message}")
+        assert not (tmp_path / "r.json").exists()
+
+    def test_huge_entry_of_a_positive_element_names_the_bound(self, tmp_path, capsys):
+        # element 0 stays positive semidefinite (row and column 1 are zero
+        # besides the entry); the eigenvalue rule, whose rounding at 1e308
+        # swamps POVM_PSD_ATOL, used to call it not positive semidefinite
+        data = strategy_to_dict(ideal_strategy(2))
+        data["povm"][0][1][1][0] = 1e308
+        strat = tmp_path / "s.json"
+        strat.write_text(json.dumps(data))
+        code = run(parse_args(["certify", "--input", str(strat), "-o", str(tmp_path / "r.json")]))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "certify: error: POVM elements do not sum to the identity as positive "
+            "semidefinite operators: element 0 has an entry of magnitude 1e+308 at (1, 1) in "
+            "its Hermitian part, above the 1.0000000088 that bounds every entry of such "
+            "elements\n")
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("defect, field", [

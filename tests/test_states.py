@@ -180,9 +180,11 @@ class TestGhzBasis:
 
 BIT_OPS = (ast.RShift, ast.LShift, ast.BitXor)
 # the one place the outcome convention is computed: the scalar parsers of
-# user input, the outcome-bit table and the ket index
+# user input, the outcome-bit table and the ket index; besides them only the
+# strategy-file writer shifts bits, those of IEEE doubles and their products
 BIT_ALLOWED = {("states.py", name)
                for name in ("outcome_bits", "outcome_index", "outcome_table", "basis_index")}
+BIT_ALLOWED |= {("cli.py", "_digits"), ("cli.py", "_quotient")}
 # the readers of the table and the ket rule, which keep no bit arithmetic
 BIT_READERS = {("states.py", "ghz_basis"), ("states.py", "ghz_basis_state"),
                ("robustness.py", "_slot_factors"), ("scenario.py", "witness_signs"),
@@ -383,6 +385,39 @@ class TestValidation:
         with pytest.raises(InvalidInput, match="POVM element 1 is not positive semidefinite"):
             Povm(el).validate()
 
+    @pytest.mark.parametrize("n", [2, 7])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_povm_magnitude_bound(self, n, kind):
+        el = povm_elements(n, kind).copy()
+        d = el.shape[1]
+        bound = 1 + 2 * (d * POVM_ATOL + d * POVM_PSD_ATOL)
+        # a diagonal entry at the bound fails only the identity sum
+        el[2, 1, 1] = bound
+        with pytest.raises(InvalidInput) as exc:
+            Povm(el).validate()
+        assert str(exc.value) == "POVM elements do not sum to the identity"
+        el[2, 1, 1] = np.nextafter(bound, 2)
+        with pytest.raises(InvalidInput) as exc:
+            Povm(el).validate()
+        assert str(exc.value).startswith(f"{TOO_LARGE} element 2 has an entry of magnitude 1 ")
+        assert f"at (1, 1) in its Hermitian part, above the {bound:.12g}" in str(exc.value)
+
+    def test_povm_magnitude_is_each_elements_first_check(self):
+        el = povm_elements(2, "complex").copy()
+        el[1, 0, 1] += 1e-6  # not Hermitian
+        el[2, 3, 3] = 1e300
+        with pytest.raises(InvalidInput, match="^POVM element 1 is not Hermitian$"):
+            Povm(el).validate()
+        el[1, 0, 1] -= 1e-6
+        el[1, 0, 3] += 5.0  # not Hermitian, and (M + M^dag)/2 gains 2.5 at (0, 3)
+        with pytest.raises(InvalidInput, match=f"^{TOO_LARGE} element 1 has an entry"):
+            Povm(el).validate()
+        # an anti-Hermitian pair leaves (M + M^dag)/2 alone: the gate names it
+        el = povm_elements(2, "real").copy()
+        el[0, 0, 1], el[0, 1, 0] = 1e308, -1e308
+        with pytest.raises(InvalidInput, match="^POVM element 0 is not Hermitian$"):
+            Povm(el).validate()
+
     def test_povm_reports_the_earlier_element_and_its_first_check(self):
         el = povm_elements(2, "complex").copy()
         el[2] -= 2e-10 * el[0]
@@ -455,21 +490,35 @@ class TestValidation:
         assert str(exc.value) == want
 
 
+# the message of an element whose (m + m^dag)/2 has an entry above the bound
+TOO_LARGE = "POVM elements do not sum to the identity as positive semidefinite operators:"
+
+
 def eigvalsh_rule(povm: Povm):
     """``Povm.validate``'s message without the Cholesky screen, or None for a
-    valid POVM: every chunk decided by ``eigvalsh``, the rule as it was."""
+    valid POVM: every chunk decided by ``eigvalsh``, the rule as it was, after
+    the magnitude check on the entries of ``(m + m^dag)/2``."""
     bad = ~np.isfinite(povm.elements).all(axis=(-2, -1))
     if bad.any():
         return f"POVM element {int(bad.argmax())} has a non-finite entry"
+    bound = 1 + 2 * (povm.dim * POVM_ATOL + len(povm) * POVM_PSD_ATOL)
     for part in chunks(len(povm), povm.dim**2):
         m = backends.real_if_real(povm.elements[part])
+        herm = np.abs((m + dagger(m)) / 2)
         failed = np.array([
+            herm.max(axis=(1, 2)) > bound,
             np.abs(m - dagger(m)).max(axis=(1, 2)) > POVM_ATOL,
             backends.eigvalsh((m + dagger(m)) / 2)[:, 0] < -POVM_PSD_ATOL,
         ])
         if failed.any():
             k = int(failed.any(axis=0).argmax())
-            reason = ("Hermitian", "positive semidefinite")[int(failed[:, k].argmax())]
+            check = int(failed[:, k].argmax())
+            if check == 0:
+                i, j = np.unravel_index(herm[k].argmax(), herm[k].shape)
+                return (f"{TOO_LARGE} element {part.start + k} has an entry of magnitude "
+                        f"{herm[k, i, j]:.6g} at ({i}, {j}) in its Hermitian part, above the "
+                        f"{bound:.12g} that bounds every entry of such elements")
+            reason = ("Hermitian", "positive semidefinite")[check - 1]
             return f"POVM element {part.start + k} is not {reason}"
     if np.abs(povm.elements.sum(axis=0) - np.eye(povm.dim)).max() > POVM_ATOL:
         return "POVM elements do not sum to the identity"
@@ -502,8 +551,11 @@ class TestCholeskyScreen:
         assert validate_message(povm) == want
         if scale == 1.0 and least >= -0.6:
             assert want is None
-        if least <= -2.0:
+        if scale == 1.0 and least <= -2.0:
             assert want == "POVM element 1 is not positive semidefinite"
+        if scale > 1.0:
+            # entries of order 1e6: no element of a POVM holds them
+            assert want.startswith(f"{TOO_LARGE} element 1 has an entry of magnitude")
 
     @pytest.mark.parametrize("n", [2, 7])
     @pytest.mark.parametrize("kind", ["real", "complex"])
