@@ -17,8 +17,6 @@ reports and CSV exports list the sign bit ``s_1`` first.
 
 Randomness is counter-based (Philox keyed by ``--seed``, which only ``sos``
 and ``seesaw`` take), so results are reproducible across runs and platforms.
-``GHZ_SELFTEST_THREADS`` caps worker parallelism over the see-saw's blocks of
-restarts (0 = one per CPU); results do not depend on it.
 """
 
 import argparse
@@ -154,6 +152,8 @@ def _emit(obj, parts: list, arrays: list) -> None:
         if x == 0:
             x = 0.0  # normalize -0.0 so parse/serialize round-trips
         parts.append(format(x, ".17g") if math.isfinite(x) else "null")
+    elif isinstance(obj, np.ndarray) and obj.ndim == 0:
+        _emit(obj[()], parts, arrays)
     elif (isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.size
           and np.isfinite(obj).all()):
         arrays.append((len(parts), obj))

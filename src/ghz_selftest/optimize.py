@@ -15,13 +15,13 @@ history is nondecreasing within a restart.
 The restarts advance in lockstep: every half-step works on arrays with a
 leading restart axis, and a restart leaves the active set once it has
 converged, keeping its own iteration count and history. The restarts run in
-the blocks of ``linalg.chunks``, sized by their largest per-restart stack. The
-half-step kernels take any leading axes; the public single-strategy steps are
-the same kernels called without one.
+the blocks of ``linalg.chunks``, sized by their largest per-restart stack, one
+block after another in the calling thread. The half-step kernels take any
+leading axes; the public single-strategy steps are the same kernels called
+without one.
 """
 
 import math
-import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -408,49 +408,36 @@ def _lockstep(config: SeesawConfig, game: _Game, block: range) -> tuple:
     return final, history
 
 
-class _Leader:
-    """The best restart of the blocks finished so far: the first maximum in
-    restart order, whatever order the blocks finish in. Only its messages
-    and measurement are kept, so finished blocks hold no POVM stacks."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.index = None
-
-    def offer(self, index: int, value, iters: int, msgs, meas) -> None:
-        with self._lock:
-            if self.index is None or value > self.value or (
-                value == self.value and index < self.index
-            ):
-                self.index, self.value, self.iters, self.msgs, self.meas = (
-                    index, value, iters, msgs, meas)
-
-
 def seesaw(config: SeesawConfig) -> SeesawResult:
     """Run the alternating search from ``config.restarts`` random starts.
 
     Deterministic for a given seed: restart ``i`` draws from stream ``i`` of
     the master seed, and ties between restarts break by restart order. The
-    restarts run in the contiguous blocks of ``linalg.chunks``, sized by their
-    largest per-restart stack and mapped over the worker pool; a restart's
-    history does not depend on the block it shares.
+    restarts run one block after another in the contiguous blocks of
+    ``linalg.chunks``, sized by their largest per-restart stack; a restart's
+    history does not depend on the block it shares. Only the leading
+    restart's messages and measurement outlive its block, so finished blocks
+    hold no POVM stacks.
     """
     game = GAMES[config.metric]
     restarts = range(config.restarts)
     blocks = [restarts[part]
               for part in chunks(config.restarts, game.entries(config.n))]
-    leader = _Leader()
+    best = None  # (score, iterations, messages, measurement) of the first maximum
 
     def run(block: range) -> list:
+        nonlocal best
         final, history = _lockstep(config, game, block)
         first = int(np.argmax([f[0] for f in final]))  # the block's first maximum
-        leader.offer(block[first], *final[first])
+        if best is None or final[first][0] > best[0]:
+            best = final[first]
         return history
 
     history = [h for hs in ordered_map(run, blocks) for h in hs]
+    value, iters, msgs, meas = best
     return SeesawResult(
-        best_value=float(leader.value),
-        best_strategy=game.build(leader.msgs, leader.meas),
-        iters_used=leader.iters,
+        best_value=float(value),
+        best_strategy=game.build(msgs, meas),
+        iters_used=iters,
         history=history,
     )

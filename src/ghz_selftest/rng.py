@@ -2,8 +2,8 @@
 
 All sampling in the package goes through Philox, a counter-based 64-bit
 generator, so that a (seed, stream) pair reproduces bit-identical draws
-across runs and across parallel schedules. ``stream`` separates independent
-consumers (e.g. see-saw restarts) under one user-facing seed.
+across runs and platforms. ``stream`` separates independent consumers (e.g.
+see-saw restarts) under one user-facing seed.
 """
 
 import numpy as np

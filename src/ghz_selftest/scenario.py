@@ -420,9 +420,11 @@ def rac_metric(sender: SenderStates, mx, mz) -> float:
     mx = np.asarray(mx, dtype=complex)
     mz = np.asarray(mz, dtype=complex)
     for o in (mx, mz):
-        if o.shape != (2, 2) or np.abs(o - o.conj().T).max() > 1e-9:
+        # in halves, and an entry past 2 refused before the eigensolve, so
+        # finite entries up to the float limit never overflow
+        if o.shape != (2, 2) or np.abs(o / 2 - o.conj().T / 2).max() > 0.5e-9:
             raise InvalidInput("observables must be Hermitian 2x2 matrices")
-        if np.abs(herm_eigvals(o)).max() > 1 + 1e-9:
+        if np.abs(o).max() > 2 or np.abs(herm_eigvals(o)).max() > 1 + 1e-9:
             raise InvalidInput("observable eigenvalues must lie in [-1, 1]")
     rel = relabeled_first_sender(sender)
     total = 0.0

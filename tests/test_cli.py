@@ -2,16 +2,20 @@ import argparse
 import gc
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -269,6 +273,17 @@ class TestCanonicalJson:
     def test_sorted_keys_and_float_format(self):
         text = canonical_json({"b": 0.1, "a": [1, True, None]})
         assert text == '{"a":[1,true,null],"b":0.10000000000000001}'
+
+    @pytest.mark.parametrize("value, scalar", [
+        (np.array(np.nan), math.nan), (np.array(-np.inf), -math.inf), (np.array(0.25), 0.25),
+        (np.array(-0.0), 0.0), (np.array(3), 3), (np.array(True), True), (np.array(1j), None),
+    ])
+    def test_zero_dimensional_array_is_its_scalar(self, value, scalar):
+        if scalar is None:
+            with pytest.raises(InvalidInput, match="complex"):
+                canonical_json({"x": value})
+        else:
+            assert canonical_json({"x": value}) == canonical_json({"x": scalar})
 
     def test_roundtrip_is_identity_on_canonical_files(self, tmp_path):
         path = tmp_path / "strategy.json"
@@ -729,6 +744,23 @@ class TestRun:
         assert capsys.readouterr().err.startswith(f"certify: error: {message}")
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("entries, message", [
+        ([(0, 0, 1e308)], "observable eigenvalues must lie in [-1, 1]"),
+        ([(0, 1, 1e308), (1, 0, 1e308)], "observable eigenvalues must lie in [-1, 1]"),
+        ([(0, 1, 1e308), (1, 0, -1e308)], "observables must be Hermitian 2x2 matrices"),
+    ], ids=["diagonal", "symmetric", "antisymmetric"])
+    def test_huge_observable_entries_are_refused_without_a_warning(self, tmp_path, capsys,
+                                                                   entries, message):
+        data = strategy_to_dict(partial_bell_strategy())
+        for i, j, value in entries:
+            data["observables"][0][i][j][0] = value
+        strat = tmp_path / "s.json"
+        strat.write_text(json.dumps(data))
+        out = tmp_path / "r.json"
+        assert run(parse_args(["partial-bell", "--input", str(strat), "-o", str(out)])) == 2
+        assert capsys.readouterr().err == f"partial-bell: error: {message}\n"
+        assert not out.exists()
+
     def test_huge_entry_of_a_positive_element_names_the_bound(self, tmp_path, capsys):
         # element 0 stays positive semidefinite (row and column 1 are zero
         # besides the entry); the eigenvalue rule, whose rounding at 1e308
@@ -1017,15 +1049,6 @@ class TestRun:
         assert "eps must be finite" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("threads", ["abc", "-1"])
-    def test_bad_thread_count_is_an_input_error(self, threads, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("GHZ_SELFTEST_THREADS", threads)
-        out = tmp_path / "r.json"
-        code = run(parse_args(["seesaw", "--n", "2", "--restarts", "1", "-o", str(out)]))
-        assert code == 2
-        assert "GHZ_SELFTEST_THREADS must be an integer" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_robustness_grid_violation_fails_with_report(self, tmp_path):
         out = tmp_path / "r.json"
         csv = tmp_path / "grid.csv"
@@ -1140,3 +1163,71 @@ class TestRun:
         assert one["eigenvalues_by_outcome"] == {
             "0110": every["eigenvalues_by_outcome"]["0110"]}
         assert one["max_numeric_deviation"] <= every["max_numeric_deviation"] <= 1e-9
+
+
+# the strategy files the fuzzer mutates
+FUZZ_BASES = {
+    "ideal-2": lambda: ideal_strategy(2),
+    "partial-bell": partial_bell_strategy,
+    "antipodal-3": lambda: random_antipodal_strategy(3, 1),
+}
+# replacement values, as text so that each draw is a fresh object
+RETYPED = ["null", "true", '"x"', "[]", "{}", "0", "2.5", "[[1, 0]]"]
+
+
+@cache
+def fuzz_base_text(name: str) -> str:
+    """The bytes ``save_strategy`` writes for a base strategy."""
+    return canonical_json(strategy_to_dict(FUZZ_BASES[name]()))
+
+
+def json_paths(node, prefix=()):
+    """The path of every key and list item in a JSON tree."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,), child
+        yield from json_paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_strategy_files(draw):
+    """A saved strategy file after one or two mutations: a deleted key or
+    item, a retyped value, an entry set to +-1e308 or NaN, or a truncation."""
+    tree = json.loads(fuzz_base_text(draw(st.sampled_from(sorted(FUZZ_BASES)))))
+    kinds = draw(st.lists(st.sampled_from(["delete", "retype", "extreme", "truncate"]),
+                          min_size=1, max_size=2))
+    for kind in kinds:
+        paths = list(json_paths(tree))
+        if kind == "extreme":
+            paths = [(p, v) for p, v in paths
+                     if isinstance(v, (int, float)) and not isinstance(v, bool)]
+        if kind == "truncate" or not paths:
+            continue
+        path, _ = draw(st.sampled_from(paths))
+        parent = tree
+        for key in path[:-1]:
+            parent = parent[key]
+        if kind == "delete":
+            del parent[path[-1]]
+        elif kind == "retype":
+            parent[path[-1]] = json.loads(draw(st.sampled_from(RETYPED)))
+        else:
+            parent[path[-1]] = draw(st.sampled_from([1e308, -1e308, math.nan]))
+    text = json.dumps(tree)
+    if "truncate" in kinds:
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return draw(st.sampled_from(["certify", "partial-bell"])), text
+
+
+@settings(max_examples=60)
+@given(case=mutated_strategy_files())
+def test_mutated_strategy_file_ends_in_an_exit_status(case):
+    command, text = case
+    with tempfile.TemporaryDirectory() as d, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        path, out = Path(d) / "s.json", Path(d) / "r.json"
+        path.write_text(text, encoding="utf-8")
+        code = run(parse_args([command, "--input", str(path), "-o", str(out)]))
+        assert code in (0, 1, 2)
+        assert out.exists() == (code in (0, 1))
