@@ -26,10 +26,11 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import chain
 
 import numpy as np
 
-from . import __version__
+from . import __version__, arraytext
 from .errors import GhzSelfTestError, InequalityViolated, InvalidInput
 from .fixtures import (
     computational_strategy,
@@ -41,7 +42,6 @@ from .fixtures import (
     partial_bell_strategy,
     separable_fixture,
 )
-from .linalg import chunks
 from .optimize import SeesawConfig, seesaw
 from .robustness import (
     RAC_OPTIMUM,
@@ -87,6 +87,11 @@ MAX_N = 7
 STRATEGY_FORMAT = "ghz-selftest/strategy"
 # the commands whose checks read selftest's tolerance table
 TOLERANCE_COMMANDS = ("certify", "spectrum", "sos")
+# the arrays load_strategy reads as ndarrays, by key and shape (None: any
+# length): strategy_from_dict iterates povm and observables and indexes rho
+# by [a][x], so where these fit, an array reads as its nested lists would
+FLAT_ARRAYS = {"povm": (None, None, None, 2), "observables": (None, None, None, 2),
+               "rho": (2, 2, None, None, 2)}
 
 GHZ_FIXTURES = {
     "ideal": lambda n, noise: ideal_strategy(n),
@@ -119,7 +124,7 @@ def canonical_json(obj) -> str:
 
 def _json_parts(obj):
     """The text of :func:`canonical_json`, yielded in parts. The walk leaves
-    a slot for each finite float array; one :func:`_float_array_texts`
+    a slot for each finite float array; one :func:`arraytext.float_array_texts`
     generator writes them all, a slice at a time, as the slots come up, and
     the text between two slots is yielded joined."""
     parts: list = []
@@ -128,7 +133,7 @@ def _json_parts(obj):
     if not arrays:
         yield "".join(parts)
         return
-    texts = _float_array_texts([a for _, a in arrays])
+    texts = arraytext.float_array_texts([a for _, a in arrays])
     pending = next(texts, None)
     start = 0
     for i, (slot, _) in enumerate(arrays):
@@ -180,211 +185,33 @@ def _emit(obj, parts: list, arrays: list) -> None:
         raise InvalidInput(f"cannot serialize object of type {type(obj).__name__}")
 
 
-# exact powers for the float writer: 5**k below 2**63, in 32-bit halves, and 10**k
-_POW5_HI = np.array([5**k // 2**32 for k in range(28)], dtype=np.uint64)
-_POW5_LO = np.array([5**k % 2**32 for k in range(28)], dtype=np.uint64)
-_POW10 = np.array([10**k for k in range(18)], dtype=np.uint64)
-# the float writer's layouts: sign x decimal exponent -11..16 x fraction
-# digits 0..16, then zero (also the slot of a number left to "%.17g")
-_EXPONENTS = 28
-_ZERO = 2 * _EXPONENTS * 17
-_LAYOUTS = _ZERO + 1
-# the float writer streams runs of 64 numbers and counts 32 words of
-# temporaries a number: linalg.chunks gives it slices of 128 runs (8192
-# numbers), and at the smallest budget still whole runs, so a slice's fixed
-# cost (some 60 NumPy calls) stays small against its numbers
-_RUN = 64
-
-
-def _float_array_texts(arrays: list):
-    """The ``%.17g`` text of the non-empty finite float ``arrays``, each
-    nested like its ``tolist()``, with ``-0.0`` written ``0``: yields ``(i,
-    text)``, the texts of array ``i`` in order and the arrays in turn. The
-    numbers of all the arrays are written together, a slice of
-    :func:`linalg.chunks` at a time.
-
-    Each number's 17 significant digits are computed as an exact integer,
-    and Python's ``%`` writes them with ``%d`` fields into cached pieces of
-    the ``%g`` layout (:func:`_piece`). A finite nonzero normal ``x`` is
-    ``+-m 2**e`` with an integer ``2**52 <= m < 2**53``. With ``E`` the
-    guess ``floor(log10 |x|)`` and ``K = 16 - E``, ``|x| 10**K = m 5**K /
-    2**s`` for ``s = -(e + K)``. For ``0 <= K <= 27``, ``5**K < 2**63``, so
-    the product ``m 5**K < 2**116`` is exact in two ``uint64`` limbs
-    (:func:`_quotient`), and for ``1 <= s <= 63`` the quotient ``q =
-    floor(m 5**K / 2**s)`` and its remainder ``r`` are exact shifts of them.
-    Then ``10**16 <= q < 10**17`` holds exactly when the guess ``E`` is
-    right, since ``q`` is the floor of ``|x| 10**K``. It is checked on
-    ``q`` before rounding: the double nearest ``1e-7`` lies just below it,
-    yet has ``log10`` exactly ``-7``, and its ``q = 10**16 - 1`` rounds up
-    to ``10**16``, which would read ``1e-07``. (``log10`` is off by at most
-    one unit in the last place, so a wrong guess is off by one and its ``q``
-    is below ``10**18 < 2**64``, still exact.) The digits are ``q`` rounded half to even by ``r`` against
-    ``2**(s - 1)``, as CPython's correctly rounded ``%.17g`` rounds; if that
-    carries to ``10**17``, they are ``10**16`` and the exponent is ``E + 1``.
-    Without their trailing zeros they are written in the fixed layout for
-    exponents -4..16 and as ``d.ddde+-XX`` otherwise, as ``%g`` writes them.
-
-    Zero is the piece ``0``. Every other number outside that range (a
-    subnormal, a magnitude outside about [1e-11, 4e15], or a wrong guess)
-    stays on ``format(x, ".17g")``, written into its piece.
-    """
-    flats = [np.asarray(a, dtype=float).reshape(-1) for a in arrays]
-    starts = np.cumsum([0] + [f.size for f in flats]).tolist()
-    first = 0  # the array the next slice starts in
-    for part in chunks(-(-starts[-1] // _RUN), 32 * _RUN):
-        lo, hi = part.start * _RUN, min(part.stop * _RUN, starts[-1])
-        values, seps, ends = [], [], []
-        k = first
-        while k < len(flats) and starts[k] < hi:
-            a, b = max(lo - starts[k], 0), min(hi - starts[k], flats[k].size)
-            values.append(flats[k][a:b])
-            seps.append(_separators(arrays[k].shape, a, b))
-            if b == flats[k].size:
-                ends.append((starts[k] + b - 1 - lo, arrays[k].ndim))
-            k += 1
-        text = _float_slice(np.concatenate(values), np.concatenate(seps), ends)
-        for i, segment in enumerate(text.split("\0")):  # a NUL ends each array
-            if segment:
-                yield first + i, segment
-        first += len(ends)
-
-
-def _separators(shape: tuple, start: int, stop: int) -> np.ndarray:
-    """Separator codes of the numbers ``start:stop`` of a C-ordered array of
-    ``shape``: ``2 * ndim`` (that many brackets) for the first, else ``2c +
-    1`` for the ``c`` axes the number opens (``]`` c times, a comma, ``[`` c
-    times)."""
-    opened = np.zeros(stop - start, dtype=np.int64)
-    step = 1
-    for size in shape[:0:-1]:
-        step *= size
-        opened[-start % step::step] += 1
-    codes = 2 * opened + 1
-    if start == 0:
-        codes[0] = 2 * len(shape)
-    return codes
-
-
-def _float_slice(x: np.ndarray, seps: np.ndarray, ends: list) -> str:
-    """The text of the float64 numbers ``x`` led by the separators ``seps``,
-    with the closing brackets and a NUL after each ``(position, ndim)`` of
-    ``ends`` (see :func:`_float_array_texts`)."""
-    codes = seps * _LAYOUTS + _ZERO
-    nonzero = np.flatnonzero(x)
-    fast, e10, t, tz = _digits(x[nonzero])
-    # digits after the point: after the leading e10 + 1 in the fixed layout,
-    # after the first in the e+XX one; from 0.00 on (-4 <= e10 < 0), t is
-    # written whole
-    frac = 16 - tz - np.maximum(e10, 0)
-    split = fast & (frac > 0) & ((e10 >= 0) | (e10 < -4))
-    f = np.where(split, frac, 0)
-    # a decimal point inside the digits, or an integer's trailing zeros
-    odd = np.flatnonzero(split | (fast & (frac < 0)))
-    whole = t[odd] // _POW10[f[odd]]
-    fraction = t[odd] - whole * _POW10[f[odd]]
-    t[odd] = whole * _POW10[np.maximum(-frac[odd], 0)]
-    args = np.insert(t[fast], np.cumsum(fast)[odd[split[odd]]], fraction[split[odd]])
-    layout = ((x[nonzero] < 0) * _EXPONENTS + e10 + 11) * 17 + f
-    codes[nonzero] += np.where(fast, layout - _ZERO, 0)
-    used = np.flatnonzero(np.bincount(codes))
-    table = np.empty(used[-1] + 1, dtype=object)
-    table[used] = [_piece(c) for c in used.tolist()]
-    pieces = table[codes]
-    other = nonzero[~fast]
-    pieces[other] = np.array([_separator(s) + format(y, ".17g") for s, y in
-                              zip(seps[other].tolist(), x[other].tolist())], dtype=object)
-    for at, ndim in ends:
-        pieces[at] += "]" * ndim + "\0"
-    return "".join(pieces.tolist()) % tuple(args.tolist())
-
-
-def _digits(v: np.ndarray) -> tuple:
-    """``(fast, e10, t, tz)`` for the nonzero float64 numbers ``v``: where
-    ``fast``, their 17 significant digits are ``t`` followed by ``tz``
-    zeros, with the first digit at the decimal exponent ``e10`` (see
-    :func:`_float_array_texts`)."""
-    bits = v.view(np.uint64)
-    e10 = np.floor(np.log10(np.abs(v))).astype(np.int64)  # the guess E
-    k = 16 - e10
-    # a subnormal's biased exponent is 0: its shift is above 1000
-    shift = 1075 - ((bits >> 52) & 0x7FF).astype(np.int64) - k
-    fast = (k >= 0) & (k <= 27) & (shift >= 1) & (shift <= 63)
-    k[~fast] = 0
-    shift[~fast] = 1
-    q, up = _quotient((bits & 0xFFFFFFFFFFFFF) | 0x10000000000000, k, shift.astype(np.uint64))
-    fast &= (q >= _POW10[16]) & (q < _POW10[17])
-    q += up
-    carry = q == _POW10[17]
-    q[carry] = _POW10[16]
-    e10 += carry
-    # strip the trailing zeros (at most 16) of the numbers that end in one
-    tz = np.zeros(len(q), dtype=np.int64)
-    tens = np.flatnonzero(q // 10 * 10 == q)
-    t = q[tens]
-    for p in (16, 8, 4, 2, 1):
-        d = t // _POW10[p]
-        z = d * _POW10[p] == t
-        t = np.where(z, d, t)
-        tz[tens] += p * z
-    q[tens] = t
-    return fast, e10, q, tz
-
-
-def _quotient(m: np.ndarray, k: np.ndarray, shift: np.ndarray) -> tuple:
-    """``q = floor(m 5**k / 2**shift)`` and whether ``q`` rounds up, half to
-    even, for ``m < 2**53``, ``k <= 27`` and ``1 <= shift <= 63``. The
-    product ``m 5**k < 2**116`` is ``hi * 2**64 + lo``, formed from 32-bit
-    halves: every partial product and the middle sum stay below ``2**64``."""
-    mh, ml = m >> 32, m & 0xFFFFFFFF
-    ph, pl = _POW5_HI[k], _POW5_LO[k]
-    lo = ml * pl
-    mid = mh * pl + ml * ph
-    hi = mh * ph + (mid >> 32)
-    mid <<= 32
-    lo += mid  # wraps: the carry goes to hi
-    hi += lo < mid
-    q = (hi << (64 - shift)) | (lo >> shift)
-    rest = lo & ((1 << shift) - 1)
-    half = 1 << (shift - 1)
-    return q, (rest > half) | ((rest == half) & (q & 1).astype(bool))
-
-
-@cache
-def _separator(code: int) -> str:
-    opened, inner = divmod(code, 2)
-    return "]" * opened + "," + "[" * opened if inner else "[" * opened
-
-
-@cache
-def _piece(code: int) -> str:
-    """The ``%``-template of one number of :func:`_float_slice`: its
-    separator, then its layout (sign, exponent, fraction digits)."""
-    sep, layout = divmod(code, _LAYOUTS)
-    out = _separator(sep)
-    if layout == _ZERO:
-        return out + "0"
-    rest, frac = divmod(layout, 17)
-    neg, exponent = divmod(rest, _EXPONENTS)
-    exponent -= 11
-    out += "-" * neg
-    if -4 <= exponent < 0:
-        return out + "0." + "0" * (-exponent - 1) + "%d"
-    out += "%d" + (f".%0{frac}d" if frac else "")
-    return out if 0 <= exponent < 17 else out + f"e{exponent:+03d}"
-
-
 def matrix_from_json(rows, field_name: str, d: int) -> np.ndarray:
-    """The ``d x d`` complex matrix of a row-major list of ``[re, im]`` pairs;
-    anything else is an InvalidInput naming ``field_name``."""
+    """The ``d x d`` complex matrix of a row-major list of ``[re, im]`` pairs,
+    or of their array; anything else, a JSON ``true`` or ``false`` among the
+    numbers too, is an InvalidInput naming ``field_name``."""
     try:
         pairs = np.asarray(rows)
     except ValueError as exc:  # ragged rows
         raise InvalidInput(f"malformed matrix in {field_name}: {exc}") from exc
-    if pairs.dtype.kind not in "biuf" or pairs.shape != (d, d, 2):
+    # NumPy types a list of booleans as bool, and booleans among numbers as numbers
+    if (pairs.dtype.kind not in "iuf" or pairs.shape != (d, d, 2)
+            or isinstance(rows, list) and bool in set(map(type, chain.from_iterable(
+                chain.from_iterable(rows))))):
         raise InvalidInput(f"{field_name} is not a {d}x{d} matrix of [re, im] number pairs")
     if not np.isfinite(pairs).all():
         raise InvalidInput(f"non-finite matrix entry in {field_name}")
     return pairs.astype(float).view(complex)[..., 0]
+
+
+def _matrix_stack(items, field_name: str, d: int) -> np.ndarray:
+    """The stack of :func:`matrix_from_json` of each ``items[k]``, named
+    ``field_name[k]``. An integer or float array of finite ``[re, im]``
+    pairs of ``d x d`` matrices, as :func:`load_strategy` reads a stack,
+    passes every check at once and is converted whole."""
+    if (isinstance(items, np.ndarray) and items.dtype.kind in "iuf"
+            and items.shape[1:] == (d, d, 2) and np.isfinite(items).all()):
+        return items.astype(float).view(complex)[..., 0]
+    return np.stack([matrix_from_json(m, f"{field_name}[{k}]", d) for k, m in enumerate(items)])
 
 
 def strategy_to_dict(strategy: Strategy, arrays: bool = False) -> dict:
@@ -433,12 +260,10 @@ def strategy_from_dict(data: dict) -> Strategy:
                     rho[a, x] = matrix_from_json(entry["rho"][a][x],
                                                  f"senders[{j}].rho[{a}][{x}]", 2)
             senders.append(SenderStates(rho))
-        povm = Povm(np.stack([matrix_from_json(m, f"povm[{k}]", 2**n)
-                              for k, m in enumerate(data["povm"])]))
+        povm = Povm(_matrix_stack(data["povm"], "povm", 2**n))
         observables = None
         if "observables" in data:
-            observables = np.stack([matrix_from_json(o, f"observables[{i}]", 2)
-                                    for i, o in enumerate(data["observables"])])
+            observables = _matrix_stack(data["observables"], "observables", 2)
     except InvalidInput:
         raise
     except (KeyError, IndexError, TypeError, ValueError) as exc:
@@ -456,23 +281,32 @@ def save_strategy(strategy: Strategy, path: str) -> None:
 
 
 def load_strategy(path: str) -> Strategy:
-    """The strategy of a strategy file. A file that is not UTF-8 text or
-    nests too deeply to parse is an InvalidInput; the cyclic garbage
-    collector is paused while the parse builds its lists, which hold no
-    cycles, and left as the caller had it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        collecting = gc.isenabled()
-        gc.disable()
+    """The strategy of a strategy file. :func:`arraytext.loads` parses its
+    bytes, reading each rectangular ``povm``, ``observables`` and ``rho``
+    array as one ndarray, and any other value or a bad file as ``json``
+    reads the text. A file that is not UTF-8 text or nests too deeply to
+    parse is an InvalidInput. The cyclic garbage collector, whose passes
+    over the parsed objects would find no cycles, is paused from the parse
+    until the strategy is built and those objects are freed, and is left as
+    the caller had it."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
         try:
-            data = json.load(fh)
+            data = arraytext.loads(raw, FLAT_ARRAYS)
         except UnicodeDecodeError as exc:
             raise InvalidInput(f"strategy file is not UTF-8 text: {exc}") from exc
         except RecursionError as exc:
             raise InvalidInput("strategy file nests too deeply to parse") from exc
-        finally:
-            if collecting:
-                gc.enable()
-    return strategy_from_dict(data)
+        del raw
+        strategy = strategy_from_dict(data)
+        del data
+        return strategy
+    finally:
+        if collecting:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

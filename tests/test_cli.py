@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import math
 import os
@@ -10,6 +12,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+import weakref
 from functools import cache
 from pathlib import Path
 
@@ -548,19 +551,146 @@ class TestLoadStrategyGc:
         assert gc.isenabled()
 
     def test_parse_runs_paused(self, tmp_path, monkeypatch, caller_gc):
+        # paused from the first parse until the strategy is built and the
+        # parsed arrays are freed
         path = tmp_path / "s.json"
         save_strategy(ideal_strategy(2), str(path))
-        seen = []
-        parse = json.load
+        seen, parsed = [], []
+        parse, build, enable = json.loads, cli.strategy_from_dict, gc.enable
 
-        def recording(fh):
-            seen.append(gc.isenabled())
-            return parse(fh)
+        def recording(fn):
+            def wrapper(*args, **kwargs):
+                seen.append((fn.__name__, gc.isenabled()))
+                return fn(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(json, "load", recording)
-        gc.enable()
+        def building(data):
+            parsed.append(weakref.ref(data["povm"]))
+            return recording(build)(data)
+
+        def enabling():
+            seen.append(("enable", parsed[0]() is None))
+            enable()
+
+        monkeypatch.setattr(json, "loads", recording(parse))
+        monkeypatch.setattr(cli, "strategy_from_dict", building)
+        monkeypatch.setattr(gc, "enable", enabling)
+        enable()
         load_strategy(str(path))
-        assert seen == [False] and gc.isenabled()
+        assert seen[-2:] == [("strategy_from_dict", False), ("enable", True)]
+        assert seen[:-2] and seen[:-2] == [("loads", False)] * len(seen[:-2])
+        assert gc.isenabled()
+
+
+def reference_load(path) -> Strategy:
+    """The strategy-file loader that the flat reader replaced, kept as its
+    reference: ``json`` parses the text into nested lists, which
+    ``strategy_from_dict`` reads."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise InvalidInput(f"strategy file is not UTF-8 text: {exc}") from exc
+        except RecursionError as exc:
+            raise InvalidInput("strategy file nests too deeply to parse") from exc
+    return strategy_from_dict(data)
+
+
+def strategy_bytes(s: Strategy) -> tuple:
+    """Everything a loaded strategy holds, bit for bit."""
+    return (s.n, s.task, s.povm.elements.tobytes(), [st.rho.tobytes() for st in s.senders],
+            None if s.observables is None else s.observables.tobytes())
+
+
+def record_nested_parses(monkeypatch) -> list:
+    """Patch ``json.loads`` to note each parse that builds a list holding a
+    list, as parsing a number array as nested lists does."""
+    nested, parse = [], json.loads
+
+    def holds_nested_list(value) -> bool:
+        if isinstance(value, dict):
+            return any(map(holds_nested_list, value.values()))
+        kinds = set(map(type, value)) if isinstance(value, list) else ()
+        return list in kinds or dict in kinds and any(map(holds_nested_list, value))
+
+    def recording(*args, **kwargs):
+        value = parse(*args, **kwargs)
+        nested.append(holds_nested_list(value))
+        return value
+
+    monkeypatch.setattr(json, "loads", recording)
+    return nested
+
+
+# the strategies whose files the flat reader must read as the reference does
+READER_CASES = {
+    **{f"{name}-{n}": (lambda name=name, n=n: cli.GHZ_FIXTURES[name](n, 0.05))
+       for name in sorted(cli.GHZ_FIXTURES) for n in range(2, 7)},
+    "antipodal-5": lambda: random_antipodal_strategy(5, 3),
+    "mixed-3": lambda: random_mixed_strategy(3, 4),
+    "partial-bell": partial_bell_strategy,
+}
+
+
+def reader_text(name: str, layout: str) -> str:
+    """A strategy file as ``save_strategy`` writes it, re-dumped with
+    ``json.dumps(indent=1)``, or that with CRLF line ends."""
+    text = canonical_json(strategy_to_dict(READER_CASES[name](), arrays=True))
+    if layout != "saved":
+        text = json.dumps(json.loads(text), indent=1)
+    return text.replace("\n", "\r\n") if layout == "crlf" else text
+
+
+class TestFlatReader:
+    """``load_strategy`` reads each number array as one flat list, and
+    reads every file as the nested-list loader does."""
+
+    # an n = 6 re-dump takes seconds; n = 2..5 cover the layouts
+    @pytest.mark.parametrize("name, layout", [
+        (name, layout) for name in sorted(READER_CASES) for layout in ("saved", "indent", "crlf")
+        if layout == "saved" or not name.endswith("-6")])
+    def test_arrays_are_the_reference_loaders_bit_for_bit(self, tmp_path, monkeypatch,
+                                                          name, layout):
+        path = tmp_path / "s.json"
+        path.write_bytes(reader_text(name, layout).encode("utf-8"))
+        want = strategy_bytes(reference_load(path))
+        nested = record_nested_parses(monkeypatch)
+        assert strategy_bytes(load_strategy(str(path))) == want
+        assert nested and not any(nested)
+
+    def test_antipodal_povm_is_not_parsed_as_nested_lists(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.json"
+        save_strategy(random_antipodal_strategy(5, 1), str(path))
+        nested = record_nested_parses(monkeypatch)
+        load_strategy(str(path))
+        assert nested and not any(nested)
+
+    @pytest.mark.parametrize("command", ["certify", "partial-bell"])
+    def test_placeholder_text_in_the_file_is_a_plain_string(self, tmp_path, command):
+        # the string that stands in for the first flattened array
+        data = strategy_to_dict(ideal_strategy(2))
+        data["task"] = "\x000"
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        outcome = cli_outcome(command, path, tmp_path)
+        assert outcome == cli_outcome(command, path, tmp_path, reference_load)
+        assert "unknown task '\\x000'" in outcome[1]
+
+
+def cli_outcome(command, path, workdir, loader=None) -> tuple:
+    """Exit code, standard error and report bytes of ``COMMAND --input
+    PATH``, with ``loader`` in place of ``load_strategy`` if given."""
+    out = Path(workdir) / "r.json"
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    saved = cli.load_strategy
+    cli.load_strategy = loader or saved
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(parse_args([command, "--input", str(path), "-o", str(out)]))
+    finally:
+        cli.load_strategy = saved
+    return code, err.getvalue(), out.read_bytes() if out.exists() else None
 
 
 class TestRun:
@@ -801,6 +931,33 @@ class TestRun:
         assert code == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("command, defect, field, d", [
+        ("certify", "every zero entry false", "senders[0].rho[0][0]", 2),
+        ("certify", "all entries false", "senders[1].rho[1][0]", 2),
+        ("certify", "one true among numbers", "povm[1]", 4),
+        ("partial-bell", "true in an observable", "observables[0]", 2),
+    ])
+    def test_boolean_matrix_entries_are_refused(self, tmp_path, capsys, command, defect,
+                                                field, d):
+        # NumPy reads booleans among numbers as numbers, and JSON false as 0
+        strategy = partial_bell_strategy() if command == "partial-bell" else ideal_strategy(2)
+        data = strategy_to_dict(strategy)
+        if defect == "every zero entry false":
+            data = json.loads(json.dumps(data), parse_float=lambda s: float(s) or False)
+        elif defect == "all entries false":
+            data["senders"][1]["rho"][1][0] = [[[False, False]] * 2] * 2
+        elif defect == "one true among numbers":
+            data["povm"][1][0][0][1] = True
+        else:
+            data["observables"][0][0][1][0] = True
+        strat = tmp_path / "s.json"
+        strat.write_text(json.dumps(data))
+        out = tmp_path / "r.json"
+        assert run(parse_args([command, "--input", str(strat), "-o", str(out)])) == 2
+        assert capsys.readouterr().err == (
+            f"{command}: error: {field} is not a {d}x{d} matrix of [re, im] number pairs\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, strategy", [
         ("certify", ideal_strategy(2)), ("partial-bell", partial_bell_strategy()),
@@ -1231,3 +1388,47 @@ def test_mutated_strategy_file_ends_in_an_exit_status(case):
         code = run(parse_args([command, "--input", str(path), "-o", str(out)]))
         assert code in (0, 1, 2)
         assert out.exists() == (code in (0, 1))
+
+
+# a number token of a saved file, and what an edit puts in its place
+NUMBER_TOKEN = re.compile(rb"-?[0-9][-+.0-9Ee]*")
+NUMBER_EDITS = [b"01", b".5", b"5.", b"+1", b"1e", b"1_0", b"NaN", b"Infinity", b"1e400", b"-0",
+                b"true", b"null", b'"0.5"', b"18446744073709551616"]
+
+
+@st.composite
+def edited_strategy_files(draw):
+    """A saved strategy file with one edit: a number token replaced, a
+    trailing comma before a closing bracket, a bracket dropped or doubled,
+    a row's last number dropped, or a non-ASCII byte inserted."""
+    text = fuzz_base_text(draw(st.sampled_from(sorted(FUZZ_BASES)))).encode()
+    kind = draw(st.sampled_from(["number", "trailing comma", "drop bracket", "extra bracket",
+                                 "ragged row", "non-ascii"]))
+    if kind == "number":
+        start, end = draw(st.sampled_from([m.span() for m in NUMBER_TOKEN.finditer(text)]))
+        text = text[:start] + draw(st.sampled_from(NUMBER_EDITS)) + text[end:]
+    elif kind == "ragged row":
+        start, end = draw(st.sampled_from(
+            [m.span() for m in re.finditer(rb",-?[0-9][-+.0-9Ee]*\]", text)]))
+        text = text[:start] + text[end - 1:]
+    elif kind == "non-ascii":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from([b"\xff", "\u00e9".encode()])) + text[at:]
+    else:
+        closing = kind == "trailing comma"
+        at = draw(st.sampled_from([m.start() for m in re.finditer(
+            rb"\]" if closing else rb"[\[\]]", text)]))
+        edit = b"," if closing else b"" if kind == "drop bracket" else text[at:at + 1]
+        text = text[:at] + edit + text[at + (kind == "drop bracket"):]
+    return draw(st.sampled_from(["certify", "partial-bell"])), text
+
+
+@settings(max_examples=150)
+@given(case=edited_strategy_files())
+def test_edited_strategy_file_reads_as_the_reference_does(case):
+    # exit code, message and report are those of the nested-list loader
+    command, text = case
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "s.json"
+        path.write_bytes(text)
+        assert cli_outcome(command, path, d) == cli_outcome(command, path, d, reference_load)

@@ -184,7 +184,7 @@ BIT_OPS = (ast.RShift, ast.LShift, ast.BitXor)
 # strategy-file writer shifts bits, those of IEEE doubles and their products
 BIT_ALLOWED = {("states.py", name)
                for name in ("outcome_bits", "outcome_index", "outcome_table", "basis_index")}
-BIT_ALLOWED |= {("cli.py", "_digits"), ("cli.py", "_quotient")}
+BIT_ALLOWED |= {("arraytext.py", "_digits"), ("arraytext.py", "_quotient")}
 # the readers of the table and the ket rule, which keep no bit arithmetic
 BIT_READERS = {("states.py", "ghz_basis"), ("states.py", "ghz_basis_state"),
                ("robustness.py", "_slot_factors"), ("scenario.py", "witness_signs"),
