@@ -42,7 +42,7 @@ from .fixtures import (
     partial_bell_strategy,
     separable_fixture,
 )
-from .optimize import SeesawConfig, seesaw
+from .optimize import GAMES, SeesawConfig, seesaw
 from .robustness import (
     RAC_OPTIMUM,
     FidelityBoundParams,
@@ -368,8 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=50)
 
     p = command("seesaw", "alternating optimization of a game score", n=True, seed=True)
-    p.add_argument("--metric", choices=("ghz", "counterexample", "partial-bell"),
-                   default="ghz")
+    p.add_argument("--metric", choices=[g.replace("_", "-") for g in GAMES], default="ghz")
     p.add_argument("--restarts", type=int, default=50)
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--conv-tol", type=float, default=1e-10)
@@ -431,8 +430,9 @@ def parse_args(argv) -> RunConfig:
         parser.error("--n must be at least 2")
     if ns.n is not None and ns.n > MAX_N:
         parser.error(f"--n {ns.n} unsupported for {ns.command} (n <= {MAX_N})")
-    if ns.command == "seesaw" and ns.metric == "counterexample" and ns.save_strategy:
-        parser.error("--save-strategy: three-input strategies have no strategy-file form")
+    if ns.command == "seesaw" and ns.save_strategy:
+        if unsavable := GAMES[ns.metric.replace("-", "_")].unsavable:
+            parser.error(f"--save-strategy: {unsavable}")
     options = {k: v for k, v in vars(ns).items()
                if k not in ("command", "n", "seed", "output")}
     return RunConfig(
@@ -512,6 +512,7 @@ def _cmd_sos(config: RunConfig) -> tuple:
 
 def _cmd_seesaw(config: RunConfig) -> tuple:
     metric = config.options["metric"].replace("-", "_")
+    game = GAMES[metric]
     cfg = SeesawConfig(
         n=config.n,
         metric=metric,
@@ -521,8 +522,7 @@ def _cmd_seesaw(config: RunConfig) -> tuple:
         seed=config.seed,
     )
     result = seesaw(cfg)
-    targets = {"ghz": 1 - 1e-6, "counterexample": 2.8283, "partial_bell": 1 - 1e-6}
-    passed = result.best_value >= targets[metric]
+    passed = result.best_value >= game.target
     if config.options.get("history_csv"):
         with open(config.options["history_csv"], "w", encoding="utf-8") as fh:
             fh.write("restart,iteration,value\n")
@@ -536,11 +536,9 @@ def _cmd_seesaw(config: RunConfig) -> tuple:
         "best_value": result.best_value,
         "iters_used": result.iters_used,
         "restarts": cfg.restarts,
-        "target": targets[metric],
+        "target": game.target,
+        **game.extra(result.best_strategy),
     }
-    if result.best_strategy.task == "counterexample":
-        results["outcome_classification"] = classify_outcome_measurement(
-            result.best_strategy.povm)
     return results, passed, f"metric={metric} best={result.best_value:.10f}"
 
 
@@ -606,9 +604,7 @@ def _cmd_fidelity_bound(config: RunConfig) -> tuple:
 def _cmd_partial_bell(config: RunConfig) -> tuple:
     if config.input_path:
         strategy = load_strategy(config.input_path)
-        strategy.validate()
-        if strategy.task != "partial_bell":
-            raise InvalidInput("strategy file does not carry a partial_bell task")
+        strategy.validate()  # comm_metric refuses another task's strategy
     elif config.options["noise"] != 0:
         # the fixture rejects noise outside [0, 1], NaN included
         strategy = depolarized_partial_bell(config.options["noise"])

@@ -1,5 +1,7 @@
 """Reference strategies used by the CLI, the tests and the benchmarks."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from .errors import InvalidInput
@@ -104,13 +106,7 @@ def depolarized_partial_bell(noise: float) -> Strategy:
             for m in base.povm.elements
         ]
     )
-    return Strategy(
-        n=2,
-        senders=base.senders,
-        povm=Povm(els),
-        task="partial_bell",
-        observables=base.observables,
-    )
+    return replace(base, povm=Povm(els))
 
 
 # ---------------------------------------------------------------------------

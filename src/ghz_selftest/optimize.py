@@ -30,7 +30,7 @@ import numpy as np
 from .errors import InvalidInput
 from .linalg import I2, chunks, dagger, fix_phase, herm_eig, projector, tensor
 from .parallel import ordered_map
-from .rng import make_rng
+from .rng import make_rng, uint64
 from .scenario import (
     COUNTEREXAMPLE_MATRIX,
     CounterexampleStrategy,
@@ -46,6 +46,7 @@ from .scenario import (
     witness_orbits,
     witness_signs,
 )
+from .selftest import classify_outcome_measurement
 from .states import (
     Povm,
     SenderStates,
@@ -72,10 +73,12 @@ class SeesawConfig:
             raise InvalidInput(f"metric must be one of {tuple(GAMES)}, got {self.metric!r}")
         if self.restarts < 1 or self.max_iters < 1 or not 0 < self.conv_tol < math.inf:
             raise InvalidInput("restarts and max_iters must be >= 1, conv_tol finite and > 0")
-        if self.metric in ("counterexample", "partial_bell") and self.n != 2:
+        if GAMES[self.metric].senders not in (None, self.n):
             raise InvalidInput(f"metric {self.metric!r} is a two-sender game")
         if self.n < 2:
             raise InvalidInput("need at least two senders")
+        for name in ("n", "restarts", "max_iters"):  # integers, by the rule for seeds
+            uint64(name, getattr(self, name))
 
 
 @dataclass
@@ -331,9 +334,9 @@ def _partial_bell_build(rho, elements) -> Strategy:
 
 @dataclass(frozen=True)
 class _Game:
-    """One game's see-saw. Messages are a restart's sender states, the
-    measurement its receiver side; every function but ``start`` and
-    ``build`` takes stacked arrays with leading restart axes."""
+    """One game's see-saw and settings. Messages are a restart's sender
+    states, the measurement its receiver side; every function but ``start``,
+    ``build`` and ``extra`` takes stacked arrays with leading restart axes."""
 
     start: Callable  # (config, rng) -> messages of one restart
     measure: Callable  # messages -> best measurement for them
@@ -341,6 +344,10 @@ class _Game:
     score: Callable  # (messages, measurement) -> scores
     build: Callable  # (messages, measurement) of one restart -> strategy
     entries: Callable  # n -> entries of the largest per-restart stack
+    target: float = 1 - 1e-6  # a best score at or above it passes
+    senders: int | None = None  # the game's fixed sender count; None: any n >= 2
+    extra: Callable = lambda strategy: {}  # best strategy -> the game's own report entries
+    unsavable: str = ""  # why its strategies have no strategy-file form, if they have none
 
 
 GAMES = {
@@ -359,6 +366,9 @@ GAMES = {
         counterexample_scores,
         lambda states, m0: CounterexampleStrategy(states=states, m0=m0),
         lambda n: 2 * 3 * 2 * 2,  # the six qubit states
+        target=2.8283, senders=2,
+        extra=lambda s: {"outcome_classification": classify_outcome_measurement(s.povm)},
+        unsavable="three-input strategies have no strategy-file form",
     ),
     "partial_bell": _Game(
         _partial_bell_start,
@@ -367,6 +377,7 @@ GAMES = {
         lambda rho, els: comm_scores(message_operators(rho), els),
         _partial_bell_build,
         lambda n: 3 * 4 * 4,  # three witnesses or POVM elements of 4 x 4
+        senders=2,
     ),
 }
 

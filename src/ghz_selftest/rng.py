@@ -11,8 +11,8 @@ import numpy as np
 from .errors import InvalidInput
 
 
-def _key(name: str, value) -> np.uint64:
-    """One 64-bit key word; a float or bool would alias an integer seed."""
+def uint64(name: str, value) -> np.uint64:
+    """``value`` as one 64-bit key word; a float or bool would alias an integer."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidInput(f"{name} must be an integer, got {value!r}")
     if not 0 <= int(value) < 2**64:  # wrapping would alias two seeds
@@ -21,5 +21,5 @@ def _key(name: str, value) -> np.uint64:
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    key = np.array([_key("seed", seed), _key("stream", stream)], dtype=np.uint64)
+    key = np.array([uint64("seed", seed), uint64("stream", stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

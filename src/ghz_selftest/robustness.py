@@ -403,6 +403,7 @@ def margin_grid(
     per_axis = max((k for k in range(2, 10) if k**n <= GRID_MAX_POINTS - margins.size),
                    default=0)
     if min_val < 0 and per_axis:
+        step = min(step, 2 * np.pi)  # past 2 pi ticks clip to the ends alone; 1e308 overflows
         fine = 2 * step / (per_axis - 1)
         local = _check_angles(
             _product([np.unique(np.clip(np.arange(c - step, c + step + fine / 2, fine),

@@ -178,8 +178,7 @@ def success_scores(ops: np.ndarray, elements: np.ndarray) -> np.ndarray:
 
 def success_metric(strategy: Strategy) -> float:
     """Normalized GHZ-game score; the quantum maximum is 1."""
-    if strategy.task != "ghz" or len(strategy.povm) != 2**strategy.n:
-        raise InvalidInput("success_metric needs a GHZ-task strategy with 2**n POVM elements")
+    strategy.require("ghz")
     return float(success_scores(a_operators(strategy), strategy.povm.elements))
 
 
@@ -252,9 +251,8 @@ def _contract_shared(t: np.ndarray, contexts) -> list:
 
 def probability_table(strategy: Strategy) -> ProbabilityTable:
     """Evaluate ``p(s | inputs) = Tr((x)_j rho_j  M_s)`` over the score's contexts."""
+    strategy.require("ghz")
     n = strategy.n
-    if strategy.task != "ghz":
-        raise InvalidInput("probability_table needs a GHZ-task strategy")
     els = strategy.povm.elements
     d = 2**n
     rho = [st.rho for st in strategy.senders]
@@ -397,10 +395,7 @@ def comm_scores(ops: np.ndarray, elements: np.ndarray) -> np.ndarray:
 
 def comm_metric(strategy: Strategy) -> float:
     """Three-outcome communication score, quantum maximum 1."""
-    if strategy.task != "partial_bell":
-        raise InvalidInput("comm_metric needs a partial Bell strategy")
-    if len(strategy.povm) != 3:
-        raise InvalidInput("comm_metric needs a 3-element POVM")
+    strategy.require("partial_bell")
     return float(comm_scores(a_operators(strategy), strategy.povm.elements))
 
 

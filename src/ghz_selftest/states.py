@@ -337,18 +337,13 @@ def _cholesky_clears(half: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class Strategy:
-    """Senders' states plus the receiver's measurement.
-
-    ``task`` is ``"ghz"`` (POVM with ``2**n`` elements) or ``"partial_bell"``
-    (three-element POVM on two qubits plus two binary observables ``mx, mz``
-    stacked in ``observables``).
-    """
+    """Senders' states plus the receiver's measurement, for the game ``task`` names."""
 
     n: int
     senders: tuple
     povm: Povm
     task: str = "ghz"
-    observables: np.ndarray | None = field(default=None)
+    observables: np.ndarray | None = field(default=None)  # partial Bell's stacked mx, mz
 
     def __post_init__(self):
         object.__setattr__(self, "senders", tuple(self.senders))
@@ -366,19 +361,25 @@ class Strategy:
             except InvalidInput as exc:
                 raise InvalidInput(f"sender {j}: {exc}") from None
         self.povm.validate()
-        if self.task == "ghz":
+        self.require(self.task)
+
+    def require(self, task: str) -> None:
+        """Raise InvalidInput unless this plays ``task`` in its shape; the scores call it."""
+        if self.task != task:
+            raise InvalidInput(f"strategy task is {self.task!r}, not {task!r}")
+        if task == "ghz":
             if len(self.povm) != 2**self.n or self.povm.dim != 2**self.n:
                 raise InvalidInput(
                     f"GHZ task needs 2**n POVM elements on dim 2**n, got "
                     f"{len(self.povm)} elements on dim {self.povm.dim}"
                 )
-        elif self.task == "partial_bell":
+        elif task == "partial_bell":
             if self.n != 2 or len(self.povm) != 3 or self.povm.dim != 4:
                 raise InvalidInput("partial Bell task needs n=2 and a 3-element POVM on dim 4")
             if self.observables is None or self.observables.shape != (2, 2, 2):
                 raise InvalidInput("partial Bell task needs two binary observables")
         else:
-            raise InvalidInput(f"unknown task {self.task!r}")
+            raise InvalidInput(f"unknown task {task!r}")
 
 
 def ideal_sender_states(j: int, n: int) -> SenderStates:

@@ -778,6 +778,35 @@ class TestRun:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, strategy, message", [
+        ("certify", partial_bell_strategy, "strategy task is 'partial_bell', not 'ghz'"),
+        ("partial-bell", lambda: ideal_strategy(2), "strategy task is 'ghz', not 'partial_bell'"),
+    ])
+    def test_file_of_another_game_is_refused_in_one_wording(self, tmp_path, capsys, command,
+                                                            strategy, message):
+        strat, out = tmp_path / "s.json", tmp_path / "r.json"
+        save_strategy(strategy(), str(strat))
+        assert run(parse_args([command, "--input", str(strat), "-o", str(out)])) == 2
+        assert capsys.readouterr().err == f"{command}: error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("metric, target", [
+        ("ghz", 1 - 1e-6), ("counterexample", 2.8283), ("partial-bell", 1 - 1e-6),
+    ])
+    def test_seesaw_report_keeps_each_game_target(self, tmp_path, metric, target):
+        out = tmp_path / "r.json"
+        run(parse_args(["seesaw", "--metric", metric, "--restarts", "1", "--max-iters", "2",
+                        "-o", str(out)]))
+        assert json.loads(out.read_text())["results"]["target"] == target
+        assert f'"target":{target:.17g}}}' in out.read_text()  # the last key of results
+
+    def test_metric_choices_keep_their_order(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["seesaw", "--metric", "bogus"])
+        assert exc.value.code == 2
+        assert ("argument --metric: invalid choice: 'bogus' (choose from 'ghz', "
+                "'counterexample', 'partial-bell')") in capsys.readouterr().err
+
     def test_certify_input_accepts_the_file_n(self, tmp_path):
         strat = tmp_path / "s3.json"
         save_strategy(ideal_strategy(3), str(strat))
@@ -1157,6 +1186,17 @@ class TestRun:
             want = robustness._margins(2, s, corners, analytic_params(2))
             assert np.abs(got - want).max() <= 1e-13
 
+    @pytest.mark.parametrize("step", ["1e308", "1.7976931348623157e308"])
+    def test_robustness_grid_huge_step_sweeps_as_step_10_does(self, tmp_path, step):
+        # the refinement window around the minimum overflowed, and arange
+        # ended the run in a ValueError traceback
+        results = []
+        for s in ("10", step):
+            out = tmp_path / "r.json"
+            assert run(parse_args(["robustness-grid", "--step", s, "-o", str(out)])) == 0
+            results.append(json.loads(out.read_text())["results"])
+        assert results[0] == results[1]
+
     def test_refinement_solves_each_clipped_point_once(self, tmp_path, monkeypatch):
         calls = []  # (points, distinct points) per call
         margins = robustness._margins
@@ -1432,3 +1472,77 @@ def test_edited_strategy_file_reads_as_the_reference_does(case):
         path = Path(d) / "s.json"
         path.write_bytes(text)
         assert cli_outcome(command, path, d) == cli_outcome(command, path, d, reference_load)
+
+
+# values no flag should take; a name under "@/" is a file of the case's
+# directory, and "@/" the directory itself
+HOSTILE = ["nan", "inf", "-inf", "1e308", str(2**64), "abc", "0", "-1", "-0.5"]
+INPUTS = [f"@/{name}.json" for name in sorted(FUZZ_BASES)] + ["@/missing.json"]
+R, MU = repr(analytic_params(2).r), repr(analytic_params(2).mu)
+# each command's optional flags with the valid values they may take
+ARGV_FLAGS = {
+    "certify": {"--n": ["2", "3"], "--input": INPUTS, "--noise": ["0.1"],
+                "--fixture": ["ideal", "literal", "computational", "depolarized"]},
+    "spectrum": {"--n": ["2", "3"], "--s": ["all", "01", "110"]},
+    "sos": {"--n": ["2", "3"], "--seed": ["0", "7"]},
+    "seesaw": {"--n": ["2", "3"], "--seed": ["0", "7"], "--conv-tol": ["1e-10", "0.5"],
+               "--metric": ["ghz", "counterexample", "partial-bell"],
+               "--history-csv": ["@/h.csv", "@/"], "--save-strategy": ["@/s.json", "@/"]},
+    "counterexample": {},
+    "robustness-grid": {"--n": ["2", "3"], "--r": [R], "--mu": [MU], "--csv": ["@/g.csv", "@/"]},
+    "fidelity-bound": {"--n": ["2", "3"], "--eps": ["0.1"], "--r": [R], "--mu": [MU]},
+    "partial-bell": {"--input": INPUTS, "--noise": ["0.1"]},
+    "rac": {"--alpha": ["0.5"]},
+}
+# the flags that size a run, always given and bounded small
+BOUNDED_FLAGS = {
+    "sos": {"--samples": ["1", "3"]},
+    "seesaw": {"--restarts": ["1", "3"], "--max-iters": ["1", "5"]},
+    "robustness-grid": {"--step": ["0.8", "1.6"]},
+}
+
+
+def hostile_values(flag):
+    """What a flag may take besides its valid values: no path outside the
+    case's directory, and no count of 2**64, which `sos --samples` accepts
+    and would run for as long as it took."""
+    if flag in ("--input", "--history-csv", "--save-strategy", "--csv"):
+        return []
+    if flag in ("--samples", "--restarts", "--max-iters"):
+        return [v for v in HOSTILE if v != str(2**64)]
+    return HOSTILE
+
+
+@st.composite
+def hostile_argvs(draw):
+    """A command with its bounded flags, a subset of its other flags and maybe
+    a tolerance override, each value as likely valid as hostile."""
+    command = draw(st.sampled_from(sorted(ARGV_FLAGS)))
+    flags = ARGV_FLAGS[command]
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), unique=True)) if flags else []
+    argv = [command]
+    for flag, valid in [*BOUNDED_FLAGS.get(command, {}).items(), *((f, flags[f]) for f in chosen)]:
+        hostile = hostile_values(flag) or valid
+        argv += [flag, draw(st.sampled_from(valid) | st.sampled_from(hostile))]
+    if draw(st.sampled_from([False, False, True])):
+        name = draw(st.sampled_from(sorted(DEFAULT_TOLERANCES) + ["bogus"]))
+        argv.append(f"--tol.{name}={draw(st.sampled_from(['1e-6'] + HOSTILE))}")
+    return argv
+
+
+@settings(max_examples=400)
+@given(argv=hostile_argvs())
+def test_hostile_argv_ends_in_an_exit_status(argv):
+    with tempfile.TemporaryDirectory() as d, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for name in FUZZ_BASES:
+            (Path(d) / f"{name}.json").write_text(fuzz_base_text(name), encoding="utf-8")
+        out = Path(d) / "report.json"
+        args = [str(Path(d) / a[2:]) if a.startswith("@/") else a for a in argv]
+        err = io.StringIO()
+        with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
+              pytest.raises(SystemExit) as exc):
+            main(args + ["-o", str(out)])
+        assert exc.value.code in (0, 1, 2)
+        assert out.exists() == (exc.value.code in (0, 1))
+        assert "Traceback" not in err.getvalue()

@@ -398,6 +398,14 @@ class TestSeesaw:
         with pytest.raises(InvalidInput):
             SeesawConfig(restarts=0)
 
+    @pytest.mark.parametrize("field", ["n", "restarts", "max_iters"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3), True],
+                             ids=["2.5", "3.0", "float64", "True"])
+    def test_config_refuses_non_integer_counts(self, field, value):
+        # a float count failed only inside the search, and True ran one restart
+        with pytest.raises(InvalidInput):
+            SeesawConfig(**{field: value})
+
 
 # per-restart iteration counts of these runs, recorded from the one-restart-
 # at-a-time search that the lockstep replaced

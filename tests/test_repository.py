@@ -1,5 +1,6 @@
-"""The repository tracks no file that its ``.gitignore`` excludes, and the
-package starts no threads or processes and reads no environment variable."""
+"""The repository tracks no file that its ``.gitignore`` excludes, the
+package starts no threads or processes and reads no environment variable,
+and the command line and the scores leave the choice of game to tables."""
 
 import ast
 import shutil
@@ -61,3 +62,32 @@ def test_package_runs_in_one_thread_and_reads_no_environment():
                       "import multiprocessing.pool\nfrom os import getenv\n"
                       "x = os.environ.get('A')\n")
     assert knob_uses(probe) == [1, 2, 3, 4, 5]
+
+
+# the game names; which game a strategy plays is decided by optimize.GAMES and
+# states.Strategy.require, never by a comparison in these modules
+GAME_NAMES = {"ghz", "counterexample", "partial_bell", "partial-bell"}
+TABLE_READERS = ("cli.py", "scenario.py")
+
+
+def game_comparisons(tree):
+    """Line numbers of every comparison with a game name as an operand or as
+    an item of a tuple, list or set operand."""
+    def names(operand):
+        items = operand.elts if isinstance(operand, (ast.Tuple, ast.List, ast.Set)) else [operand]
+        return [c for c in items if isinstance(c, ast.Constant) and c.value in GAME_NAMES]
+
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            and any(names(operand) for operand in [node.left, *node.comparators])]
+
+
+def test_command_line_and_scores_read_the_game_tables():
+    package = Path(ghz_selftest.__file__).parent
+    found = {name: game_comparisons(ast.parse((package / name).read_text(encoding="utf-8")))
+             for name in TABLE_READERS}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    # the walk sees each form
+    probe = ast.parse("s.task == 'ghz'\nif 'partial-bell' != m: pass\n"
+                      "x = t in ('counterexample', 'partial_bell')\ny = t == GAMES['ghz']\n"
+                      "z = len(s) != 2**n\n")
+    assert game_comparisons(probe) == [1, 2, 3]

@@ -165,6 +165,35 @@ class TestSuccessMetric:
             assert success_metric(random_strategy(2, seed)) <= 1 + 1e-9
 
 
+def unvalidated(n, elements, **fields):
+    """A strategy of ideal senders around ``elements`` that skipped validation."""
+    return Strategy(n=n, senders=ideal_strategy(n).senders, povm=Povm(elements), **fields)
+
+
+GHZ_SHAPE = "GHZ task needs 2**n POVM elements on dim 2**n, got 4 elements on dim 8"
+FOUR_OF_EIGHT = ideal_strategy(3).povm.elements[:4]
+PARTIAL_BELL = partial_bell_strategy()
+
+
+@pytest.mark.parametrize("score, strategy, message", [
+    (success_metric, unvalidated(2, FOUR_OF_EIGHT), GHZ_SHAPE),
+    (probability_table, unvalidated(2, FOUR_OF_EIGHT), GHZ_SHAPE),
+    (probability_table, unvalidated(3, FOUR_OF_EIGHT), GHZ_SHAPE),
+    (success_metric, PARTIAL_BELL, "strategy task is 'partial_bell', not 'ghz'"),
+    (probability_table, PARTIAL_BELL, "strategy task is 'partial_bell', not 'ghz'"),
+    (comm_metric, ideal_strategy(2), "strategy task is 'ghz', not 'partial_bell'"),
+    (comm_metric, unvalidated(2, ideal_strategy(2).povm.elements, task="partial_bell",
+                              observables=PARTIAL_BELL.observables),
+     "partial Bell task needs n=2 and a 3-element POVM on dim 4"),
+], ids=["success-n2-4of8", "table-n2-4of8", "table-n3-4of8", "success-partial-bell",
+        "table-partial-bell", "comm-ghz", "comm-4-elements"])
+def test_scores_refuse_another_game_or_shape_by_name(score, strategy, message):
+    # a reshape or broadcast of a wrong-shape POVM raises a bare ValueError
+    with pytest.raises(ValueError) as exc:
+        score(strategy)
+    assert type(exc.value) is InvalidInput and str(exc.value) == message
+
+
 class TestProbabilityTable:
     def test_completeness_ideal(self):
         table = probability_table(ideal_strategy(2))
