@@ -20,7 +20,6 @@ and ``seesaw`` take), so results are reproducible across runs and platforms.
 """
 
 import argparse
-import gc
 import json
 import math
 import sys
@@ -203,15 +202,29 @@ def matrix_from_json(rows, field_name: str, d: int) -> np.ndarray:
     return pairs.astype(float).view(complex)[..., 0]
 
 
-def _matrix_stack(items, field_name: str, d: int) -> np.ndarray:
+def _matrix_stack(items, field_name: str, d: int, depth: int = 1) -> np.ndarray:
     """The stack of :func:`matrix_from_json` of each ``items[k]``, named
-    ``field_name[k]``. An integer or float array of finite ``[re, im]``
+    ``field_name[k]``; at ``depth`` 2, of each ``items[k][l]``, named
+    ``field_name[k][l]``. An integer or float array of finite ``[re, im]``
     pairs of ``d x d`` matrices, as :func:`load_strategy` reads a stack,
     passes every check at once and is converted whole."""
     if (isinstance(items, np.ndarray) and items.dtype.kind in "iuf"
-            and items.shape[1:] == (d, d, 2) and np.isfinite(items).all()):
+            and items.shape[depth:] == (d, d, 2) and np.isfinite(items).all()):
         return items.astype(float).view(complex)[..., 0]
+    if depth > 1:
+        return np.stack([_matrix_stack(row, f"{field_name}[{k}]", d, depth - 1)
+                         for k, row in enumerate(items)])
     return np.stack([matrix_from_json(m, f"{field_name}[{k}]", d) for k, m in enumerate(items)])
+
+
+def _sender_states(rho, field_name: str) -> np.ndarray:
+    """A sender's ``rho[a][x]`` as one ``(2, 2, 2, 2)`` stack; any layout but
+    two rows of two matrices is an InvalidInput naming ``field_name``."""
+    rows = (list, np.ndarray)
+    if not (isinstance(rho, rows) and len(rho) == 2
+            and all(isinstance(row, rows) and len(row) == 2 for row in rho)):
+        raise InvalidInput(f"{field_name} is not two rows of two matrices, indexed [a][x]")
+    return _matrix_stack(rho, field_name, 2, depth=2)
 
 
 def strategy_to_dict(strategy: Strategy, arrays: bool = False) -> dict:
@@ -252,14 +265,8 @@ def strategy_from_dict(data: dict) -> Strategy:
             raise InvalidInput(f"strategy file field n is not an integer from 2 to {MAX_N}: {n!r}")
         n = int(n)
         task = data.get("task", "ghz")
-        senders = []
-        for j, entry in enumerate(data["senders"]):
-            rho = np.zeros((2, 2, 2, 2), dtype=complex)
-            for a in range(2):
-                for x in range(2):
-                    rho[a, x] = matrix_from_json(entry["rho"][a][x],
-                                                 f"senders[{j}].rho[{a}][{x}]", 2)
-            senders.append(SenderStates(rho))
+        senders = [SenderStates(_sender_states(entry["rho"], f"senders[{j}].rho"))
+                   for j, entry in enumerate(data["senders"])]
         povm = Povm(_matrix_stack(data["povm"], "povm", 2**n))
         observables = None
         if "observables" in data:
@@ -285,28 +292,17 @@ def load_strategy(path: str) -> Strategy:
     bytes, reading each rectangular ``povm``, ``observables`` and ``rho``
     array as one ndarray, and any other value or a bad file as ``json``
     reads the text. A file that is not UTF-8 text or nests too deeply to
-    parse is an InvalidInput. The cyclic garbage collector, whose passes
-    over the parsed objects would find no cycles, is paused from the parse
-    until the strategy is built and those objects are freed, and is left as
-    the caller had it."""
+    parse is an InvalidInput."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    collecting = gc.isenabled()
-    gc.disable()
     try:
-        try:
-            data = arraytext.loads(raw, FLAT_ARRAYS)
-        except UnicodeDecodeError as exc:
-            raise InvalidInput(f"strategy file is not UTF-8 text: {exc}") from exc
-        except RecursionError as exc:
-            raise InvalidInput("strategy file nests too deeply to parse") from exc
-        del raw
-        strategy = strategy_from_dict(data)
-        del data
-        return strategy
-    finally:
-        if collecting:
-            gc.enable()
+        data = arraytext.loads(raw, FLAT_ARRAYS)
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"strategy file is not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise InvalidInput("strategy file nests too deeply to parse") from exc
+    del raw
+    return strategy_from_dict(data)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,13 @@ part in real arithmetic (for a real ``m``, ``|m - m^dag|`` is ``|m - m^T|``,
 so the gate's verdict is the same); :func:`herm_eig` always solves complex.
 :func:`contract_slot` is the one slot contraction: traced slot by slot, an
 operator against a Kronecker product of 2x2 factors never needs the product.
-``scenario.product_traces`` contracts each leading run of stacks that its
-contexts share once per chunk; ``robustness.avg_fidelity`` contracts
-``Re M_s`` against four factor sets at once.
-:func:`chunks` sizes every loop that streams a stack (witness solves, POVM
-validation, product traces, the margin sweep, the average fidelity and the
-see-saw's restart blocks) from the one budget ``BLOCK_ENTRIES``, which no
-other module reads.
+``scenario.probability_table`` contracts the POVM with each context's
+states a chunk at a time, slot 1 once for all contexts;
+``robustness.avg_fidelity`` contracts ``Re M_s`` against four factor sets at
+once. :func:`chunks` sizes every loop that streams a stack (witness solves,
+POVM validation, the probability table, the margin sweep, the average
+fidelity and the see-saw's restart blocks) from the one budget
+``BLOCK_ENTRIES``, which no other module reads.
 """
 
 from dataclasses import dataclass

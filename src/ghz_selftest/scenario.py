@@ -207,69 +207,48 @@ class ProbabilityTable:
             raise InvalidInput("negative probability entry")
 
 
-def product_traces(elements: np.ndarray, contexts) -> list:
-    """One array per context: ``p[m, k_1, ..., k_n] = Re Tr(M_m (x)_j
-    S_j[k_j])`` for operators ``(count, 2**n, 2**n)`` and a context's
-    per-qubit state stacks ``S_j`` ``(k_j, 2, 2)``.
-
-    The product states are never formed: :func:`linalg.contract_slot`
-    contracts the operators with one qubit's stack at a time, first qubit
-    first, each stack's states landing on a new axis. Operators are taken in
-    the chunks of ``linalg.chunks``. Contexts that open with the same stack
-    objects (compared by identity) share those contractions, so each distinct
-    leading run of stacks is contracted once per chunk.
-    """
-    count, d = elements.shape[:2]
-    sizes = [[len(st) for st in stacks] for stacks in contexts]
-    outs = [np.empty((count, int(np.prod(s)))) for s in sizes]
-    for part in chunks(count, d * d):
-        for out, t in zip(outs, _contract_shared(elements[part], contexts)):
-            out[part] = t.real.reshape(len(t), -1)
-    return [out.reshape(count, *s) for out, s in zip(outs, sizes)]
-
-
-def _contract_shared(t: np.ndarray, contexts) -> list:
-    """``t`` contracted with each context's stacks, one leading slot per
-    stack; contexts whose next stack is the same object contract it once."""
-    if len(contexts) == 1:  # nothing left to share
-        for st in contexts[0]:
-            t = contract_slot(t[..., None, :, :], np.swapaxes(st, -1, -2))
-        return [t]
-    out = [t] * len(contexts)
-    groups = {}
-    for i, stacks in enumerate(contexts):
-        if stacks:
-            groups.setdefault(id(stacks[0]), []).append(i)
-    for members in groups.values():
-        st = contexts[members[0]][0]
-        shared = contract_slot(t[..., None, :, :], np.swapaxes(st, -1, -2))
-        rests = _contract_shared(shared, [contexts[i][1:] for i in members])
-        for i, rest in zip(members, rests):
-            out[i] = rest
-    return out
+def _contract(t: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """``t`` contracted on its leading qubit with a stack of states
+    ``(k, 2, 2)``, the states landing on a new axis before the matrix axes."""
+    return contract_slot(t[..., None, :, :], np.swapaxes(states, -1, -2))
 
 
 def probability_table(strategy: Strategy) -> ProbabilityTable:
-    """Evaluate ``p(s | inputs) = Tr((x)_j rho_j  M_s)`` over the score's contexts."""
+    """Evaluate ``p(s | inputs) = Tr((x)_j rho_j  M_s)`` over the score's contexts.
+
+    The product states are never formed: each chunk of POVM elements
+    (``linalg.chunks``) is contracted with one qubit's states at a time,
+    first qubit first. Slot 1, taking sender 1's four states, is contracted
+    once per chunk for all n contexts; pair context j starts from the prefix
+    of slot 1 and the mixed qubit on slots 2..j-1, which grows by one mixed
+    slot per context.
+    """
     strategy.require("ghz")
     n = strategy.n
     els = strategy.povm.elements
     d = 2**n
     rho = [st.rho for st in strategy.senders]
     first = rho[0].swapaxes(0, 1).reshape(4, 2, 2)  # indexed by (x1, a1)
-    # the base context, then pair context j: x_j = 1, the other senders mixed;
-    # one `first` and one `mixed` object, so the contexts share their prefixes
     mixed = I2[None] / 2
-    contexts = [[first] + [r[:, 0] for r in rho[1:]]]
-    for j in range(2, n + 1):
-        context = [first] + [mixed] * (n - 1)
-        context[j - 1] = rho[j - 1][:, 1]
-        contexts.append(context)
-    p, *pairs = product_traces(els, contexts)
+    p = np.empty((d, 2 * d))
+    pairs = np.empty((n - 1, d, 8))
+    for part in chunks(d, d * d):
+        prefix = _contract(els[part], first)
+        t = prefix
+        for r in rho[1:]:  # the base context: every other sender's x = 0
+            t = _contract(t, r[:, 0])
+        p[part] = t.real.reshape(len(t), -1)
+        for j in range(2, n + 1):  # pair context j: x_j = 1, the others mixed
+            t = _contract(prefix, rho[j - 1][:, 1])
+            for _ in range(j, n):
+                t = _contract(t, mixed)
+            pairs[j - 2, part] = t.real.reshape(len(t), -1)
+            if j < n:
+                prefix = _contract(prefix, mixed)
     # axes (s, x1, a1, ..., an) -> (x1, an, ..., a1, s): a1 is bit 0 of a
     p = p.reshape((d, 2) + (2,) * n).transpose([1, *range(n + 1, 1, -1), 0])
     base = p.reshape(2, d, d)
-    pair = np.stack([np.moveaxis(q.reshape(d, 2, 2, 2), 0, -1) for q in pairs])
+    pair = np.moveaxis(pairs.reshape(n - 1, d, 2, 2, 2), 1, -1)
     return ProbabilityTable(n=n, base=base, pair=pair)
 
 
@@ -468,8 +447,9 @@ def rac_bound(bloch_vectors) -> float:
     m = np.asarray(bloch_vectors, dtype=float)
     if m.shape != (2, 2, 3):
         raise InvalidInput(f"expected four Bloch vectors, shape (2,2,3), got {m.shape}")
-    if (np.linalg.norm(m, axis=-1) > 1 + 1e-12).any():
-        raise InvalidBloch(f"Bloch vector norms {np.linalg.norm(m, axis=-1)} exceed 1")
+    norms = np.linalg.norm(m, axis=-1)
+    if not (norms <= 1 + 1e-12).all():  # a NaN norm is refused too
+        raise InvalidBloch(f"Bloch vector norms {norms} are not all at most 1")
     gamma = 0.5 * float((m**2).sum()) - float(m[0, 0] @ m[1, 1]) - float(m[0, 1] @ m[1, 0])
     beta = float((m[0, 0] - m[1, 1]) @ (m[0, 1] - m[1, 0]))
     gp = max(gamma + beta, 0.0)

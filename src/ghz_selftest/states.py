@@ -81,8 +81,9 @@ def bloch_to_state(v) -> np.ndarray:
     v = np.asarray(v, dtype=float).reshape(-1)
     if v.shape != (3,):
         raise InvalidInput("Bloch vector must have three components")
-    if np.linalg.norm(v) > 1 + 1e-12:
-        raise InvalidBloch(f"Bloch vector norm {np.linalg.norm(v):.6f} exceeds 1")
+    norm = np.linalg.norm(v)
+    if not norm <= 1 + 1e-12:  # a NaN norm is refused too
+        raise InvalidBloch(f"Bloch vector norm {norm:.6f} is not at most 1")
     rho = I2.copy() / 2
     for c, p in zip(v, PAULIS):
         rho += c * p / 2

@@ -12,7 +12,6 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
-import weakref
 from functools import cache
 from pathlib import Path
 
@@ -514,8 +513,7 @@ class TestFloatWriter:
 
 
 class TestLoadStrategyGc:
-    """The parse runs with the cyclic collector paused; the caller's setting
-    survives a return and a raise."""
+    """The caller's cyclic collector setting survives a return and a raise."""
 
     @pytest.fixture
     def caller_gc(self):
@@ -548,37 +546,6 @@ class TestLoadStrategyGc:
         gc.enable()
         with pytest.raises(InvalidInput):
             load_strategy(str(path))
-        assert gc.isenabled()
-
-    def test_parse_runs_paused(self, tmp_path, monkeypatch, caller_gc):
-        # paused from the first parse until the strategy is built and the
-        # parsed arrays are freed
-        path = tmp_path / "s.json"
-        save_strategy(ideal_strategy(2), str(path))
-        seen, parsed = [], []
-        parse, build, enable = json.loads, cli.strategy_from_dict, gc.enable
-
-        def recording(fn):
-            def wrapper(*args, **kwargs):
-                seen.append((fn.__name__, gc.isenabled()))
-                return fn(*args, **kwargs)
-            return wrapper
-
-        def building(data):
-            parsed.append(weakref.ref(data["povm"]))
-            return recording(build)(data)
-
-        def enabling():
-            seen.append(("enable", parsed[0]() is None))
-            enable()
-
-        monkeypatch.setattr(json, "loads", recording(parse))
-        monkeypatch.setattr(cli, "strategy_from_dict", building)
-        monkeypatch.setattr(gc, "enable", enabling)
-        enable()
-        load_strategy(str(path))
-        assert seen[-2:] == [("strategy_from_dict", False), ("enable", True)]
-        assert seen[:-2] and seen[:-2] == [("loads", False)] * len(seen[:-2])
         assert gc.isenabled()
 
 
@@ -960,6 +927,30 @@ class TestRun:
         assert code == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("command, strategy", [
+        ("certify", ideal_strategy(2)), ("partial-bell", partial_bell_strategy()),
+    ])
+    @pytest.mark.parametrize("layout", ["third bit and input", "missing input"])
+    def test_rho_of_another_layout_is_an_input_error(self, tmp_path, capsys, command,
+                                                     strategy, layout):
+        # every sender's rho is read whole: a third bit and a third input are
+        # not ignored, and a missing input is named
+        data = strategy_to_dict(strategy)
+        for sender in data["senders"]:
+            rho = sender["rho"]
+            if layout == "third bit and input":
+                sender["rho"] = [row + [row[0]] for row in rho + [rho[0]]]
+            else:
+                del rho[1][1]
+        strat = tmp_path / "s.json"
+        strat.write_text(json.dumps(data))
+        out = tmp_path / "r.json"
+        assert run(parse_args([command, "--input", str(strat), "-o", str(out)])) == 2
+        assert capsys.readouterr().err == (
+            f"{command}: error: senders[0].rho is not two rows of two matrices, "
+            "indexed [a][x]\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, defect, field, d", [
         ("certify", "every zero entry false", "senders[0].rho[0][0]", 2),

@@ -29,7 +29,6 @@ from ghz_selftest.scenario import (
     counterexample_value,
     partial_witnesses,
     probability_table,
-    product_traces,
     rac_bound,
     rac_metric,
     success_from_table,
@@ -305,7 +304,7 @@ class TestProbabilityTable:
         return base.reshape(2, d, d), pair
 
     @pytest.mark.parametrize("n, block", [(2, None), (3, None), (4, None), (5, None),
-                                          (6, None), (6, 5 * 4**6)])
+                                          (6, None), (6, 5 * 4**6), (7, None)])
     def test_shared_first_slot_gives_the_per_context_tables(self, n, block, monkeypatch):
         # sharing slot 1 between the contexts reorders no arithmetic, in one
         # chunk (block None) or in chunks of 5 outcomes
@@ -315,34 +314,6 @@ class TestProbabilityTable:
             table = probability_table(s)
             base, pair = self.per_context_table(s)
             assert np.array_equal(table.base, base) and np.array_equal(table.pair, pair)
-
-    def test_product_traces_of_unequal_stacks(self, monkeypatch):
-        rng = np.random.default_rng(2)
-        els = rng.normal(size=(3, 8, 8)) + 1j * rng.normal(size=(3, 8, 8))
-        stacks = [rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
-                  for k in (3, 1, 2, 4)]
-        # three contexts of three stacks each, two of them opening with the
-        # same two stacks
-        contexts = [[stacks[0], stacks[1], stacks[2]], [stacks[0], stacks[3], stacks[1]],
-                    [stacks[0], stacks[1], stacks[3]]]
-        got = product_traces(els, contexts)
-        assert [p.shape for p in got] == [(3, 3, 1, 2), (3, 3, 4, 1), (3, 3, 1, 4)]
-        for p, ctx in zip(got, contexts):
-            for m, i, j, k in np.ndindex(p.shape):
-                joint = tensor([ctx[0][i], ctx[1][j], ctx[2][k]])
-                assert abs(p[m, i, j, k] - np.trace(els[m] @ joint).real) < 1e-13
-        # a single context is the one-context case of the same code
-        for p, ctx in zip(got, contexts):
-            alone, = product_traces(els, [ctx])
-            assert np.array_equal(alone, p)
-        # each distinct leading run is contracted once: (0), (0 1), (0 1 2),
-        # (0 1 3), (0 3) and (0 3 1)
-        calls = []
-        contract = linalg.contract_slot
-        monkeypatch.setattr(scenario, "contract_slot",
-                            lambda t, w: calls.append(t.shape) or contract(t, w))
-        product_traces(els, contexts)
-        assert len(calls) == 6
 
     def test_pair_contexts_marginalize_for_antipodal_messages(self):
         # when each input's two messages are orthogonal, the maximally mixed
@@ -542,6 +513,13 @@ class TestRac:
     def test_bound_rejects_long_vectors(self):
         bad = np.zeros((2, 2, 3))
         bad[0, 0, 0] = 1.5
+        with pytest.raises(InvalidBloch):
+            rac_bound(bad)
+
+    @pytest.mark.parametrize("where", [(0, 0, 0), (1, 0, 2), Ellipsis])
+    def test_bound_rejects_nan_vectors(self, where):
+        bad = np.zeros((2, 2, 3))
+        bad[where] = np.nan
         with pytest.raises(InvalidBloch):
             rac_bound(bad)
 

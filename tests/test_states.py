@@ -64,6 +64,11 @@ class TestBloch:
         with pytest.raises(InvalidBloch):
             bloch_to_state([1.0, 1e-5, 0])
 
+    @pytest.mark.parametrize("v", [[np.nan, 0, 0], [0, 0.5, np.nan], [np.inf, 0, 0]])
+    def test_non_finite(self, v):
+        with pytest.raises(InvalidBloch):
+            bloch_to_state(v)
+
 
 class TestOutcomes:
     def test_roundtrip(self):
