@@ -4,7 +4,10 @@ Strategy files and reports hold float arrays as nested JSON lists of
 numbers. Writing, :func:`float_array_texts` gives the ``%.17g`` text of many
 arrays at once from exact integer digits. Reading, :func:`loads` parses a
 document whose number arrays at given keys become ndarrays, each parsed by
-``json`` as one flat list, so no nested list is built for them.
+``json`` as flat lists, so no nested list is built for them. Both directions
+stream: a slice of :func:`linalg.chunks` at a time, so besides the document
+and the arrays each holds about one slice's text, never a copy of a whole
+array's.
 """
 
 import io
@@ -240,17 +243,19 @@ def loads(raw: bytes, shapes: dict):
     ``RecursionError``.
 
     An array is read when its bytes, with number characters and whitespace
-    deleted, are exactly the bracket layout of the shape they imply; its
-    brackets then become spaces but the outer two, and ``json`` parses the
-    text as one flat list, so the numbers are ``json``'s own. Every other
-    value stays in the document: a string, ``NaN``, ``true``, a ragged row,
-    a non-ASCII byte, a number whose list NumPy cannot type as one integer
-    or float array, or a key spelled with escapes. One ``json.loads`` parses
-    the document with a placeholder string in place of each array read. A
-    document that does not parse, or that spells the placeholders' escape,
-    is parsed whole as text instead, which reports any error as the plain
-    parse does. Besides ``raw``, at most two copies of one array's text are
-    alive at once.
+    deleted, are exactly the bracket layout of the shape they imply; then
+    ``json`` parses its numbers as flat lists, one byte slice of about
+    ``linalg.BLOCK_ENTRIES`` at a time (:func:`_number_array`), so the
+    numbers are ``json``'s own. Every other value stays in the document: a
+    string, ``NaN``, ``true``, a ragged row, a non-ASCII byte, a number whose
+    list NumPy cannot type as one integer or float array, or a key spelled
+    with escapes. One ``json.loads`` parses the document with a placeholder
+    string in place of each array read. A document that does not parse, or
+    that spells the placeholders' escape, is parsed whole as text instead,
+    which reports any error as the plain parse does. Besides ``raw``, the
+    arrays read and one array's bracket layout, at most one slice's text
+    (its budget plus the rest of the number it ends in) and its list of
+    numbers are alive at once.
     """
     patterns = {b'"%s"' % key.encode(): shape for key, shape in shapes.items()}
     pieces, arrays = [], []
@@ -266,7 +271,7 @@ def loads(raw: bytes, shapes: dict):
             found = raw.find(end_byte, first, stop)
             stop = stop if found < 0 else found
         last = raw.rfind(b"]", first, stop)
-        array = None if last < 0 else _number_array(memoryview(raw)[first:last + 1], pattern)
+        array = None if last < 0 else _number_array(raw, first, last, pattern)
         if array is None:
             continue
         pieces += [raw[start:first], _PLACEHOLDER % len(arrays)]
@@ -291,26 +296,58 @@ def loads(raw: bytes, shapes: dict):
     return json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read())
 
 
-def _number_array(view: memoryview, pattern: tuple):
-    """The ndarray of the JSON number array in ``view``, or ``None`` when it
-    is not rectangular, does not fit ``pattern``, does not parse or holds an
-    integer NumPy types as an object."""
-    shape = _layout_shape(bytes(view).translate(None, _NUMBER_BYTES), pattern)
+def _number_array(raw: bytes, first: int, last: int, pattern: tuple):
+    """The ndarray of the JSON number array ``raw[first:last + 1]``, or
+    ``None`` when it is not rectangular, does not fit ``pattern``, does not
+    parse or holds an integer NumPy types as an object.
+
+    The bytes are walked in slices of :func:`linalg.chunks`, one byte an
+    entry. The bracket layout, gathered slice by slice, is checked whole
+    before any number is parsed. Then each slice, run on to the next comma so
+    that no number is cut, has its brackets made spaces and is parsed as one
+    flat list into the ndarray, which is allocated once. The layout fixed the
+    commas, so the slices fill it exactly unless one is empty, which the
+    whole list would not parse at either. A slice is typed as ``np.asarray``
+    types it, and its type promotes the array's as ``np.asarray`` promotes
+    the whole list's: an array holding a ``.``, ``e`` or ``E`` is float64
+    from the start, and only integers past int64 can widen an integer array
+    into a copy.
+    """
+    view = memoryview(raw)[first:last + 1]
+    layout = b"".join([bytes(view[part]).translate(None, _NUMBER_BYTES)
+                       for part in chunks(len(view), 1)])
+    shape = _layout_shape(layout, pattern)
     if shape is None:
         return None
-    # each rebinding frees the copy before it, so one copy lives beside the list
-    text = bytearray(view).translate(_BRACKETS_TO_SPACES)
-    text[0], text[-1] = ord("["), ord("]")
-    text = text.decode("ascii")
-    try:
-        values = json.loads(text)
-    except json.JSONDecodeError:
-        return None
-    del text
-    array = np.asarray(values)
-    if array.dtype.kind not in "iuf" or array.shape != (math.prod(shape),):
-        return None
-    return array.reshape(shape)
+    del layout
+    floats = any(raw.find(c, first, last) >= 0 for c in (b".", b"e", b"E"))
+    out, filled, start = None, 0, first + 1
+    for part in chunks(len(view), 1):
+        if first + part.stop < start:  # inside the slice before, which ran on to its comma
+            continue
+        stop = raw.find(b",", first + part.stop, last)
+        stop = last if stop < 0 else stop
+        try:
+            values = json.loads((b"[%s]" % raw[start:stop].translate(_BRACKETS_TO_SPACES))
+                                .decode("ascii"))
+        except json.JSONDecodeError:
+            return None
+        if not values:
+            return None
+        block = np.asarray(values)
+        del values
+        if block.dtype.kind not in "iuf":
+            return None
+        if out is None:
+            out = np.empty(math.prod(shape), float if floats else block.dtype)
+        elif (wider := np.promote_types(out.dtype, block.dtype)) != out.dtype:
+            out = out.astype(wider)
+        out[filled:filled + block.size] = block
+        filled += block.size
+        if stop == last:
+            break
+        start = stop + 1
+    return out.reshape(shape)
 
 
 def _layout_shape(layout: bytes, pattern: tuple):

@@ -16,10 +16,12 @@ states a chunk at a time, slot 1 once for all contexts;
 ``robustness.avg_fidelity`` contracts ``Re M_s`` against four factor sets at
 once. :func:`chunks` sizes every loop that streams a stack (witness solves,
 POVM validation, the probability table, the margin sweep, the average
-fidelity and the see-saw's restart blocks) from the one budget
-``BLOCK_ENTRIES``, which no other module reads.
+fidelity, the see-saw's restart blocks and the slices of strategy-file text
+``arraytext`` writes and reads) from the one budget ``BLOCK_ENTRIES``, which
+no other module reads.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,11 +81,12 @@ def off_hermitian(m: np.ndarray) -> np.ndarray:
     return np.abs(m - dagger(m)).max(axis=(-2, -1)) > HERMITIAN_ATOL * scale
 
 
-def chunks(count: int, entries: int) -> list:
+def chunks(count: int, entries: int) -> Iterator[slice]:
     """Slices over ``count`` points of ``entries`` array entries each, every
-    slice holding at most ``BLOCK_ENTRIES`` entries and at least one point."""
+    slice holding at most ``BLOCK_ENTRIES`` entries and at least one point,
+    yielded in order as they are asked for."""
     size = max(1, BLOCK_ENTRIES // entries)
-    return [slice(i, i + size) for i in range(0, count, size)]
+    return (slice(i, i + size) for i in range(0, count, size))
 
 
 def tensor(factors) -> np.ndarray:

@@ -426,14 +426,14 @@ def seesaw(config: SeesawConfig) -> SeesawResult:
     the master seed, and ties between restarts break by restart order. The
     restarts run one block after another in the contiguous blocks of
     ``linalg.chunks``, sized by their largest per-restart stack; a restart's
-    history does not depend on the block it shares. Only the leading
-    restart's messages and measurement outlive its block, so finished blocks
-    hold no POVM stacks.
+    history does not depend on the block it shares. The blocks are taken one
+    at a time, so no list of them is built first. Only the leading restart's
+    messages and measurement outlive its block, so finished blocks hold no
+    POVM stacks.
     """
     game = GAMES[config.metric]
     restarts = range(config.restarts)
-    blocks = [restarts[part]
-              for part in chunks(config.restarts, game.entries(config.n))]
+    blocks = (restarts[part] for part in chunks(config.restarts, game.entries(config.n)))
     best = None  # (score, iterations, messages, measurement) of the first maximum
 
     def run(block: range) -> list:

@@ -12,5 +12,6 @@ def worker_count(requested: int | None = None) -> int:
 
 
 def ordered_map(fn, items) -> list:
-    """``[fn(it) for it in items]``, in input order."""
+    """``[fn(it) for it in items]``, in input order; ``items`` may be any
+    iterable, read one item at a time."""
     return [fn(it) for it in items]

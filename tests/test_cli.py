@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import ghz_selftest
-from ghz_selftest import cli, linalg, robustness
+from ghz_selftest import arraytext, cli, linalg, robustness
 from ghz_selftest.cli import (
     MAX_N,
     build_parser,
@@ -569,10 +569,11 @@ def strategy_bytes(s: Strategy) -> tuple:
             None if s.observables is None else s.observables.tobytes())
 
 
-def record_nested_parses(monkeypatch) -> list:
-    """Patch ``json.loads`` to note each parse that builds a list holding a
+def record_parses(monkeypatch) -> list:
+    """Patch ``json.loads`` to note each parse as ``(length, nested)``: the
+    length of the text it parses, and whether it builds a list holding a
     list, as parsing a number array as nested lists does."""
-    nested, parse = [], json.loads
+    parses, parse = [], json.loads
 
     def holds_nested_list(value) -> bool:
         if isinstance(value, dict):
@@ -582,11 +583,11 @@ def record_nested_parses(monkeypatch) -> list:
 
     def recording(*args, **kwargs):
         value = parse(*args, **kwargs)
-        nested.append(holds_nested_list(value))
+        parses.append((len(args[0]), holds_nested_list(value)))
         return value
 
     monkeypatch.setattr(json, "loads", recording)
-    return nested
+    return parses
 
 
 # the strategies whose files the flat reader must read as the reference does
@@ -609,28 +610,93 @@ def reader_text(name: str, layout: str) -> str:
 
 
 class TestFlatReader:
-    """``load_strategy`` reads each number array as one flat list, and
-    reads every file as the nested-list loader does."""
+    """``load_strategy`` reads each number array as flat lists, one slice at
+    a time, and reads every file as the nested-list loader does."""
 
-    # an n = 6 re-dump takes seconds; n = 2..5 cover the layouts
-    @pytest.mark.parametrize("name, layout", [
-        (name, layout) for name in sorted(READER_CASES) for layout in ("saved", "indent", "crlf")
-        if layout == "saved" or not name.endswith("-6")])
+    # an n = 6 re-dump takes seconds; n = 2..5 cover the layouts. Slices of
+    # 1, 7 and 97 bytes cut every array of the n <= 3 files many times
+    @pytest.mark.parametrize("name, layout, block", [
+        (name, layout, block) for name in sorted(READER_CASES)
+        for layout in ("saved", "indent", "crlf") for block in (linalg.BLOCK_ENTRIES, 1, 7, 97)
+        if (layout == "saved" or not name.endswith("-6"))
+        and (block == linalg.BLOCK_ENTRIES or name[-1] not in "456")])
     def test_arrays_are_the_reference_loaders_bit_for_bit(self, tmp_path, monkeypatch,
-                                                          name, layout):
+                                                          name, layout, block):
         path = tmp_path / "s.json"
         path.write_bytes(reader_text(name, layout).encode("utf-8"))
         want = strategy_bytes(reference_load(path))
-        nested = record_nested_parses(monkeypatch)
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", block)
+        parses = record_parses(monkeypatch)
         assert strategy_bytes(load_strategy(str(path))) == want
-        assert nested and not any(nested)
+        assert parses and not any(nested for _, nested in parses)
 
     def test_antipodal_povm_is_not_parsed_as_nested_lists(self, tmp_path, monkeypatch):
         path = tmp_path / "s.json"
         save_strategy(random_antipodal_strategy(5, 1), str(path))
-        nested = record_nested_parses(monkeypatch)
+        parses = record_parses(monkeypatch)
         load_strategy(str(path))
-        assert nested and not any(nested)
+        assert parses and not any(nested for _, nested in parses)
+
+    def test_no_parse_is_longer_than_a_slice_and_a_number(self, tmp_path, monkeypatch):
+        # a slice runs on from its budget to the next comma: through the rest
+        # of a number and its closing brackets, and two brackets wrap it
+        path = tmp_path / "s.json"
+        save_strategy(random_antipodal_strategy(5, 7), str(path))
+        token = max(map(len, NUMBER_TOKEN.findall(path.read_bytes())))
+        parses = record_parses(monkeypatch)
+        load_strategy(str(path))
+        assert len(parses) > 2 and max(length for length, _ in parses) <= (
+            linalg.BLOCK_ENTRIES + token + 8)
+
+    def test_load_peak_memory_is_about_the_file(self, tmp_path):
+        # the file's bytes, the arrays and one slice of text at a time
+        path = tmp_path / "s.json"
+        save_strategy(random_antipodal_strategy(5, 7), str(path))
+        tracemalloc.start()
+        try:
+            load_strategy(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * path.stat().st_size
+
+    # arrays whose bytes every slice size cuts somewhere else, and the pattern they fit
+    @pytest.mark.parametrize("text, pattern", [
+        (b"[1,2,3,4,5,6]", (None,)),  # integers: int64
+        (b"[1,2.5,3,4,-0.0,6]", (None,)),  # integers and floats: float64
+        (b"[[0,1],[2.5,3]]", (2, 2)),
+        (b"[9223372036854775807,9223372036854775808,18446744073709551615]", (None,)),
+        (b"[9223372036854775808,18446744073709551615]", (None,)),  # uint64
+        (b"[9223372036854775808,-1,2]", (None,)),  # uint64 and a negative: float64
+        (b"[-9223372036854775808,9223372036854775807,0]", (None,)),
+        (b"[18446744073709551616,1.5,2]", (None,)),  # an object array: a list
+        (b"[1,-9223372036854775809,3]", (None,)),
+        (b"[1e5,2E-3,-3e+2,4,1e400]", (None,)),
+        (b"[1,\r\n2,\r\n 3.5,\r\n4]", (None,)),
+        (b"[[1,2],\r\n [3,4]]", (2, None)),
+        (b"[1,,2,3]", (None,)),
+        (b"[1,2,3,]", (None,)),
+        (b"[[1,2],[3,4],]", (None, 2)),
+    ])
+    def test_every_cut_reads_as_the_whole_list(self, monkeypatch, text, pattern):
+        doc = b'{"a": %s, "b": 1}' % text
+        try:
+            value = json.loads(doc.decode())
+        except json.JSONDecodeError as exc:
+            want = ("raises", str(exc), exc.pos)
+        else:
+            array = np.asarray(value["a"])
+            want = (array.dtype, array.shape, array.tobytes()) if array.dtype.kind in "iuf" \
+                else ("list", value["a"])
+        for block in range(1, len(text) + 1):
+            monkeypatch.setattr(linalg, "BLOCK_ENTRIES", block)
+            try:
+                got = arraytext.loads(doc, {"a": pattern})["a"]
+            except json.JSONDecodeError as exc:
+                assert want == ("raises", str(exc), exc.pos), block
+                continue
+            assert want == ((got.dtype, got.shape, got.tobytes()) if isinstance(got, np.ndarray)
+                            else ("list", got)), block
 
     @pytest.mark.parametrize("command", ["certify", "partial-bell"])
     def test_placeholder_text_in_the_file_is_a_plain_string(self, tmp_path, command):
@@ -1454,14 +1520,17 @@ def edited_strategy_files(draw):
     return draw(st.sampled_from(["certify", "partial-bell"])), text
 
 
+# slices of 7 and 97 bytes cut each array of the n <= 3 bases many times
+@pytest.mark.parametrize("block", [linalg.BLOCK_ENTRIES, 7, 97])
 @settings(max_examples=150)
 @given(case=edited_strategy_files())
-def test_edited_strategy_file_reads_as_the_reference_does(case):
+def test_edited_strategy_file_reads_as_the_reference_does(block, case):
     # exit code, message and report are those of the nested-list loader
     command, text = case
-    with tempfile.TemporaryDirectory() as d:
+    with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as patch:
         path = Path(d) / "s.json"
         path.write_bytes(text)
+        patch.setattr(linalg, "BLOCK_ENTRIES", block)
         assert cli_outcome(command, path, d) == cli_outcome(command, path, d, reference_load)
 
 

@@ -531,6 +531,26 @@ class TestLockstep:
             tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0]
 
+    def test_blocks_are_taken_one_at_a_time(self, monkeypatch):
+        # 10**12 restarts at n = 2 are some 2.4e8 blocks: listed up front,
+        # they would take gigabytes before the first block ran
+        class FirstBlock(Exception):
+            pass
+
+        def first_block(config, game, block):
+            raise FirstBlock(block)
+
+        monkeypatch.setattr(optimize, "_lockstep", first_block)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstBlock) as exc:
+                seesaw(SeesawConfig(n=2, restarts=10**12, max_iters=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.args[0] == range(linalg.BLOCK_ENTRIES // GAMES["ghz"].entries(2))
+        assert peak < 1e6
+
 
 class TestClassification:
     def test_ghz_basis_all_entangled(self):

@@ -300,17 +300,17 @@ class TestGhzImages:
                             lambda t, w: calls.append(t.shape) or contract_slot(t, w))
         assert avg_fidelity(povm, angles) == want
         d = 2**n
-        assert len(calls) == n * len(chunks(d, d * d))
+        assert len(calls) == n * len(list(chunks(d, d * d)))
 
     def test_avg_fidelity_in_several_chunks_agrees_with_one(self, monkeypatch):
         n = 6
         d = 2**n
         povm = random_strategy(n, 70).povm
         angles = make_rng(71).uniform(0, np.pi / 2, size=n)
-        assert len(chunks(d, d * d)) == 1
+        assert len(list(chunks(d, d * d))) == 1
         want = avg_fidelity(povm, angles)
         monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 5 * d * d)
-        assert len(chunks(d, d * d)) == 13  # chunks of 5 outcomes, the last of 4
+        assert len(list(chunks(d, d * d))) == 13  # chunks of 5 outcomes, the last of 4
         assert abs(avg_fidelity(povm, angles) - want) <= 1e-15
 
     @pytest.mark.parametrize("n", [2, 3, 5])

@@ -251,10 +251,10 @@ class TestProbabilityTable:
 
     def test_identical_across_chunk_boundaries(self, monkeypatch):
         s = random_mixed_strategy(6, 5)
-        assert len(linalg.chunks(2**6, 4**6)) == 1
+        assert len(list(linalg.chunks(2**6, 4**6))) == 1
         whole = probability_table(s)
         monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 5 * 4**6)
-        assert len(linalg.chunks(2**6, 4**6)) == 13  # chunks of 5 outcomes, the last of 4
+        assert len(list(linalg.chunks(2**6, 4**6))) == 13  # chunks of 5 outcomes, the last of 4
         chunked = probability_table(s)
         assert np.array_equal(chunked.base, whole.base)
         assert np.array_equal(chunked.pair, whole.pair)
@@ -276,7 +276,7 @@ class TestProbabilityTable:
         # pair context j's own slot j and the n - j mixed slots after it, and
         # the run of mixed slots 2..k (k <= n - 1) that pair contexts k+1..n
         # open with: 1 + (n - 1) + n(n - 1)/2 + (n - 2) = (n + 4)(n - 1)/2
-        assert len(shapes) == (n + 4) * (n - 1) // 2 * len(linalg.chunks(d, d * d))
+        assert len(shapes) == (n + 4) * (n - 1) // 2 * len(list(linalg.chunks(d, d * d)))
         # memory stays flat: no contraction reads more than one chunk's entries
         assert max(np.prod(shape) for shape in shapes) <= linalg.BLOCK_ENTRIES
 

@@ -206,9 +206,9 @@ class TestWitnessSpectra:
         ops = stack[0]
         assert trace_bound(ops) > 1e-9 / 10
         want = [witness_spectra(ops).tobytes(), np.array(witness_bounds(ops, 1e-9)).tobytes()]
-        assert len(linalg.chunks(2**n, 4**n)) == 1
+        assert len(list(linalg.chunks(2**n, 4**n))) == 1
         monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 4**n)  # one witness per chunk
-        assert len(linalg.chunks(2**n, 4**n)) == 2**n
+        assert len(list(linalg.chunks(2**n, 4**n))) == 2**n
         assert [witness_spectra(ops).tobytes(),
                 np.array(witness_bounds(ops, 1e-9)).tobytes()] == want
 

@@ -658,7 +658,7 @@ class TestRankOneScreen:
             monkeypatch.setattr(states, attr, lambda m, s=screen, g=got: g.append(s(m)) or g[-1])
         monkeypatch.setattr(backends, "eigvalsh", refuse)
         povm.validate()
-        count = len(chunks(len(povm), povm.dim**2))
+        count = len(list(chunks(len(povm), povm.dim**2)))
         assert results == {"_rank_one_clears": [False] * count,
                            "_cholesky_clears": [True] * count}
 
