@@ -64,7 +64,6 @@ from .scenario import (
 from .selftest import (
     certify_strategy,
     classify_outcome_measurement,
-    povm_traces,
     resolve_tolerances,
     sos_passes,
     sos_residual,
@@ -621,7 +620,7 @@ def _cmd_partial_bell(config: RunConfig) -> tuple:
         "comm_metric": s_comm,
         "rac_metric": s_rac,
         "witness_traces": term_values,
-        "povm_traces": povm_traces(strategy.povm.elements).tolist(),
+        "povm_traces": strategy.povm.traces().tolist(),
         "eps": eps,
         "fidelity_bound": bound,
         "angle_deviation_bound": angle_dev,

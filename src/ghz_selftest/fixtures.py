@@ -19,10 +19,17 @@ from .states import (
 )
 
 
+def _senders(n: int, states) -> tuple:
+    """``states(j, n)`` of senders j = 1..n; fewer than two are refused."""
+    if n < 2:
+        raise InvalidInput(f"need at least two senders, got n={n}")
+    return tuple(states(j, n) for j in range(1, n + 1))
+
+
 def ideal_strategy(n: int) -> Strategy:
-    """Optimal strategy in canonical frame: aligned states + GHZ basis POVM."""
-    senders = tuple(aligned_sender_states(j, n) for j in range(1, n + 1))
-    return Strategy(n=n, senders=senders, povm=ghz_povm(n))
+    """Optimal strategy in canonical frame: aligned states + GHZ basis POVM,
+    held as its basis."""
+    return Strategy(n=n, senders=_senders(n, aligned_sender_states), povm=ghz_povm(n))
 
 
 def literal_ideal_strategy(n: int) -> Strategy:
@@ -32,7 +39,7 @@ def literal_ideal_strategy(n: int) -> Strategy:
     frame, so the matching optimal POVM is the GHZ basis conjugated by
     Hadamards on those slots. Score 1, like :func:`ideal_strategy`.
     """
-    senders = tuple(ideal_sender_states(j, n) for j in range(1, n + 1))
+    senders = _senders(n, ideal_sender_states)
     # sigma_A is the Hadamard; it and the GHZ projectors are real, and the
     # real products carry the bits of the complex ones at half the cost
     h = tensor([I2.real] + [SIGMA_A.real] * (n - 1))
@@ -45,16 +52,15 @@ def computational_strategy(n: int) -> Strategy:
     Element ``m`` projects onto the ket of ``xi_m`` (:func:`states.ghz_kets`)
     whose qubit 1 reads the sign bit ``s_1``, so every element overlaps its
     GHZ vector with probability exactly 1/2: the canonical sub-optimal
-    reference.
+    reference. The POVM is held as its basis, row ``m`` the ket.
     """
-    senders = tuple(aligned_sender_states(j, n) for j in range(1, n + 1))
+    senders = _senders(n, aligned_sender_states)
     d = 2**n
     bits = outcome_table(n)
     a, b = ghz_kets(bits)
-    idx = basis_index(np.where(bits[:, :1], b, a))
-    els = np.zeros((d, d, d), dtype=complex)
-    els[np.arange(d), idx, idx] = 1.0
-    return Strategy(n=n, senders=senders, povm=Povm(els))
+    rows = np.zeros((d, d), dtype=complex)
+    rows[np.arange(d), basis_index(np.where(bits[:, :1], b, a))] = 1.0
+    return Strategy(n=n, senders=senders, povm=Povm.from_basis(rows))
 
 
 def depolarized_strategy(n: int, noise: float) -> Strategy:

@@ -166,14 +166,34 @@ def fix_phase(v: np.ndarray) -> np.ndarray:
     return v * (c.conj() / np.hypot(c.real, c.imag))
 
 
-def projector(vec) -> np.ndarray:
-    """Rank-1 projector onto a (normalized copy of a) state vector; stacked
-    vectors ``(..., d)`` give stacked projectors."""
+def normalized(vec) -> np.ndarray:
+    """A unit-norm copy of a state vector; stacked vectors ``(..., d)`` are
+    normalized one by one."""
     v = np.asarray(vec, dtype=complex)
     # row times column: the dot products np.linalg.norm takes of one vector
     re, im = v.real[..., None, :], v.imag[..., None, :]
     norm = np.sqrt(re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0]
     if (norm == 0).any():
         raise InvalidInput("cannot project onto the zero vector")
-    v = v / norm
+    return v / norm
+
+
+def outer(v: np.ndarray) -> np.ndarray:
+    """``v v^dag`` for a vector, or for every vector of a ``(..., d)`` stack."""
     return v[..., :, None] * v[..., None, :].conj()
+
+
+def projector(vec) -> np.ndarray:
+    """Rank-1 projector onto a (normalized copy of a) state vector; stacked
+    vectors ``(..., d)`` give stacked projectors."""
+    return outer(normalized(vec))
+
+
+def pairings(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``Re sum_ij a[..., m, i, j] b[..., k, i, j]``, that is ``Re Tr(a_m
+    b_k^T)``, for stacks ``a`` ``(..., m, d, d)`` and ``b`` ``(..., k, d,
+    d)``: shape ``(..., m, k)``. One matmul of the flattened matrices, which
+    are views of contiguous stacks."""
+    m, d = a.shape[-3:-1]
+    flat = b.reshape(b.shape[:-2] + (d * d,))
+    return (a.reshape(a.shape[:-3] + (m, d * d)) @ np.swapaxes(flat, -1, -2)).real

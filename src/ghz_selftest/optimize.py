@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import I2, chunks, dagger, fix_phase, herm_eig, projector, tensor
+from .linalg import I2, chunks, dagger, fix_phase, herm_eig, outer, projector, tensor
 from .parallel import ordered_map
 from .rng import make_rng, uint64
 from .scenario import (
@@ -93,11 +93,6 @@ def _polar_orthonormal(columns: np.ndarray) -> np.ndarray:
     """Closest orthonormal frame to the stacked columns (symmetric polar factor)."""
     u, _, vh = np.linalg.svd(columns)
     return u @ vh
-
-
-def _outer(v: np.ndarray) -> np.ndarray:
-    """``v v^dagger`` for every vector of a ``(..., d)`` stack."""
-    return v[..., :, None] * v[..., None, :].conj()
 
 
 def _antipodal_pairs(g: np.ndarray) -> np.ndarray:
@@ -165,7 +160,7 @@ def _ghz_povm(ops: np.ndarray) -> np.ndarray:
         u = flip[..., j, :, :][..., None, :, :, None]
         top = (u[..., 0, :] * v[..., 0, :] + u[..., 1, :] * v[..., 1, :]).reshape(top.shape)
     q = _polar_orthonormal(np.swapaxes(fix_phase(top), -1, -2))
-    elements = _outer(np.swapaxes(q, -1, -2))
+    elements = outer(np.swapaxes(q, -1, -2))
     # conjugation keeps a zero witness zero, so the representatives decide
     elements[np.abs(ws).max(axis=(-3, -2, -1)) <= 1e-12] = np.eye(d) / d
     return elements
@@ -264,7 +259,7 @@ def _partial_bell_povm(ops: np.ndarray) -> np.ndarray:
     vectors = herm_eig(np.stack(partial_witnesses(ops), axis=-3)).vectors
     rows = fix_phase(np.stack([vectors[..., 0, :, -1], vectors[..., 1, :, -1],
                                vectors[..., 2, :, -1], vectors[..., 2, :, -2]], axis=-2))
-    p = _outer(np.swapaxes(_polar_orthonormal(np.swapaxes(rows, -1, -2)), -1, -2))
+    p = outer(np.swapaxes(_polar_orthonormal(np.swapaxes(rows, -1, -2)), -1, -2))
     return np.stack([p[..., 0, :, :], p[..., 1, :, :], p[..., 2, :, :] + p[..., 3, :, :]],
                     axis=-3)
 

@@ -26,7 +26,8 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import InvalidBloch, InvalidInput
-from .linalg import I2, PAULIS, SQRT2, chunks, contract_slot, dagger, herm_eigvals, tensor
+from .linalg import (I2, PAULIS, SQRT2, chunks, contract_slot, dagger, herm_eigvals, pairings,
+                     tensor)
 from .states import Povm, SenderStates, Strategy, bloch_vector, outcome_index, outcome_table
 
 # coefficients of the three-input game score on p(0 | y1, y2)
@@ -157,29 +158,31 @@ def metric_normalization(n: int) -> float:
 
 
 def _signed_score(n: int, t: np.ndarray):
-    """Normalized score from ``t[k, ..., m]``, term k's contribution to
+    """Normalized score from ``t[..., m, k]``, term k's contribution to
     outcome m: per-outcome signed sums, then summed over outcomes in order."""
-    per_outcome = signed_sum(witness_signs(n).T, t)
+    per_outcome = signed_sum(witness_signs(n).T, np.moveaxis(t, -1, 0))
     return sum(np.moveaxis(per_outcome, -1, 0)) / metric_normalization(n)
+
+
+def _transposed_terms(ops: np.ndarray) -> np.ndarray:
+    """The witness terms' transposes ``T_k^T``, stacked ``(..., n, d, d)``:
+    the terms of the transposed operators, so that ``Tr(M T_k)`` is the
+    :func:`linalg.pairings` of ``M`` with them."""
+    return np.stack(witness_terms(np.swapaxes(ops, -1, -2)), axis=-3)
 
 
 def success_scores(ops: np.ndarray, elements: np.ndarray) -> np.ndarray:
     """GHZ-game scores of stacked operators ``(..., n, 2, 2, 2)`` and POVM
     elements ``(..., 2**n, 2**n, 2**n)``."""
-    # Tr(M_m T_k) = sum_ij M_m[i, j] T_k[j, i]: one matmul of the flattened
-    # elements, a view, against the flattened transposed terms, which are the
-    # terms of the transposed operators
-    m, d = elements.shape[-3:-1]
-    terms = np.stack(witness_terms(np.swapaxes(ops, -1, -2)), axis=-3)
-    flat = terms.reshape(terms.shape[:-2] + (d * d,))
-    t = elements.reshape(elements.shape[:-3] + (m, d * d)) @ np.swapaxes(flat, -1, -2)
-    return _signed_score(ops.shape[-4], np.moveaxis(t.real, -1, 0))
+    return _signed_score(ops.shape[-4], pairings(elements, _transposed_terms(ops)))
 
 
 def success_metric(strategy: Strategy) -> float:
-    """Normalized GHZ-game score; the quantum maximum is 1."""
+    """Normalized GHZ-game score; the quantum maximum is 1. The POVM's
+    :meth:`~states.Povm.pairings` read a basis from its rows."""
     strategy.require("ghz")
-    return float(success_scores(a_operators(strategy), strategy.povm.elements))
+    t = strategy.povm.pairings(_transposed_terms(a_operators(strategy)))
+    return float(_signed_score(strategy.n, t))
 
 
 @dataclass(frozen=True)
@@ -263,7 +266,7 @@ def success_from_table(table: ProbabilityTable) -> float:
     t[1:] = 2 ** (n - 2) * np.einsum(
         "kabm,ab->km", table.pair[:, 0] - table.pair[:, 1], pair_parity
     )
-    return float(_signed_score(n, t))
+    return float(_signed_score(n, t.T))
 
 
 # ---------------------------------------------------------------------------

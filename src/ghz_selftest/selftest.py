@@ -309,7 +309,8 @@ def verify_ghz_measurement(povm, unitaries) -> np.ndarray:
 
     Returns ``f[s] = <xi_s| U M_s U^dag |xi_s>`` for every outcome; the
     certification criterion is ``min_s f_s >= 1 - 1e-8`` together with unit
-    traces of all elements.
+    traces of all elements. :meth:`~states.Povm.expectations` reads a basis
+    POVM from its rows, as ``|<U^dag xi_s, q_s>|^2``.
     """
     n = len(unitaries)
     if len(povm) != 2**n or povm.dim != 2**n:
@@ -317,8 +318,7 @@ def verify_ghz_measurement(povm, unitaries) -> np.ndarray:
             f"POVM has {len(povm)} elements on dim {povm.dim}, expected 2**{n} on 2**{n}"
         )
     # column m of v is U^dag xi_m, so f[m] = v[:, m]^dag M_m v[:, m]
-    v = tensor(list(unitaries)).conj().T @ ghz_basis(n)
-    return np.einsum("im,mij,jm->m", v.conj(), povm.elements, v).real
+    return povm.expectations(tensor(list(unitaries)).conj().T @ ghz_basis(n))
 
 
 def ppt_min_eig(m) -> float:
@@ -343,7 +343,7 @@ def classify_outcome_measurement(povm) -> list:
     if povm.dim != 4:
         raise InvalidInput("classification is defined for two-qubit measurements")
     els = povm.elements
-    traces = povm_traces(els)
+    traces = povm.traces()
     tested = traces > 1e-12
     mins = np.zeros(len(els))
     if tested.any():
@@ -351,11 +351,6 @@ def classify_outcome_measurement(povm) -> list:
         mins[tested] = _eigvals_each(partial_transpose(normed, [2, 2], 1))[:, 0]
     return [{"trace": t, "ppt_min_eig": v, "entangled": v < -1e-8}
             for t, v in zip(traces.tolist(), mins.tolist())]
-
-
-def povm_traces(elements: np.ndarray) -> np.ndarray:
-    """Real parts of the traces of stacked POVM elements ``(k, d, d)``."""
-    return np.trace(elements, axis1=1, axis2=2).real
 
 
 def antipodality_gap(strategy: Strategy) -> float:
@@ -401,7 +396,7 @@ def certify_strategy(strategy: Strategy, tolerances: dict | None = None) -> Cert
     n = strategy.n
     metric = success_metric(strategy)
     gap = antipodality_gap(strategy)
-    traces = povm_traces(strategy.povm.elements).tolist()
+    traces = strategy.povm.traces().tolist()
     ops = a_operators(strategy)
 
     report = CertReport(

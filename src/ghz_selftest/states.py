@@ -32,7 +32,7 @@ import numpy as np
 
 from . import backends
 from .errors import InvalidBloch, InvalidInput
-from .linalg import I2, PAULIS, chunks, dagger, projector
+from .linalg import I2, PAULIS, chunks, dagger, normalized, outer, pairings, projector
 from .rng import make_rng
 
 COS8 = np.cos(np.pi / 8)
@@ -148,24 +148,81 @@ class SenderStates:
             raise InvalidInput(f"state ({k // 2}|{k % 2}) {reason}")
 
 
-@dataclass(frozen=True)
 class Povm:
-    """Positive operators ``elements[k]`` summing to the identity."""
+    """Positive operators ``elements[k]`` summing to the identity, held in
+    one of two forms.
 
-    elements: np.ndarray
+    ``Povm(elements)`` holds the dense ``(k, d, d)`` stack. The basis form,
+    :meth:`from_basis`, holds a rank-1 measurement ``M_m = q_m q_m^dag`` as
+    its square stack of rows ``q_m`` alone, as :func:`ghz_povm` builds the
+    GHZ basis. It builds ``elements``, ``linalg.outer`` of the rows, on the
+    first read and keeps it read-only. The reads of the certify path,
+    :meth:`validate`, :meth:`traces`, :meth:`pairings` and
+    :meth:`expectations`, take the rows directly, so certifying a basis
+    never builds the ``2**n x d x d`` stack. Only this class reads
+    ``basis``, which is None in the dense form.
+    """
 
-    def __post_init__(self):
-        el = np.asarray(self.elements, dtype=complex)
+    __slots__ = ("basis", "_elements")
+
+    def __init__(self, elements):
+        el = np.asarray(elements, dtype=complex)
         if el.ndim != 3 or el.shape[1] != el.shape[2]:
             raise InvalidInput(f"Povm.elements must have shape (k, d, d), got {el.shape}")
-        object.__setattr__(self, "elements", el)
+        self.basis = None
+        self._elements = el
+
+    @classmethod
+    def from_basis(cls, rows) -> "Povm":
+        """The rank-1 POVM of the rows ``q_m`` of a square ``(d, d)`` stack,
+        which it holds as a read-only copy."""
+        q = np.array(rows, dtype=complex, order="C")
+        if q.ndim != 2 or q.shape[0] != q.shape[1]:
+            raise InvalidInput(f"Povm.from_basis needs a square (d, d) stack of rows, "
+                               f"got {q.shape}")
+        q.flags.writeable = False
+        povm = cls.__new__(cls)
+        povm.basis, povm._elements = q, None
+        return povm
+
+    @property
+    def elements(self) -> np.ndarray:
+        """The ``(k, d, d)`` stack, which a basis builds on this first read."""
+        if self._elements is None:
+            with np.errstate(all="ignore"):  # an infinite row entry: validate names it
+                self._elements = outer(self.basis)
+            self._elements.flags.writeable = False
+        return self._elements
 
     @property
     def dim(self) -> int:
-        return self.elements.shape[1]
+        return (self._elements if self.basis is None else self.basis).shape[-1]
 
     def __len__(self) -> int:
-        return self.elements.shape[0]
+        return (self._elements if self.basis is None else self.basis).shape[0]
+
+    def traces(self) -> np.ndarray:
+        """``Re Tr M_m`` of every element: ``||q_m||^2`` in the basis form."""
+        if self.basis is None:
+            return np.trace(self.elements, axis1=1, axis2=2).real
+        return (self.basis * self.basis.conj()).real.sum(axis=1)
+
+    def pairings(self, s: np.ndarray) -> np.ndarray:
+        """``Re Tr(M_m S_k^T)`` for operators ``s`` ``(K, d, d)``, shape ``(len,
+        K)``: :func:`linalg.pairings` of the stack, or ``Re q_m^T S_k
+        conj(q_m)`` from the rows."""
+        if self.basis is None:
+            return pairings(self.elements, s)
+        q = self.basis
+        return np.einsum("mi,kim->mk", q, s @ q.conj().T).real
+
+    def expectations(self, v: np.ndarray) -> np.ndarray:
+        """``<v_m| M_m |v_m>`` for every column ``v_m`` of ``v`` ``(d, len)``:
+        ``|<v_m, q_m>|^2`` in the basis form."""
+        if self.basis is None:
+            return np.einsum("im,mij,jm->m", v.conj(), self.elements, v).real
+        z = np.einsum("im,mi->m", v.conj(), self.basis)
+        return z.real**2 + z.imag**2
 
     def validate(self) -> None:
         """Raise InvalidInput naming the first element that has a non-finite
@@ -201,7 +258,13 @@ class Povm:
         neither screen clears is decided by the least eigenvalue of
         ``(m + m^dag)/2`` from ``eigvalsh``, exactly as without the screens,
         so they change neither a verdict nor a message.
+
+        A basis is first screened from its rows (:func:`_basis_clears`); one
+        the screen does not clear is decided by the rules above on
+        ``elements``, so every refusal gives the dense form's message.
         """
+        if self.basis is not None and _basis_clears(self.basis):
+            return
         k = _first_non_finite(self.elements)
         if k is not None:
             raise InvalidInput(f"POVM element {k} has a non-finite entry")
@@ -241,6 +304,39 @@ class Povm:
             total = self.elements.sum(axis=0)
         if np.abs(total - np.eye(self.dim)).max() > POVM_ATOL:
             raise InvalidInput("POVM elements do not sum to the identity")
+
+
+def _basis_clears(q: np.ndarray) -> bool:
+    """True when the rows ``q_m`` of the square stack ``q`` are finite and
+    ``r = fl(|Q^T conj(Q) - I|)`` is at most ``POVM_ATOL - 4 (d + 2) eps``
+    entrywise, which proves that the rules of :meth:`Povm.validate` accept
+    the elements ``fl(q_m q_m^dag)``; False leaves the verdict to them.
+
+    ``P = Q^T conj(Q) = sum_m q_m q_m^dag`` is the elements' exact sum. With
+    ``u = eps/2`` and ``gamma_k = k u / (1 - k u)``, a complex product is off
+    by ``sqrt(2) gamma_2`` relatively and a sum of ``d`` terms by
+    ``gamma_{d-1}`` of their magnitudes (Higham, "Accuracy and Stability of
+    Numerical Algorithms", 2002, sec. 3.1 and 3.6). So both ``fl(P)`` and the
+    elements' computed sum ``S`` lie within ``gamma_{d+2} sum_m |q_ma|
+    |q_mb| <= gamma_{d+2} sqrt(P_aa P_bb)`` (Cauchy-Schwarz) of ``P``, and
+    ``P_aa <= 1 + POVM_ATOL`` up to that rounding. The sum rule's ``|S -
+    I|`` is then below ``r + 2.1 gamma_{d+2}`` times ``1 + 3u`` for the
+    roundings of the two differences and moduli, which the allowance keeps
+    under ``POVM_ATOL``. Every entry ``|q_ma|^2 <= P_aa`` is at most about
+    ``1 + POVM_ATOL``, so each element passes the magnitude bound, is
+    Hermitian to ``6u`` entrywise and is within ``3u ||q_m||^2`` in
+    Frobenius norm of the positive ``q_m q_m^dag``, with ``||q_m||^2 <= 1 +
+    d POVM_ATOL``: its least eigenvalue and ``eigvalsh``'s own rounding
+    stay far below ``POVM_PSD_ATOL``, as for :func:`_rank_one_clears`.
+    Overflowing rows give an infinite or NaN ``r``, which fails the test
+    without a warning.
+    """
+    if not np.isfinite(q).all():
+        return False
+    d = len(q)
+    with np.errstate(all="ignore"):
+        r = np.abs(q.T @ q.conj() - np.eye(d)).max()
+    return bool(r <= POVM_ATOL - 4 * (d + 2) * np.finfo(float).eps)
 
 
 def _rank_one_clears(m: np.ndarray) -> bool:
@@ -297,7 +393,7 @@ def _rank_one_clears(m: np.ndarray) -> bool:
         # the residual's diagonal alone refuses a higher rank in O(d)
         if not np.abs(diag - v_sq).max() <= POVM_PSD_ATOL / 2:
             return False
-        residual = v[:, :, None] * v[:, None, :].conj()
+        residual = outer(v)
         np.subtract(m, residual, out=residual)
         parts = residual.reshape(-1).view(float)
         u, n = np.finfo(float).eps / 2, len(parts)
@@ -369,6 +465,8 @@ class Strategy:
         if self.task != task:
             raise InvalidInput(f"strategy task is {self.task!r}, not {task!r}")
         if task == "ghz":
+            if self.n < 2:
+                raise InvalidInput(f"need at least two senders, got n={self.n}")
             if len(self.povm) != 2**self.n or self.povm.dim != 2**self.n:
                 raise InvalidInput(
                     f"GHZ task needs 2**n POVM elements on dim 2**n, got "
@@ -478,10 +576,13 @@ def ghz_basis(n: int) -> np.ndarray:
 
 
 def ghz_povm(n: int) -> Povm:
-    """Rank-1 projective measurement onto the 2**n GHZ basis vectors."""
-    # contiguous rows give contiguous elements; the transposed view would
-    # interleave all 2**n elements entry by entry, slowing every pass over one
-    return Povm(projector(ghz_basis(n).T.copy()))
+    """Rank-1 projective measurement onto the 2**n GHZ basis vectors, in the
+    basis form of :class:`Povm`: its rows are the normalized GHZ vectors, so
+    its ``elements`` are the bytes of :func:`linalg.projector` of the
+    vectors."""
+    # rows normalized as a contiguous copy, as projector(ghz_basis(n).T.copy())
+    # normalized them, so the elements keep its bits
+    return Povm.from_basis(normalized(ghz_basis(n).T.copy()))
 
 
 def random_projectors(rng, count: int) -> np.ndarray:
@@ -507,7 +608,7 @@ def random_strategy(n: int, seed: int) -> Strategy:
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     _, vecs = backends.eigh((g + g.conj().T) / 2)
     v = vecs.T.copy()  # v[k] is eigenvector k; contiguous rows, contiguous elements
-    return Strategy(n=n, senders=tuple(senders), povm=Povm(v[:, :, None] * v[:, None, :].conj()))
+    return Strategy(n=n, senders=tuple(senders), povm=Povm(outer(v)))
 
 
 def random_antipodal_strategy(n: int, seed: int) -> Strategy:

@@ -6,7 +6,7 @@ import pytest
 from ghz_selftest import backends, linalg, optimize
 from ghz_selftest.errors import InvalidInput
 from ghz_selftest.fixtures import computational_strategy, ideal_strategy, partial_bell_strategy
-from ghz_selftest.linalg import I2, fix_phase, herm_eig, projector, tensor
+from ghz_selftest.linalg import I2, fix_phase, herm_eig, outer, projector, tensor
 from ghz_selftest.optimize import (
     GAMES,
     SeesawConfig,
@@ -16,7 +16,6 @@ from ghz_selftest.optimize import (
     _ghz_povm,
     _ghz_sweep,
     _lockstep,
-    _outer,
     _polar_orthonormal,
     optimal_povm_for_states,
     optimal_states_for_povm,
@@ -166,7 +165,7 @@ def reference_ghz_povm(ops):
     d = 2 ** ops.shape[-4]
     ws = witness_operators(ops)
     top = fix_phase(herm_eig(ws).vectors[..., -1])
-    elements = _outer(np.swapaxes(_polar_orthonormal(np.swapaxes(top, -1, -2)), -1, -2))
+    elements = outer(np.swapaxes(_polar_orthonormal(np.swapaxes(top, -1, -2)), -1, -2))
     zero = np.abs(ws).max(axis=(-3, -2, -1)) <= 1e-12
     return np.where(zero[..., None, None, None], np.eye(d) / d, elements)
 

@@ -1,6 +1,7 @@
 """The repository tracks no file that its ``.gitignore`` excludes, the
 package starts no threads or processes and reads no environment variable,
-and the command line and the scores leave the choice of game to tables."""
+the command line and the scores leave the choice of game to tables, and
+only ``states`` reads which form a POVM is held in."""
 
 import ast
 import shutil
@@ -91,3 +92,19 @@ def test_command_line_and_scores_read_the_game_tables():
                       "x = t in ('counterexample', 'partial_bell')\ny = t == GAMES['ghz']\n"
                       "z = len(s) != 2**n\n")
     assert game_comparisons(probe) == [1, 2, 3]
+
+
+def basis_reads(tree):
+    """Line numbers of every read of an attribute named ``basis``."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "basis"]
+
+
+def test_only_states_reads_a_povms_basis():
+    # which form a POVM is held in, dense or basis, is decided in states.Povm
+    found = {path.name: basis_reads(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(Path(ghz_selftest.__file__).parent.glob("*.py"))}
+    assert {name for name, lines in found.items() if lines} == {"states.py"}
+    # the walk sees each form, and not the names that merely contain the word
+    probe = ast.parse("p.basis\nq = s.povm.basis[0]\nghz_basis(n)\nbasis = 1\nx = p.ghz_basis\n")
+    assert basis_reads(probe) == [1, 2]

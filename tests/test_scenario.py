@@ -42,6 +42,8 @@ from ghz_selftest.states import (
     Povm,
     SenderStates,
     Strategy,
+    aligned_sender_states,
+    ghz_povm,
     ideal_sender_states,
     outcome_bits,
     random_mixed_strategy,
@@ -172,19 +174,24 @@ def unvalidated(n, elements, **fields):
 GHZ_SHAPE = "GHZ task needs 2**n POVM elements on dim 2**n, got 4 elements on dim 8"
 FOUR_OF_EIGHT = ideal_strategy(3).povm.elements[:4]
 PARTIAL_BELL = partial_bell_strategy()
+# the one-sender GHZ game has normalization 0: its score would read 0/0
+ONE_SENDER = Strategy(n=1, senders=(aligned_sender_states(1, 1),), povm=ghz_povm(1))
 
 
 @pytest.mark.parametrize("score, strategy, message", [
     (success_metric, unvalidated(2, FOUR_OF_EIGHT), GHZ_SHAPE),
     (probability_table, unvalidated(2, FOUR_OF_EIGHT), GHZ_SHAPE),
     (probability_table, unvalidated(3, FOUR_OF_EIGHT), GHZ_SHAPE),
+    (success_metric, ONE_SENDER, "need at least two senders, got n=1"),
+    (probability_table, ONE_SENDER, "need at least two senders, got n=1"),
     (success_metric, PARTIAL_BELL, "strategy task is 'partial_bell', not 'ghz'"),
     (probability_table, PARTIAL_BELL, "strategy task is 'partial_bell', not 'ghz'"),
     (comm_metric, ideal_strategy(2), "strategy task is 'ghz', not 'partial_bell'"),
     (comm_metric, unvalidated(2, ideal_strategy(2).povm.elements, task="partial_bell",
                               observables=PARTIAL_BELL.observables),
      "partial Bell task needs n=2 and a 3-element POVM on dim 4"),
-], ids=["success-n2-4of8", "table-n2-4of8", "table-n3-4of8", "success-partial-bell",
+], ids=["success-n2-4of8", "table-n2-4of8", "table-n3-4of8", "success-one-sender",
+        "table-one-sender", "success-partial-bell",
         "table-partial-bell", "comm-ghz", "comm-4-elements"])
 def test_scores_refuse_another_game_or_shape_by_name(score, strategy, message):
     # a reshape or broadcast of a wrong-shape POVM raises a bare ValueError
@@ -462,8 +469,11 @@ def test_stacked_success_scores_match_success_metric_bitwise(n):
     assert scores.tolist() == [success_metric(s) for s in strategies]
 
 
-def test_success_metric_never_copies_the_element_stack():
+@pytest.mark.parametrize("form", ["basis", "dense"])
+def test_success_metric_never_copies_the_element_stack(form):
     strategy = ideal_strategy(7)
+    if form == "dense":
+        strategy = Strategy(n=7, senders=strategy.senders, povm=Povm(strategy.povm.elements))
     success_metric(strategy)  # warm caches outside the measurement
     tracemalloc.start()
     try:

@@ -31,7 +31,7 @@ from ghz_selftest.linalg import (
     tensor,
 )
 from ghz_selftest.robustness import parametrized_a_operators
-from ghz_selftest.scenario import a_operators, witness_operator, witness_operators
+from ghz_selftest.scenario import a_operators, success_metric, witness_operator, witness_operators
 from ghz_selftest.selftest import (
     DEFAULT_TOLERANCES,
     align_locals,
@@ -558,6 +558,37 @@ def skewed_ideal_strategy() -> Strategy:
     rho[0, 0] += 4.5e-11j * I2
     senders = (base.senders[0], SenderStates(rho), base.senders[2])
     return Strategy(n=3, senders=senders, povm=base.povm)
+
+
+class TestBasisForm:
+    """The certify reads of a POVM held as its basis agree with the same POVM
+    held dense, and never build its element stack."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("make", [ideal_strategy, computational_strategy],
+                             ids=["ideal", "computational"])
+    def test_reads_agree_with_the_dense_form(self, make, n):
+        strategy = make(n)
+        strategy.validate()
+        dense = Strategy(n=n, senders=strategy.senders, povm=Povm(strategy.povm.elements))
+        dense.validate()
+        assert abs(success_metric(strategy) - success_metric(dense)) <= 1e-14
+        ops = a_operators(strategy)
+        unitaries = align_locals((ops + ops.conj().swapaxes(-1, -2)) / 2)
+        fids = verify_ghz_measurement(strategy.povm, unitaries)
+        assert np.abs(fids - verify_ghz_measurement(dense.povm, unitaries)).max() <= 1e-14
+        assert np.abs(strategy.povm.traces() - dense.povm.traces()).max() <= 1e-14
+
+    def test_certify_never_builds_the_element_stack(self):
+        certify_strategy(ideal_strategy(7))  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            report = certify_strategy(ideal_strategy(7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak <= 10e6  # the (128, 128, 128) complex element stack alone is 33.5 MB
 
 
 class TestCertify:

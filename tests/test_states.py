@@ -18,7 +18,8 @@ from ghz_selftest.fixtures import (
     ideal_strategy,
     literal_ideal_strategy,
 )
-from ghz_selftest.linalg import I2, SIGMA_A, SIGMA_X, SIGMA_Z, chunks, dagger, projector, tensor
+from ghz_selftest.linalg import (I2, SIGMA_A, SIGMA_X, SIGMA_Z, chunks, dagger, outer, projector,
+                                 tensor)
 from ghz_selftest.rng import make_rng
 from ghz_selftest.scenario import a_operators, witness_operator
 from ghz_selftest.selftest import antipodality_gap
@@ -133,6 +134,14 @@ class TestIdealStates:
         for j in (1, 2):
             ideal_sender_states(j, 2).validate()
             aligned_sender_states(j, 2).validate()
+
+    @pytest.mark.parametrize("make", [ideal_strategy, literal_ideal_strategy,
+                                      computational_strategy, depolarized_strategy])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_reference_strategies_need_two_senders(self, make, n):
+        args = (n, 0.1) if make is depolarized_strategy else (n,)
+        with pytest.raises(InvalidInput, match=f"^need at least two senders, got n={n}$"):
+            make(*args)
 
 
 class TestGhzBasis:
@@ -609,6 +618,7 @@ def refuse(*args, **kwargs):
 
 PATH_POVMS = {
     "ideal7": lambda: ideal_strategy(7).povm,
+    "ideal7-dense": lambda: Povm(ideal_strategy(7).povm.elements),
     "computational7": lambda: computational_strategy(7).povm,
     "random6": lambda: random_strategy(6, 5).povm,
     "literal5": lambda: literal_ideal_strategy(5).povm,
@@ -675,3 +685,70 @@ class TestRankOneScreen:
         for k, i, j, value in entries:
             el[k, i, j] = value
         assert not states._rank_one_clears(backends.real_if_real(el))
+
+
+def computational_scatter(n: int) -> np.ndarray:
+    """The computational measurement's elements scattered into a zero stack."""
+    d = 2**n
+    bits = outcome_table(n)
+    a, b = ghz_kets(bits)
+    idx = basis_index(np.where(bits[:, :1], b, a))
+    els = np.zeros((d, d, d), dtype=complex)
+    els[np.arange(d), idx, idx] = 1.0
+    return els
+
+
+def ghz_rows(n: int) -> np.ndarray:
+    return linalg.normalized(ghz_basis(n).T.copy())
+
+
+class TestBasisForm:
+    """A POVM held as its basis builds the dense stack byte for byte, and its
+    validation gives the dense form's verdict and message."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("name", ["ideal", "computational"])
+    def test_elements_are_the_dense_constructions(self, name, n):
+        if name == "ideal":
+            got, want = ideal_strategy(n).povm.elements, projector(ghz_basis(n).T.copy())
+        else:
+            got, want = computational_strategy(n).povm.elements, computational_scatter(n)
+        assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides)
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+    @pytest.mark.parametrize("n", [2, 7])
+    @pytest.mark.parametrize("defect, message", [
+        ("NaN entry", "POVM element 1 has a non-finite entry"),
+        ("row scaled by 1 + 1e-6", "POVM elements do not sum to the identity"),
+        ("two equal rows", "POVM elements do not sum to the identity"),
+    ])
+    def test_a_corrupted_basis_gets_the_dense_message(self, n, defect, message):
+        rows = ghz_rows(n)
+        if defect == "NaN entry":
+            rows[1, 0] = np.nan
+        elif defect == "row scaled by 1 + 1e-6":
+            rows[2] *= 1 + 1e-6
+        else:
+            rows[3] = rows[2]
+        povm = Povm.from_basis(rows)
+        got = validate_message(povm)  # before the stack is built
+        assert got == validate_message(Povm(povm.elements.copy())) == message
+
+    @pytest.mark.parametrize("n", [2, 7])
+    @pytest.mark.parametrize("excess", [-1e-12, -5e-14, 0.0, 5e-14, 1e-12])
+    def test_verdicts_at_the_sum_bound_are_the_dense_rules(self, n, excess):
+        # row 0 scaled by sqrt(1 + x) moves entries of the sum by x/2 = POVM_ATOL + excess;
+        # within the screen's rounding allowance the dense rules decide
+        rows = ghz_rows(n)
+        rows[0] *= np.sqrt(1 + 2 * (POVM_ATOL + excess))
+        povm = Povm.from_basis(rows)
+        assert validate_message(povm) == validate_message(Povm(outer(rows)))
+
+    def test_rows_are_copied_and_must_be_square(self):
+        rows = ghz_rows(2)
+        povm = Povm.from_basis(rows)
+        rows[0] = 0
+        povm.validate()
+        with pytest.raises(InvalidInput, match=r"square \(d, d\) stack of rows, got \(2, 4\)"):
+            Povm.from_basis(np.eye(4)[:2])
