@@ -42,6 +42,7 @@ from .fixtures import (
     separable_fixture,
 )
 from .optimize import GAMES, SeesawConfig, seesaw
+from .rng import uint64
 from .robustness import (
     RAC_OPTIMUM,
     FidelityBoundParams,
@@ -487,6 +488,7 @@ def _cmd_sos(config: RunConfig) -> tuple:
     samples = config.options["samples"]
     if samples < 1:
         raise InvalidInput(f"--samples must be at least 1, got {samples}")
+    uint64("samples", samples)  # by the rule for seeds, as the see-saw's counts
     if config.seed + samples > 2**64:  # sample k draws from seed + k
         raise InvalidInput("--seed + --samples - 1 must lie below 2**64")
     tol = resolve_tolerances(config.tolerances)

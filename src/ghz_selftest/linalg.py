@@ -197,3 +197,11 @@ def pairings(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     m, d = a.shape[-3:-1]
     flat = b.reshape(b.shape[:-2] + (d * d,))
     return (a.reshape(a.shape[:-3] + (m, d * d)) @ np.swapaxes(flat, -1, -2)).real
+
+
+def basis_pairings(q: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """:func:`pairings` of the rank-1 elements ``q_m q_m^dag`` with ``s``, read
+    from the rows: ``Re q_m^T s_k conj(q_m)`` for rows ``q`` ``(..., m, d)``
+    and operators ``s`` ``(..., k, d, d)``, shape ``(..., m, k)``. Leading
+    axes give each stack the bits it has alone."""
+    return np.einsum("...mi,...kim->...mk", q, s @ dagger(q)[..., None, :, :]).real

@@ -12,6 +12,14 @@ orbit and flips its top vector onto every outcome. A candidate
 measurement is only accepted when it does not lower the score, so the score
 history is nondecreasing within a restart.
 
+The GHZ search holds each restart's measurement as its basis rows ``q_m``,
+``M_m = q_m q_m^dag``, the orthonormal frame the measurement step produces:
+the score and the sweep's signed element sums read the rows, and the best
+strategy keeps them (``Povm.from_basis``), so no ``2**n x d x d`` element
+stack is built. Each iteration builds the witness terms of the new messages
+once, in the game's ``prepare`` hook, for both of its scores and the
+measurement step.
+
 The restarts advance in lockstep: every half-step works on arrays with a
 leading restart axis, and a restart leaves the active set once it has
 converged, keeping its own iteration count and history. The restarts run in
@@ -34,17 +42,18 @@ from .rng import make_rng, uint64
 from .scenario import (
     COUNTEREXAMPLE_MATRIX,
     CounterexampleStrategy,
+    basis_scores,
     best_rac_observables,
     comm_scores,
     counterexample_costs,
     counterexample_scores,
     message_operators,
     partial_witnesses,
-    success_scores,
     witness_factors,
     witness_operators,
     witness_orbits,
     witness_signs,
+    witness_terms,
 )
 from .selftest import classify_outcome_measurement
 from .states import (
@@ -135,9 +144,19 @@ def _flip_operators(ops: np.ndarray) -> np.ndarray:
                      np.stack([mx + 1j * my, -mz], axis=-1)], axis=-2)
 
 
-def _ghz_povm(ops: np.ndarray) -> np.ndarray:
+def _ghz_terms(rho: np.ndarray) -> tuple:
+    """The GHZ game's per-iteration terms: the message operators of stacked
+    sender states ``(..., n, 2, 2, 2, 2)`` and their :func:`witness_terms`,
+    stacked ``(..., n, 2**n, 2**n)``."""
+    ops = message_operators(rho)
+    return ops, np.stack(witness_terms(ops), axis=-3)
+
+
+def _ghz_povm(ops: np.ndarray, terms: np.ndarray) -> tuple:
     """Best receiver measurement for traceless message operators
-    ``(..., n, 2, 2, 2)``, as stacked POVM elements ``(..., 2**n, 2**n, 2**n)``.
+    ``(..., n, 2, 2, 2)`` with their stacked witness terms, held as basis
+    rows ``q`` ``(..., 2**n, 2**n)``, ``M_m = q_m q_m^dag``, C-contiguous;
+    returned with the mask of the restarts whose witnesses all vanish.
 
     Every witness factor on slot j but the identity is traceless and lies in
     the plane of sender j's Bloch vectors, so conjugating by ``N_j`` (see
@@ -147,11 +166,14 @@ def _ghz_povm(ops: np.ndarray) -> np.ndarray:
     N_F W_r N_F``. Only the representatives ``W_r`` are built and solved;
     outcome m's top vector is its representative's with ``N_j`` applied on
     each slot of its flip pattern ``F``.
+
+    Every measurement scores 0 against vanishing witnesses; the rows of such
+    a restart are the computational basis.
     """
     n = ops.shape[-4]
     d = 2**n
     reps, orbit, flips = witness_orbits(n)
-    ws = witness_operators(ops, reps)
+    ws = witness_operators(ops, reps, terms=np.moveaxis(terms, -3, 0))
     top = herm_eig(ws).vectors[..., -1][..., orbit, :]  # row m: outcome m's top vector
     flip = np.where(flips[..., None, None], _flip_operators(ops)[..., None, :, :, :], I2)
     for j in range(n):
@@ -160,10 +182,11 @@ def _ghz_povm(ops: np.ndarray) -> np.ndarray:
         u = flip[..., j, :, :][..., None, :, :, None]
         top = (u[..., 0, :] * v[..., 0, :] + u[..., 1, :] * v[..., 1, :]).reshape(top.shape)
     q = _polar_orthonormal(np.swapaxes(fix_phase(top), -1, -2))
-    elements = outer(np.swapaxes(q, -1, -2))
+    rows = np.ascontiguousarray(np.swapaxes(q, -1, -2))
     # conjugation keeps a zero witness zero, so the representatives decide
-    elements[np.abs(ws).max(axis=(-3, -2, -1)) <= 1e-12] = np.eye(d) / d
-    return elements
+    vanishing = np.abs(ws).max(axis=(-3, -2, -1)) <= 1e-12
+    rows[vanishing] = np.eye(d)
+    return rows, vanishing
 
 
 def optimal_povm_for_states(n: int, ops: np.ndarray) -> Povm:
@@ -184,20 +207,39 @@ def optimal_povm_for_states(n: int, ops: np.ndarray) -> Povm:
         j, x = np.argwhere(traces > 1e-9)[0].tolist()
         raise InvalidInput(f"message operator of sender {j + 1}, input {x} has trace "
                            f"{traces[j, x]:.3g}; the GHZ measurement step needs traceless ones")
-    return Povm(_ghz_povm(ops))
+    rows, vanishing = _ghz_povm(ops, np.stack(witness_terms(ops)))
+    if vanishing:
+        return Povm(np.repeat(np.eye(2**n)[None] / 2**n, 2**n, axis=0))
+    return Povm.from_basis(rows)
 
 
-def _ghz_sweep(rho: np.ndarray, elements: np.ndarray) -> np.ndarray:
+def _element_sums(elements: np.ndarray) -> np.ndarray:
+    """The signed sums ``f_j = sum_s (-1)^{s_j} M_s`` of POVM elements
+    ``(..., 2**n, d, d)``, stacked ``(..., n, d, d)``: one product with the
+    sign table."""
+    n, d = elements.shape[-3].bit_length() - 1, elements.shape[-1]
+    fs = np.sign(witness_signs(n)).T @ elements.reshape(elements.shape[:-2] + (d * d,))
+    return fs.reshape(fs.shape[:-1] + (d, d))
+
+
+def _row_sums(q: np.ndarray) -> np.ndarray:
+    """The signed sums ``f_j = Q^T diag(sigma_j) conj(Q)`` of the measurement
+    held as basis rows ``q`` ``(..., 2**n, d)``, with ``sigma_j`` the signs
+    ``(-1)^{s_j}``: stacked ``(..., n, d, d)``."""
+    n = q.shape[-2].bit_length() - 1
+    qt = np.swapaxes(q, -1, -2)[..., None, :, :]
+    return (qt * np.sign(witness_signs(n)).T[:, None, :]) @ q.conj()[..., None, :, :]
+
+
+def _ghz_sweep(rho: np.ndarray, fs: np.ndarray) -> np.ndarray:
     """One cyclic pass of exact single-sender maximizations (GHZ game) over
-    sender states ``(..., n, 2, 2, 2, 2)`` for POVM elements ``(..., 2**n, d, d)``."""
+    sender states ``(..., n, 2, 2, 2, 2)`` for the signed sums ``f_j`` of the
+    measurement, stacked ``(..., n, d, d)``: :func:`_row_sums` of the rows
+    the search holds, or :func:`_element_sums` of a given POVM."""
     n = rho.shape[-5]
     rho = rho.copy()
     ops = message_operators(rho)
-    # signed element sums f_j = sum_s (-1)^{s_j} M_s, one product with the sign table
-    d = elements.shape[-1]
-    fs = np.sign(witness_signs(n)).T @ elements.reshape(
-        elements.shape[:-2] + (d * d,))
-    fs = np.moveaxis(fs.reshape(fs.shape[:-1] + (d, d)), -3, 0)
+    fs = np.moveaxis(fs, -3, 0)
     for j in range(n):
         # the spectators of each witness term; the entry at the updated slot is ignored
         spect = witness_factors(ops)
@@ -292,7 +334,11 @@ def optimal_states_for_povm(strategy):
         raise InvalidInput(f"unknown task {strategy.task!r}")
     if strategy.task == "counterexample":
         return replace(strategy, states=game.sweep(strategy.states, strategy.m0))
-    rho = game.sweep(np.stack([st.rho for st in strategy.senders]), strategy.povm.elements)
+    rho = np.stack([st.rho for st in strategy.senders])
+    if strategy.task == "ghz":  # any POVM, dense or mixed, gives its sums from its elements
+        rho = _ghz_sweep(rho, _element_sums(strategy.povm.elements))
+    else:
+        rho = game.sweep(rho, strategy.povm.elements)
     return replace(strategy, senders=tuple(SenderStates(r) for r in rho))
 
 
@@ -316,9 +362,9 @@ def _counterexample_start(config: SeesawConfig, rng) -> np.ndarray:
     return random_projectors(rng, 6).reshape(2, 3, 2, 2)
 
 
-def _ghz_build(rho, elements) -> Strategy:
+def _ghz_build(rho, rows) -> Strategy:
     return Strategy(n=len(rho), senders=tuple(SenderStates(r) for r in rho),
-                    povm=Povm(elements))
+                    povm=Povm.from_basis(rows))
 
 
 def _partial_bell_build(rho, elements) -> Strategy:
@@ -331,28 +377,32 @@ def _partial_bell_build(rho, elements) -> Strategy:
 class _Game:
     """One game's see-saw and settings. Messages are a restart's sender
     states, the measurement its receiver side; every function but ``start``,
-    ``build`` and ``extra`` takes stacked arrays with leading restart axes."""
+    ``build`` and ``extra`` takes stacked arrays with leading restart axes.
+    ``prepare`` turns new messages into what ``measure`` and ``score`` read,
+    once per iteration, so what they share is built once."""
 
     start: Callable  # (config, rng) -> messages of one restart
-    measure: Callable  # messages -> best measurement for them
+    measure: Callable  # prepared messages -> best measurement for them
     sweep: Callable  # (messages, measurement) -> best messages for it
-    score: Callable  # (messages, measurement) -> scores
+    score: Callable  # (prepared messages, measurement) -> scores
     build: Callable  # (messages, measurement) of one restart -> strategy
     entries: Callable  # n -> entries of the largest per-restart stack
     target: float = 1 - 1e-6  # a best score at or above it passes
     senders: int | None = None  # the game's fixed sender count; None: any n >= 2
     extra: Callable = lambda strategy: {}  # best strategy -> the game's own report entries
     unsavable: str = ""  # why its strategies have no strategy-file form, if they have none
+    prepare: Callable = lambda messages: messages  # messages -> what measure and score read
 
 
 GAMES = {
     "ghz": _Game(
         _ghz_start,
-        lambda rho: _ghz_povm(message_operators(rho)),
-        _ghz_sweep,
-        lambda rho, els: success_scores(message_operators(rho), els),
+        lambda prepared: _ghz_povm(*prepared)[0],
+        lambda rho, rows: _ghz_sweep(rho, _row_sums(rows)),
+        lambda prepared, rows: basis_scores(prepared[1], rows),
         _ghz_build,
-        lambda n: 8**n,  # 2**n POVM elements of 2**n x 2**n
+        lambda n: n * 4**n,  # the n witness terms of 2**n x 2**n
+        prepare=_ghz_terms,
     ),
     "counterexample": _Game(
         _counterexample_start,
@@ -386,18 +436,19 @@ def _lockstep(config: SeesawConfig, game: _Game, block: range) -> tuple:
     score histories.
     """
     msgs = np.stack([game.start(config, make_rng(config.seed, stream=i)) for i in block])
-    meas = game.measure(msgs)
-    value = game.score(msgs, meas)
+    prepared = game.prepare(msgs)
+    meas = game.measure(prepared)
+    value = game.score(prepared, meas)
     history = [[v] for v in value.tolist()]
     final = [None] * len(block)
     active = np.arange(len(block))
     for it in range(1, config.max_iters + 1):
-        new_msgs = game.sweep(msgs, meas)
-        after_states = game.score(new_msgs, meas)
-        new_meas = game.measure(new_msgs)
-        after_povm = game.score(new_msgs, new_meas)
+        msgs = game.sweep(msgs, meas)
+        prepared = game.prepare(msgs)
+        after_states = game.score(prepared, meas)
+        new_meas = game.measure(prepared)
+        after_povm = game.score(prepared, new_meas)
         accept = after_povm >= after_states
-        msgs = new_msgs
         meas = np.where(accept.reshape(accept.shape + (1,) * (meas.ndim - 1)), new_meas, meas)
         new_value = np.where(accept, after_povm, after_states)
         for i, v in zip(active.tolist(), new_value.tolist()):
@@ -424,7 +475,7 @@ def seesaw(config: SeesawConfig) -> SeesawResult:
     history does not depend on the block it shares. The blocks are taken one
     at a time, so no list of them is built first. Only the leading restart's
     messages and measurement outlive its block, so finished blocks hold no
-    POVM stacks.
+    witness terms or measurements.
     """
     game = GAMES[config.metric]
     restarts = range(config.restarts)

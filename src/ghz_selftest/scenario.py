@@ -26,8 +26,8 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import InvalidBloch, InvalidInput
-from .linalg import (I2, PAULIS, SQRT2, chunks, contract_slot, dagger, herm_eigvals, pairings,
-                     tensor)
+from .linalg import (I2, PAULIS, SQRT2, basis_pairings, chunks, contract_slot, dagger,
+                     herm_eigvals, tensor)
 from .states import Povm, SenderStates, Strategy, bloch_vector, outcome_index, outcome_table
 
 # coefficients of the three-input game score on p(0 | y1, y2)
@@ -142,12 +142,13 @@ def witness_operator(n: int, s, ops: np.ndarray) -> np.ndarray:
     return witness_operators(ops, [outcome_index(s, n)])[..., 0, :, :]
 
 
-def witness_operators(ops: np.ndarray, outcomes=None) -> np.ndarray:
+def witness_operators(ops: np.ndarray, outcomes=None, terms=None) -> np.ndarray:
     """The witnesses of ``outcomes`` (all ``2**n`` by default), stacked in
     that order; stacked ``ops`` ``(..., n, 2, 2, 2)`` give ``(..., len,
-    2**n, 2**n)``."""
+    2**n, 2**n)``. Passing ``terms``, the n :func:`witness_terms` of ``ops``
+    in any sequence, spares building them again."""
     n = ops.shape[-4]
-    terms = [t[..., None, :, :] for t in witness_terms(ops)]
+    terms = [t[..., None, :, :] for t in (witness_terms(ops) if terms is None else terms)]
     signs = witness_signs(n) if outcomes is None else witness_signs(n)[outcomes]
     # exact in the terms' dtype, whose products need no casting buffers
     return signed_sum(signs.astype(terms[0].dtype).T[..., None, None], terms)
@@ -171,10 +172,13 @@ def _transposed_terms(ops: np.ndarray) -> np.ndarray:
     return np.stack(witness_terms(np.swapaxes(ops, -1, -2)), axis=-3)
 
 
-def success_scores(ops: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """GHZ-game scores of stacked operators ``(..., n, 2, 2, 2)`` and POVM
-    elements ``(..., 2**n, 2**n, 2**n)``."""
-    return _signed_score(ops.shape[-4], pairings(elements, _transposed_terms(ops)))
+def basis_scores(terms: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """GHZ-game scores of rank-1 measurements held as their basis rows
+    ``(..., 2**n, 2**n)``, against the stacked :func:`witness_terms` ``(...,
+    n, 2**n, 2**n)`` of the messages: each the :func:`success_metric` of its
+    strategy, bit for bit."""
+    t = basis_pairings(rows, np.swapaxes(terms, -1, -2))
+    return _signed_score(terms.shape[-3], t)
 
 
 def success_metric(strategy: Strategy) -> float:
@@ -200,6 +204,10 @@ class ProbabilityTable:
     n: int
     base: np.ndarray
     pair: np.ndarray
+
+    def __post_init__(self):
+        if self.n < 2:  # the score's normalization vanishes at n = 1
+            raise InvalidInput(f"need at least two senders, got n={self.n}")
 
     def validate(self) -> None:
         if np.abs(self.base.sum(axis=-1) - 1).max() > TABLE_ATOL:

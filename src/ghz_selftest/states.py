@@ -32,7 +32,8 @@ import numpy as np
 
 from . import backends
 from .errors import InvalidBloch, InvalidInput
-from .linalg import I2, PAULIS, chunks, dagger, normalized, outer, pairings, projector
+from .linalg import (I2, PAULIS, basis_pairings, chunks, dagger, normalized, outer, pairings,
+                     projector)
 from .rng import make_rng
 
 COS8 = np.cos(np.pi / 8)
@@ -155,12 +156,12 @@ class Povm:
     ``Povm(elements)`` holds the dense ``(k, d, d)`` stack. The basis form,
     :meth:`from_basis`, holds a rank-1 measurement ``M_m = q_m q_m^dag`` as
     its square stack of rows ``q_m`` alone, as :func:`ghz_povm` builds the
-    GHZ basis. It builds ``elements``, ``linalg.outer`` of the rows, on the
-    first read and keeps it read-only. The reads of the certify path,
-    :meth:`validate`, :meth:`traces`, :meth:`pairings` and
-    :meth:`expectations`, take the rows directly, so certifying a basis
-    never builds the ``2**n x d x d`` stack. Only this class reads
-    ``basis``, which is None in the dense form.
+    GHZ basis and the see-saw its GHZ measurements. It builds ``elements``,
+    ``linalg.outer`` of the rows, on the first read and keeps it read-only.
+    The reads of the certify path, :meth:`validate`, :meth:`traces`,
+    :meth:`pairings` and :meth:`expectations`, take the rows directly, so
+    certifying a basis never builds the ``2**n x d x d`` stack. Only this
+    class reads ``basis``, which is None in the dense form.
     """
 
     __slots__ = ("basis", "_elements")
@@ -209,12 +210,11 @@ class Povm:
 
     def pairings(self, s: np.ndarray) -> np.ndarray:
         """``Re Tr(M_m S_k^T)`` for operators ``s`` ``(K, d, d)``, shape ``(len,
-        K)``: :func:`linalg.pairings` of the stack, or ``Re q_m^T S_k
-        conj(q_m)`` from the rows."""
+        K)``: :func:`linalg.pairings` of the stack, or
+        :func:`linalg.basis_pairings` of the rows."""
         if self.basis is None:
             return pairings(self.elements, s)
-        q = self.basis
-        return np.einsum("mi,kim->mk", q, s @ q.conj().T).real
+        return basis_pairings(self.basis, s)
 
     def expectations(self, v: np.ndarray) -> np.ndarray:
         """``<v_m| M_m |v_m>`` for every column ``v_m`` of ``v`` ``(d, len)``:

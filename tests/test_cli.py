@@ -796,10 +796,11 @@ class TestRun:
         (["sos", "--seed", "-1"], "seed must lie in [0, 2**64)"),
         (["sos", "--seed", str(2**64 - 1), "--samples", "2"],
          "--seed + --samples - 1 must lie below 2**64"),
+        (["sos", "--seed", "0", "--samples", str(2**64)], "samples must lie in [0, 2**64)"),
     ], ids=["noise-ideal", "noise-default-fixture", "input-fixture", "input-noise",
             "input-other-n", "partial-bell-input-noise", "partial-bell-noise-0-input",
             "counterexample-n3", "seesaw-seed-negative", "seesaw-seed-2**64",
-            "sos-seed-negative", "sos-seeds-past-2**64"])
+            "sos-seed-negative", "sos-seeds-past-2**64", "sos-samples-2**64"])
     def test_flag_the_run_cannot_honour_is_an_input_error(self, tmp_path, capsys, argv,
                                                           message):
         strat = tmp_path / "s2.json"
@@ -1564,12 +1565,9 @@ BOUNDED_FLAGS = {
 
 def hostile_values(flag):
     """What a flag may take besides its valid values: no path outside the
-    case's directory, and no count of 2**64, which `sos --samples` accepts
-    and would run for as long as it took."""
+    case's directory."""
     if flag in ("--input", "--history-csv", "--save-strategy", "--csv"):
         return []
-    if flag in ("--samples", "--restarts", "--max-iters"):
-        return [v for v in HOSTILE if v != str(2**64)]
     return HOSTILE
 
 

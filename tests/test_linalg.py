@@ -18,12 +18,15 @@ from ghz_selftest.linalg import (
     I2,
     SIGMA_X,
     SIGMA_Z,
+    basis_pairings,
     contract_slot,
     dagger,
     fix_phase,
     herm_eig,
     herm_eigvals,
     op_norm,
+    outer,
+    pairings,
     partial_transpose,
     projector,
     tensor,
@@ -161,6 +164,21 @@ class TestContractSlot:
         rng = np.random.default_rng(5)
         out = contract_slot(rng.normal(size=(8, 8)), rng.normal(size=(2, 2)))
         assert out.dtype == float and out.shape == (4, 4)
+
+
+class TestBasisPairings:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_rows_give_the_pairings_of_their_projectors(self, n):
+        rng = np.random.default_rng(90 + n)
+        d = 2**n
+        q = np.linalg.qr(rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d)))[0]
+        s = rng.normal(size=(3, 4, d, d)) + 1j * rng.normal(size=(3, 4, d, d))
+        got = basis_pairings(q, s)
+        assert got.shape == (3, d, 4)
+        assert np.abs(got - pairings(outer(q), s)).max() <= 1e-12
+        # a leading axis changes no bit of a stack's pairings
+        for r in range(3):
+            assert got[r].tobytes() == basis_pairings(q[r], s[r]).tobytes()
 
 
 class TestHermEig:

@@ -1,9 +1,11 @@
 import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ghz_selftest import backends, linalg, optimize
+from ghz_selftest import backends, linalg, optimize, scenario
 from ghz_selftest.errors import InvalidInput
 from ghz_selftest.fixtures import computational_strategy, ideal_strategy, partial_bell_strategy
 from ghz_selftest.linalg import I2, fix_phase, herm_eig, outer, projector, tensor
@@ -14,7 +16,7 @@ from ghz_selftest.optimize import (
     _Game,
     _effective_qubit_operator,
     _ghz_povm,
-    _ghz_sweep,
+    _ghz_terms,
     _lockstep,
     _polar_orthonormal,
     optimal_povm_for_states,
@@ -32,6 +34,7 @@ from ghz_selftest.scenario import (
     success_metric,
     witness_operators,
     witness_orbits,
+    witness_terms,
 )
 from ghz_selftest.selftest import antipodality_gap, classify_outcome_measurement
 from ghz_selftest.states import (
@@ -159,6 +162,11 @@ class TestPovmStep:
             optimal_povm_for_states(3, a_operators(s)).validate()
 
 
+def ghz_rows(ops):
+    """The measurement step's basis rows for the operators."""
+    return _ghz_povm(ops, np.stack(witness_terms(ops), axis=-3))[0]
+
+
 def reference_ghz_povm(ops):
     """The measurement step solving every witness: each outcome's top vector
     from its own witness, then the same orthonormalization and zero rule."""
@@ -212,13 +220,13 @@ class TestWitnessOrbits:
             rho = random_messages(n, 90 + seed)
             for _ in range(3):
                 inputs.append(message_operators(rho))
-                rho = _ghz_sweep(rho, _ghz_povm(message_operators(rho)))
+                rho = GAMES["ghz"].sweep(rho, ghz_rows(message_operators(rho)))
         checked = 0
         for ops in inputs:
             values = np.linalg.eigvalsh(witness_operators(ops))
             if (values[:, -1] - values[:, -2]).min() <= 1e-8:
                 continue  # a degenerate top eigenvalue: either top vector is an argmax
-            assert np.abs(_ghz_povm(ops) - reference_ghz_povm(ops)).max() <= 1e-10
+            assert np.abs(outer(ghz_rows(ops)) - reference_ghz_povm(ops)).max() <= 1e-10
             checked += 1
         assert checked >= len(inputs) // 2
 
@@ -234,7 +242,7 @@ class TestWitnessOrbits:
         monkeypatch.setattr(backends, "eigh", spy)
         d, orbits = 2**n, 2 - n % 2
         msgs = np.stack([random_messages(n, seed) for seed in range(3)])
-        GAMES["ghz"].measure(msgs)
+        GAMES["ghz"].measure(_ghz_terms(msgs))
         assert solved == [(3, orbits, d, d)]
         # every witness-sized solve of a whole search is one such step
         solved.clear()
@@ -465,7 +473,7 @@ class TestLockstep:
         assert history == [[-1.0, 0.0, 0.0]] * 2
         assert all((f[0], f[1], f[2][0], f[3][0]) == (0.0, 2, 0.5, 1.0) for f in final)
 
-    @pytest.mark.parametrize("n, restarts, sizes", [(5, 3, [3]), (5, 9, [8, 1]), (6, 2, [1, 1])])
+    @pytest.mark.parametrize("n, restarts, sizes", [(5, 3, [3]), (5, 60, [51, 9]), (7, 3, [2, 1])])
     def test_blocks_hold_at_most_the_budget(self, monkeypatch, n, restarts, sizes):
         blocks = []
 
@@ -500,7 +508,7 @@ class TestLockstep:
             assert res.best_strategy[1] == starts[first][1]
 
     @pytest.mark.parametrize("n, restarts, budget", [
-        (2, 20, linalg.BLOCK_ENTRIES), (5, 3, linalg.BLOCK_ENTRIES), (5, 3, 8**5),
+        (2, 20, linalg.BLOCK_ENTRIES), (5, 3, linalg.BLOCK_ENTRIES), (5, 3, 5 * 4**5),
     ], ids=["one-block", "one-block-n5", "blocks-of-one"])
     def test_best_restart_is_the_first_maximum(self, monkeypatch, n, restarts, budget):
         # at these seeds several restarts end on the same value bit for bit
@@ -522,8 +530,10 @@ class TestLockstep:
         assert score(res.best_strategy) == res.best_value
 
     def test_memory_does_not_grow_with_restarts(self):
+        # one full block against eight: finished blocks hold nothing
+        block = linalg.BLOCK_ENTRIES // GAMES["ghz"].entries(6)
         peaks = []
-        for restarts in (1, 8):
+        for restarts in (block, 8 * block):
             tracemalloc.start()
             seesaw(SeesawConfig(n=6, restarts=restarts, max_iters=1))
             peaks.append(tracemalloc.get_traced_memory()[1])
@@ -549,6 +559,55 @@ class TestLockstep:
             tracemalloc.stop()
         assert exc.value.args[0] == range(linalg.BLOCK_ENTRIES // GAMES["ghz"].entries(2))
         assert peak < 1e6
+
+
+class TestBasisRows:
+    def test_one_term_build_per_block_and_iteration(self, monkeypatch):
+        # blocks of two restarts; each iteration's scores and measurement step
+        # share the one build of the new messages' witness terms
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 2 * GAMES["ghz"].entries(3))
+        builds = []
+
+        def counting(ops):
+            builds.append(ops.shape[:-4])
+            return witness_terms(ops)
+
+        monkeypatch.setattr(optimize, "witness_terms", counting)
+        monkeypatch.setattr(scenario, "witness_terms", counting)
+        res = seesaw(SeesawConfig(n=3, restarts=5, max_iters=6, seed=2))
+        blocks = [res.history[i:i + 2] for i in range(0, 5, 2)]
+        assert len(builds) == sum(1 + max(len(h) - 1 for h in b) for b in blocks)
+        assert builds[0] == (2,) and all(len(shape) == 1 for shape in builds)
+
+    def test_best_strategy_holds_its_rows(self):
+        povm = seesaw(SeesawConfig(n=3, restarts=4, seed=0)).best_strategy.povm
+        assert povm.basis.shape == (8, 8)
+        assert np.abs(povm.basis @ povm.basis.conj().T - np.eye(8)).max() <= 1e-12
+
+    def test_n7_search_builds_no_element_stack(self):
+        tracemalloc.start()
+        try:
+            seesaw(SeesawConfig(n=7, restarts=1, max_iters=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6  # the (128, 128, 128) complex element stack alone is 33.5 MB
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_vanishing_witnesses_end_in_a_valid_strategy(self, monkeypatch, n):
+        """All-zero messages make every witness vanish, so every measurement
+        scores 0; the measurement step then takes the computational basis,
+        rows ``q_m = e_m``, and the search goes on from there."""
+        zero = np.zeros((n, 2, 2, 2, 2), dtype=complex)
+        monkeypatch.setitem(GAMES, "ghz", replace(GAMES["ghz"], start=lambda config, rng: zero))
+        rows = GAMES["ghz"].measure(_ghz_terms(zero[None]))
+        assert np.array_equal(rows, np.eye(2**n)[None])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = seesaw(SeesawConfig(n=n, restarts=2, max_iters=4))
+        assert all(h[0] == 0.0 for h in res.history)
+        res.best_strategy.validate()
+        assert success_metric(res.best_strategy) == res.best_value
 
 
 class TestClassification:

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from ghz_selftest.linalg import I2, SIGMA_X, SIGMA_Z, op_norm, tensor
 from ghz_selftest.scenario import (
     COUNTEREXAMPLE_COEFFS,
     CounterexampleStrategy,
+    ProbabilityTable,
     a_operators,
+    basis_scores,
     best_rac_observables,
     bloch_from_relabeled,
     comm_metric,
@@ -33,10 +36,10 @@ from ghz_selftest.scenario import (
     rac_metric,
     success_from_table,
     success_metric,
-    success_scores,
     witness_operator,
     witness_operators,
     witness_signs,
+    witness_terms,
 )
 from ghz_selftest.states import (
     Povm,
@@ -209,6 +212,12 @@ class TestProbabilityTable:
     def test_uniform_for_mixed_messages(self):
         table = probability_table(mixed_message_strategy())
         assert np.abs(table.base - 0.25).max() < 1e-12
+
+    def test_one_sender_is_refused(self):
+        # the score's normalization vanishes at n = 1
+        table = probability_table(ideal_strategy(2))
+        with pytest.raises(InvalidInput, match=r"^need at least two senders, got n=1$"):
+            ProbabilityTable(n=1, base=table.base, pair=table.pair[:0])
 
     def test_matches_operator_form_ideal(self):
         s = ideal_strategy(2)
@@ -461,12 +470,21 @@ class TestPartialBell:
             comm_metric(Strategy(n=2, senders=base.senders, povm=ideal_strategy(2).povm))
 
 
+def random_rows(n, seed):
+    """The rows of a random orthonormal basis of dimension ``2**n``."""
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    return np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
-def test_stacked_success_scores_match_success_metric_bitwise(n):
+def test_stacked_basis_scores_match_success_metric_bitwise(n):
     strategies = [random_mixed_strategy(n, seed) for seed in range(3)]
+    rows = np.stack([random_rows(n, 10 + seed) for seed in range(3)])
     ops = np.stack([a_operators(s) for s in strategies])
-    scores = success_scores(ops, np.stack([s.povm.elements for s in strategies]))
-    assert scores.tolist() == [success_metric(s) for s in strategies]
+    scores = basis_scores(np.stack(witness_terms(ops), axis=-3), rows)
+    assert scores.tolist() == [success_metric(replace(s, povm=Povm.from_basis(q)))
+                               for s, q in zip(strategies, rows)]
 
 
 @pytest.mark.parametrize("form", ["basis", "dense"])
