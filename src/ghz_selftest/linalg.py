@@ -14,11 +14,13 @@ operator against a Kronecker product of 2x2 factors never needs the product.
 ``scenario.probability_table`` contracts the POVM with each context's
 states a chunk at a time, slot 1 once for all contexts;
 ``robustness.avg_fidelity`` contracts ``Re M_s`` against four factor sets at
-once. :func:`chunks` sizes every loop that streams a stack (witness solves,
-POVM validation, the probability table, the margin sweep, the average
-fidelity, the see-saw's restart blocks and the slices of strategy-file text
-``arraytext`` writes and reads) from the one budget ``BLOCK_ENTRIES``, which
-no other module reads.
+once; the see-saw's state steps (``optimize._effective_qubit_operator``)
+contract a signed element sum, or the three-input game's effect, against
+every sender's messages but the one updated. :func:`chunks` sizes every loop
+that streams a stack (witness solves, POVM validation, the probability
+table, the margin sweep, the average fidelity, the see-saw's restart blocks
+and the slices of strategy-file text ``arraytext`` writes and reads) from
+the one budget ``BLOCK_ENTRIES``, which no other module reads.
 """
 
 from collections.abc import Iterator

@@ -3,8 +3,10 @@
 Both half-steps are exact linear-objective maximizations where possible: a
 sender's states enter every score linearly through its difference operators,
 so the state half-step takes top/bottom eigenvectors of 2x2 effective
-operators; the measurement half-step assigns each outcome the top eigenspace
-of its witness, orthonormalized when the top vectors collide. In the GHZ game
+operators, each traced out of the receiver's side slot by slot by
+``linalg.contract_slot`` with no Kronecker product built; the measurement
+half-step assigns each outcome the top eigenspace of its witness,
+orthonormalized when the top vectors collide. In the GHZ game
 the message operators are traceless, so a local Pauli flip on one slot
 carries each witness onto another: the ``2**n`` witnesses form one orbit
 (odd n) or two (even n), and the measurement step solves one witness per
@@ -36,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import I2, chunks, dagger, fix_phase, herm_eig, outer, projector, tensor
+from .linalg import I2, chunks, contract_slot, dagger, fix_phase, herm_eig, outer, projector
 from .parallel import ordered_map
 from .rng import make_rng, uint64
 from .scenario import (
@@ -113,16 +115,18 @@ def _antipodal_pairs(g: np.ndarray) -> np.ndarray:
 
 def _effective_qubit_operator(f: np.ndarray, spectators: list, slot: int) -> np.ndarray:
     """2x2 operator G with Tr(A G) = Tr(f * tensor(spectators with A at slot)),
-    the entry at slot ignored: the partial trace of f times the spectators
-    with I at slot, over every other slot. Stacked ``f`` ``(..., d, d)`` and
-    spectators ``(..., 2, 2)`` give stacked operators."""
-    factors = list(spectators)
-    factors[slot] = I2
-    lo = 2**slot
-    fs = f @ tensor(factors)
-    fs = fs.reshape(fs.shape[:-2] + 2 * (lo, 2, f.shape[-1] // (2 * lo)))
-    g = np.einsum("...aibajb->...ij", fs)
-    return (g + dagger(g)) / 2
+    the entry at slot ignored: qubit ``slot`` of f moved last, then every
+    other slot contracted against its spectator's transpose by
+    :func:`linalg.contract_slot`, and the result symmetrized. No Kronecker
+    product is built. Stacked ``f`` ``(..., d, d)`` and spectators ``(...,
+    2, 2)`` broadcast to stacked operators."""
+    n = len(spectators)
+    t = f.reshape(f.shape[:-2] + (2,) * (2 * n))
+    t = np.moveaxis(t, (slot - 2 * n, slot - n), (-n - 1, -1)).reshape(f.shape)
+    for k, s in enumerate(spectators):
+        if k != slot:
+            t = contract_slot(t, np.swapaxes(s, -1, -2))
+    return (t + dagger(t)) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +201,16 @@ def optimal_povm_for_states(n: int, ops: np.ndarray) -> Povm:
     otherwise the symmetric orthonormalization of the stack gives a feasible
     measurement. All-zero operators yield the uniform split ``I / 2**n``.
     The top vectors come from one or two witnesses by local flips, which
-    needs ``Tr a[j, x] = 0``: operators with ``|Tr a[j, x]| > 1e-9`` (not a
-    difference of two unit-trace states) raise InvalidInput.
+    needs ``Tr a[j, x] = 0``: operators with a non-finite entry, or with
+    ``|Tr a[j, x]| > 1e-9`` (not a difference of two unit-trace states),
+    raise InvalidInput.
     """
     if ops.shape != (n, 2, 2, 2):
         raise InvalidInput(f"operators have shape {ops.shape}, expected ({n},2,2,2)")
+    finite = np.isfinite(ops).all(axis=(-2, -1))
+    if not finite.all():
+        j, x = np.argwhere(~finite)[0].tolist()
+        raise InvalidInput(f"message operator of sender {j + 1}, input {x} has a non-finite entry")
     traces = np.abs(np.trace(ops, axis1=-2, axis2=-1))
     if (traces > 1e-9).any():
         j, x = np.argwhere(traces > 1e-9)[0].tolist()
@@ -268,25 +277,18 @@ def _counterexample_povm(states: np.ndarray) -> np.ndarray:
     return pos @ dagger(pos)
 
 
-def _top_projectors(g: np.ndarray) -> np.ndarray:
-    return projector(herm_eig((g + dagger(g)) / 2).vectors[..., -1])
-
-
 def _counterexample_sweep(states: np.ndarray, m0: np.ndarray) -> np.ndarray:
     """Exact state update of both senders, first sender first, for stacked
-    states ``(..., 2, 3, 2, 2)`` and effects ``(..., 4, 4)``. A sender's three
-    effective operators see only the other sender's states, so each sender
-    is one contraction against the coefficient matrix."""
-    m = m0.reshape(m0.shape[:-2] + (2, 2, 2, 2))  # m[..., a, b, c, d] = m0[2a+b, 2c+d]
+    states ``(..., 2, 3, 2, 2)`` and effects ``(..., 4, 4)``. Sender k's
+    operator for input y is the :func:`_effective_qubit_operator` of ``m0``
+    with one spectator, the other sender's states weighted by row y of the
+    coefficient matrix (k = 0) or column y (k = 1); the new state is its top
+    projector."""
     states = states.copy()
-    # G[y] = sum_z C[y, z] Tr_2(m0 (I (x) s_2[z]))
-    g = np.einsum("yz,...zdb,...ibjd->...yij", COUNTEREXAMPLE_MATRIX,
-                  states[..., 1, :, :, :], m)
-    states[..., 0, :, :, :] = _top_projectors(g)
-    # G[z] = sum_y C[y, z] Tr_1(m0 (s_1[y] (x) I))
-    g = np.einsum("yz,...yca,...akcl->...zkl", COUNTEREXAMPLE_MATRIX,
-                  states[..., 0, :, :, :], m)
-    states[..., 1, :, :, :] = _top_projectors(g)
+    for k, coeffs in enumerate((COUNTEREXAMPLE_MATRIX, COUNTEREXAMPLE_MATRIX.T)):
+        other = np.einsum("yz,...zij->...yij", coeffs, states[..., 1 - k, :, :, :])
+        g = _effective_qubit_operator(m0[..., None, :, :], [other, other], k)
+        states[..., k, :, :, :] = projector(herm_eig(g).vectors[..., -1])
     return states
 
 
@@ -328,12 +330,14 @@ def _partial_bell_sweep(rho: np.ndarray, elements: np.ndarray) -> np.ndarray:
 def optimal_states_for_povm(strategy):
     """One cyclic pass of exact per-sender state maximization by the sweep of
     ``GAMES[strategy.task]``. The returned strategy's score never falls below
-    the input's; all but its states is the input's."""
+    the input's; all but its states is the input's. A strategy not in its
+    task's shape (:meth:`states.Strategy.require`) raises InvalidInput."""
     game = GAMES.get(strategy.task)
     if game is None:
         raise InvalidInput(f"unknown task {strategy.task!r}")
     if strategy.task == "counterexample":
         return replace(strategy, states=game.sweep(strategy.states, strategy.m0))
+    strategy.require(strategy.task)
     rho = np.stack([st.rho for st in strategy.senders])
     if strategy.task == "ghz":  # any POVM, dense or mixed, gives its sums from its elements
         rho = _ghz_sweep(rho, _element_sums(strategy.povm.elements))

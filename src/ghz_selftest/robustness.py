@@ -94,8 +94,8 @@ def _params_for(n: int, params: FidelityBoundParams | None) -> FidelityBoundPara
     return params
 
 
-def _check_angles(angles, n: int | None = None, stacked: bool = False) -> np.ndarray:
-    """Angles as a float array: one point ``(n,)``, or a stack ``(P, n)``.
+def _check_angles(angles, n: int | None = None) -> np.ndarray:
+    """Angles as a float array of one point ``(n,)``.
 
     Every entry must lie in ``[0, pi/2]``; values up to 1e-12 above are
     clipped back to ``pi/2``.
@@ -107,9 +107,8 @@ def _check_angles(angles, n: int | None = None, stacked: bool = False) -> np.nda
     bad = ~((arr >= 0) & (arr <= np.pi / 2 + 1e-12))
     if bad.any():
         raise InvalidInput(f"angle {float(arr[bad][0])} outside [0, pi/2]")
-    ndim = 2 if stacked else 1
-    if arr.ndim != ndim:
-        raise InvalidInput(f"expected a {ndim}-D array of angles, got shape {arr.shape}")
+    if arr.ndim != 1:
+        raise InvalidInput(f"expected a 1-D array of angles, got shape {arr.shape}")
     if n is not None and arr.shape[-1] != n:
         raise InvalidInput(f"expected {n} angles, got {arr.shape[-1]}")
     if arr.shape[-1] == 0:
@@ -248,9 +247,9 @@ def parametrized_a_operators(angles) -> np.ndarray:
 
 
 def _margins(n: int, s, angles: np.ndarray, params: FidelityBoundParams) -> np.ndarray:
-    """Minimum eigenvalue of ``K_s - r W_s - mu I`` at each row of the checked
-    (P, n) angles: per chunk, one build of the real operators and one stacked
-    real solve."""
+    """Minimum eigenvalue of ``K_s - r W_s - mu I`` at each row of the (P, n)
+    angles, checked or clipped to ``[0, pi/2]``: per chunk, one build of the
+    real operators and one stacked real solve."""
     shift = params.mu * np.eye(2**n)
     out = np.empty(len(angles))
     for part in chunks(len(angles), 4**n):
@@ -405,13 +404,9 @@ def margin_grid(
     if min_val < 0 and per_axis:
         step = min(step, 2 * np.pi)  # past 2 pi ticks clip to the ends alone; 1e308 overflows
         fine = 2 * step / (per_axis - 1)
-        local = _check_angles(
-            _product([np.unique(np.clip(np.arange(c - step, c + step + fine / 2, fine),
-                                        0, np.pi / 2))
-                      for c in min_pt]),
-            n,
-            stacked=True,
-        )
+        local = _product([np.unique(np.clip(np.arange(c - step, c + step + fine / 2, fine),
+                                            0, np.pi / 2))
+                          for c in min_pt])
         vals = _margins(n, min_m, local, params)
         k = int(np.argmin(vals))
         if vals[k] < min_val:

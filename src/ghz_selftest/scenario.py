@@ -165,13 +165,6 @@ def _signed_score(n: int, t: np.ndarray):
     return sum(np.moveaxis(per_outcome, -1, 0)) / metric_normalization(n)
 
 
-def _transposed_terms(ops: np.ndarray) -> np.ndarray:
-    """The witness terms' transposes ``T_k^T``, stacked ``(..., n, d, d)``:
-    the terms of the transposed operators, so that ``Tr(M T_k)`` is the
-    :func:`linalg.pairings` of ``M`` with them."""
-    return np.stack(witness_terms(np.swapaxes(ops, -1, -2)), axis=-3)
-
-
 def basis_scores(terms: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """GHZ-game scores of rank-1 measurements held as their basis rows
     ``(..., 2**n, 2**n)``, against the stacked :func:`witness_terms` ``(...,
@@ -185,7 +178,8 @@ def success_metric(strategy: Strategy) -> float:
     """Normalized GHZ-game score; the quantum maximum is 1. The POVM's
     :meth:`~states.Povm.pairings` read a basis from its rows."""
     strategy.require("ghz")
-    t = strategy.povm.pairings(_transposed_terms(a_operators(strategy)))
+    terms = np.stack(witness_terms(a_operators(strategy)), axis=-3)
+    t = strategy.povm.pairings(np.swapaxes(terms, -1, -2))
     return float(_signed_score(strategy.n, t))
 
 

@@ -126,6 +126,55 @@ def test_counterexample_sweep_matches_per_term_effective_operators():
         assert np.abs(got - reference_counterexample_sweep(states, m0)).max() <= 1e-12
 
 
+def einsum_counterexample_sweep(states, m0):
+    """The sweep as two hand-indexed partial traces, one per sender: kept as an
+    oracle for the slot contraction the sweep runs on."""
+    m = m0.reshape(m0.shape[:-2] + (2, 2, 2, 2))  # m[..., a, b, c, d] = m0[2a+b, 2c+d]
+    c = scenario.COUNTEREXAMPLE_MATRIX
+    states = states.copy()
+    # G[y] = sum_z C[y, z] Tr_2(m0 (I (x) s_2[z]))
+    g = np.einsum("yz,...zdb,...ibjd->...yij", c, states[..., 1, :, :, :], m)
+    states[..., 0, :, :, :] = projector(herm_eig((g + linalg.dagger(g)) / 2).vectors[..., -1])
+    # G[z] = sum_y C[y, z] Tr_1(m0 (s_1[y] (x) I))
+    g = np.einsum("yz,...yca,...akcl->...zkl", c, states[..., 0, :, :, :], m)
+    states[..., 1, :, :, :] = projector(herm_eig((g + linalg.dagger(g)) / 2).vectors[..., -1])
+    return states
+
+
+def test_stacked_counterexample_sweep_matches_the_partial_trace_oracle():
+    rng = np.random.default_rng(82)
+    lead = (3, 4)
+    states = projector(rng.normal(size=lead + (6, 2)) + 1j * rng.normal(size=lead + (6, 2)))
+    states = states.reshape(lead + (2, 3, 2, 2))
+    z = rng.normal(size=lead + (4, 4)) + 1j * rng.normal(size=lead + (4, 4))
+    m0 = z @ linalg.dagger(z)
+    m0 /= np.linalg.eigvalsh(m0)[..., -1, None, None]
+    got = optimize._counterexample_sweep(states, m0)
+    assert np.abs(got - einsum_counterexample_sweep(states, m0)).max() <= 1e-12
+
+
+def test_state_sweeps_build_no_kronecker_product(monkeypatch):
+    rng = np.random.default_rng(84)
+    n, restarts = 4, 3
+    rho = np.stack([random_messages(n, 60 + r) for r in range(restarts)])
+    rows = np.stack([haar_unitary(rng, 2**n) for _ in range(restarts)])
+    bell = np.stack([partial_bell_strategy().povm.elements] * restarts)
+    bell_rho = rho[:, :2]
+    ce_states = random_projectors(rng, 6 * restarts).reshape(restarts, 2, 3, 2, 2)
+    m0 = np.stack([haar_unitary(rng, 4) @ np.diag([1, 1, 0, 0]) for _ in range(restarts)])
+    m0 = m0 @ linalg.dagger(m0)
+    fs = optimize._row_sums(rows)
+    calls = []
+    kron_chain = backends.kron_chain
+    monkeypatch.setattr(backends, "kron_chain", lambda mats: calls.append(1) or kron_chain(mats))
+    optimize._ghz_sweep(rho, fs)
+    optimize._partial_bell_sweep(bell_rho, bell)
+    optimize._counterexample_sweep(ce_states, m0)
+    assert calls == []
+    tensor([I2, I2])  # the counter sees a Kronecker build
+    assert calls == [1]
+
+
 class TestPovmStep:
     def test_canonical_states_give_ghz_basis(self):
         s = ideal_strategy(2)
@@ -154,6 +203,16 @@ class TestPovmStep:
         optimal_povm_for_states(3, ops).validate()
         ops[1, 0] += 1e-6 * I2
         with pytest.raises(InvalidInput, match="sender 2, input 0"):
+            optimal_povm_for_states(3, ops)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    @pytest.mark.parametrize("j, x, entry", [(0, 0, (0, 0)), (1, 1, (0, 1)), (2, 0, (1, 0)),
+                                             (2, 1, (1, 1))])
+    def test_non_finite_operators_are_rejected(self, value, j, x, entry):
+        ops = a_operators(random_strategy(3, 8))
+        ops[j, x][entry] = value
+        with pytest.raises(InvalidInput,
+                           match=f"sender {j + 1}, input {x} has a non-finite entry"):
             optimal_povm_for_states(3, ops)
 
     def test_output_is_valid_povm(self):
@@ -321,6 +380,18 @@ class TestStatesStep:
         assert np.array_equal(ce.povm.elements, np.stack([ce.m0, np.eye(4) - ce.m0]))
         for s in (ce, ideal_strategy(2), partial_bell_strategy()):
             assert s.task in GAMES and type(optimal_states_for_povm(s)) is type(s)
+
+    def test_ghz_povm_of_another_n_is_an_input_error(self):
+        s = Strategy(n=2, senders=ideal_strategy(2).senders, povm=ghz_povm(3))
+        with pytest.raises(InvalidInput, match="got 8 elements on dim 8"):
+            optimal_states_for_povm(s)
+
+    def test_partial_bell_povm_of_four_elements_is_an_input_error(self):
+        base = partial_bell_strategy()
+        s = Strategy(n=2, senders=base.senders, povm=ghz_povm(2), task="partial_bell",
+                     observables=base.observables)
+        with pytest.raises(InvalidInput, match="needs n=2 and a 3-element POVM on dim 4"):
+            optimal_states_for_povm(s)
 
     def test_unknown_task_is_an_input_error(self):
         s = ideal_strategy(2)

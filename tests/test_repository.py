@@ -1,7 +1,8 @@
 """The repository tracks no file that its ``.gitignore`` excludes, the
 package starts no threads or processes and reads no environment variable,
-the command line and the scores leave the choice of game to tables, and
-only ``states`` reads which form a POVM is held in."""
+the command line and the scores leave the choice of game to tables, only
+``states`` reads which form a POVM is held in, and only the pinned modules
+build Kronecker products."""
 
 import ast
 import shutil
@@ -108,3 +109,28 @@ def test_only_states_reads_a_povms_basis():
     # the walk sees each form, and not the names that merely contain the word
     probe = ast.parse("p.basis\nq = s.povm.basis[0]\nghz_basis(n)\nbasis = 1\nx = p.ghz_basis\n")
     assert basis_reads(probe) == [1, 2]
+
+
+# the modules that build Kronecker products through linalg.tensor; the see-saw
+# and validation contract slot by slot (linalg.contract_slot) instead
+TENSOR_IMPORTERS = {"__init__.py", "fixtures.py", "robustness.py", "scenario.py", "selftest.py"}
+
+
+def tensor_uses(tree):
+    """Line numbers of every import of ``linalg.tensor`` and every read of it
+    as ``linalg.tensor``."""
+    return [node.lineno for node in ast.walk(tree)
+            if any(name.split(".")[-2:] == ["linalg", "tensor"] for name in imported_names(node))
+            or (isinstance(node, ast.Attribute) and node.attr == "tensor"
+                and isinstance(node.value, ast.Name) and node.value.id == "linalg")]
+
+
+def test_only_the_pinned_modules_import_tensor():
+    found = {path.name: tensor_uses(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(Path(ghz_selftest.__file__).parent.glob("*.py"))}
+    assert {name for name, lines in found.items() if lines} == TENSOR_IMPORTERS
+    # the walk sees each form, and not other names called tensor
+    probe = ast.parse("from .linalg import tensor\nfrom ghz_selftest.linalg import (I2,\n"
+                      "    tensor as kron)\nx = linalg.tensor(f)\nfrom .backends import kron_chain\n"
+                      "tensor = 1\ny = np.tensor\nfrom .linalg import tensor_s\n")
+    assert tensor_uses(probe) == [1, 2, 4]
