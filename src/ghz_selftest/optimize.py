@@ -4,13 +4,15 @@ Both half-steps are exact linear-objective maximizations where possible: a
 sender's states enter every score linearly through its difference operators,
 so the state half-step takes top/bottom eigenvectors of 2x2 effective
 operators, each traced out of the receiver's side slot by slot by
-``linalg.contract_slot`` with no Kronecker product built; the measurement
-half-step assigns each outcome the top eigenspace of its witness,
-orthonormalized when the top vectors collide. In the GHZ game
-the message operators are traceless, so a local Pauli flip on one slot
-carries each witness onto another: the ``2**n`` witnesses form one orbit
-(odd n) or two (even n), and the measurement step solves one witness per
-orbit and flips its top vector onto every outcome. A candidate
+``linalg.contract_slot`` with no Kronecker product built. Every sender sends
+a qubit, so those eigenvectors need no eigensolve: their projectors are
+``(I +- h.sigma)/2``, with ``h`` the unit Bloch vector of the operator's
+traceless part. The measurement half-step assigns each outcome the top
+eigenspace of its witness, orthonormalized when the top vectors collide. In
+the GHZ game the message operators are traceless, so a local Pauli flip on
+one slot carries each witness onto another: the ``2**n`` witnesses form one
+orbit (odd n) or two (even n), and the measurement step solves one witness
+per orbit and flips its top vector onto every outcome. A candidate
 measurement is only accepted when it does not lower the score, so the score
 history is nondecreasing within a restart.
 
@@ -26,9 +28,11 @@ The restarts advance in lockstep: every half-step works on arrays with a
 leading restart axis, and a restart leaves the active set once it has
 converged, keeping its own iteration count and history. The restarts run in
 the blocks of ``linalg.chunks``, sized by their largest per-restart stack, one
-block after another in the calling thread. The half-step kernels take any
-leading axes; the public single-strategy steps are the same kernels called
-without one.
+block after another in the calling thread. A block's starts are drawn at
+once (``_Game.start``): restart ``i`` draws from its own stream ``i`` of the
+seed, and one ``projector`` call takes the whole block's draws. The
+half-step kernels take any leading axes; the public single-strategy steps
+are the same kernels called without one.
 """
 
 import math
@@ -38,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import I2, chunks, contract_slot, dagger, fix_phase, herm_eig, outer, projector
+from .linalg import I2, chunks, contract_slot, dagger, fix_phase, herm_eig, outer
 from .parallel import ordered_map
 from .rng import make_rng, uint64
 from .scenario import (
@@ -62,9 +66,9 @@ from .states import (
     Povm,
     SenderStates,
     Strategy,
+    _first_non_finite,
     aligned_sender_states,
-    random_messages,
-    random_projectors,
+    stacked_random_projectors,
 )
 
 
@@ -106,11 +110,36 @@ def _polar_orthonormal(columns: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
+def _top_projectors(g: np.ndarray) -> np.ndarray:
+    """Projectors onto the top eigenvectors of Hermitian 2x2 operators ``g``
+    ``(..., 2, 2)``, in closed form: ``(I + h.sigma)/2`` with ``h`` the unit
+    Bloch vector of ``g``'s traceless part, read from its diagonal and lower
+    entry. The vector is scaled by its largest component before it is
+    normalized, so no finite ``g`` overflows or underflows. A zero traceless
+    part gives ``|1><1|``, the top vector LAPACK's ``eigh`` returns for it.
+    ``I2 - top`` projects onto the bottom eigenvector."""
+    low = g[..., 1, 0]
+    x, y, z = low.real, low.imag, g[..., 0, 0].real / 2 - g[..., 1, 1].real / 2
+    scale = np.maximum(np.maximum(np.abs(x), np.abs(y)), np.abs(z))
+    zero = scale == 0
+    scale = np.where(zero, 1.0, scale)
+    x, y, z = x / scale, y / scale, np.where(zero, -1.0, z / scale)
+    half = 0.5 / np.sqrt(x * x + y * y + z * z)
+    top = np.zeros(g.shape, dtype=complex)
+    top.real[..., 0, 0] = 0.5 + z * half
+    top.real[..., 1, 1] = 0.5 - z * half
+    top.real[..., 1, 0] = top.real[..., 0, 1] = x * half
+    top.imag[..., 1, 0] = y * half
+    top.imag[..., 0, 1] = -y * half
+    return top
+
+
 def _antipodal_pairs(g: np.ndarray) -> np.ndarray:
-    """States ``rho[..., a, x]`` from the 2x2 operators ``g[..., x]``: the
-    projector onto the top eigenvector for a=0, onto the bottom one for a=1."""
-    vectors = herm_eig(g).vectors
-    return np.stack([projector(vectors[..., -1]), projector(vectors[..., 0])], axis=-4)
+    """States ``rho[..., a, x]`` from the Hermitian 2x2 operators ``g[...,
+    x]``: the projector onto the top eigenvector for a=0, onto the bottom one
+    for a=1, both from the closed form of :func:`_top_projectors`."""
+    top = _top_projectors(g)
+    return np.stack([top, I2 - top], axis=-4)
 
 
 def _effective_qubit_operator(f: np.ndarray, spectators: list, slot: int) -> np.ndarray:
@@ -283,12 +312,12 @@ def _counterexample_sweep(states: np.ndarray, m0: np.ndarray) -> np.ndarray:
     operator for input y is the :func:`_effective_qubit_operator` of ``m0``
     with one spectator, the other sender's states weighted by row y of the
     coefficient matrix (k = 0) or column y (k = 1); the new state is its top
-    projector."""
+    projector, in the closed form of :func:`_top_projectors`."""
     states = states.copy()
     for k, coeffs in enumerate((COUNTEREXAMPLE_MATRIX, COUNTEREXAMPLE_MATRIX.T)):
         other = np.einsum("yz,...zij->...yij", coeffs, states[..., 1 - k, :, :, :])
         g = _effective_qubit_operator(m0[..., None, :, :], [other, other], k)
-        states[..., k, :, :, :] = projector(herm_eig(g).vectors[..., -1])
+        states[..., k, :, :, :] = _top_projectors(g)
     return states
 
 
@@ -331,14 +360,25 @@ def optimal_states_for_povm(strategy):
     """One cyclic pass of exact per-sender state maximization by the sweep of
     ``GAMES[strategy.task]``. The returned strategy's score never falls below
     the input's; all but its states is the input's. A strategy not in its
-    task's shape (:meth:`states.Strategy.require`) raises InvalidInput."""
+    task's shape (:meth:`states.Strategy.require`), or with a non-finite
+    entry in a POVM element or a sender's states, raises InvalidInput: the
+    closed-form state step would carry a NaN on silently."""
     game = GAMES.get(strategy.task)
     if game is None:
         raise InvalidInput(f"unknown task {strategy.task!r}")
+    k = _first_non_finite(strategy.povm.elements)
+    if k is not None:
+        raise InvalidInput(f"POVM element {k} has a non-finite entry")
     if strategy.task == "counterexample":
-        return replace(strategy, states=game.sweep(strategy.states, strategy.m0))
-    strategy.require(strategy.task)
-    rho = np.stack([st.rho for st in strategy.senders])
+        rho = strategy.states
+    else:
+        strategy.require(strategy.task)
+        rho = np.stack([st.rho for st in strategy.senders])
+    bad = ~np.isfinite(rho.reshape(len(rho), -1)).all(axis=1)
+    if bad.any():
+        raise InvalidInput(f"states of sender {int(bad.argmax()) + 1} have a non-finite entry")
+    if strategy.task == "counterexample":
+        return replace(strategy, states=game.sweep(rho, strategy.m0))
     if strategy.task == "ghz":  # any POVM, dense or mixed, gives its sums from its elements
         rho = _ghz_sweep(rho, _element_sums(strategy.povm.elements))
     else:
@@ -351,19 +391,25 @@ def optimal_states_for_povm(strategy):
 # ---------------------------------------------------------------------------
 
 
-def _ghz_start(config: SeesawConfig, rng) -> np.ndarray:
-    # independent per-restart draw under the master seed
-    return random_messages(config.n, int(rng.integers(0, 2**63 - 1)))
+def _ghz_start(config: SeesawConfig, block: range) -> np.ndarray:
+    # each restart's stream seeds its own random_messages draw
+    rngs = [make_rng(int(make_rng(config.seed, stream=i).integers(0, 2**63 - 1)))
+            for i in block]
+    return stacked_random_projectors(rngs, 4 * config.n).reshape(-1, config.n, 2, 2, 2, 2)
 
 
-def _partial_bell_start(config: SeesawConfig, rng) -> np.ndarray:
-    # sender 1 pinned at the RAC optimum; sender 2 random
-    second = random_projectors(rng, 4).reshape(2, 2, 2, 2)
-    return np.stack([aligned_sender_states(1, 2).rho, second])
+def _partial_bell_start(config: SeesawConfig, block: range) -> np.ndarray:
+    # sender 1 pinned at the RAC optimum, built once; sender 2 random
+    rngs = [make_rng(config.seed, stream=i) for i in block]
+    rho = np.empty((len(block), 2, 2, 2, 2, 2), dtype=complex)
+    rho[:, 0] = aligned_sender_states(1, 2).rho
+    rho[:, 1] = stacked_random_projectors(rngs, 4).reshape(-1, 2, 2, 2, 2)
+    return rho
 
 
-def _counterexample_start(config: SeesawConfig, rng) -> np.ndarray:
-    return random_projectors(rng, 6).reshape(2, 3, 2, 2)
+def _counterexample_start(config: SeesawConfig, block: range) -> np.ndarray:
+    rngs = [make_rng(config.seed, stream=i) for i in block]
+    return stacked_random_projectors(rngs, 6).reshape(-1, 2, 3, 2, 2)
 
 
 def _ghz_build(rho, rows) -> Strategy:
@@ -385,7 +431,7 @@ class _Game:
     ``prepare`` turns new messages into what ``measure`` and ``score`` read,
     once per iteration, so what they share is built once."""
 
-    start: Callable  # (config, rng) -> messages of one restart
+    start: Callable  # (config, block) -> stacked messages of the block's restarts
     measure: Callable  # prepared messages -> best measurement for them
     sweep: Callable  # (messages, measurement) -> best messages for it
     score: Callable  # (prepared messages, measurement) -> scores
@@ -439,7 +485,7 @@ def _lockstep(config: SeesawConfig, game: _Game, block: range) -> tuple:
     ``(score, iterations, messages, measurement)`` at its stop, and the
     score histories.
     """
-    msgs = np.stack([game.start(config, make_rng(config.seed, stream=i)) for i in block])
+    msgs = game.start(config, block)
     prepared = game.prepare(msgs)
     meas = game.measure(prepared)
     value = game.score(prepared, meas)

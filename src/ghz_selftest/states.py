@@ -592,6 +592,14 @@ def random_projectors(rng, count: int) -> np.ndarray:
     return projector(z[:, 0] + 1j * z[:, 1])
 
 
+def stacked_random_projectors(rngs, count: int) -> np.ndarray:
+    """:func:`random_projectors` of each generator in ``rngs``, bit for bit,
+    stacked ``(len(rngs), count, 2, 2)``: one draw per generator in its
+    layout, then one :func:`linalg.projector` call for the whole stack."""
+    z = np.stack([rng.normal(size=(count, 2, 2)) for rng in rngs])
+    return projector(z[..., 0, :] + 1j * z[..., 1, :])
+
+
 def random_messages(n: int, seed: int) -> np.ndarray:
     """The messages of :func:`random_strategy`, ``rho[j, a, x]`` of shape
     ``(n, 2, 2, 2, 2)``, without drawing its POVM."""

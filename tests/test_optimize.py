@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ghz_selftest import backends, linalg, optimize, scenario
+from ghz_selftest import backends, linalg, optimize, scenario, states
 from ghz_selftest.errors import InvalidInput
 from ghz_selftest.fixtures import computational_strategy, ideal_strategy, partial_bell_strategy
 from ghz_selftest.linalg import I2, fix_phase, herm_eig, outer, projector, tensor
@@ -41,6 +41,7 @@ from ghz_selftest.states import (
     Povm,
     SenderStates,
     Strategy,
+    aligned_sender_states,
     ghz_basis_state,
     ghz_povm,
     random_antipodal_strategy,
@@ -153,7 +154,8 @@ def test_stacked_counterexample_sweep_matches_the_partial_trace_oracle():
     assert np.abs(got - einsum_counterexample_sweep(states, m0)).max() <= 1e-12
 
 
-def test_state_sweeps_build_no_kronecker_product(monkeypatch):
+def state_sweep_inputs():
+    """Stacked inputs of the three state sweeps, as ``[(sweep, args)]``."""
     rng = np.random.default_rng(84)
     n, restarts = 4, 3
     rho = np.stack([random_messages(n, 60 + r) for r in range(restarts)])
@@ -163,16 +165,72 @@ def test_state_sweeps_build_no_kronecker_product(monkeypatch):
     ce_states = random_projectors(rng, 6 * restarts).reshape(restarts, 2, 3, 2, 2)
     m0 = np.stack([haar_unitary(rng, 4) @ np.diag([1, 1, 0, 0]) for _ in range(restarts)])
     m0 = m0 @ linalg.dagger(m0)
-    fs = optimize._row_sums(rows)
+    return [(optimize._ghz_sweep, (rho, optimize._row_sums(rows))),
+            (optimize._partial_bell_sweep, (bell_rho, bell)),
+            (optimize._counterexample_sweep, (ce_states, m0))]
+
+
+def test_state_sweeps_build_no_kronecker_product(monkeypatch):
+    sweeps = state_sweep_inputs()
     calls = []
     kron_chain = backends.kron_chain
     monkeypatch.setattr(backends, "kron_chain", lambda mats: calls.append(1) or kron_chain(mats))
-    optimize._ghz_sweep(rho, fs)
-    optimize._partial_bell_sweep(bell_rho, bell)
-    optimize._counterexample_sweep(ce_states, m0)
+    for sweep, args in sweeps:
+        sweep(*args)
     assert calls == []
     tensor([I2, I2])  # the counter sees a Kronecker build
     assert calls == [1]
+
+
+def test_state_sweeps_make_no_eigensolve(monkeypatch):
+    sweeps = state_sweep_inputs()
+    calls = []
+    eigh = backends.eigh
+    monkeypatch.setattr(backends, "eigh", lambda m: calls.append(1) or eigh(m))
+    for sweep, args in sweeps:
+        sweep(*args)
+    assert calls == []
+    herm_eig(I2)  # the counter sees an eigensolve
+    assert calls == [1]
+
+
+def random_hermitian_2x2(rng, shape):
+    z = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+    return z + linalg.dagger(z)
+
+
+class TestQubitBestResponse:
+    """The closed-form top projector ``(I + h.sigma)/2`` against the
+    eigensolve it replaced, ``projector`` of ``herm_eig``'s columns."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150, 1e-300, 1e300])
+    def test_matches_the_eigensolve(self, scale):
+        g = scale * random_hermitian_2x2(np.random.default_rng(85), (50, 2))
+        vectors = herm_eig(g).vectors
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            top = optimize._top_projectors(g)
+            pairs = optimize._antipodal_pairs(g)
+        assert np.abs(top - projector(vectors[..., -1])).max() <= 1e-14
+        assert np.abs(pairs[:, 0] - projector(vectors[..., -1])).max() <= 1e-14
+        assert np.abs(pairs[:, 1] - projector(vectors[..., 0])).max() <= 1e-14
+
+    @pytest.mark.parametrize("c", [0.0, 1.0, -2.5, 1e-300, 1e300])
+    def test_multiple_of_identity_keeps_the_eigensolve_choice(self, c):
+        g = np.stack([c * I2, c * I2])
+        one, zero = np.diag([0, 1]).astype(complex), np.diag([1, 0]).astype(complex)
+        vectors = herm_eig(g).vectors  # LAPACK's columns: e_0 bottom, e_1 top
+        assert np.array_equal(projector(vectors[..., -1]), np.stack([one, one]))
+        assert np.array_equal(projector(vectors[..., 0]), np.stack([zero, zero]))
+        pairs = optimize._antipodal_pairs(g)
+        assert np.array_equal(pairs[0], np.stack([one, one]))
+        assert np.array_equal(pairs[1], np.stack([zero, zero]))
+
+    def test_stacked_matches_each_operator_bitwise(self):
+        g = random_hermitian_2x2(np.random.default_rng(86), (4, 3))
+        top = optimize._top_projectors(g)
+        for idx in np.ndindex(4, 3):
+            assert top[idx].tobytes() == optimize._top_projectors(g[idx][None])[0].tobytes()
 
 
 class TestPovmStep:
@@ -399,6 +457,51 @@ class TestStatesStep:
             optimal_states_for_povm(Strategy(n=2, senders=s.senders, povm=s.povm, task="bogus"))
 
 
+class TestNonFiniteStrategy:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    @pytest.mark.parametrize("strategy, at", [
+        (ideal_strategy(2), (0, 0, 0)), (ideal_strategy(2), (1, 0, 1)),
+        (ideal_strategy(3), (7, 5, 2)), (partial_bell_strategy(), (0, 3, 3)),
+        (partial_bell_strategy(), (2, 1, 0)),
+    ], ids=["ghz2-0", "ghz2-1", "ghz3-7", "partial-bell-0", "partial-bell-2"])
+    def test_is_refused_before_the_sweep(self, strategy, at, value):
+        elements = strategy.povm.elements.copy()
+        elements[at] = value
+        bad = replace(strategy, povm=Povm(elements))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match=f"POVM element {at[0]} has a non-finite entry"):
+                optimal_states_for_povm(bad)
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, complex(0, np.nan)])
+    @pytest.mark.parametrize("strategy, j", [(ideal_strategy(3), 1), (ideal_strategy(3), 2),
+                                             (partial_bell_strategy(), 0)])
+    def test_non_finite_sender_states_are_refused(self, strategy, j, value):
+        rho = strategy.senders[j].rho.copy()
+        rho[1, 0, 0, 1] = value
+        senders = list(strategy.senders)
+        senders[j] = SenderStates(rho)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput,
+                               match=f"states of sender {j + 1} have a non-finite entry"):
+                optimal_states_for_povm(replace(strategy, senders=tuple(senders)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, np.nan)])
+    def test_counterexample_effect_and_states_are_refused(self, value):
+        ce = seesaw(SeesawConfig(metric="counterexample", restarts=1, max_iters=2)).best_strategy
+        m0 = ce.m0.copy()
+        m0[2, 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="POVM element 0 has a non-finite entry"):
+                optimal_states_for_povm(replace(ce, m0=m0))
+        states = ce.states.copy()
+        states[1, 2, 0, 0] = value
+        with pytest.raises(InvalidInput, match="states of sender 2 have a non-finite entry"):
+            optimal_states_for_povm(replace(ce, states=states))
+
+
 class TestSeesaw:
     def test_ghz_two_senders(self):
         res = seesaw(SeesawConfig(n=2, metric="ghz", restarts=20, seed=0))
@@ -533,7 +636,7 @@ class TestLockstep:
         # them, and the score is -|measurement - 1|; from 2 the second
         # proposed measurement (0.5) is worse than the kept one (1)
         toy = _Game(
-            start=lambda config, rng: np.array([2.0]),
+            start=lambda config, block: np.array([[2.0]] * len(block)),
             measure=lambda msgs: msgs.copy(),
             sweep=lambda msgs, meas: msgs / 2,
             score=lambda msgs, meas: -np.abs(meas[:, 0] - 1),
@@ -561,7 +664,9 @@ class TestLockstep:
         # one restart per block, so ties span many blocks; the message's
         # second entry tags the restart
         toy = _Game(
-            start=lambda config, rng: np.array([float(rng.integers(0, 4)), rng.uniform()]),
+            start=lambda config, block: np.array([
+                [float(r.integers(0, 4)), r.uniform()]
+                for r in (make_rng(config.seed, stream=i) for i in block)]),
             measure=lambda msgs: msgs.copy(),
             sweep=lambda msgs, meas: msgs,
             score=lambda msgs, meas: meas[:, 0],
@@ -632,6 +737,52 @@ class TestLockstep:
         assert peak < 1e6
 
 
+def per_restart_ghz_start(config, rng):
+    # independent per-restart draw under the master seed
+    return random_messages(config.n, int(rng.integers(0, 2**63 - 1)))
+
+
+def per_restart_partial_bell_start(config, rng):
+    # sender 1 pinned at the RAC optimum; sender 2 random
+    second = random_projectors(rng, 4).reshape(2, 2, 2, 2)
+    return np.stack([aligned_sender_states(1, 2).rho, second])
+
+
+def per_restart_counterexample_start(config, rng):
+    return random_projectors(rng, 6).reshape(2, 3, 2, 2)
+
+
+# the starts the search drew one restart at a time, kept as the oracle
+PER_RESTART_STARTS = {
+    "ghz": per_restart_ghz_start,
+    "partial_bell": per_restart_partial_bell_start,
+    "counterexample": per_restart_counterexample_start,
+}
+
+
+class TestBlockStarts:
+    @pytest.mark.parametrize("metric, n", [("ghz", 2), ("ghz", 5), ("partial_bell", 2),
+                                           ("counterexample", 2)])
+    def test_block_is_the_stack_of_per_restart_draws(self, metric, n):
+        config = SeesawConfig(n=n, metric=metric, seed=17)
+        got = GAMES[metric].start(config, range(5, 12))
+        want = np.stack([PER_RESTART_STARTS[metric](config, make_rng(17, stream=i))
+                         for i in range(5, 12)])
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_partial_bell_pins_sender_one_once(self, monkeypatch):
+        calls = []
+        ideal = states.ideal_sender_states
+        monkeypatch.setattr(states, "ideal_sender_states",
+                            lambda j, n: calls.append(j) or ideal(j, n))
+        seesaw(SeesawConfig(metric="partial_bell", restarts=50, seed=0))
+        built = len(calls)
+        assert built <= 1
+        aligned_sender_states(1, 2)  # the counter sees a build
+        assert calls[built:] == [1]
+
+
 class TestBasisRows:
     def test_one_term_build_per_block_and_iteration(self, monkeypatch):
         # blocks of two restarts; each iteration's scores and measurement step
@@ -670,7 +821,8 @@ class TestBasisRows:
         scores 0; the measurement step then takes the computational basis,
         rows ``q_m = e_m``, and the search goes on from there."""
         zero = np.zeros((n, 2, 2, 2, 2), dtype=complex)
-        monkeypatch.setitem(GAMES, "ghz", replace(GAMES["ghz"], start=lambda config, rng: zero))
+        monkeypatch.setitem(GAMES, "ghz", replace(
+            GAMES["ghz"], start=lambda config, block: np.stack([zero] * len(block))))
         rows = GAMES["ghz"].measure(_ghz_terms(zero[None]))
         assert np.array_equal(rows, np.eye(2**n)[None])
         with warnings.catch_warnings():
