@@ -9,10 +9,14 @@ a qubit, so those eigenvectors need no eigensolve: their projectors are
 ``(I +- h.sigma)/2``, with ``h`` the unit Bloch vector of the operator's
 traceless part. The measurement half-step assigns each outcome the top
 eigenspace of its witness, orthonormalized when the top vectors collide. In
-the GHZ game the message operators are traceless, so a local Pauli flip on
-one slot carries each witness onto another: the ``2**n`` witnesses form one
-orbit (odd n) or two (even n), and the measurement step solves one witness
-per orbit and flips its top vector onto every outcome. A candidate
+the GHZ game the message operators are traceless, so a local flip ``N_j =
+m_j.sigma`` on one slot, ``m_j`` normal to sender j's Bloch vectors, carries
+each witness onto another: the ``2**n`` witnesses form one orbit (odd n) or
+two (even n), and the measurement step solves one witness per orbit. The
+flips commute and square to I, so the flipped top vectors are orthonormalized
+per character of the flips' joint eigenbasis, in closed form and with no SVD:
+a phase per character at odd n, a 2x2 polar factor per pair of characters at
+even n. A candidate
 measurement is only accepted when it does not lower the score, so the score
 history is nondecreasing within a restart.
 
@@ -53,8 +57,11 @@ from .scenario import (
     comm_scores,
     counterexample_costs,
     counterexample_scores,
+    flip_characters,
+    flip_eigenbasis,
     message_operators,
     partial_witnesses,
+    require_finite_operators,
     witness_factors,
     witness_operators,
     witness_orbits,
@@ -163,18 +170,73 @@ def _effective_qubit_operator(f: np.ndarray, spectators: list, slot: int) -> np.
 # ---------------------------------------------------------------------------
 
 
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Cross products of stacked 3-vectors ``(..., 3)``."""
+    (ux, uy, uz), (vx, vy, vz) = np.moveaxis(u, -1, 0), np.moveaxis(v, -1, 0)
+    return np.stack([uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx], axis=-1)
+
+
 def _flip_operators(ops: np.ndarray) -> np.ndarray:
     """Per-sender ``N_j = m_j . sigma`` for message operators ``(..., n, 2, 2, 2)``,
-    stacked ``(..., n, 2, 2)``: ``m_j`` is a unit normal to the Bloch vectors
-    of ``a[j, 0]`` and ``a[j, 1]`` (the last right singular vector of the
-    2x3 Bloch matrix, so collinear or zero vectors still give one), and
-    ``N_j`` anticommutes with every traceless operator in their plane."""
+    stacked ``(..., n, 2, 2)``; ``N_j`` anticommutes with every traceless
+    operator in the plane of the Bloch vectors of ``a[j, 0]`` and ``a[j, 1]``.
+
+    ``m_j`` is their normalized cross product, in closed form: the two
+    vectors are scaled by their largest entry, and the shorter is first
+    orthogonalized against the unit longer one ``u``, so a near-collinear
+    pair still gives a normal to both within rounding. Where the pair is
+    collinear, ``m_j`` is a unit normal to ``u`` (its cross product with
+    the axis of its smallest entry); where both vectors vanish, ``e_z``.
+    The sign of ``m_j`` makes its z entry nonnegative."""
     lower = ops[..., 1, 0]  # a = b . sigma has a[1, 0] = b_x + i b_y
     bloch = np.stack([lower.real, lower.imag, (ops[..., 0, 0] - ops[..., 1, 1]).real / 2],
                      axis=-1)
-    mx, my, mz = np.moveaxis(np.linalg.svd(bloch)[2][..., -1, :], -1, 0)
+    scale = np.abs(bloch).max(axis=(-2, -1), keepdims=True)
+    bloch = bloch / np.where(scale > 0, scale, 1)
+    sq = (bloch * bloch).sum(axis=-1, keepdims=True)
+    swap = sq[..., 1, :] > sq[..., 0, :]
+    longer = np.where(swap, bloch[..., 1, :], bloch[..., 0, :])
+    other = np.where(swap, bloch[..., 0, :], bloch[..., 1, :])
+    length = np.sqrt(np.maximum(sq[..., 0, :], sq[..., 1, :]))
+    u = longer / np.where(length > 0, length, 1)  # zero where both vectors are
+    normal = _cross(u, other - (other * u).sum(axis=-1, keepdims=True) * u)
+    fallback = _cross(u, np.eye(3)[np.abs(u).argmin(axis=-1)])
+    for candidate in (fallback, np.array([0.0, 0.0, 1.0])):
+        normal = np.where((normal == 0).all(axis=-1, keepdims=True), candidate, normal)
+    normal = normal / np.abs(normal).max(axis=-1, keepdims=True)
+    normal = normal / np.sqrt((normal * normal).sum(axis=-1, keepdims=True))
+    mx, my, mz = (np.where(normal[..., 2] < 0, -c, c) for c in np.moveaxis(normal, -1, 0))
     return np.stack([np.stack([mz, mx - 1j * my], axis=-1),
                      np.stack([mx + 1j * my, -mz], axis=-1)], axis=-2)
+
+
+def _flip_bases(flip: np.ndarray) -> np.ndarray:
+    """Rows ``|0>, |1>``, the +1 and -1 eigenvectors of ``N = m . sigma``
+    ``(..., 2, 2)`` with ``m_z >= 0``, in closed form: ``(1 + m_z, m_x + i
+    m_y)`` and ``(-m_x + i m_y, 1 + m_z)``, over ``sqrt(2 (1 + m_z))``."""
+    t, w = 1 + flip[..., 0, 0].real, flip[..., 1, 0]
+    rows = np.stack([np.stack([t + 0j, w], axis=-1), np.stack([-w.conj(), t + 0j], axis=-1)],
+                    axis=-2)
+    return rows / np.sqrt(2 * t)[..., None, None]
+
+
+def _polar_2x2(c: np.ndarray) -> np.ndarray:
+    """Unitary polar factors of 2x2 matrices ``(..., 2, 2)`` in closed form:
+    for ``C = [[a, b], [c, d]]``, ``(C + e^{i arg det C} [[d*, -c*], [-b*,
+    a*]]) / sqrt(|C|_F**2 + 2 |det C|)``, the sum of the singular pairs of
+    ``C`` over the sum of its singular values. Each block is first scaled by
+    its largest entry. A rank-1 block still gives a unitary (``arg 0 = 0``);
+    a zero block gives the identity."""
+    scale = np.abs(c).max(axis=(-2, -1), keepdims=True)
+    zero = scale == 0
+    c = c / np.where(zero, 1, scale)
+    a, b, cc, d = c[..., 0, 0], c[..., 0, 1], c[..., 1, 0], c[..., 1, 1]
+    det = a * d - b * cc
+    size = np.abs(det)
+    phase = np.where(size > 0, det / np.where(size > 0, size, 1), 1)[..., None, None]
+    adj = np.stack([np.stack([d, -cc], axis=-1), np.stack([-b, a], axis=-1)], axis=-2).conj()
+    norm = np.sqrt((c.real * c.real + c.imag * c.imag).sum(axis=(-2, -1)) + 2 * size)
+    return np.where(zero, I2, (c + phase * adj) / np.where(zero, 1, norm[..., None, None]))
 
 
 def _ghz_terms(rho: np.ndarray) -> tuple:
@@ -194,28 +256,43 @@ def _ghz_povm(ops: np.ndarray, terms: np.ndarray) -> tuple:
     Every witness factor on slot j but the identity is traceless and lies in
     the plane of sender j's Bloch vectors, so conjugating by ``N_j`` (see
     :func:`_flip_operators`) on that slot flips the sign of every term with
-    such a factor there, and the witnesses
-    form one orbit (odd n) or two (even n) under local flips: ``W_m =
-    N_F W_r N_F``. Only the representatives ``W_r`` are built and solved;
-    outcome m's top vector is its representative's with ``N_j`` applied on
-    each slot of its flip pattern ``F``.
+    such a factor there, and the witnesses form one orbit (odd n) or two
+    (even n) under local flips: ``W_m = N_F W_r N_F``. Only the
+    representatives ``W_r`` are built and solved; outcome m's top vector is
+    ``N_F v_r``, its representative's flipped.
+
+    The flips commute and square to I, so the step works in their joint
+    eigenbasis ``e_chi`` (the rows of :func:`scenario.flip_eigenbasis` of the
+    :func:`_flip_bases`), where ``N_F`` is the sign ``S[m, chi]`` of
+    :func:`scenario.flip_characters`.
+    With weights ``c[r, chi] = <e_chi|v_r>``, the symmetric orthonormalization
+    (polar factor) of the ``2**n`` flipped vectors is closed form. At odd n
+    row m is ``2**(-n/2) sum_chi S[m, chi] (c_chi / |c_chi|) e_chi``. At even
+    n, ``S[m, chi]`` does not see sender 1's bit, so each pair of ``chi``
+    that differ only there holds a 2x2 block ``C_p`` (rows the two orbits),
+    and row m is ``2**(-(n-1)/2) sum_chi S[m, chi] U_p[orbit(m), chi]
+    e_chi``, with ``U_p`` the :func:`_polar_2x2` of ``C_p``. A zero weight
+    takes phase 1 and a zero block the identity, so the rows stay an
+    orthonormal basis (any completion of the nonzero part is an argmax).
+    The rows then take the phase rule of ``linalg.fix_phase``.
 
     Every measurement scores 0 against vanishing witnesses; the rows of such
     a restart are the computational basis.
     """
     n = ops.shape[-4]
     d = 2**n
-    reps, orbit, flips = witness_orbits(n)
+    reps, orbit, _ = witness_orbits(n)
     ws = witness_operators(ops, reps, terms=np.moveaxis(terms, -3, 0))
-    top = herm_eig(ws).vectors[..., -1][..., orbit, :]  # row m: outcome m's top vector
-    flip = np.where(flips[..., None, None], _flip_operators(ops)[..., None, :, :, :], I2)
-    for j in range(n):
-        # slot j of outcome m's vector becomes sum_b u[a, b] v[b], u = N_j or I
-        v = top.reshape(top.shape[:-1] + (2**j, 1, 2, -1))
-        u = flip[..., j, :, :][..., None, :, :, None]
-        top = (u[..., 0, :] * v[..., 0, :] + u[..., 1, :] * v[..., 1, :]).reshape(top.shape)
-    q = _polar_orthonormal(np.swapaxes(fix_phase(top), -1, -2))
-    rows = np.ascontiguousarray(np.swapaxes(q, -1, -2))
+    top = herm_eig(ws).vectors[..., -1]  # row r: representative r's top vector
+    e = flip_eigenbasis(_flip_bases(_flip_operators(ops)))
+    c = top @ dagger(e)
+    if n % 2:
+        size = np.abs(c)
+        weights = np.where(size > 0, c / np.where(size > 0, size, 1), 1)
+    else:  # c[r, 2k + b], b sender 1's bit: blocks (k, r, b)
+        blocks = np.swapaxes(c.reshape(c.shape[:-1] + (d // 2, 2)), -3, -2)
+        weights = np.swapaxes(_polar_2x2(blocks), -3, -2).reshape(c.shape)
+    rows = fix_phase((math.sqrt(len(reps) / d) * flip_characters(n) * weights[..., orbit, :]) @ e)
     # conjugation keeps a zero witness zero, so the representatives decide
     vanishing = np.abs(ws).max(axis=(-3, -2, -1)) <= 1e-12
     rows[vanishing] = np.eye(d)
@@ -225,26 +302,36 @@ def _ghz_povm(ops: np.ndarray, terms: np.ndarray) -> tuple:
 def optimal_povm_for_states(n: int, ops: np.ndarray) -> Povm:
     """Best receiver measurement for fixed traceless message operators (GHZ game).
 
-    Stacks each witness's top eigenvector; when the stack is orthonormal
-    (the generic converged case) the rank-1 projectors are the exact argmax,
-    otherwise the symmetric orthonormalization of the stack gives a feasible
-    measurement. All-zero operators yield the uniform split ``I / 2**n``.
-    The top vectors come from one or two witnesses by local flips, which
-    needs ``Tr a[j, x] = 0``: operators with a non-finite entry, or with
-    ``|Tr a[j, x]| > 1e-9`` (not a difference of two unit-trace states),
-    raise InvalidInput.
+    Takes each witness's top eigenvector; when these are orthonormal (the
+    generic converged case) the rank-1 projectors are the exact argmax,
+    otherwise their symmetric orthonormalization gives a feasible
+    measurement. That is the step :func:`_ghz_povm` of the see-saw: the top
+    vectors come from one or two witnesses by local flips and are
+    orthonormalized per flip character in closed form. All-zero operators
+    yield the uniform split ``I / 2**n``. The flips need ``Tr a[j, x] = 0``:
+    operators with a non-finite entry, or with ``|Tr a[j, x]| > 1e-9`` (not
+    a difference of two unit-trace states), raise InvalidInput. So do
+    operators whose witness entries could exceed
+    the largest float over ``2**(n+1)``, checked from the factors' largest
+    entries before any witness is built: the solve reads the Hermitian part
+    of each witness, whose eigenvalues reach ``2**n`` times its largest
+    entry.
     """
     if ops.shape != (n, 2, 2, 2):
         raise InvalidInput(f"operators have shape {ops.shape}, expected ({n},2,2,2)")
-    finite = np.isfinite(ops).all(axis=(-2, -1))
-    if not finite.all():
-        j, x = np.argwhere(~finite)[0].tolist()
-        raise InvalidInput(f"message operator of sender {j + 1}, input {x} has a non-finite entry")
+    require_finite_operators(ops)
     traces = np.abs(np.trace(ops, axis1=-2, axis2=-1))
     if (traces > 1e-9).any():
         j, x = np.argwhere(traces > 1e-9)[0].tolist()
         raise InvalidInput(f"message operator of sender {j + 1}, input {x} has trace "
                            f"{traces[j, x]:.3g}; the GHZ measurement step needs traceless ones")
+    # a witness entry is a signed sum of products of one factor entry per slot
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = [np.prod([np.abs(f).max() for f in term]) for term in witness_factors(ops)]
+        bound = np.abs(witness_signs(n)[0]) @ products
+    if not bound <= np.finfo(float).max / 2**(n + 1):
+        raise InvalidInput(f"the witnesses of these operators overflow: their entries reach "
+                           f"{bound:.3g}, more than the largest float over 2**(n+1)")
     rows, vanishing = _ghz_povm(ops, np.stack(witness_terms(ops)))
     if vanishing:
         return Povm(np.repeat(np.eye(2**n)[None] / 2**n, 2**n, axis=0))

@@ -14,7 +14,9 @@ The GHZ witnesses are signed sums of n sign-free tensor terms
 (:func:`witness_terms`). The signs of outcome ``s`` (:func:`witness_signs`)
 and its orbit under local flips (:func:`witness_orbits`) are read off the
 outcome bits of :func:`states.outcome_table`; this module derives no bits of
-its own. Every witness, one outcome's or a stack, is built by
+its own. So are the signs of the flips on their joint eigenbasis
+(:func:`flip_characters`, :func:`flip_eigenbasis`), which the see-saw's
+measurement step orthonormalizes on. Every witness, one outcome's or a stack, is built by
 :func:`witness_operators` in one piece; ``selftest`` streams the solves
 of many witnesses over ``linalg.chunks``.
 """
@@ -28,7 +30,8 @@ import numpy as np
 from .errors import InvalidBloch, InvalidInput
 from .linalg import (I2, PAULIS, SQRT2, basis_pairings, chunks, contract_slot, dagger,
                      herm_eigvals, tensor)
-from .states import Povm, SenderStates, Strategy, bloch_vector, outcome_index, outcome_table
+from .states import (Povm, SenderStates, Strategy, basis_index, bloch_vector, outcome_index,
+                     outcome_table)
 
 # coefficients of the three-input game score on p(0 | y1, y2)
 COUNTEREXAMPLE_COEFFS = {
@@ -58,6 +61,16 @@ def message_operators(rho: np.ndarray) -> np.ndarray:
     """Difference operators of stacked sender states ``(..., n, 2, 2, 2, 2)``
     indexed ``[..., j, a, x]``: shape ``(..., n, 2, 2, 2)``."""
     return rho[..., 0, :, :, :] - rho[..., 1, :, :, :]
+
+
+def require_finite_operators(ops: np.ndarray) -> None:
+    """Raise InvalidInput naming the first message operator of ``ops`` ``(n,
+    2, 2, 2)`` with a NaN or infinite entry: every solve of the witnesses
+    built from it would fail."""
+    finite = np.isfinite(ops).all(axis=(-2, -1))
+    if not finite.all():
+        j, x = np.argwhere(~finite)[0].tolist()
+        raise InvalidInput(f"message operator of sender {j + 1}, input {x} has a non-finite entry")
 
 
 def witness_factors(ops: np.ndarray) -> list:
@@ -92,6 +105,7 @@ def witness_signs(n: int) -> np.ndarray:
     ``W_m``: ``(n-1) (-1)^{s_1}`` for term 0 and ``(-1)^{s_j}`` for term
     j-1, with the bits ``s_j`` of :func:`states.outcome_table`.
     """
+    _require_senders(n)
     signs = 1 - 2 * outcome_table(n)
     signs[:, 0] *= n - 1
     signs.flags.writeable = False
@@ -112,6 +126,7 @@ def witness_orbits(n: int) -> tuple:
     to flip to carry ``W_reps[orbit[m]]`` onto ``W_m``. Sender j >= 2 flips
     where ``s_j`` differs from sender 1's flip.
     """
+    _require_senders(n)
     bits = outcome_table(n)
     parity = bits.sum(axis=1) % 2
     if n % 2:  # one orbit; sender 1 flips the outcomes of odd parity
@@ -123,6 +138,37 @@ def witness_orbits(n: int) -> tuple:
     for table in (reps, orbit, flips):
         table.flags.writeable = False
     return reps, orbit, flips
+
+
+@cache
+def flip_characters(n: int) -> np.ndarray:
+    """Read-only ``(2**n, 2**n)`` table of +-1 characters ``S[m, chi] =
+    (-1)^{F_m . chi}``: row m's flip pattern ``F_m`` of :func:`witness_orbits`
+    read against the bits ``chi`` of :func:`states.outcome_table`. The flips
+    commute and square to I, so ``N_F`` acts on their joint eigenvector
+    ``e_chi`` (``chi_j = 1`` where sender j's flip has eigenvalue -1) as
+    ``S[m, chi]``."""
+    flips = witness_orbits(n)[2].astype(int)
+    chars = 1.0 - 2.0 * (flips @ outcome_table(n).T % 2)
+    chars.flags.writeable = False
+    return chars
+
+
+def flip_eigenbasis(bases: np.ndarray) -> np.ndarray:
+    """Rows ``e_chi = (x)_j bases[..., j, chi_j, :]`` of per-sender 2x2 bases
+    ``(..., n, 2, 2)``, ordered by the bits ``chi`` of
+    :func:`states.outcome_table`: stacked ``(..., 2**n, 2**n)``. With row b
+    of sender j's basis the eigenvector of its flip for ``(-1)^b``, these are
+    the flips' joint eigenvectors whose signs :func:`flip_characters`
+    tabulates."""
+    n = bases.shape[-3]
+    e = tensor([bases[..., j, :, :] for j in range(n)])
+    return e[..., basis_index(outcome_table(n)), :]
+
+
+def _require_senders(n: int) -> None:
+    if n < 2:
+        raise InvalidInput(f"need at least two senders, got n={n}")
 
 
 def signed_sum(coeffs, terms):

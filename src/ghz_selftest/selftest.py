@@ -33,6 +33,7 @@ from .linalg import (
 )
 from .scenario import (
     a_operators,
+    require_finite_operators,
     success_metric,
     witness_factors,
     witness_operators,
@@ -103,10 +104,12 @@ def sos_residual(n: int, s, ops: np.ndarray) -> float:
     psum) / sqrt(2)``, ``psum = ((n-1) T_0^2 + sum_{k>=1} T_k^2) / 2``.
     Antipodal messages give ``t_c = 0``; the returned value is the largest
     |eigenvalue| of ``t_c``. The signs enter ``t_c`` squared, so the value is
-    the same for every (still validated) outcome ``s``.
+    the same for every (still validated) outcome ``s``. Operators with a NaN
+    or infinite entry raise InvalidInput before any solve.
     """
     if ops.shape != (n, 2, 2, 2):
         raise InvalidInput(f"operators have shape {ops.shape}, expected ({n},2,2,2)")
+    require_finite_operators(ops)
     if _unit_square_defect(ops) > ANTIPODAL_GATE:
         raise PreconditionViolated("messages are not antipodal pure states")
     outcome_index(s, n)
@@ -194,8 +197,10 @@ def witness_bounds(ops: np.ndarray, spectrum_tol: float, outcomes=None) -> tuple
     plus ``delta``, the least shifted eigenvalue minus ``delta``. When
     ``delta`` exceeds a tenth of ``spectrum_tol``, or when the two ends of
     either number would decide its check differently, each outcome's own
-    witness is solved instead, so no verdict depends on ``delta``.
+    witness is solved instead, so no verdict depends on ``delta``. Operators
+    with a NaN or infinite entry raise InvalidInput before any solve.
     """
+    require_finite_operators(ops)
     n = ops.shape[-4]
     a0 = _traceless(ops)
     delta = trace_bound(ops, a0)
@@ -324,11 +329,15 @@ def verify_ghz_measurement(povm, unitaries) -> np.ndarray:
 def ppt_min_eig(m) -> float:
     """Minimum eigenvalue of the partial transpose of a two-qubit operator.
 
-    Negative iff entangled (decisive in dimension 2x2).
+    Negative iff entangled (decisive in dimension 2x2). An operator with a
+    NaN or infinite entry raises InvalidInput naming that entry.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise InvalidInput(f"expected a 4x4 two-qubit operator, got shape {m.shape}")
+    bad = np.argwhere(~np.isfinite(m))
+    if bad.size:
+        raise InvalidInput(f"entry {tuple(bad[0].tolist())} of the operator is not finite")
     return float(herm_eigvals(partial_transpose(m, [2, 2], 1))[0])
 
 
@@ -390,7 +399,13 @@ class CertReport:
 
 
 def certify_strategy(strategy: Strategy, tolerances: dict | None = None) -> CertReport:
-    """Run every certification check on a GHZ-task strategy."""
+    """Run every certification check on a GHZ-task strategy.
+
+    The verdict assumes qubit messages. The quantum bound behind ``metric =
+    1`` rests on ``sum_s Tr M_s = 2**n``, which holds because every message
+    is a qubit state (``SenderStates`` is 2x2); with a message that leaks
+    out of its qubit, a separable measurement can score above 1.
+    """
     tol = resolve_tolerances(tolerances)
     strategy.validate()
     n = strategy.n

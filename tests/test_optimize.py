@@ -8,7 +8,8 @@ import pytest
 from ghz_selftest import backends, linalg, optimize, scenario, states
 from ghz_selftest.errors import InvalidInput
 from ghz_selftest.fixtures import computational_strategy, ideal_strategy, partial_bell_strategy
-from ghz_selftest.linalg import I2, fix_phase, herm_eig, outer, projector, tensor
+from ghz_selftest.linalg import (I2, SIGMA_X, SIGMA_Y, fix_phase, herm_eig, outer, projector,
+                                 tensor)
 from ghz_selftest.optimize import (
     GAMES,
     SeesawConfig,
@@ -18,7 +19,6 @@ from ghz_selftest.optimize import (
     _ghz_povm,
     _ghz_terms,
     _lockstep,
-    _polar_orthonormal,
     optimal_povm_for_states,
     optimal_states_for_povm,
     seesaw,
@@ -278,10 +278,30 @@ class TestPovmStep:
             s = random_strategy(3, seed)
             optimal_povm_for_states(3, a_operators(s)).validate()
 
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_operators_too_large_for_witnesses_are_refused(self, scale):
+        ops = scale * a_operators(ideal_strategy(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="witnesses of these operators overflow"):
+                optimal_povm_for_states(2, ops)
+
+    @pytest.mark.parametrize("n, scale", [(2, 1e100), (3, 1e60), (7, 1e40)])
+    def test_large_operators_below_the_bound_give_a_measurement(self, n, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            optimal_povm_for_states(n, scale * a_operators(ideal_strategy(n))).validate()
+
 
 def ghz_rows(ops):
     """The measurement step's basis rows for the operators."""
     return _ghz_povm(ops, np.stack(witness_terms(ops), axis=-3))[0]
+
+
+def svd_polar(columns):
+    """The symmetric polar factor of stacked columns, by SVD."""
+    u, _, vh = np.linalg.svd(columns)
+    return u @ vh
 
 
 def reference_ghz_povm(ops):
@@ -290,7 +310,7 @@ def reference_ghz_povm(ops):
     d = 2 ** ops.shape[-4]
     ws = witness_operators(ops)
     top = fix_phase(herm_eig(ws).vectors[..., -1])
-    elements = outer(np.swapaxes(_polar_orthonormal(np.swapaxes(top, -1, -2)), -1, -2))
+    elements = outer(np.swapaxes(svd_polar(np.swapaxes(top, -1, -2)), -1, -2))
     zero = np.abs(ws).max(axis=(-3, -2, -1)) <= 1e-12
     return np.where(zero[..., None, None, None], np.eye(d) / d, elements)
 
@@ -366,6 +386,146 @@ class TestWitnessOrbits:
         seesaw(SeesawConfig(n=n, restarts=3, max_iters=5, seed=1))
         steps = [shape for shape in solved if shape[-1] == d]
         assert steps and all(shape[1:] == (orbits, d, d) and shape[0] <= 3 for shape in steps)
+
+
+def svd_flip_operators(ops):
+    """``N_j = m_j . sigma`` with ``m_j`` the last right singular vector of
+    sender j's 2x3 matrix of Bloch vectors."""
+    lower = ops[..., 1, 0]
+    bloch = np.stack([lower.real, lower.imag, (ops[..., 0, 0] - ops[..., 1, 1]).real / 2],
+                     axis=-1)
+    mx, my, mz = np.moveaxis(np.linalg.svd(bloch)[2][..., -1, :], -1, 0)
+    return np.stack([np.stack([mz, mx - 1j * my], axis=-1),
+                     np.stack([mx + 1j * my, -mz], axis=-1)], axis=-2)
+
+
+def flip_loop_povm(ops):
+    """The measurement step as a flip loop: the representatives' top vectors
+    flipped onto every outcome slot by slot, phase-fixed and orthonormalized
+    by SVD, with the zero rule. Returns the rows and, per restart, the
+    smallest character weight: the flipped stack's least singular value over
+    ``sqrt(2**n / orbits)``, which is ``min |c_chi|`` at odd n and the least
+    singular value of the pair blocks at even n."""
+    n = ops.shape[-4]
+    d = 2**n
+    reps, orbit, flips = witness_orbits(n)
+    ws = witness_operators(ops, reps)
+    top = herm_eig(ws).vectors[..., -1][..., orbit, :]
+    flip = np.where(flips[..., None, None], svd_flip_operators(ops)[..., None, :, :, :], I2)
+    for j in range(n):
+        v = top.reshape(top.shape[:-1] + (2**j, 1, 2, -1))
+        u = flip[..., j, :, :][..., None, :, :, None]
+        top = (u[..., 0, :] * v[..., 0, :] + u[..., 1, :] * v[..., 1, :]).reshape(top.shape)
+    columns = np.swapaxes(fix_phase(top), -1, -2)
+    weight = np.linalg.svd(columns, compute_uv=False)[..., -1] * np.sqrt(len(reps) / d)
+    rows = np.swapaxes(svd_polar(columns), -1, -2)
+    vanishing = np.abs(ws).max(axis=(-3, -2, -1)) <= 1e-12
+    rows[vanishing] = np.eye(d)
+    return rows, weight
+
+
+def seesaw_iterates(n, seeds):
+    """Message operators of random starts and after one and two sweeps."""
+    inputs = []
+    for seed in seeds:
+        rho = random_messages(n, seed)
+        for _ in range(3):
+            inputs.append(message_operators(rho))
+            rho = GAMES["ghz"].sweep(rho, ghz_rows(message_operators(rho)))
+    return inputs
+
+
+def assert_orthonormal(rows):
+    eye = np.eye(rows.shape[-1])
+    assert np.abs(rows @ np.swapaxes(rows.conj(), -1, -2) - eye).max() <= 1e-14
+
+
+# every operator sigma_X: the flips are sigma_Z, and the top vectors have
+# exact zero weights at odd n and rank-1 and zero pair blocks at even n
+COLLINEAR = lambda n: np.stack([np.stack([SIGMA_X, SIGMA_X])] * n)  # noqa: E731
+SINGULAR_INPUTS = {"collinear": COLLINEAR, "computational": ORBIT_INPUTS["computational"],
+                   "zero": ORBIT_INPUTS["zero"]}
+
+
+class TestCharacterStep:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_the_flip_loop(self, n):
+        inputs = [a_operators(random_strategy(n, 60 + k)) for k in range(3)]
+        inputs += [a_operators(random_mixed_strategy(n, 70 + k)) for k in range(3)]
+        inputs += seesaw_iterates(n, range(80, 82))
+        checked = 0
+        for ops in inputs:
+            rows = ghz_rows(ops)
+            assert_orthonormal(rows)
+            want, weight = flip_loop_povm(ops)
+            if weight < 1e-8:
+                continue  # the polar factor of a near-singular stack is ill-conditioned
+            assert np.abs(outer(rows) - outer(want)).max() <= 1e-12
+            checked += 1
+        assert checked >= len(inputs) / 2
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_stacked_call_matches_the_flip_loop(self, n):
+        msgs = np.stack([random_messages(n, seed) for seed in range(3)])
+        ops, terms = _ghz_terms(msgs)
+        rows = _ghz_povm(ops, terms)[0]
+        want, weight = flip_loop_povm(ops)
+        assert (weight >= 1e-8).all()
+        assert np.abs(outer(rows) - outer(want)).max() <= 1e-12
+
+    @pytest.mark.parametrize("kind", list(SINGULAR_INPUTS))
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_singular_weights_give_an_orthonormal_basis_with_no_warning(self, n, kind):
+        ops = SINGULAR_INPUTS[kind](n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = ghz_rows(ops)
+        assert rows.flags.c_contiguous
+        assert_orthonormal(rows)
+        if kind == "collinear":
+            assert flip_loop_povm(ops)[1] <= 1e-15  # the weights the step must complete
+            _, vanishing = _ghz_povm(ops, np.stack(witness_terms(ops), axis=-3))
+            assert not vanishing
+
+    def test_closed_polar_matches_the_svd(self):
+        rng = np.random.default_rng(91)
+        c = rng.normal(size=(1000, 2, 2)) + 1j * rng.normal(size=(1000, 2, 2))
+        assert np.abs(optimize._polar_2x2(c) - svd_polar(c)).max() <= 1e-13
+        for block in (np.outer([1, 2j], [3, 1 - 1j]), np.zeros((2, 2)), 1e-300 * np.eye(2)):
+            u = optimize._polar_2x2(block)
+            assert np.abs(u @ u.conj().T - I2).max() <= 1e-15
+        assert np.array_equal(optimize._polar_2x2(np.zeros((2, 2))), I2)
+
+    @pytest.mark.parametrize("kind", ["random mixed", "computational", "zero", "collinear"])
+    def test_flip_operators_anticommute_with_the_messages(self, kind):
+        ops = {**ORBIT_INPUTS, "collinear": COLLINEAR}[kind](4)
+        ops = np.concatenate([ops, [[SIGMA_X, 1e-9 * SIGMA_Y + SIGMA_X]], 1e-200 * ops[:1]])
+        flip = _flip_operators(ops)
+        assert np.abs(flip @ flip - I2).max() <= 1e-15
+        assert (flip[..., 0, 0].real >= 0).all()
+        scale = np.abs(ops).max(axis=(-3, -2, -1))[:, None, None, None]
+        scale = np.where(scale > 0, scale, 1)
+        anti = flip[:, None] @ ops + ops @ flip[:, None]
+        assert np.abs(anti / scale).max() <= 1e-15
+
+    def test_measurement_step_makes_no_svd(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        for n in range(2, 7):
+            msgs = np.stack([random_messages(n, seed) for seed in range(3)])
+            GAMES["ghz"].measure(_ghz_terms(msgs))
+            optimal_povm_for_states(n, a_operators(random_strategy(n, n)))
+        assert calls == []
+        # the probe: the partial-Bell step still orthonormalizes by SVD
+        rho = np.stack([random_messages(2, seed) for seed in range(3)])
+        GAMES["partial_bell"].measure(rho)
+        assert calls == [(3, 4, 4)]
 
 
 class TestStatesStep:

@@ -1,5 +1,7 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -30,6 +32,8 @@ from ghz_selftest.scenario import (
     counterexample_scores,
     counterexample_table,
     counterexample_value,
+    flip_characters,
+    flip_eigenbasis,
     partial_witnesses,
     probability_table,
     rac_bound,
@@ -38,6 +42,7 @@ from ghz_selftest.scenario import (
     success_metric,
     witness_operator,
     witness_operators,
+    witness_orbits,
     witness_signs,
     witness_terms,
 )
@@ -113,6 +118,39 @@ class TestWitnessSigns:
         real = witness_operators(ops.real)
         assert real.dtype == float
         assert np.array_equal(real, witness_operators(ops).real)
+
+
+class TestWitnessTables:
+    @pytest.mark.parametrize("table", [witness_signs, witness_orbits, flip_characters])
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_fewer_than_two_senders_are_refused(self, table, n):
+        for _ in range(2):  # a raise is not cached
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidInput, match=f"need at least two senders, got n={n}"):
+                    table(n)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_flip_characters_are_the_signs_of_the_flip_patterns(self, n):
+        chars = flip_characters(n)
+        flips = witness_orbits(n)[2]
+        want = [[(-1) ** sum(f and c for f, c in zip(flips[m], outcome_bits(chi, n)))
+                 for chi in range(2**n)] for m in range(2**n)]
+        assert np.array_equal(chars, want)
+        assert not chars.flags.writeable
+        # rows are orthogonal unless their flip patterns agree; at even n the
+        # two orbits share every pattern, and sender 1 never flips
+        same = (flips[:, None, :] == flips[None, :, :]).all(axis=-1)
+        assert np.array_equal(chars @ chars.T, 2**n * same)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_flip_eigenbasis_rows_follow_the_outcome_bits(self, n):
+        rng = np.random.default_rng(n)
+        bases = rng.normal(size=(3, n, 2, 2)) + 1j * rng.normal(size=(3, n, 2, 2))
+        e = flip_eigenbasis(bases)
+        for r, chi in np.ndindex(3, 2**n):
+            want = reduce(np.kron, [bases[r, j, b] for j, b in enumerate(outcome_bits(chi, n))])
+            assert np.abs(e[r, chi] - want).max() <= 1e-14
 
 
 class TestWitness:

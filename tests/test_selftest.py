@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,27 @@ class TestSosResidual:
         ops[0, 0] *= 0.5
         with pytest.raises(PreconditionViolated):
             sos_residual(2, 0, ops)
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf, complex(0, np.nan)]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("check", [lambda ops: sos_residual(2, 0, ops),
+                                   lambda ops: witness_bounds(ops, 1e-9)],
+                         ids=["sos_residual", "witness_bounds"])
+def test_non_finite_operators_are_refused_before_any_solve(check, value, monkeypatch):
+    def no_solve(m):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(backends, "eigh", no_solve)
+    monkeypatch.setattr(backends, "eigvalsh", no_solve)
+    ops = canonical_ops(2).copy()
+    ops[1, 0, 0, 1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="sender 2, input 0 has a non-finite entry"):
+            check(ops)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_unit_square_defect_below_the_gate_is_measured(self, n):
@@ -323,6 +345,13 @@ class TestOrbitSolves:
 
 
 class TestSpectrum:
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_fewer_than_two_senders_are_refused(self, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match=f"need at least two senders, got n={n}"):
+                spectrum_closed_form(n, 0)
+
     def test_two_sender_values(self):
         vals = np.sort(spectrum_closed_form(2, 0))
         want = np.array([-2 * SQRT2, 0, 0, 2 * SQRT2])
@@ -482,6 +511,15 @@ class TestPpt:
     def test_dimension_gate(self):
         with pytest.raises(InvalidInput):
             ppt_min_eig(np.eye(8))
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_entry_is_refused_by_name(self, value):
+        m = np.eye(4, dtype=complex) / 4
+        m[2, 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match=r"entry \(2, 1\) of the operator is not"):
+                ppt_min_eig(m)
 
 
 class TestAntipodality:

@@ -202,7 +202,8 @@ BIT_ALLOWED |= {("arraytext.py", "_digits"), ("arraytext.py", "_quotient")}
 # the readers of the table and the ket rule, which keep no bit arithmetic
 BIT_READERS = {("states.py", "ghz_basis"), ("states.py", "ghz_basis_state"),
                ("robustness.py", "_slot_factors"), ("scenario.py", "witness_signs"),
-               ("scenario.py", "witness_orbits"), ("fixtures.py", "computational_strategy")}
+               ("scenario.py", "witness_orbits"), ("scenario.py", "flip_characters"),
+               ("scenario.py", "flip_eigenbasis"), ("fixtures.py", "computational_strategy")}
 
 
 def bit_ops(path, ops):
