@@ -14,11 +14,10 @@ m_j.sigma`` on one slot, ``m_j`` normal to sender j's Bloch vectors, carries
 each witness onto another: the ``2**n`` witnesses form one orbit (odd n) or
 two (even n), and the measurement step solves one witness per orbit. The
 flips commute and square to I, so the flipped top vectors are orthonormalized
-per character of the flips' joint eigenbasis, in closed form and with no SVD:
-a phase per character at odd n, a 2x2 polar factor per pair of characters at
-even n. A candidate
-measurement is only accepted when it does not lower the score, so the score
-history is nondecreasing within a restart.
+per character of the flips' joint eigenbasis, in closed form and with no
+dense SVD: a phase per character at odd n, a 2x2 polar factor per pair of
+characters at even n. A candidate measurement is only accepted when it does
+not lower the score, so the score history is nondecreasing within a restart.
 
 The GHZ search holds each restart's measurement as its basis rows ``q_m``,
 ``M_m = q_m q_m^dag``, the orthonormal frame the measurement step produces:
@@ -111,12 +110,6 @@ class SeesawResult:
     history: list = field(default_factory=list)
 
 
-def _polar_orthonormal(columns: np.ndarray) -> np.ndarray:
-    """Closest orthonormal frame to the stacked columns (symmetric polar factor)."""
-    u, _, vh = np.linalg.svd(columns)
-    return u @ vh
-
-
 def _top_projectors(g: np.ndarray) -> np.ndarray:
     """Projectors onto the top eigenvectors of Hermitian 2x2 operators ``g``
     ``(..., 2, 2)``, in closed form: ``(I + h.sigma)/2`` with ``h`` the unit
@@ -170,42 +163,18 @@ def _effective_qubit_operator(f: np.ndarray, spectators: list, slot: int) -> np.
 # ---------------------------------------------------------------------------
 
 
-def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Cross products of stacked 3-vectors ``(..., 3)``."""
-    (ux, uy, uz), (vx, vy, vz) = np.moveaxis(u, -1, 0), np.moveaxis(v, -1, 0)
-    return np.stack([uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx], axis=-1)
-
-
 def _flip_operators(ops: np.ndarray) -> np.ndarray:
     """Per-sender ``N_j = m_j . sigma`` for message operators ``(..., n, 2, 2, 2)``,
-    stacked ``(..., n, 2, 2)``; ``N_j`` anticommutes with every traceless
-    operator in the plane of the Bloch vectors of ``a[j, 0]`` and ``a[j, 1]``.
-
-    ``m_j`` is their normalized cross product, in closed form: the two
-    vectors are scaled by their largest entry, and the shorter is first
-    orthogonalized against the unit longer one ``u``, so a near-collinear
-    pair still gives a normal to both within rounding. Where the pair is
-    collinear, ``m_j`` is a unit normal to ``u`` (its cross product with
-    the axis of its smallest entry); where both vectors vanish, ``e_z``.
-    The sign of ``m_j`` makes its z entry nonnegative."""
+    stacked ``(..., n, 2, 2)``: ``m_j`` is a unit normal to the Bloch vectors
+    of ``a[j, 0]`` and ``a[j, 1]`` (the last right singular vector of the
+    2x3 Bloch matrix, so collinear or zero vectors still give one), signed
+    so that ``m_z >= 0``, and ``N_j`` anticommutes with every traceless
+    operator in their plane."""
     lower = ops[..., 1, 0]  # a = b . sigma has a[1, 0] = b_x + i b_y
     bloch = np.stack([lower.real, lower.imag, (ops[..., 0, 0] - ops[..., 1, 1]).real / 2],
                      axis=-1)
-    scale = np.abs(bloch).max(axis=(-2, -1), keepdims=True)
-    bloch = bloch / np.where(scale > 0, scale, 1)
-    sq = (bloch * bloch).sum(axis=-1, keepdims=True)
-    swap = sq[..., 1, :] > sq[..., 0, :]
-    longer = np.where(swap, bloch[..., 1, :], bloch[..., 0, :])
-    other = np.where(swap, bloch[..., 0, :], bloch[..., 1, :])
-    length = np.sqrt(np.maximum(sq[..., 0, :], sq[..., 1, :]))
-    u = longer / np.where(length > 0, length, 1)  # zero where both vectors are
-    normal = _cross(u, other - (other * u).sum(axis=-1, keepdims=True) * u)
-    fallback = _cross(u, np.eye(3)[np.abs(u).argmin(axis=-1)])
-    for candidate in (fallback, np.array([0.0, 0.0, 1.0])):
-        normal = np.where((normal == 0).all(axis=-1, keepdims=True), candidate, normal)
-    normal = normal / np.abs(normal).max(axis=-1, keepdims=True)
-    normal = normal / np.sqrt((normal * normal).sum(axis=-1, keepdims=True))
-    mx, my, mz = (np.where(normal[..., 2] < 0, -c, c) for c in np.moveaxis(normal, -1, 0))
+    m = np.linalg.svd(bloch)[2][..., -1, :]
+    mx, my, mz = np.moveaxis(np.where(m[..., 2:] < 0, -m, m), -1, 0)
     return np.stack([np.stack([mz, mx - 1j * my], axis=-1),
                      np.stack([mx + 1j * my, -mz], axis=-1)], axis=-2)
 
@@ -311,11 +280,11 @@ def optimal_povm_for_states(n: int, ops: np.ndarray) -> Povm:
     yield the uniform split ``I / 2**n``. The flips need ``Tr a[j, x] = 0``:
     operators with a non-finite entry, or with ``|Tr a[j, x]| > 1e-9`` (not
     a difference of two unit-trace states), raise InvalidInput. So do
-    operators whose witness entries could exceed
-    the largest float over ``2**(n+1)``, checked from the factors' largest
-    entries before any witness is built: the solve reads the Hermitian part
-    of each witness, whose eigenvalues reach ``2**n`` times its largest
-    entry.
+    operators whose witness entries, or any partial product on the way to
+    them, could exceed the largest float over ``2**(n+1)``, checked from the
+    factors' largest entries (at least 1) before any witness is built: the
+    solve reads the Hermitian part of each witness, whose eigenvalues reach
+    ``2**n`` times its largest entry.
     """
     if ops.shape != (n, 2, 2, 2):
         raise InvalidInput(f"operators have shape {ops.shape}, expected ({n},2,2,2)")
@@ -325,9 +294,11 @@ def optimal_povm_for_states(n: int, ops: np.ndarray) -> Povm:
         j, x = np.argwhere(traces > 1e-9)[0].tolist()
         raise InvalidInput(f"message operator of sender {j + 1}, input {x} has trace "
                            f"{traces[j, x]:.3g}; the GHZ measurement step needs traceless ones")
-    # a witness entry is a signed sum of products of one factor entry per slot
+    # a witness entry is a signed sum of products of one factor entry per slot,
+    # built left to right: factors below 1 count as 1, so every prefix is bounded too
     with np.errstate(over="ignore", invalid="ignore"):
-        products = [np.prod([np.abs(f).max() for f in term]) for term in witness_factors(ops)]
+        products = [np.prod([max(1.0, np.abs(f).max()) for f in term])
+                    for term in witness_factors(ops)]
         bound = np.abs(witness_signs(n)[0]) @ products
     if not bound <= np.finfo(float).max / 2**(n + 1):
         raise InvalidInput(f"the witnesses of these operators overflow: their entries reach "
@@ -415,11 +386,13 @@ def _counterexample_sweep(states: np.ndarray, m0: np.ndarray) -> np.ndarray:
 
 def _partial_bell_povm(ops: np.ndarray) -> np.ndarray:
     """Best three-outcome measurement: the top vectors of the first two
-    witnesses and the top two of the third, orthonormalized together."""
+    witnesses and the top two of the third, orthonormalized together (the
+    symmetric polar factor ``u vh`` of their SVD)."""
     vectors = herm_eig(np.stack(partial_witnesses(ops), axis=-3)).vectors
     rows = fix_phase(np.stack([vectors[..., 0, :, -1], vectors[..., 1, :, -1],
                                vectors[..., 2, :, -1], vectors[..., 2, :, -2]], axis=-2))
-    p = outer(np.swapaxes(_polar_orthonormal(np.swapaxes(rows, -1, -2)), -1, -2))
+    u, _, vh = np.linalg.svd(np.swapaxes(rows, -1, -2))
+    p = outer(np.swapaxes(u @ vh, -1, -2))
     return np.stack([p[..., 0, :, :], p[..., 1, :, :], p[..., 2, :, :] + p[..., 3, :, :]],
                     axis=-3)
 

@@ -286,6 +286,15 @@ class TestPovmStep:
             with pytest.raises(InvalidInput, match="witnesses of these operators overflow"):
                 optimal_povm_for_states(2, ops)
 
+    def test_an_overflowing_partial_product_is_refused(self):
+        # the full products stay near 1e100, but the first two factors' reach 1e200 * 1e200
+        scales = np.array([1, 1e200, 1e200, 1e-300])
+        ops = a_operators(ideal_strategy(4)) * scales[:, None, None, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="witnesses of these operators overflow"):
+                optimal_povm_for_states(4, ops)
+
     @pytest.mark.parametrize("n, scale", [(2, 1e100), (3, 1e60), (7, 1e40)])
     def test_large_operators_below_the_bound_give_a_measurement(self, n, scale):
         with warnings.catch_warnings():
@@ -388,17 +397,6 @@ class TestWitnessOrbits:
         assert steps and all(shape[1:] == (orbits, d, d) and shape[0] <= 3 for shape in steps)
 
 
-def svd_flip_operators(ops):
-    """``N_j = m_j . sigma`` with ``m_j`` the last right singular vector of
-    sender j's 2x3 matrix of Bloch vectors."""
-    lower = ops[..., 1, 0]
-    bloch = np.stack([lower.real, lower.imag, (ops[..., 0, 0] - ops[..., 1, 1]).real / 2],
-                     axis=-1)
-    mx, my, mz = np.moveaxis(np.linalg.svd(bloch)[2][..., -1, :], -1, 0)
-    return np.stack([np.stack([mz, mx - 1j * my], axis=-1),
-                     np.stack([mx + 1j * my, -mz], axis=-1)], axis=-2)
-
-
 def flip_loop_povm(ops):
     """The measurement step as a flip loop: the representatives' top vectors
     flipped onto every outcome slot by slot, phase-fixed and orthonormalized
@@ -411,7 +409,7 @@ def flip_loop_povm(ops):
     reps, orbit, flips = witness_orbits(n)
     ws = witness_operators(ops, reps)
     top = herm_eig(ws).vectors[..., -1][..., orbit, :]
-    flip = np.where(flips[..., None, None], svd_flip_operators(ops)[..., None, :, :, :], I2)
+    flip = np.where(flips[..., None, None], _flip_operators(ops)[..., None, :, :, :], I2)
     for j in range(n):
         v = top.reshape(top.shape[:-1] + (2**j, 1, 2, -1))
         u = flip[..., j, :, :][..., None, :, :, None]
@@ -508,7 +506,7 @@ class TestCharacterStep:
         anti = flip[:, None] @ ops + ops @ flip[:, None]
         assert np.abs(anti / scale).max() <= 1e-15
 
-    def test_measurement_step_makes_no_svd(self, monkeypatch):
+    def test_measurement_step_makes_no_dense_svd(self, monkeypatch):
         calls = []
         svd = np.linalg.svd
 
@@ -521,8 +519,10 @@ class TestCharacterStep:
             msgs = np.stack([random_messages(n, seed) for seed in range(3)])
             GAMES["ghz"].measure(_ghz_terms(msgs))
             optimal_povm_for_states(n, a_operators(random_strategy(n, n)))
-        assert calls == []
+        # only the flip axes: one 2x3 Bloch matrix per sender, never the 2**n rows
+        assert calls == [shape for n in range(2, 7) for shape in [(3, n, 2, 3), (n, 2, 3)]]
         # the probe: the partial-Bell step still orthonormalizes by SVD
+        calls.clear()
         rho = np.stack([random_messages(2, seed) for seed in range(3)])
         GAMES["partial_bell"].measure(rho)
         assert calls == [(3, 4, 4)]

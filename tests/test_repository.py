@@ -1,9 +1,8 @@
 """The repository tracks no file that its ``.gitignore`` excludes, the
 package starts no threads or processes and reads no environment variable,
 the command line and the scores leave the choice of game to tables, only
-``states`` reads which form a POVM is held in, only the partial-Bell step
-orthonormalizes by SVD, and only the pinned modules build Kronecker
-products."""
+``states`` reads which form a POVM is held in, and only the pinned modules
+build Kronecker products."""
 
 import ast
 import shutil
@@ -110,24 +109,6 @@ def test_only_states_reads_a_povms_basis():
     # the walk sees each form, and not the names that merely contain the word
     probe = ast.parse("p.basis\nq = s.povm.basis[0]\nghz_basis(n)\nbasis = 1\nx = p.ghz_basis\n")
     assert basis_reads(probe) == [1, 2]
-
-
-def callers(name):
-    """``(file, enclosing top-level definition)`` of every call of ``name``
-    in the package."""
-    found = []
-    for path in sorted(Path(ghz_selftest.__file__).parent.glob("*.py")):
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            found += [(path.name, getattr(stmt, "name", None)) for node in ast.walk(stmt)
-                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                      and node.func.id == name]
-    return found
-
-
-def test_only_the_partial_bell_step_orthonormalizes_by_svd():
-    # the GHZ measurement step orthonormalizes per flip character, in closed form
-    assert callers("_polar_orthonormal") == [("optimize.py", "_partial_bell_povm")]
-    assert ("optimize.py", "_ghz_povm") in callers("flip_characters")
 
 
 # the modules that build Kronecker products through linalg.tensor; the see-saw

@@ -99,27 +99,6 @@ class TestSosResidual:
         with pytest.raises(PreconditionViolated):
             sos_residual(2, 0, ops)
 
-
-NON_FINITE = [np.nan, np.inf, -np.inf, complex(0, np.nan)]
-
-
-@pytest.mark.parametrize("value", NON_FINITE)
-@pytest.mark.parametrize("check", [lambda ops: sos_residual(2, 0, ops),
-                                   lambda ops: witness_bounds(ops, 1e-9)],
-                         ids=["sos_residual", "witness_bounds"])
-def test_non_finite_operators_are_refused_before_any_solve(check, value, monkeypatch):
-    def no_solve(m):
-        raise AssertionError("solved")
-
-    monkeypatch.setattr(backends, "eigh", no_solve)
-    monkeypatch.setattr(backends, "eigvalsh", no_solve)
-    ops = canonical_ops(2).copy()
-    ops[1, 0, 0, 1] = value
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(InvalidInput, match="sender 2, input 0 has a non-finite entry"):
-            check(ops)
-
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_unit_square_defect_below_the_gate_is_measured(self, n):
         # |a|^2 - 1 is about 1e-7, below the 1e-6 gate; only t_c = (n-1)(2e+e^2)/sqrt(2) I is left
@@ -149,6 +128,27 @@ def test_non_finite_operators_are_refused_before_any_solve(check, value, monkeyp
         values = [sos_residual(3, m, ops) for m in range(8)]
         assert values[0] > 1e-8
         assert max(values) - min(values) <= 1e-14
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf, complex(0, np.nan)]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("check", [lambda ops: sos_residual(2, 0, ops),
+                                   lambda ops: witness_bounds(ops, 1e-9)],
+                         ids=["sos_residual", "witness_bounds"])
+def test_non_finite_operators_are_refused_before_any_solve(check, value, monkeypatch):
+    def no_solve(m):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(backends, "eigh", no_solve)
+    monkeypatch.setattr(backends, "eigvalsh", no_solve)
+    ops = canonical_ops(2).copy()
+    ops[1, 0, 0, 1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="sender 2, input 0 has a non-finite entry"):
+            check(ops)
 
 
 def trace_perturbed(strategy, eps, seed):
